@@ -211,6 +211,86 @@ class _Prep:
         self.need_regs: list[int] = []
 
 
+def _prepare(lk: LoweredKernel, skip: frozenset) -> list[_Prep | None]:
+    """Pre-resolve every instruction whose op is not in ``skip`` (those
+    pcs hold ``None``: an executor that never issues them through
+    :meth:`SMExecutor._issue` need not keep them resident)."""
+    out: list[_Prep | None] = []
+    for ins in lk.instructions:
+        if ins.op in skip:
+            out.append(None)
+            continue
+        p = _Prep(ins)
+        if ins.op is Op.BRA:
+            p.target = lk.targets[ins.target]
+        for d in ins.dsts:
+            if d.is_predicate:
+                p.dsts.append(-1 - lk.pred_map[d.name])
+            else:
+                p.dsts.append(lk.reg_map[d.name])
+        for s in ins.srcs:
+            if isinstance(s, Reg):
+                if s.is_predicate:
+                    p.src_kinds.append("pred")
+                    p.srcs.append(lk.pred_map[s.name])
+                else:
+                    p.src_kinds.append("reg")
+                    idx = lk.reg_map[s.name]
+                    p.srcs.append(idx)
+                    p.need_regs.append(idx)
+            elif isinstance(s, Imm):
+                p.src_kinds.append("imm")
+                p.srcs.append(s.value)
+            elif isinstance(s, Param):
+                p.src_kinds.append("param")
+                p.srcs.append(s.name)
+            elif isinstance(s, SReg):
+                p.src_kinds.append("sreg")
+                p.srcs.append(s.special)
+            else:  # pragma: no cover - defensive
+                raise ExecutionError(f"bad operand {s!r}")
+        if ins.pred is not None:
+            p.pred = lk.pred_map[ins.pred.name]
+        # Registers whose pending status blocks issue: sources and
+        # destinations (in-order WAW on loads).
+        for d in ins.dsts:
+            if not d.is_predicate:
+                p.need_regs.append(lk.reg_map[d.name])
+        p.need_arr = np.array(p.need_regs, dtype=np.intp)
+        out.append(p)
+    return out
+
+
+class KernelPlan:
+    """Launch-invariant executor state of one lowered kernel.
+
+    Everything an SM run derives from the kernel alone — the pre-resolved
+    instructions and, per device × toolchain × mode, the fast path's
+    compiled program — is built on the kernel's first SM run and shared,
+    read-only, by every later run on any SM, launch or thread.  Lives on
+    :attr:`LoweredKernel.exec_plan`.  Threads racing on a first build
+    may each build an entry; any of them serves, since entries are pure
+    functions of the kernel.
+    """
+
+    __slots__ = ("prepped", "programs")
+
+    def __init__(self) -> None:
+        #: Ops left unprepared (see :func:`_prepare`) → per-pc ``_Prep``.
+        self.prepped: dict = {}
+        #: ``(DeviceProperties, toolchain, vectorize)`` → FastProgram,
+        #: filled by :class:`repro.cudasim.fastpath.FastSMExecutor`.
+        self.programs: dict = {}
+
+
+def kernel_plan(lk: LoweredKernel) -> KernelPlan:
+    """``lk``'s :class:`KernelPlan`, created on its first use."""
+    plan = lk.exec_plan
+    if plan is None:
+        plan = lk.exec_plan = KernelPlan()
+    return plan
+
+
 class SMExecutor:
     """Runs a queue of blocks on one simulated SM."""
 
@@ -244,54 +324,21 @@ class SMExecutor:
         self.stats = stats if stats is not None else KernelStats()
         self.pipeline = MemoryPipeline(device, policy)
         self.texcache = TextureCache(device, self.pipeline)
-        self._prepped = self._prepare()
+        self.plan = kernel_plan(lk)
+        skip = self._UNPREPARED
+        prepped = self.plan.prepped.get(skip)
+        if prepped is None:
+            prepped = self.plan.prepped[skip] = _prepare(lk, skip)
+        self._prepped = prepped
         self._lane = np.arange(WARP, dtype=np.int64)
 
-    # ------------------------------------------------------------------ prep
+    #: Ops this executor never issues through :meth:`_issue`, so never
+    #: pre-resolves (the interpreter issues everything).
+    _UNPREPARED: frozenset = frozenset()
 
-    def _prepare(self) -> list[_Prep]:
-        lk = self.lk
-        out: list[_Prep] = []
-        for ins in lk.instructions:
-            p = _Prep(ins)
-            if ins.op is Op.BRA:
-                p.target = lk.targets[ins.target]
-            for d in ins.dsts:
-                if d.is_predicate:
-                    p.dsts.append(-1 - lk.pred_map[d.name])
-                else:
-                    p.dsts.append(lk.reg_map[d.name])
-            for s in ins.srcs:
-                if isinstance(s, Reg):
-                    if s.is_predicate:
-                        p.src_kinds.append("pred")
-                        p.srcs.append(lk.pred_map[s.name])
-                    else:
-                        p.src_kinds.append("reg")
-                        idx = lk.reg_map[s.name]
-                        p.srcs.append(idx)
-                        p.need_regs.append(idx)
-                elif isinstance(s, Imm):
-                    p.src_kinds.append("imm")
-                    p.srcs.append(s.value)
-                elif isinstance(s, Param):
-                    p.src_kinds.append("param")
-                    p.srcs.append(s.name)
-                elif isinstance(s, SReg):
-                    p.src_kinds.append("sreg")
-                    p.srcs.append(s.special)
-                else:  # pragma: no cover - defensive
-                    raise ExecutionError(f"bad operand {s!r}")
-            if ins.pred is not None:
-                p.pred = lk.pred_map[ins.pred.name]
-            # Registers whose pending status blocks issue: sources and
-            # destinations (in-order WAW on loads).
-            for d in ins.dsts:
-                if not d.is_predicate:
-                    p.need_regs.append(lk.reg_map[d.name])
-            p.need_arr = np.array(p.need_regs, dtype=np.intp)
-            out.append(p)
-        return out
+    def _needs(self, pc: int):
+        """Registers whose pending status blocks issue at ``pc``."""
+        return self._prepped[pc].need_arr
 
     # ------------------------------------------------------------- operands
 
@@ -393,7 +440,7 @@ class SMExecutor:
             # Blocked on the scoreboard: some needed register is pending
             # past the issue port's own availability.
             reason = self._prof_dep_reason(
-                best, self._prepped[best.pc].need_arr, best_t
+                best, self._needs(best.pc), best_t
             )
         elif best.next_issue > now:
             # The only mechanism pushing next_issue past the current

@@ -17,7 +17,11 @@ overhead without perturbing a single simulated cycle:
    and scoreboard writes emitted inline — and ``exec``s it into a module.
    Programs are cached in the content-addressed
    :class:`~repro.cudasim.kernel_cache.KernelCache` keyed by the lowered
-   IR hash × device timing × toolchain × fastpath generation.
+   IR hash × device timing × toolchain × fastpath generation, and looked
+   up once per kernel (the kernel's
+   :class:`~repro.cudasim.executor.KernelPlan` keeps the result).  SM
+   runs borrow bound step families (:class:`StepSet`) from the program
+   and return them, rebinding only the launch values.
 3. :class:`FastSMExecutor` replaces the O(warps) round-robin rescan with
    a cached wake-time list (invalidated on scoreboard writes and barrier
    release) and runs straight-line stretches through a fused driver
@@ -122,7 +126,7 @@ from .device import DeviceProperties
 from .envflags import env_mapped
 from .errors import DeadlockError, ExecutionError
 from .executor import WARP, BlockState, SMExecutor, WarpState
-from .isa import SFU_OPS, Imm, Op, Param, Reg, Special, SReg
+from .isa import ISSUE_CLASS, SFU_OPS, Imm, Op, Param, Reg, Special, SReg
 from .kernel_cache import KernelCache, default_cache
 from .lower import LoweredKernel
 from .memory import SharedMemory
@@ -154,7 +158,9 @@ FASTPATH_ENV = "REPRO_EXEC_FASTPATH"
 #: programs from an older codegen can never be returned.  Generation 2:
 #: cross-warp vectorized templates (``make_vsteps``) and the per-pc
 #: cost/latency/write metadata the warp-group scheduler consumes.
-FASTPATH_GENERATION = 2
+#: Generation 3: factories return ``(steps, bind)`` and take launch
+#: values through ``bind``, so bound families outlive one launch.
+FASTPATH_GENERATION = 3
 
 #: Spelling → mode for :data:`FASTPATH_ENV`.  The boolean aliases keep
 #: their historical meaning: any "true" spelling selects the best
@@ -223,10 +229,13 @@ def fastpath_enabled(override: bool | int | None = None) -> bool:
 class FastProgram:
     """One lowered kernel compiled for the fast path.
 
-    ``make_steps(ctx)`` (the ``exec``'d module's factory) binds a launch
-    context and returns one step function per fusible pc (``None``
-    elsewhere).  ``deps``/``ends``/``ops``/``classes`` are shared,
-    read-only metadata used by the fused driver and the stat flush.
+    ``make_steps(ctx)`` (the ``exec``'d module's factory) binds the
+    counter accumulators of ``ctx`` and returns one step function per
+    fusible pc (``None`` elsewhere) plus a ``bind(block_dim, grid_dim,
+    params)`` function that sets the launch values the steps read; SM
+    runs get bound families through :meth:`acquire`.
+    ``deps``/``ends`` and the ``flush_*`` arrays are shared, read-only
+    metadata used by the fused driver and the stat flush.
 
     Vectorized (v2) programs additionally carry ``make_vsteps`` — the
     cross-warp template factory operating on ``(warps, lanes)`` stacks —
@@ -241,8 +250,11 @@ class FastProgram:
     make_steps: Callable
     deps: list  # per-pc tuple of blocking register slots (may be empty)
     ends: list[int]  # per-pc fusible-run end (cfg.fusible_run_ends)
-    ops: list  # per-pc Op (stat flush)
-    classes: list  # per-pc IssueClass (stat flush)
+    # Stat flush: the kernel's distinct ops (first-appearance order),
+    # each pc's index into them, and each pc's profiler issue cost.
+    flush_ops: list
+    flush_group: np.ndarray
+    flush_cost: np.ndarray
     param_names: tuple[str, ...] = ()
     fused_pcs: int = field(default=0)
     make_vsteps: Callable | None = None
@@ -263,10 +275,70 @@ class FastProgram:
     #: execution time (wrong direction or divergence aborts the window
     #: exactly).  ``None`` for every other pc.
     bra: list | None = None
+    #: Per-pc replay-window membership
+    #: (:func:`repro.cudasim.cfg.replay_schedulable`): fusible ALU work
+    #: plus the validated shared loads and branches.
+    vok: list | None = None
     #: Scheduler-replay cache keyed by ``(pcs, k0, dkey)`` — schedules
     #: are pure functions of the program, so the cache lives here and
     #: is shared by every SM executor and launch of this program.
     vmeta: dict = field(default_factory=dict)
+    #: Lockstep-window cache keyed by ``(pc0, W)``, shared likewise.
+    windows: dict = field(default_factory=dict)
+    #: Cyclic issue positions keyed by ``(W, k0)``, and the all-zero
+    #: position vector of a replay group keyed by ``W`` (read-only).
+    positions: dict = field(default_factory=dict)
+    #: Bound step families no SM run holds (see :meth:`acquire`).
+    idle: list = field(default_factory=list, repr=False)
+
+    def acquire(self, block_dim: int, grid_dim: int, params) -> "StepSet":
+        """A step family bound to one launch's values, for one SM run.
+
+        Families are built once and recycled through :meth:`release`, so
+        a kernel pays the closure-building cost once per concurrently
+        running SM rather than once per SM run.
+        """
+        try:
+            steps = self.idle.pop()
+        except IndexError:
+            steps = StepSet(self)
+        steps.bind(block_dim, grid_dim, params)
+        return steps
+
+    def release(self, steps: "StepSet") -> None:
+        """Return a family whose counters the run has flushed to zero."""
+        self.idle.append(steps)
+
+
+class StepSet:
+    """One instance of a program's step families (``make_steps`` and, for
+    vectorized programs, ``make_vsteps``) plus the per-pc issue and lane
+    accumulators they write.  An SM run holds its set exclusively between
+    :meth:`FastProgram.acquire` and :meth:`FastProgram.release`, so
+    concurrent runs never share counters or launch values."""
+
+    __slots__ = ("cnt", "lanes", "steps", "vsteps", "_binds")
+
+    def __init__(self, program: FastProgram) -> None:
+        self.cnt = [0] * program.n
+        self.lanes = [0] * program.n
+        ctx = {
+            "cnt": self.cnt,
+            "lanes": self.lanes,
+            "lane": np.arange(WARP, dtype=np.int64),
+        }
+        self.steps, bind = program.make_steps(ctx)
+        self._binds = [bind]
+        self.vsteps = None
+        if program.make_vsteps is not None:
+            # Both families share the accumulators, so the stat flush is
+            # engine-agnostic.
+            self.vsteps, vbind = program.make_vsteps(ctx)
+            self._binds.append(vbind)
+
+    def bind(self, block_dim: int, grid_dim: int, params) -> None:
+        for bind in self._binds:
+            bind(block_dim, grid_dim, params)
 
 
 # --------------------------------------------------------------- codegen
@@ -617,6 +689,11 @@ def _emit_factory(
         binds.append(f"    {steps_name}[{pc}] = {entry[0]}({call})")
         fused += 1
     n = len(lk.instructions)
+    # Launch values (block/grid dims, kernel parameters) are factory
+    # locals that ``bind`` rebinds, so one bound step family serves any
+    # number of launches: the steps read them as closure cells, exactly
+    # as fast as constants baked in at factory time.
+    launch_locals = ["_ntid", "_nctaid", *params_bound.values()]
     lines = [
         "",
         "",
@@ -629,12 +706,15 @@ def _emit_factory(
         "    cnt = ctx['cnt']",
         "    lanes = ctx['lanes']",
         "    _lane = ctx['lane']",
-        "    _ntid = ctx['block_dim']",
-        "    _nctaid = ctx['grid_dim']",
-        "    params = ctx['params']",
+        f"    {' = '.join(launch_locals)} = None",
+        "",
+        "    def bind(block_dim, grid_dim, params):",
+        f"        nonlocal {', '.join(launch_locals)}",
+        "        _ntid = block_dim",
+        "        _nctaid = grid_dim",
     ]
     for name, local in params_bound.items():
-        lines.append(f"    {local} = params[{name!r}]")
+        lines.append(f"        {local} = params[{name!r}]")
     for tmpl_body, (name, argnames) in templates.items():
         tmpl_sig = ", ".join(["pc", *argnames])
         lines.append("")
@@ -645,7 +725,7 @@ def _emit_factory(
     lines.append("")
     lines.append(f"    {steps_name} = [None] * {n}")
     lines.extend(binds)
-    lines.append(f"    return {steps_name}")
+    lines.append(f"    return {steps_name}, bind")
     return lines, fused, len(templates)
 
 
@@ -684,7 +764,7 @@ def generate_source(
 
 def _need_tuples(lk: LoweredKernel) -> list[tuple[int, ...]]:
     """Per-pc registers whose pending status blocks issue (sources plus
-    destinations, matching ``SMExecutor._prepare``).  Plain tuples: the
+    destinations, matching ``executor._prepare``).  Plain tuples: the
     scheduler reads 2–4 scoreboard slots per check, where scalar array
     indexing beats a fancy-index + ``max`` reduction."""
     out = []
@@ -876,14 +956,24 @@ def _build_program(
     ends = fusible_run_ends(lk)
     fused_pcs = sum(1 for i in lk.instructions if i.op in FUSIBLE_OPS)
     costs, lats, writes = _step_costs(lk, dev)
+    # Fused ops have static issue costs (SFU ops on SFU timing, all else
+    # on ALU timing, as in _value_expr), so the profiler's per-pc
+    # issue cycles are count x cost.
+    ops = [i.op for i in lk.instructions]
+    flush_ops = list(dict.fromkeys(ops))
+    group_of = {op: g for g, op in enumerate(flush_ops)}
+    alu_i, sfu_i = float(dev.alu_issue_cycles), float(dev.sfu_issue_cycles)
     return FastProgram(
         n=len(lk.instructions),
         source=source,
         make_steps=namespace["make_steps"],
         deps=_need_tuples(lk),
         ends=ends,
-        ops=[i.op for i in lk.instructions],
-        classes=[i.issue_class for i in lk.instructions],
+        flush_ops=flush_ops,
+        flush_group=np.array([group_of[op] for op in ops], dtype=np.intp),
+        flush_cost=np.array(
+            [sfu_i if op in SFU_OPS else alu_i for op in ops], dtype=_F64
+        ),
         param_names=tuple(lk.kernel.params),
         fused_pcs=fused_pcs,
         make_vsteps=namespace.get("make_vsteps"),
@@ -892,6 +982,7 @@ def _build_program(
         writes=writes,
         mem=_mem_costs(lk, dev),
         bra=_bra_costs(lk, dev),
+        vok=[replay_schedulable(ins) for ins in lk.instructions],
     )
 
 
@@ -972,41 +1063,31 @@ class FastSMExecutor(SMExecutor):
     def __init__(self, *args, vectorize: bool = False, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._vec = bool(vectorize)
-        self._program = compile_fastpath(
-            self.lk,
-            self.device,
-            toolchain=type(self.policy).__name__,
-            vectorize=self._vec,
-        )
-        n = self._program.n
-        self._cnt = [0] * n
-        self._lanes_acc = [0] * n
-        ctx = {
-            "cnt": self._cnt,
-            "lanes": self._lanes_acc,
-            "lane": self._lane,
-            "block_dim": self.block_dim,
-            "grid_dim": self.grid_dim,
-            "params": self.params,
-        }
-        self._steps = self._program.make_steps(ctx)
-        self._ends = self._program.ends
+        toolchain = type(self.policy).__name__
+        # The program is looked up once per kernel × device × toolchain
+        # × mode (hashing the IR for the kernel-cache key costs as much
+        # as a small SM run); its bound step families are recycled.
+        key = (self.device, toolchain, self._vec)
+        program = self.plan.programs.get(key)
+        if program is None:
+            program = self.plan.programs[key] = compile_fastpath(
+                self.lk, self.device, toolchain=toolchain,
+                vectorize=self._vec,
+            )
+        self._program = program
+        self._set = program.acquire(self.block_dim, self.grid_dim, self.params)
+        self._cnt = self._set.cnt
+        self._lanes_acc = self._set.lanes
+        self._steps = self._set.steps
+        self._ends = program.ends
         if self._vec:
-            # Both template families share the cnt/lanes accumulators,
-            # so the stat flush is engine-agnostic.
-            self._vsteps = self._program.make_vsteps(ctx)
-            # Static schedule caches: lockstep windows stay local (the
-            # key space is tiny), replays live on the shared program so
-            # every SM and every launch reuses them.
-            self._vmeta: dict = {}  # (pc0, W) -> lockstep window
-            self._vrmeta = self._program.vmeta  # (pcs, k0, dkey) -> replay
-            self._mv_cache: dict = {}  # (W, i - lo) -> cyclic positions
-            # Pcs the replay scheduler can issue from (the window rule
-            # of :func:`repro.cudasim.cfg.replay_schedulable`): fusible
-            # ALU work plus the validated shared loads and branches.
-            self._vok = [
-                replay_schedulable(ins) for ins in self.lk.instructions
-            ]
+            self._vsteps = self._set.vsteps
+            # Static schedule caches, shared by every SM and launch of
+            # the program.
+            self._vmeta = program.windows  # (pc0, W) -> lockstep window
+            self._vrmeta = program.vmeta  # (pcs, k0, dkey) -> replay
+            self._mv_cache = program.positions
+            self._vok = program.vok
         # Dispatch counters (merged into _VEC_COUNTERS per run).
         self._vd = self._vw = self._vi = self._vf = 0
 
@@ -1063,6 +1144,16 @@ class FastSMExecutor(SMExecutor):
             w.tid = tid2[idx]
 
     # -- scheduler --------------------------------------------------------
+
+    # Fusible pcs always run through the compiled steps, never _issue.
+    _UNPREPARED = FUSIBLE_OPS
+
+    def _needs(self, pc: int):
+        return self._program.deps[pc]
+
+    def _wake_time(self, warp: WarpState) -> float | None:
+        t = self._wake_inf(warp)
+        return None if t == _INF else t
 
     def _wake_inf(self, warp: WarpState) -> float:
         """``_wake_time`` with ``inf`` for blocked warps, via scalar
@@ -2213,6 +2304,9 @@ class FastSMExecutor(SMExecutor):
             now = new_now
         stats.sm_cycles.append(now)
         self._flush_counts()
+        # Flushed counters are zero again: the family is reusable.  A run
+        # that raised never gets here, so a half-counted set is dropped.
+        self._program.release(self._set)
         if vec:
             self._flush_vec()
         return now
@@ -2250,29 +2344,31 @@ class FastSMExecutor(SMExecutor):
         profiler's per-pc counters: every fused op has a static issue
         cost (SFU ops 16 cycles, everything else 4 — mirroring
         ``_value_expr``), so ``count × cost`` equals the interpreter's
-        per-issue accumulation exactly.
+        per-issue accumulation exactly.  The fold is vectorized over the
+        program's pcs (counts stay far below 2**53, so the float64
+        per-op sums are exact).
         """
-        stats = self.stats
-        prof = self.profile
         program = self._program
+        cnt, lanes = self._cnt, self._lanes_acc
+        c = np.array(cnt, dtype=np.int64)
+        if not c.any():
+            return
+        ln = np.array(lanes, dtype=np.int64)
+        stats = self.stats
+        stats.warp_instructions += int(c.sum())
+        stats.thread_instructions += int(ln.sum())
+        per_op = np.bincount(
+            program.flush_group, weights=c, minlength=len(program.flush_ops)
+        )
+        for op, total in zip(program.flush_ops, per_op.tolist()):
+            if total:
+                total = int(total)
+                cls = ISSUE_CLASS[op]
+                stats.by_class[cls] = stats.by_class.get(cls, 0) + total
+                stats.by_op[op] = stats.by_op.get(op, 0) + total
+        prof = self.profile
         if prof is not None:
-            dev = self.device
-            alu_i = float(dev.alu_issue_cycles)
-            sfu_i = float(dev.sfu_issue_cycles)
-        for pc, c in enumerate(self._cnt):
-            if not c:
-                continue
-            stats.warp_instructions += c
-            stats.thread_instructions += self._lanes_acc[pc]
-            cls = program.classes[pc]
-            op = program.ops[pc]
-            stats.by_class[cls] = stats.by_class.get(cls, 0) + c
-            stats.by_op[op] = stats.by_op.get(op, 0) + c
-            if prof is not None:
-                prof.issue_count[pc] += c
-                prof.lanes[pc] += self._lanes_acc[pc]
-                prof.issue_cycles[pc] += c * (
-                    sfu_i if op in SFU_OPS else alu_i
-                )
-            self._cnt[pc] = 0
-            self._lanes_acc[pc] = 0
+            prof.issue_count += c
+            prof.lanes += ln
+            prof.issue_cycles += c * program.flush_cost
+        cnt[:] = lanes[:] = [0] * len(cnt)

@@ -50,6 +50,19 @@ class LoweredKernel:
     pred_map: dict[str, int] = field(default_factory=dict)
     reg_count: int = 0
     pred_count: int = 0
+    #: Launch-invariant executor state
+    #: (:class:`repro.cudasim.executor.KernelPlan`), built by the first SM
+    #: run and shared by every later one.  The kernel must not be mutated
+    #: once it has run.  Never pickled (it holds ``exec``-built code) and
+    #: never compared.
+    exec_plan: object = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["exec_plan"] = None
+        return state
 
     @property
     def name(self) -> str:

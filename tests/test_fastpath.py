@@ -464,3 +464,145 @@ class TestCodegenCache:
         monkeypatch.setenv(ENGINE_ENV, "threads")  # typo of "thread"
         with pytest.raises(ValueError, match=ENGINE_ENV):
             Device(cache=KernelCache())
+
+
+# -- per-kernel executor plan ----------------------------------------------
+
+
+def _rebind_kernel():
+    """Launch values that reach fused instructions: two scalar
+    parameters, the block and grid dimensions and the output pointer."""
+    b = KernelBuilder("k_rebind", params=("dst", "scale", "bias"))
+    tid = b.sreg("tid")
+    i = b.imad("i", b.sreg("ctaid"), b.sreg("ntid"), tid)
+    x = b.i2f(b.reg("x"), i)
+    b.mul(x, x, b.param("scale"))
+    b.add(x, x, b.param("bias"))
+    g = b.i2f(b.reg("g"), b.sreg("nctaid"))
+    b.add(x, x, g)
+    b.st_global(b.imad("a", i, 4, b.param("dst")), x)
+    return b.build()
+
+
+def _rebind_launch(lk, mode, grid, block, scale, bias):
+    dev = Device(fastpath=mode, cache=KernelCache(), heap_bytes=1 << 20)
+    words = grid * block
+    dst = dev.malloc(4 * words)
+    result = dev.launch(
+        lk, grid=grid, block=block,
+        params={"dst": dst, "scale": scale, "bias": bias},
+    )
+    return (
+        dev.memcpy_dtoh(dst, words).tobytes(),
+        dev.gmem.words.tobytes(),
+        result.cycles,
+        result.stats.as_dict(),
+    )
+
+
+@pytest.fixture
+def _fresh_default_cache():
+    """Fast-path programs live in the process-default kernel cache."""
+    from repro.cudasim.kernel_cache import set_default_cache
+
+    previous = set_default_cache(KernelCache())
+    yield
+    set_default_cache(previous)
+
+
+class TestKernelPlan:
+    """A lowered kernel's executor state is built by its first SM run and
+    reused by every later one, on any SM, launch or thread."""
+
+    #: (grid, block, scale, bias) of successive launches of one kernel.
+    LAUNCHES = ((3, 64, 2.0, 1.0), (5, 32, -0.5, 7.0), (2, 96, 3.0, -2.0))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_reused_plan_rebinds_launch_values(self, mode):
+        kernel = _rebind_kernel()
+        shared = compile_kernel(kernel, cache=None)
+        for launch in self.LAUNCHES:
+            reference = _rebind_launch(
+                compile_kernel(kernel, cache=None), 0, *launch
+            )
+            _assert_identical(reference, _rebind_launch(shared, mode, *launch))
+        assert shared.exec_plan is not None
+
+    def test_state_built_once(self, monkeypatch, _fresh_default_cache):
+        import repro.cudasim.executor as executor_mod
+        import repro.cudasim.fastpath as fastpath_mod
+
+        calls = {"prepare": 0, "program": 0, "steps": 0}
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            executor_mod, "_prepare",
+            counted("prepare", executor_mod._prepare),
+        )
+        monkeypatch.setattr(
+            fastpath_mod, "compile_fastpath",
+            counted("program", fastpath_mod.compile_fastpath),
+        )
+        monkeypatch.setattr(
+            fastpath_mod.StepSet, "__init__",
+            counted("steps", fastpath_mod.StepSet.__init__),
+        )
+        lk = compile_kernel(_rebind_kernel(), cache=None)
+        for _ in range(3):
+            _rebind_launch(lk, 2, 8, 64, 1.0, 0.0)  # 8 SM runs per launch
+        assert calls == {"prepare": 1, "program": 1, "steps": 1}
+
+    def test_plan_is_not_pickled(self):
+        """The process engine ships kernels to workers; the plan holds
+        exec-built code and stays behind."""
+        import pickle
+
+        lk = compile_kernel(_rebind_kernel(), cache=None)
+        _rebind_launch(lk, 2, 2, 32, 1.0, 0.0)
+        assert lk.exec_plan is not None
+        clone = pickle.loads(pickle.dumps(lk))
+        assert clone.exec_plan is None
+        assert clone.instructions == lk.instructions
+
+    def test_concurrent_launches_share_plan_safely(self):
+        """More threads than cores launch one kernel with different
+        launch values at once, under a tiny switch interval: a shared
+        step family would mix their parameters or lose counter updates,
+        so every result must still equal its interpreter reference."""
+        import sys
+        import threading
+
+        kernel = _rebind_kernel()
+        lk = compile_kernel(kernel, cache=None)
+        cases = self.LAUNCHES * 2
+        expected = [
+            _rebind_launch(compile_kernel(kernel, cache=None), 0, *case)
+            for case in cases
+        ]
+        got: list = [None] * len(cases)
+
+        def work(k):
+            got[k] = _rebind_launch(lk, 2, *cases[k])
+
+        threads = [
+            threading.Thread(target=work, args=(k,))
+            for k in range(len(cases))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for want, have in zip(expected, got):
+            _assert_identical(want, have)
