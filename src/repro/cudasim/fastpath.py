@@ -11,11 +11,14 @@ overhead without perturbing a single simulated cycle:
    at branch / barrier / exit / memory-op boundaries.  Everything inside
    a block touches only the warp's private register file, predicates and
    scoreboard.
-2. :func:`compile_fastpath` generates Python source with one specialized
-   issue handler per in-block instruction — operands resolved to array
-   slots at compile time, float32 rounding preserved op for op, stats
-   and scoreboard writes emitted inline — and ``exec``s it into a module.
-   Programs are cached in the content-addressed
+2. :func:`compile_fastpath` generates Python source with one issue
+   handler *template* per distinct in-block instruction shape — float32
+   rounding preserved op for op — and ``exec``s it into a module.  Which
+   template each pc instantiates, with which register slots and
+   immediates, is a ``(pc, template, args)`` bind table kept by value on
+   the :class:`FastProgram`, so the module's size is set by the number
+   of shapes, not of pcs (a fully unrolled kernel compiles as fast as a
+   rolled one).  Programs are cached in the content-addressed
    :class:`~repro.cudasim.kernel_cache.KernelCache` keyed by the lowered
    IR hash × device timing × toolchain × fastpath generation, and looked
    up once per kernel (the kernel's
@@ -31,12 +34,17 @@ overhead without perturbing a single simulated cycle:
    same pc of the same basic block are *batched*: the executor keeps all
    resident warps' register files, predicates and scoreboards stacked in
    one per-SM arena (``(regs, warps, lanes)`` arrays; each
-   :class:`WarpState` holds row views), and a warp-group scheduler
-   (:meth:`FastSMExecutor._vdispatch`) dispatches one numpy-vectorized
-   call per ``(pc, bucket)`` through the ``make_vsteps`` template family
-   emitted next to the per-warp ``make_steps``.  Divergence, barriers
-   and per-warp-divergent scoreboard timing fall back to the per-warp
-   v1 path (which remains the general engine underneath).
+   :class:`WarpState` holds row views), and the cross-warp schedulers
+   run stacked steps from the ``make_vsteps`` template family emitted
+   next to the per-warp ``make_steps``.  Vector steps are *data-only*:
+   one in-place ufunc per op (``out=`` the float64 destination row,
+   computing in float32 or int64 through the ufunc's own casts, under
+   ``where=`` the active mask); scoreboard marks, issue counts and lane
+   counts are written by the scheduler, once per run of steps.
+   Divergence, barriers and per-warp-divergent scoreboard timing fall
+   back to the per-warp v1 path (which remains the general engine
+   underneath); :func:`vec_counters` counts every fallback and abort by
+   reason.
 
 Bit-identity argument
 ---------------------
@@ -88,11 +96,14 @@ scheduler (:meth:`FastSMExecutor._vreplay` /
 round-robin scan is simulated once in pure Python over a window of
 schedulable pcs (:func:`repro.cudasim.cfg.replay_schedulable` —
 fusible ALU work plus unpredicated shared loads and branches), and the
-resulting issue plan — with complete ``(warps,)`` row groups folded
-into single vector events within branch/load-free segments — is
-memoized on the shared program keyed by the warps' pc and entry-wake
-configuration.  Shared loads are scheduled at their conflict-free cost
-and branches under a static direction assumption
+resulting issue plan is memoized on the shared program keyed by the
+warps' pc and entry-wake configuration.  Within each branch/load-free
+segment, complete row groups (all warps at one pc) fold into stacked
+steps, and each maximal run of them becomes one *run event*: its steps
+execute back to back, then one precomputed ``(warps, k)`` offset array
+writes every scoreboard mark the run leaves behind and its issue and
+lane counts are added at once.  Shared loads are scheduled at their
+conflict-free cost and branches under a static direction assumption
 (backward/unconditional taken, forward predicated fall-through); at
 dispatch each such event is either proven by a cheap vectorized check
 (whole-warp broadcast load, uniform predicate) or executed through the
@@ -160,7 +171,9 @@ FASTPATH_ENV = "REPRO_EXEC_FASTPATH"
 #: cost/latency/write metadata the warp-group scheduler consumes.
 #: Generation 3: factories return ``(steps, bind)`` and take launch
 #: values through ``bind``, so bound families outlive one launch.
-FASTPATH_GENERATION = 3
+#: Generation 4: factories return ``(templates, bind)`` and the per-pc
+#: bindings are a table on the program; vector steps are data-only.
+FASTPATH_GENERATION = 4
 
 #: Spelling → mode for :data:`FASTPATH_ENV`.  The boolean aliases keep
 #: their historical meaning: any "true" spelling selects the best
@@ -174,13 +187,13 @@ FASTPATH_MODES = {
 _F64 = np.float64
 _INF = float("inf")
 
-_CMP_FNS = {
-    "lt": "np.less",
-    "le": "np.less_equal",
-    "gt": "np.greater",
-    "ge": "np.greater_equal",
-    "eq": "np.equal",
-    "ne": "np.not_equal",
+_CMP_UFUNCS = {
+    "lt": "less",
+    "le": "less_equal",
+    "gt": "greater",
+    "ge": "greater_equal",
+    "eq": "equal",
+    "ne": "not_equal",
 }
 
 _FLOAT_BINOP_SYMS = {Op.ADD: "+", Op.SUB: "-", Op.MUL: "*", Op.DIV: "/"}
@@ -230,24 +243,27 @@ class FastProgram:
     """One lowered kernel compiled for the fast path.
 
     ``make_steps(ctx)`` (the ``exec``'d module's factory) binds the
-    counter accumulators of ``ctx`` and returns one step function per
-    fusible pc (``None`` elsewhere) plus a ``bind(block_dim, grid_dim,
-    params)`` function that sets the launch values the steps read; SM
+    counter accumulators of ``ctx`` and returns the family's step
+    templates plus a ``bind(block_dim, grid_dim, params)`` function that
+    sets the launch values the steps read; ``table`` says which template
+    each fusible pc instantiates with which slots and immediates.  SM
     runs get bound families through :meth:`acquire`.
     ``deps``/``ends`` and the ``flush_*`` arrays are shared, read-only
     metadata used by the fused driver and the stat flush.
 
-    Vectorized (v2) programs additionally carry ``make_vsteps`` — the
-    cross-warp template factory operating on ``(warps, lanes)`` stacks —
-    plus the static per-pc timing metadata the warp-group scheduler's
-    window analysis needs: ``costs`` (issue cycles), ``lats`` (result
-    latency, ``None`` when the op writes no scoreboard entry) and
-    ``writes`` (destination register slot, ``-1`` when none).
+    Vectorized (v2) programs additionally carry ``make_vsteps`` and
+    ``vtable`` — the data-only cross-warp templates operating on
+    ``(warps, lanes)`` stacks — plus the static per-pc timing metadata
+    the vector schedulers need: ``costs`` (issue cycles), ``lats``
+    (result latency, ``None`` when the op writes no scoreboard entry)
+    and ``writes`` (destination register slot, ``-1`` when none).
     """
 
     n: int
     source: str
     make_steps: Callable
+    #: Per-warp bind table: ``(pc, template index, factory args)`` rows.
+    table: tuple
     deps: list  # per-pc tuple of blocking register slots (may be empty)
     ends: list[int]  # per-pc fusible-run end (cfg.fusible_run_ends)
     # Stat flush: the kernel's distinct ops (first-appearance order),
@@ -258,6 +274,12 @@ class FastProgram:
     param_names: tuple[str, ...] = ()
     fused_pcs: int = field(default=0)
     make_vsteps: Callable | None = None
+    vtable: tuple | None = None  # cross-warp bind table, like ``table``
+    #: Fusible pcs whose vector step needs more than the stack: CLOCK
+    #: steps take the per-row issue moments, predicated steps return
+    #: their active lane count.
+    clock_pcs: frozenset = frozenset()
+    pred_pcs: frozenset = frozenset()
     costs: list | None = None  # per-pc issue cycles (None: not fusible)
     lats: list | None = None  # per-pc result latency (None: no mark)
     writes: list | None = None  # per-pc scoreboarded dst slot (-1: none)
@@ -285,8 +307,8 @@ class FastProgram:
     vmeta: dict = field(default_factory=dict)
     #: Lockstep-window cache keyed by ``(pc0, W)``, shared likewise.
     windows: dict = field(default_factory=dict)
-    #: Cyclic issue positions keyed by ``(W, k0)``, and the all-zero
-    #: position vector of a replay group keyed by ``W`` (read-only).
+    #: Cyclic issue positions of a lockstep window keyed by ``(W, k0)``
+    #: (read-only).
     positions: dict = field(default_factory=dict)
     #: Bound step families no SM run holds (see :meth:`acquire`).
     idle: list = field(default_factory=list, repr=False)
@@ -313,32 +335,48 @@ class FastProgram:
 class StepSet:
     """One instance of a program's step families (``make_steps`` and, for
     vectorized programs, ``make_vsteps``) plus the per-pc issue and lane
-    accumulators they write.  An SM run holds its set exclusively between
+    accumulators the per-warp steps and the vector dispatchers write.
+    An SM run holds its set exclusively between
     :meth:`FastProgram.acquire` and :meth:`FastProgram.release`, so
     concurrent runs never share counters or launch values."""
 
     __slots__ = ("cnt", "lanes", "steps", "vsteps", "_binds")
 
     def __init__(self, program: FastProgram) -> None:
-        self.cnt = [0] * program.n
-        self.lanes = [0] * program.n
+        n = program.n
+        self.cnt = [0] * n
+        self.lanes = [0] * n
         ctx = {
             "cnt": self.cnt,
             "lanes": self.lanes,
             "lane": np.arange(WARP, dtype=np.int64),
         }
-        self.steps, bind = program.make_steps(ctx)
+        self.steps, bind = _instantiate(
+            program.make_steps(ctx), program.table, n
+        )
         self._binds = [bind]
         self.vsteps = None
         if program.make_vsteps is not None:
-            # Both families share the accumulators, so the stat flush is
-            # engine-agnostic.
-            self.vsteps, vbind = program.make_vsteps(ctx)
+            self.vsteps, vbind = _instantiate(
+                program.make_vsteps(ctx), program.vtable, n
+            )
             self._binds.append(vbind)
 
     def bind(self, block_dim: int, grid_dim: int, params) -> None:
         for bind in self._binds:
             bind(block_dim, grid_dim, params)
+
+
+def _instantiate(
+    family: tuple, table: tuple, n: int
+) -> tuple[list, Callable]:
+    """Apply a bind table to a factory's ``(templates, bind)``: one step
+    per fusible pc (``None`` elsewhere), plus the family's ``bind``."""
+    templates, bind = family
+    steps: list = [None] * n
+    for pc, index, args in table:
+        steps[pc] = templates[index](*args)
+    return steps, bind
 
 
 # --------------------------------------------------------------- codegen
@@ -480,7 +518,7 @@ def _value_expr(ins, srcs: list[_OperandExpr], dev: DeviceProperties):
     if op is Op.I2F:
         return f"A({_f64(srcs[0])}, _F32)", alu_l, alu_i
     if op is Op.SETP:
-        fn = _CMP_FNS[ins.cmp]
+        fn = f"np.{_CMP_UFUNCS[ins.cmp]}"
         return f"{fn}({_f64(srcs[0])}, {_f64(srcs[1])})", None, alu_i
     if op is Op.SELP:
         expr = f"np.where({srcs[2].raw}, {_f64(srcs[0])}, {_f64(srcs[1])})"
@@ -555,145 +593,211 @@ def _emit_step(
     return "\n".join(body), args
 
 
-def _voperand_expr(
-    s, params_bound: dict, lk: LoweredKernel, args: _Args
-) -> _OperandExpr:
-    """Cross-warp twin of :func:`_operand_expr`: register and predicate
-    slots resolve to ``(warps, lanes)`` stacks, ``ctaid`` to the per-row
-    ``(warps, 1)`` block-id column (it varies across a cross-block
-    bucket).  Value identity with the per-warp expressions is preserved
-    row for row — every op below them is elementwise."""
+#: Conversions of a scalar operand (immediate, kernel parameter, block or
+#: grid dimension) per operand context — the interpreter's ``_f32`` /
+#: ``_i64`` / ``asarray(x, float64)``.  Immediates are converted once at
+#: codegen, launch values once per :meth:`StepSet.bind`.
+_SCALAR_CASTS = {
+    "f32": ("A({}, _F32)", lambda v: np.asarray(v, dtype=np.float32)),
+    "i64": (
+        "A(A({}, _F64), _I64)",
+        lambda v: np.asarray(np.asarray(v, dtype=_F64), dtype=np.int64),
+    ),
+    "f64": ("A({}, _F64)", lambda v: np.asarray(v, dtype=_F64)),
+}
+
+#: Numpy ufunc per vector-template op, computed in float32 (``f32``) or
+#: int64 (``i64``) by the ufunc's own casting loop.
+_F32_UFUNCS = {
+    Op.ADD: "add", Op.SUB: "subtract", Op.MUL: "multiply",
+    Op.DIV: "divide", Op.MIN: "minimum", Op.MAX: "maximum",
+    Op.SQRT: "sqrt", Op.NEG: "negative", Op.ABS: "absolute",
+}
+_I64_UFUNCS = {
+    Op.IADD: "add", Op.ISUB: "subtract", Op.IMUL: "multiply",
+    Op.SHL: "left_shift", Op.SHR: "right_shift",
+    Op.AND: "bitwise_and", Op.OR: "bitwise_or", Op.XOR: "bitwise_xor",
+}
+#: Keyword tails selecting a ufunc's computation type.
+_F32_KW = ", dtype=_F32, casting='unsafe'"
+_I64_KW = ", dtype=_I64, casting='unsafe'"
+_F64_KW = ", dtype=_F64, casting='unsafe'"
+
+
+def _voperand(
+    s, ctx: str | None, scalars: dict, lk: LoweredKernel, args: _Args
+) -> str:
+    """Cross-warp operand: register and predicate slots resolve to
+    per-slot ``(warps, lanes)`` rows, ``tid`` to the stacked thread ids,
+    ``ctaid`` to the per-row ``(warps, 1)`` block-id column (it varies
+    across a cross-block bucket).  Scalars arrive pre-converted to the
+    operand context ``ctx`` (see :data:`_SCALAR_CASTS`), so the ufunc's
+    casting loop only ever converts vector operands — exactly as
+    ``astype`` would."""
     if isinstance(s, Reg):
         if s.is_predicate:
-            return _OperandExpr(
-                f"P[{args.add(lk.pred_map[s.name])}]", True, "bool"
-            )
-        return _OperandExpr(
-            f"R[{args.add(lk.reg_map[s.name])}]", True, "f64"
-        )
+            return f"P[{args.add(lk.pred_map[s.name])}]"
+        return f"R[{args.add(lk.reg_map[s.name])}]"
     if isinstance(s, Imm):
-        return _OperandExpr(args.add(s.value), False)
+        return args.add(_SCALAR_CASTS[ctx][1](s.value))
     if isinstance(s, Param):
-        local = params_bound.setdefault(s.name, f"_p{len(params_bound)}")
-        return _OperandExpr(local, False)
+        return _launch_local(scalars, f"params[{s.name!r}]", ctx)
     if isinstance(s, SReg):
         sp = s.special
         if sp is Special.TID:
-            return _OperandExpr("tid", True, "i64")
+            return "tid"
         if sp is Special.CTAID:
-            return _OperandExpr("cta", True, "i64")
+            return "cta"
         if sp is Special.NTID:
-            return _OperandExpr("_ntid", False)
+            return _launch_local(scalars, "block_dim", ctx)
         if sp is Special.NCTAID:
-            return _OperandExpr("_nctaid", False)
+            return _launch_local(scalars, "grid_dim", ctx)
         if sp is Special.LANEID:
-            return _OperandExpr("_lane", True, "i64")
+            return "_lane"
     raise ExecutionError(f"cannot codegen operand {s!r}")
+
+
+def _launch_local(scalars: dict, source: str, ctx: str) -> str:
+    """Factory local holding launch value ``source`` converted to ``ctx``
+    (assigned by ``bind``; see :func:`_emit_factory`)."""
+    key = (source, ctx)
+    local = scalars.get(key)
+    if local is None:
+        local = scalars[key] = f"_s{len(scalars)}"
+    return local
 
 
 def _emit_vstep(
     ins,
     lk: LoweredKernel,
     dev: DeviceProperties,
-    params_bound: dict,
+    scalars: dict,
 ) -> tuple[str, _Args]:
-    """Template body for one instruction over a ``(warps, lanes)`` stack.
+    """Data-only template body for one instruction over a warp stack.
 
-    The step issues the instruction for ``nw`` warps in the
-    interpreter's warp-major lockstep order: warp at cyclic position
-    ``mv[k]`` issues at ``now + mv[k]*c``, so scoreboard marks land at
-    ``now + L + mv*c`` and the clock returns advanced by ``c*nw``.  All
-    value computation is elementwise over the stack, so each row equals
-    the per-warp step bit for bit.
+    The step computes the instruction for every row of the stack in
+    place: one ufunc writes the float64 destination row through
+    ``out=``, computing in float32 or int64 (``dtype=``) with the
+    ufunc's own input/output casts, under ``where=act`` (``True`` for
+    fully active stacks).  MAD/IMAD and RSQRT keep their intermediate in
+    a float32 (int64) temporary, so every rounding step matches the
+    interpreter's.  Timing, scoreboard marks and issue/lane counters are
+    the dispatcher's job; a predicated step returns its active lane
+    count, and ``CLOCK`` reads the per-row issue moments ``t``.
     """
     args = _Args()
-    srcs = [_voperand_expr(s, params_bound, lk, args) for s in ins.srcs]
-    expr, latency, issue = _value_expr(ins, srcs, dev)
-    if ins.op is Op.CLOCK:
-        # Per-warp issue moments, broadcast over lanes.
-        expr = f"(now + mv * {issue!r})[:, None]"
+    op = ins.op
     body: list[str] = []
-
-    predicated = ins.pred is not None
-    if predicated:
+    mask = "act"
+    if ins.pred is not None:
         pi = args.add(lk.pred_map[ins.pred.name])
-        inv = "~" if ins.pred_neg else ""
-        body.append(f"m = act & {inv}P[{pi}]")
-        body.append("cnt[pc] += nw")
-        body.append("lanes[pc] += int(m.sum())")
-        mask, full_var = "m", None
-    else:
-        body.append("cnt[pc] += nw")
-        body.append("lanes[pc] += nl")
-        mask, full_var = "act", "full"
+        body.append(f"m = act & {'~' if ins.pred_neg else ''}P[{pi}]")
+        mask = "m"
 
-    if expr is not None and ins.dsts:
-        body.append(f"v = {expr}")
+    def src(k: int, ctx: str | None) -> str:
+        return _voperand(ins.srcs[k], ctx, scalars, lk, args)
+
+    if ins.dsts and op is not Op.NOP:
+        # Operand slots are bound before the destination's, so one
+        # shape always yields the same template text.
+        if op in _F32_UFUNCS:
+            fn, kw = _F32_UFUNCS[op], _F32_KW
+            srcs = [src(k, "f32") for k in range(len(ins.srcs))]
+        elif op in _I64_UFUNCS:
+            fn, kw = _I64_UFUNCS[op], _I64_KW
+            srcs = [src(0, "i64"), src(1, "i64")]
+        elif op is Op.MAD or op is Op.IMAD:
+            ctx = "f32" if op is Op.MAD else "i64"
+            fn, kw = "add", _F32_KW if op is Op.MAD else _I64_KW
+            a, b, c = (src(k, ctx) for k in range(3))
+            body.append(f"T = np.multiply({a}, {b}{kw})")
+            srcs = ["T", c]
+        elif op is Op.RSQRT:
+            fn, kw = "divide", _F32_KW
+            body.append(f"T = np.sqrt({src(0, 'f32')}{_F32_KW})")
+            srcs = ["_F1", "T"]
+        elif op is Op.F2I:
+            fn, kw, srcs = "trunc", _F64_KW, [src(0, "f64")]
+        elif op is Op.I2F:
+            fn, kw, srcs = "positive", _F32_KW, [src(0, "f64")]
+        elif op is Op.SETP:
+            fn, kw = _CMP_UFUNCS[ins.cmp], ""
+            srcs = [src(0, "f64"), src(1, "f64")]
+        elif op is Op.SELP:
+            a, b, p = src(0, "f64"), src(1, "f64"), src(2, None)
+            body.append(f"v = np.where({p}, {a}, {b})")
+            fn, kw, srcs = "positive", _F64_KW, ["v"]
+        elif op is Op.MOV:
+            fn, kw, srcs = "positive", _F64_KW, [src(0, "f64")]
+        elif op is Op.CLOCK:
+            fn, kw, srcs = "positive", _F64_KW, ["t"]
+        else:
+            raise ExecutionError(f"cannot codegen fusible op {op!r}")
         d = ins.dsts[0]
         if d.is_predicate:
-            tgt = f"P[{args.add(lk.pred_map[d.name])}]"
-            bcast = f"np.broadcast_to(v, {mask}.shape)"
-            if full_var:
-                body.append(f"if {full_var}:")
-                body.append(f"    {tgt}[:] = v")
-                body.append("else:")
-                body.append(f"    {tgt}[{mask}] = {bcast}[{mask}]")
-            else:
-                body.append(f"{tgt}[{mask}] = {bcast}[{mask}]")
+            out = f"P[{args.add(lk.pred_map[d.name])}]"
         else:
-            di = args.add(lk.reg_map[d.name])
-            bcast = f"np.broadcast_to(A(v, _F64), {mask}.shape)"
-            if full_var:
-                body.append(f"if {full_var}:")
-                body.append(f"    R[{di}][:] = v")
-                body.append("else:")
-                body.append(f"    R[{di}][{mask}] = {bcast}[{mask}]")
-            else:
-                body.append(f"R[{di}][{mask}] = {bcast}[{mask}]")
-            if latency is not None:
-                # One mark per warp, staggered by the issue order.
-                body.append(
-                    f"pend[:, {di}] = now + {latency!r} + mv * {issue!r}"
-                )
-    body.append(f"return now + {issue!r} * nw")
+            out = f"R[{args.add(lk.reg_map[d.name])}]"
+        body.append(
+            f"np.{fn}({', '.join(srcs)}, out={out}{kw}, where={mask})"
+        )
+    if mask == "m":
+        body.append("return int(np.count_nonzero(m))")
+    elif not body:
+        body.append("pass")
     return "\n".join(body), args
+
 
 
 def _emit_factory(
     lk: LoweredKernel,
     dev: DeviceProperties,
     factory: str,
-    steps_name: str,
     prefix: str,
     sig: str,
     emit,
-) -> tuple[list[str], int, int]:
-    """Emit one template-family factory (``make_steps``/``make_vsteps``).
+    per_warp: bool,
+) -> tuple[list[str], tuple, int]:
+    """Emit one template family's factory (``make_steps``/``make_vsteps``).
 
-    Returns the source lines plus (fused pc count, template count) for
-    the header comment.
+    The factory defines the family's templates — one ``def`` per
+    distinct instruction shape — and a ``bind(block_dim, grid_dim,
+    params)`` that sets the launch values the steps read; it returns
+    ``(templates, bind)``.  Which template each pc uses, with which
+    slots and immediates, is *data*: the returned table of ``(pc,
+    template index, args)`` rows, which :class:`StepSet` applies.  The
+    module therefore grows with the number of shapes, not of pcs.
+    Per-warp templates take the pc first (their steps count issues).
+
+    Returns the source lines, the table and the template count.
     """
-    params_bound: dict[str, str] = {}
+    scalars: dict = {}
     templates: dict[str, tuple[str, list[str]]] = {}
-    binds: list[str] = []
-    fused = 0
+    table: list[tuple] = []
     for pc, ins in enumerate(lk.instructions):
         if ins.op not in FUSIBLE_OPS:
             continue
-        body, args = emit(ins, lk, dev, params_bound)
+        body, args = emit(ins, lk, dev, scalars)
         entry = templates.get(body)
         if entry is None:
-            entry = (f"{prefix}{len(templates)}", list(args.names))
+            entry = (len(templates), list(args.names))
             templates[body] = entry
-        call = ", ".join([str(pc)] + [repr(v) for v in args.values])
-        binds.append(f"    {steps_name}[{pc}] = {entry[0]}({call})")
-        fused += 1
-    n = len(lk.instructions)
+        values = (pc, *args.values) if per_warp else tuple(args.values)
+        table.append((pc, entry[0], values))
     # Launch values (block/grid dims, kernel parameters) are factory
     # locals that ``bind`` rebinds, so one bound step family serves any
     # number of launches: the steps read them as closure cells, exactly
     # as fast as constants baked in at factory time.
-    launch_locals = ["_ntid", "_nctaid", *params_bound.values()]
+    if per_warp:
+        assigns = [("_ntid", "block_dim"), ("_nctaid", "grid_dim")]
+        assigns += [
+            (local, f"params[{name!r}]") for name, local in scalars.items()
+        ]
+    else:
+        assigns = [
+            (local, _SCALAR_CASTS[ctx][0].format(source))
+            for (source, ctx), local in scalars.items()
+        ]
     lines = [
         "",
         "",
@@ -703,63 +807,67 @@ def _emit_factory(
         "    _F64 = np.float64",
         "    _I64 = np.int64",
         "    _F1 = A(1.0, _F32)",
-        "    cnt = ctx['cnt']",
-        "    lanes = ctx['lanes']",
         "    _lane = ctx['lane']",
-        f"    {' = '.join(launch_locals)} = None",
-        "",
-        "    def bind(block_dim, grid_dim, params):",
-        f"        nonlocal {', '.join(launch_locals)}",
-        "        _ntid = block_dim",
-        "        _nctaid = grid_dim",
     ]
-    for name, local in params_bound.items():
-        lines.append(f"        {local} = params[{name!r}]")
-    for tmpl_body, (name, argnames) in templates.items():
-        tmpl_sig = ", ".join(["pc", *argnames])
+    if per_warp:
+        lines += ["    cnt = ctx['cnt']", "    lanes = ctx['lanes']"]
+    launch_locals = [local for local, _ in assigns]
+    if launch_locals:
+        lines.append(f"    {' = '.join(launch_locals)} = None")
+    lines += ["", "    def bind(block_dim, grid_dim, params):"]
+    if launch_locals:
+        lines.append(f"        nonlocal {', '.join(launch_locals)}")
+    else:
+        lines.append("        pass")
+    lines.extend(f"        {local} = {value}" for local, value in assigns)
+    names = []
+    for tmpl_body, (index, argnames) in templates.items():
+        name = f"{prefix}{index}"
+        names.append(name)
+        tmpl_sig = ", ".join((["pc"] if per_warp else []) + argnames)
         lines.append("")
         lines.append(f"    def {name}({tmpl_sig}):")
         lines.append(f"        def s({sig}):")
         lines.extend(f"            {ln}" for ln in tmpl_body.splitlines())
         lines.append("        return s")
     lines.append("")
-    lines.append(f"    {steps_name} = [None] * {n}")
-    lines.extend(binds)
-    lines.append(f"    return {steps_name}, bind")
-    return lines, fused, len(templates)
+    lines.append(f"    return ({''.join(f'{n}, ' for n in names)}), bind")
+    return lines, tuple(table), len(templates)
 
 
-def generate_source(
+def generate_program(
     lk: LoweredKernel, dev: DeviceProperties, vectorize: bool = False
-) -> str:
-    """Python source of the program module for ``lk`` on ``dev``.
+) -> tuple[str, tuple, tuple | None]:
+    """Source of the program module for ``lk`` on ``dev``, plus the bind
+    tables of its template families (see :func:`_emit_factory`).
 
     With ``vectorize`` the module carries *both* factories: the v2
-    executor dispatches cross-warp buckets through ``make_vsteps`` and
+    executor dispatches cross-warp stacks through ``make_vsteps`` and
     falls back to the per-warp ``make_steps`` family everywhere the
-    lockstep window does not apply.
+    vector schedulers do not apply.  Returns ``(source, table,
+    vtable)``; ``vtable`` is ``None`` without ``vectorize``.
     """
-    warp_lines, fused, n_tmpl = _emit_factory(
-        lk, dev, "make_steps", "steps", "_T", "w, now, act, full, na",
-        _emit_step,
+    warp_lines, table, n_tmpl = _emit_factory(
+        lk, dev, "make_steps", "_T", "w, now, act, full, na",
+        _emit_step, per_warp=True,
     )
     n = len(lk.instructions)
     head = [
         f"# codegen: fastpath for kernel {lk.name!r} "
-        f"({fused}/{n} pcs fused, {n_tmpl} step shapes"
+        f"({len(table)}/{n} pcs fused, {n_tmpl} step shapes"
         f"{', cross-warp' if vectorize else ''})"
         " -- generated, do not edit",
         "import numpy as np",
     ]
     lines = head + warp_lines
+    vtable = None
     if vectorize:
-        vec_lines, _, _ = _emit_factory(
-            lk, dev, "make_vsteps", "vsteps", "_V",
-            "R, P, pend, tid, cta, act, full, nl, nw, now, mv",
-            _emit_vstep,
+        vec_lines, vtable, _ = _emit_factory(
+            lk, dev, "make_vsteps", "_V", "R, P, tid, cta, act, t=None",
+            _emit_vstep, per_warp=False,
         )
         lines += vec_lines
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", table, vtable
 
 
 def _need_tuples(lk: LoweredKernel) -> list[tuple[int, ...]]:
@@ -950,11 +1058,10 @@ def program_key(
 def _build_program(
     lk: LoweredKernel, dev: DeviceProperties, vectorize: bool = False
 ) -> FastProgram:
-    source = generate_source(lk, dev, vectorize=vectorize)
+    source, table, vtable = generate_program(lk, dev, vectorize=vectorize)
     namespace: dict = {}
     exec(compile(source, f"<fastpath:{lk.name}>", "exec"), namespace)
     ends = fusible_run_ends(lk)
-    fused_pcs = sum(1 for i in lk.instructions if i.op in FUSIBLE_OPS)
     costs, lats, writes = _step_costs(lk, dev)
     # Fused ops have static issue costs (SFU ops on SFU timing, all else
     # on ALU timing, as in _value_expr), so the profiler's per-pc
@@ -967,6 +1074,7 @@ def _build_program(
         n=len(lk.instructions),
         source=source,
         make_steps=namespace["make_steps"],
+        table=table,
         deps=_need_tuples(lk),
         ends=ends,
         flush_ops=flush_ops,
@@ -975,8 +1083,16 @@ def _build_program(
             [sfu_i if op in SFU_OPS else alu_i for op in ops], dtype=_F64
         ),
         param_names=tuple(lk.kernel.params),
-        fused_pcs=fused_pcs,
+        fused_pcs=len(table),
         make_vsteps=namespace.get("make_vsteps"),
+        vtable=vtable,
+        clock_pcs=frozenset(
+            pc for pc, ins in enumerate(lk.instructions) if ins.op is Op.CLOCK
+        ),
+        pred_pcs=frozenset(
+            pc for pc, ins in enumerate(lk.instructions)
+            if ins.op in FUSIBLE_OPS and ins.pred is not None
+        ),
         costs=costs,
         lats=lats,
         writes=writes,
@@ -1022,6 +1138,16 @@ def compile_fastpath(
 # ------------------------------------------------------------- executor
 
 
+#: Why a bucket attempt fell back to the v1 path; every fallback counts
+#: exactly one reason, so these sum to ``fallbacks``.
+FALLBACK_REASONS = (
+    "fallback_bucket",  # fewer than 2 warps, or not one contiguous range
+    "fallback_no_plan",  # no replay plan / empty lockstep window
+    "fallback_pending",  # a pre-window pending exceeds its threshold
+    "fallback_reconverge",  # a reconvergence pc inside the window
+    "fallback_stagger",  # lockstep: a warp misses its cyclic issue slot
+)
+
 #: Process-local dispatch telemetry for the cross-warp scheduler.  The
 #: executor benchmark reads these directly (serial engine, in-process);
 #: when the telemetry layer is enabled each SM run also flushes its
@@ -1031,6 +1157,10 @@ _VEC_COUNTERS = {
     "warps": 0,  # warps issued through those dispatches
     "instructions": 0,  # warp-instructions issued vectorized
     "fallbacks": 0,  # bucket attempts that fell back to the v1 path
+    **dict.fromkeys(FALLBACK_REASONS, 0),
+    "abort_cost": 0,  # replay aborted: shared-load cost mismatch
+    "abort_branch": 0,  # replay aborted: branch direction or divergence
+    "masked_runs": 0,  # run events executed under a partial lane mask
 }
 
 
@@ -1043,6 +1173,44 @@ def reset_vec_counters() -> None:
     """Zero the cross-warp dispatch counters (benchmark bookkeeping)."""
     for k in _VEC_COUNTERS:
         _VEC_COUNTERS[k] = 0
+
+
+class _Run:
+    """Run event of a replay plan: a maximal sequence of full row groups
+    between validated events, executed as back-to-back stacked steps.
+
+    ``pcs`` are the steps in plan order.  ``cols``/``offs`` hold the
+    final scoreboard mark of every register slot the run writes, as
+    ``(W, k)`` per-row offsets from dispatch time (``None`` when it
+    marks nothing) — a later write of a slot overrides an earlier one,
+    exactly as issuing the steps one by one would.  ``plain`` are the
+    unpredicated pcs, whose lane count is the dispatch's; ``times``
+    gives each step the ``(W, 1)`` issue offsets a CLOCK step reads
+    (``None`` for every other step).  ``simple`` runs need neither.
+    """
+
+    __slots__ = ("pcs", "plain", "cols", "offs", "times", "simple")
+
+    def __init__(self, prog: FastProgram, groups: list[tuple]) -> None:
+        self.pcs = tuple(e[2] for e in groups)
+        marks: dict[int, np.ndarray] = {}
+        for _, _, q, tvec in groups:
+            lat = prog.lats[q]
+            if lat is not None:
+                marks[prog.writes[q]] = tvec + lat
+        self.cols = self.offs = None
+        if marks:
+            slots = sorted(marks)
+            self.cols = np.array(slots, dtype=np.intp)
+            self.offs = np.stack([marks[r] for r in slots], axis=1)
+        self.plain = tuple(q for q in self.pcs if q not in prog.pred_pcs)
+        self.times = tuple(
+            tvec[:, None] if q in prog.clock_pcs else None
+            for _, _, q, tvec in groups
+        )
+        self.simple = len(self.plain) == len(self.pcs) and not any(
+            t is not None for t in self.times
+        )
 
 
 class FastSMExecutor(SMExecutor):
@@ -1088,8 +1256,10 @@ class FastSMExecutor(SMExecutor):
             self._vrmeta = program.vmeta  # (pcs, k0, dkey) -> replay
             self._mv_cache = program.positions
             self._vok = program.vok
-        # Dispatch counters (merged into _VEC_COUNTERS per run).
+        # Dispatch counters (merged into _VEC_COUNTERS per run); the
+        # fallback/abort reasons and masked runs are tallied in _vwhy.
         self._vd = self._vw = self._vi = self._vf = 0
+        self._vwhy = dict.fromkeys(_VEC_COUNTERS, 0)
 
     # -- arena ------------------------------------------------------------
 
@@ -1109,7 +1279,24 @@ class FastSMExecutor(SMExecutor):
         self._a_pend = np.zeros((rows, regs), dtype=_F64)
         self._a_tid = np.zeros((rows, WARP), dtype=np.int64)
         self._a_cta = np.zeros((rows, 1), dtype=np.int64)
-        self._a_ones = np.ones((rows, WARP), dtype=bool)
+        self._a_rows: dict = {}
+
+    def _vrows(self, lo: int, hi: int) -> tuple:
+        """Stack views of arena rows ``[lo, hi)``: per-slot register and
+        predicate rows (lists, so a step indexes them without building
+        a view), the scoreboard, thread ids and block-id column.  The
+        arena lives for the whole SM run, so the views are cached."""
+        key = (lo, hi)
+        views = self._a_rows.get(key)
+        if views is None:
+            views = self._a_rows[key] = (
+                list(self._a_regs[:, lo:hi]),
+                list(self._a_preds[:, lo:hi]),
+                self._a_pend[lo:hi],
+                self._a_tid[lo:hi],
+                self._a_cta[lo:hi],
+            )
+        return views
 
     def _assign_rows(self, warps: list[WarpState]) -> None:
         """Bind every warp to the arena row matching its list index.
@@ -1271,9 +1458,11 @@ class FastSMExecutor(SMExecutor):
         its cyclic round-robin slot) and every countable warp *outside*
         the group stays asleep past the window — then the interpreter's
         schedule is provably warp-major round-robin with zero idle, and
-        the whole window executes as ``stop - pc0`` stacked numpy steps.
-        Returns ``(new_now, new_rr)`` or ``None`` to fall back to the
-        per-warp v1 path (divergent pcs, barriers, dependency stalls,
+        the whole window executes as ``stop - pc0`` stacked steps, each
+        followed by its staggered scoreboard marks (from ``prog.lats`` /
+        ``writes`` / ``costs``) and issue/lane counts.  Returns
+        ``(new_now, new_rr)`` or ``None`` to fall back to the per-warp
+        v1 path (divergent pcs, barriers, dependency stalls,
         non-contiguous groups).
         """
         prog = self._program
@@ -1304,8 +1493,7 @@ class FastSMExecutor(SMExecutor):
             count += 1
         W = count
         if W < 2 or hi - lo + 1 != W or not lo <= i <= hi:
-            self._vf += 1
-            return None
+            return self._vfallback("fallback_bucket")
         # Lockstep wake check: the warp at cyclic position m (scan order
         # from the chosen warp i) must be issuable at now + m*c0.
         for j in range(lo, hi + 1):
@@ -1313,8 +1501,7 @@ class FastSMExecutor(SMExecutor):
             if m < 0:
                 m += W
             if wake[j] > now + m * c0:
-                self._vf += 1
-                return None
+                return self._vfallback("fallback_stagger")
         key = (pc0, W)
         meta = self._vmeta.get(key)
         if meta is None:
@@ -1329,13 +1516,11 @@ class FastSMExecutor(SMExecutor):
             while stop > pc0 and tots[stop - 1 - pc0] > limit:
                 stop -= 1
         if stop <= pc0:
-            self._vf += 1
-            return None
+            return self._vfallback("fallback_no_plan")
         hi2 = hi + 1
-        pend2 = self._a_pend
-        if cols.size and not (pend2[lo:hi2, cols] <= now + thr).all():
-            self._vf += 1
-            return None
+        R, P, pend, tid, cta = self._vrows(lo, hi2)
+        if cols.size and not (pend[:, cols] <= now + thr).all():
+            return self._vfallback("fallback_pending")
         # Committed.  Reconvergence pops first (mask-only, timing-free).
         prof = self.profile
         for j in range(lo, hi2):
@@ -1362,22 +1547,22 @@ class FastSMExecutor(SMExecutor):
             if na != WARP:
                 allfull = False
         if allfull:
-            act2 = self._a_ones[:W]
-            full = True
+            act2 = True
         else:
             act2 = np.vstack([warps[j].active for j in range(lo, hi2)])
-            full = False
+            self._vwhy["masked_runs"] += 1
         k0 = i - lo
         mv = self._mv_cache.get((W, k0))
         if mv is None:
             mv = (np.arange(W, dtype=_F64) - k0) % W
             self._mv_cache[(W, k0)] = mv
         vsteps = self._vsteps
-        regs2 = self._a_regs[:, lo:hi2, :]
-        preds2 = self._a_preds[:, lo:hi2, :]
-        pend = pend2[lo:hi2]
-        tid = self._a_tid[lo:hi2]
-        cta = self._a_cta[lo:hi2]
+        cnt = self._cnt
+        lanes_acc = self._lanes_acc
+        lats = prog.lats
+        writes = prog.writes
+        costs = prog.costs
+        clocks = prog.clock_pcs
         stats = self.stats
         warp_i = warps[i]
         deps = prog.deps
@@ -1401,9 +1586,17 @@ class FastSMExecutor(SMExecutor):
                         g,
                         self._prof_dep_reason(warp_i, deps[q], t_q),
                     )
-            vsteps[q](
-                regs2, preds2, pend, tid, cta, act2, full, nl, W, t_q, mv
+            # Warp at cyclic position mv issues at t_q + mv*c.
+            c = costs[q]
+            got = vsteps[q](
+                R, P, tid, cta, act2,
+                (t_q + mv * c)[:, None] if q in clocks else None,
             )
+            lat = lats[q]
+            if lat is not None:
+                pend[:, writes[q]] = t_q + lat + mv * c
+            cnt[q] += W
+            lanes_acc[q] += nl if got is None else got
         t = now + tots[rounds - 1]
         if n_out:
             # Each wrap scan passes every countable outside warp once,
@@ -1485,8 +1678,8 @@ class FastSMExecutor(SMExecutor):
         Returns ``None`` when the window is too small to be worth
         dispatching, else ``(plan, kvec, pvec, qlo, qhi, cut, rr_pos,
         stalls, idle, cols, thr2, nivec, total)``: the execution plan
-        (stacked numpy groups, scalar steps, memory issues and branch
-        validations, in schedule order), per-row instruction counts,
+        (run events of stacked steps, scalar steps, memory issues and
+        branch validations, in schedule order), per-row instruction counts,
         per-row final pcs, per-row visited pc ranges, the port-free cut
         offset, the ring cursor at the cut, closed-form stall/idle
         charges, the pre-window threshold arrays, and per-row
@@ -1653,10 +1846,11 @@ class FastSMExecutor(SMExecutor):
         # segment contains no back-edge, so each row's pcs strictly
         # increase and sorting by pc keeps them in program order.  So
         # sort each segment by pc and fold every complete group (all W
-        # rows at one pc) into one stacked numpy step; leftovers stay
-        # scalar.  Folds never cross a validated event: everything
-        # before it in the plan is also before it in schedule time,
-        # which is what makes a mid-window abort exact.
+        # rows at one pc) into one stacked step; leftovers stay scalar.
+        # Consecutive groups then merge into one run event (below).
+        # Folds never cross a validated event: everything before it in
+        # the plan is also before it in schedule time, which is what
+        # makes a mid-window abort exact.
         plan: list[tuple] = []
         all_rows = (1 << W) - 1
         seg: list[tuple] = []
@@ -1729,7 +1923,20 @@ class FastSMExecutor(SMExecutor):
                 plan2.append(
                     e + ((tuple(kr), tuple(lr), tuple(pr)),)
                 )
-        plan = plan2
+        # Merge each maximal run of consecutive groups into one run
+        # event (see :class:`_Run`).
+        plan = []
+        groups: list[tuple] = []
+        for e in plan2:
+            if e[0] == 2:
+                groups.append(e)
+                continue
+            if groups:
+                plan.append((2, _Run(prog, groups)))
+                groups = []
+            plan.append(e)
+        if groups:
+            plan.append((2, _Run(prog, groups)))
         regs = sorted(set().union(*(th.keys() for th in threc)))
         if regs:
             cols = np.array(regs, dtype=np.intp)
@@ -1792,8 +1999,7 @@ class FastSMExecutor(SMExecutor):
             count += 1
         W = count
         if W < 2 or hi - lo + 1 != W:
-            self._vf += 1
-            return None
+            return self._vfallback("fallback_bucket")
         k0 = i - lo
         pcs = tuple(warps[lo + m].pc for m in range(W))
         # Entry wake offsets in flat row order; anything at or before
@@ -1808,17 +2014,13 @@ class FastSMExecutor(SMExecutor):
                 vrmeta.clear()
             meta = vrmeta[key] = self._vreplay(pcs, k0, dkey)
         if meta is None:
-            self._vf += 1
-            return None
+            return self._vfallback("fallback_no_plan")
         (plan, kvec, pvec, qlovec, qhivec, cut, rr_pos, stalls, idle,
          cols, thr2, nivec, total) = meta
         hi2 = hi + 1
-        pend2 = self._a_pend
-        if cols is not None and not (
-            pend2[lo:hi2, cols] <= now + thr2
-        ).all():
-            self._vf += 1
-            return None
+        R, P, pend, tid, cta = self._vrows(lo, hi2)
+        if cols is not None and not (pend[:, cols] <= now + thr2).all():
+            return self._vfallback("fallback_pending")
         # A reconvergence point inside a row's visited pc range would
         # rejoin parked lanes mid-window; entries at the entry pc
         # itself pop on commit, anything else in range falls back.
@@ -1836,8 +2038,7 @@ class FastSMExecutor(SMExecutor):
                         if any(
                             ql <= s0 <= qh for s0, _ in stack[: idx + 1]
                         ):
-                            self._vf += 1
-                            return None
+                            return self._vfallback("fallback_reconverge")
         # Committed.  Reconvergence pops for every row that issues
         # (rows the window never schedules haven't moved).
         for m in range(W):
@@ -1867,18 +2068,7 @@ class FastSMExecutor(SMExecutor):
                 allfull = False
         steps = self._steps
         vsteps = self._vsteps
-        if allfull:
-            act2 = self._a_ones[:W]
-        else:
-            act2 = np.vstack(acts)
-        mvz = self._mv_cache.get(W)
-        if mvz is None:
-            mvz = self._mv_cache[W] = np.zeros(W, dtype=_F64)
-        regs2 = self._a_regs[:, lo:hi2, :]
-        preds2 = self._a_preds[:, lo:hi2, :]
-        pend = pend2[lo:hi2]
-        tid = self._a_tid[lo:hi2]
-        cta = self._a_cta[lo:hi2]
+        act2 = True if allfull else np.vstack(acts)
         issue_one = self._issue
         mem = prog.mem
         bra = prog.bra
@@ -1887,10 +2077,22 @@ class FastSMExecutor(SMExecutor):
         for e in plan:
             kind = e[0]
             if kind == 2:
-                vsteps[e[2]](
-                    regs2, preds2, pend, tid, cta, act2, allfull, nl, W,
-                    now + e[3], mvz,
-                )
+                # Run event: its steps back to back, then all of its
+                # scoreboard marks and issue/lane counts at once.
+                run = e[1]
+                if run.simple:
+                    for q in run.pcs:
+                        vsteps[q](R, P, tid, cta, act2)
+                else:
+                    self._vrun_special(run, R, P, tid, cta, act2, now)
+                if run.cols is not None:
+                    pend[:, run.cols] = now + run.offs
+                for q in run.pcs:
+                    cnt[q] += W
+                for q in run.plain:
+                    lanes_acc[q] += nl
+                if not allfull:
+                    self._vwhy["masked_runs"] += 1
             elif kind == 0:
                 m = e[1]
                 na = nas[m]
@@ -1932,7 +2134,9 @@ class FastSMExecutor(SMExecutor):
                     or wp.pc != (tgt if taken else q + 1)
                     or wp.active is not acts[m]
                 ):
-                    return self._vabort(warps, wake, lo, W, now, end, e)
+                    return self._vabort(
+                        warps, wake, lo, W, now, end, e, "abort_branch"
+                    )
             else:
                 m = e[1]
                 wp = warps[lo + m]
@@ -1971,7 +2175,9 @@ class FastSMExecutor(SMExecutor):
                 wp.pc = q
                 end = issue_one(wp, t)
                 if end != t + e[4]:
-                    return self._vabort(warps, wake, lo, W, now, end, e)
+                    return self._vabort(
+                        warps, wake, lo, W, now, end, e, "abort_cost"
+                    )
         stats = self.stats
         stats.scoreboard_stalls += stalls
         stats.idle_cycles += idle
@@ -2006,8 +2212,10 @@ class FastSMExecutor(SMExecutor):
         now: float,
         end: float,
         e: tuple,
+        reason: str,
     ) -> tuple[float, int]:
-        """Exact mid-window abort on a validation mismatch.
+        """Exact mid-window abort on a validation mismatch (``reason``:
+        ``abort_cost`` or ``abort_branch``).
 
         A scheduled load hit a bank conflict (its real issue cost
         exceeds the replay's conflict-free assumption) or a scheduled
@@ -2052,10 +2260,32 @@ class FastSMExecutor(SMExecutor):
         self._vd += 1
         self._vw += W
         self._vi += ntot
+        self._vwhy[reason] += 1
         pos = m_ab + 1
         n = len(warps)
         rr = lo + pos if pos < W else (lo + W) % n
         return end, rr
+
+    def _vrun_special(self, run, R, P, tid, cta, act, now: float) -> None:
+        """Steps of a run holding CLOCK or predicated steps: CLOCK reads
+        its per-row issue moments, predicated steps report their active
+        lanes (every other step's lanes are the dispatch's)."""
+        vsteps = self._vsteps
+        lanes = self._lanes_acc
+        times = run.times
+        for j, q in enumerate(run.pcs):
+            tq = times[j]
+            got = vsteps[q](
+                R, P, tid, cta, act, None if tq is None else now + tq
+            )
+            if got is not None:
+                lanes[q] += got
+
+    def _vfallback(self, reason: str) -> None:
+        """Count one fallback to the v1 path under ``reason``."""
+        self._vf += 1
+        self._vwhy[reason] += 1
+        return None
 
     def _run(self, block_ids: list[int], max_resident: int) -> float:
         steps = self._steps
@@ -2315,24 +2545,22 @@ class FastSMExecutor(SMExecutor):
 
     def _flush_vec(self) -> None:
         """Merge this run's dispatch counters into the process totals."""
-        counters = _VEC_COUNTERS
-        counters["dispatches"] += self._vd
-        counters["warps"] += self._vw
-        counters["instructions"] += self._vi
-        counters["fallbacks"] += self._vf
-        if _telemetry.enabled():
-            for name, value in (
-                ("dispatches", self._vd),
-                ("warps", self._vw),
-                ("instructions", self._vi),
-                ("fallbacks", self._vf),
-            ):
-                if value:
+        why = self._vwhy
+        why["dispatches"] = self._vd
+        why["warps"] = self._vw
+        why["instructions"] = self._vi
+        why["fallbacks"] = self._vf
+        enabled = _telemetry.enabled()
+        for name, value in why.items():
+            if value:
+                _VEC_COUNTERS[name] += value
+                if enabled:
                     _telemetry.inc(
                         f"cudasim.fastpath.vec.{name}",
                         float(value),
                         kernel=self.lk.name,
                     )
+                why[name] = 0
         self._vd = self._vw = self._vi = self._vf = 0
 
     def _flush_counts(self) -> None:

@@ -141,7 +141,10 @@ def fold_constants(lk: LoweredKernel) -> int:
 
     Folded instructions become ``MOV dst, Imm`` — still one instruction,
     but cheaper chains become visible to DCE.  MAD/IMAD with constant
-    sources fold too.  Returns the number of folds performed.
+    sources fold too.  An operation the host cannot evaluate (division
+    by zero, square root of a negative, overflow) is left to run on the
+    device, which yields IEEE inf/NaN instead of failing compilation.
+    Returns the number of folds performed.
     """
     folds = 0
     out: list[Instr] = []
@@ -150,13 +153,19 @@ def fold_constants(lk: LoweredKernel) -> int:
         if ins.pred is None and len(ins.dsts) == 1:
             vals = [s.value for s in ins.srcs if isinstance(s, Imm)]
             all_imm = len(vals) == len(ins.srcs)
-            if all_imm and ins.op in _FOLDERS and len(vals) == 2:
-                new = _mov(ins.dsts[0], _as_number(ins.op, _FOLDERS[ins.op](*vals)))
-            elif all_imm and ins.op in _UNARY_FOLDERS and len(vals) == 1:
-                new = _mov(ins.dsts[0], _UNARY_FOLDERS[ins.op](vals[0]))
-            elif all_imm and ins.op in (Op.MAD, Op.IMAD) and len(vals) == 3:
-                result = vals[0] * vals[1] + vals[2]
-                new = _mov(ins.dsts[0], _as_number(ins.op, result))
+            try:
+                if all_imm and ins.op in _FOLDERS and len(vals) == 2:
+                    new = _mov(
+                        ins.dsts[0],
+                        _as_number(ins.op, _FOLDERS[ins.op](*vals)),
+                    )
+                elif all_imm and ins.op in _UNARY_FOLDERS and len(vals) == 1:
+                    new = _mov(ins.dsts[0], _UNARY_FOLDERS[ins.op](vals[0]))
+                elif all_imm and ins.op in (Op.MAD, Op.IMAD) and len(vals) == 3:
+                    result = vals[0] * vals[1] + vals[2]
+                    new = _mov(ins.dsts[0], _as_number(ins.op, result))
+            except (ArithmeticError, ValueError):
+                new = ins
         if new is not ins:
             folds += 1
         out.append(new)

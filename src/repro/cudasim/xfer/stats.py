@@ -24,6 +24,12 @@ event timestamps (simulated cycles) into:
 Counters ``cudasim.xfer.tiles`` / ``cudasim.xfer.copy_bytes`` tick at
 enqueue time; the fraction lands in the
 ``cudasim.xfer.copy_exposed_fraction`` gauge when summarised.
+
+A captured launch graph records its tiles once, at capture, into a
+private ``XferStats(counted=False)``; every replay re-fires the same
+events, so after each drained replay :meth:`XferStats.add_replay`
+appends the capture's records frozen at that replay's cycles — graph
+and op-by-op runs then report identical totals.
 """
 
 from __future__ import annotations
@@ -62,6 +68,13 @@ class CopyRecord:
     ev_b: "Event"
 
 
+@dataclass(frozen=True)
+class _Fired:
+    """An event's cycle frozen at one replay (see :meth:`add_replay`)."""
+
+    cycle: float
+
+
 def _cycle(event: "Event") -> float:
     cycle = event.cycle
     if cycle is None:
@@ -73,22 +86,46 @@ def _cycle(event: "Event") -> float:
 
 
 class XferStats:
-    """Accumulates tile/copy records; summarises after a drain."""
+    """Accumulates tile/copy records; summarises after a drain.
 
-    def __init__(self) -> None:
+    ``counted=False`` keeps the telemetry counters still: for records
+    captured into a launch graph, which count once per replay instead
+    (see :meth:`add_replay`).
+    """
+
+    def __init__(self, counted: bool = True) -> None:
         self.tiles: list[TileRecord] = []
         self.copies: list[CopyRecord] = []
+        self.counted = counted
 
     def add_tile(self, tick, nbytes, ev_a, ev_b, prev_d, ev_c, ev_d) -> None:
         self.tiles.append(
             TileRecord(tick, int(nbytes), ev_a, ev_b, prev_d, ev_c, ev_d)
         )
-        _telemetry.inc("cudasim.xfer.tiles")
-        _telemetry.inc("cudasim.xfer.copy_bytes", float(nbytes))
+        if self.counted:
+            _telemetry.inc("cudasim.xfer.tiles")
+            _telemetry.inc("cudasim.xfer.copy_bytes", float(nbytes))
 
     def add_copy(self, label: str, nbytes, ev_a, ev_b) -> None:
         self.copies.append(CopyRecord(label, int(nbytes), ev_a, ev_b))
-        _telemetry.inc("cudasim.xfer.copy_bytes", float(nbytes))
+        if self.counted:
+            _telemetry.inc("cudasim.xfer.copy_bytes", float(nbytes))
+
+    def add_replay(self, captured: "XferStats") -> None:
+        """Record one drained replay of a graph whose capture recorded
+        ``captured``: its tiles and copies, with every event frozen at
+        the cycle it fired at in this replay."""
+        for t in captured.tiles:
+            self.add_tile(
+                t.tick, t.nbytes,
+                *(_Fired(_cycle(e))
+                  for e in (t.ev_a, t.ev_b, t.prev_d, t.ev_c, t.ev_d)),
+            )
+        for c in captured.copies:
+            self.add_copy(
+                c.label, c.nbytes, _Fired(_cycle(c.ev_a)),
+                _Fired(_cycle(c.ev_b)),
+            )
 
     @property
     def copy_bytes(self) -> int:

@@ -738,7 +738,8 @@ class OutOfCoreSimulation:
         self.use_graph = bool(use_graph)
         self.graph_replays = 0
         #: Per-resident-slice upload+compute graphs (graph mode only);
-        #: keyed by rtile index, valued (graph, ev_int, captured ntiles).
+        #: keyed by rtile index, valued (graph, ev_int, captured ntiles,
+        #: the capture's transfer records).
         self._graphs: dict[int, tuple] = {}
         self.cycles_total = 0.0
         self.steps_done = 0
@@ -906,24 +907,27 @@ class OutOfCoreSimulation:
     def _capture_rtile(self, rtile, grid, ntiles, image):
         """Capture one resident slice's upload + tile-stream + integrate.
 
-        Returns ``(graph, ev_int, ntiles)``: the instantiated graph, the
-        integrate-done event the op-by-op writeback gates on (it
-        re-fires with fresh cycles every replay), and the column-tile
-        count baked into the capture.  Uses a *fresh*
-        :class:`TransferPipeline` (sharing :attr:`stats`) so slot gates
-        never reference another capture's events; the cross-slice gates
-        they replace are cycle-neutral (the integrate wait already
-        orders slot reuse).  The captured host→device views alias
+        Returns ``(graph, ev_int, ntiles, captured)``: the instantiated
+        graph, the integrate-done event the op-by-op writeback gates on
+        (it re-fires with fresh cycles every replay), the column-tile
+        count baked into the capture, and the capture's resident-upload
+        and tile records (an uncounted :class:`XferStats`, added to
+        :attr:`stats` once per drained replay).  Uses a *fresh*
+        :class:`TransferPipeline` so slot gates never reference another
+        capture's events; the cross-slice gates they replace are
+        cycle-neutral (the integrate wait already orders slot reuse).
+        The captured host→device views alias
         ``image`` — :meth:`_phase_graph` updates that buffer in place so
         replays always read the current pre-phase state.
         """
         cfg = self.config
         k = cfg.block_size
         graph = LaunchGraph(name=f"ooc-slice{rtile.index}")
+        captured = XferStats(counted=False)
         graph.begin(self._copy, self._compute)
         try:
             pipeline = TransferPipeline(
-                self._copy, self._compute, self._staging, self.stats
+                self._copy, self._compute, self._staging, captured
             )
             ev_a = self._copy.record_event()
             res_bytes = 0
@@ -933,7 +937,7 @@ class OutOfCoreSimulation:
                 )
                 res_bytes += 4 * words.size
             ev_res = self._copy.record_event()
-            self.stats.add_copy("resident", res_bytes, ev_a, ev_res)
+            captured.add_copy("resident", res_bytes, ev_a, ev_res)
             self._compute.wait_event(ev_res)
             pipeline.mark()
 
@@ -967,7 +971,7 @@ class OutOfCoreSimulation:
             graph.abort()
             raise
         graph.instantiate()
-        return graph, ev_int, ntiles
+        return graph, ev_int, ntiles, captured
 
     def _phase_graph(self, kick_dt: float, drift_dt: float) -> float:
         """Graph-mode :meth:`_phase`: replay per-slice captured graphs.
@@ -995,7 +999,7 @@ class OutOfCoreSimulation:
             if entry is None:
                 entry = self._capture_rtile(rtile, grid, ntiles, image)
                 self._graphs[rtile.index] = entry
-            graph, ev_int, cap_ntiles = entry
+            graph, ev_int, cap_ntiles, _ = entry
             if cap_ntiles != ntiles:
                 raise GraphError(
                     f"graph {graph.name!r} captured {cap_ntiles} column "
@@ -1034,6 +1038,9 @@ class OutOfCoreSimulation:
 
         self._copy.synchronize()
         self._compute.synchronize()
+        # Drained: every replayed slice's events hold this phase's cycles.
+        for rtile in self._rplan:
+            self.stats.add_replay(self._graphs[rtile.index][3])
         for rtile, region_futs, force_fut in inflight:
             for offset, nbytes, fut in region_futs:
                 next_image[offset // 4 : (offset + nbytes) // 4] = fut.result()

@@ -5,17 +5,19 @@ stand-in for the reference interpreter in *both* of its modes — per-warp
 v1 (``fastpath=1``) and cross-warp vectorized v2 (``fastpath=2``): same
 memory image, same :class:`KernelStats`, same cycle counts — for every
 layout, coalescing policy, unroll factor, a divergent Barnes-Hut
-traversal, and a dynamic pooled-simulation epoch with mid-run
-compaction.  These tests pin that equivalence byte for byte, including
-the fallback seams where the v2 warp-group scheduler must hand buckets
-back to the per-warp path (divergence, barriers, mixed resident blocks,
-conflicting shared addressing).
+traversal, a dynamic pooled-simulation epoch with mid-run compaction,
+and generated chains of fusible ops.  These tests pin that equivalence
+byte for byte, including the fallback seams where the v2 warp-group
+scheduler must hand buckets back to the per-warp path (divergence,
+barriers, mixed resident blocks, conflicting shared addressing).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.cudasim import (
@@ -34,13 +36,17 @@ from repro.cudasim.cfg import (
 )
 from repro.cudasim.device import G8800GTX, Toolchain
 from repro.cudasim.fastpath import (
+    FALLBACK_REASONS,
     FASTPATH_ENV,
     compile_fastpath,
     fastpath_enabled,
     fastpath_mode,
-    generate_source,
+    generate_program,
     program_key,
+    reset_vec_counters,
+    vec_counters,
 )
+from repro.cudasim.isa import Imm, Instr, Op
 from repro.cudasim.kernel_cache import CompileOptions, KernelCache
 from repro.gravit import GpuConfig, ParticleSystem, PooledSimulation, uniform_sphere
 from repro.gravit.gpu_barneshut import bh_forces_gpu
@@ -203,8 +209,10 @@ class TestDifferentialProfile:
 # (memory, cycles, stats — stall attribution included) across modes.
 
 
-def _run_kernel_modes(kernel, grid, block, out_words, shared_words=None):
-    """Launch ``kernel`` under each fastpath mode; return observables."""
+def _run_kernel_modes(kernel, grid, block, out_words, params=None):
+    """Launch ``kernel`` under each fastpath mode; return observables.
+
+    ``params`` are launch values besides the ``dst`` output pointer."""
     outs = []
     for mode in MODES:
         dev = Device(
@@ -215,7 +223,9 @@ def _run_kernel_modes(kernel, grid, block, out_words, shared_words=None):
         )
         lk = compile_kernel(kernel)
         dst = dev.malloc(4 * out_words)
-        result = dev.launch(lk, grid=grid, block=block, params={"dst": dst})
+        result = dev.launch(
+            lk, grid=grid, block=block, params={"dst": dst, **(params or {})}
+        )
         outs.append(
             (
                 dev.memcpy_dtoh(dst, out_words).tobytes(),
@@ -287,19 +297,43 @@ class TestVectorFallbacks:
         """All 32 lanes hit shared bank 0 (stride 32 words): the real
         broadcast degree contradicts the replay's assumed issue cost,
         forcing the mid-window abort path."""
-        b = KernelBuilder("k_conflict", params=("dst",))
-        tid = b.sreg("tid")
-        i = b.imad("i", b.sreg("ctaid"), b.sreg("ntid"), tid)
-        x = b.i2f(b.reg("x"), tid)
-        b.st_shared(b.shl("sa", tid, 7), x)
-        b.bar_sync()
-        y = b.ld_shared(b.reg("y"), b.shl("sb", tid, 7))
-        b.add(y, y, 1.0)
-        b.mul(y, y, 2.0)
-        b.st_global(b.imad("a", i, 4, b.param("dst")), y)
+        reset_vec_counters()
         _run_kernel_modes(
-            b.build(shared_words=64 * 32), grid=2, block=64, out_words=128
+            _bank_conflict_kernel(), grid=2, block=64, out_words=128
         )
+        assert vec_counters()["abort_cost"] >= 1
+
+    @pytest.mark.parametrize("profiled", (False, True))
+    def test_fallback_reasons_sum_to_fallbacks(self, profiled):
+        """Every fallback is counted under exactly one reason, by the
+        replay scheduler and (profiled) by the lockstep one."""
+        if profiled:
+            profiler.enable()
+        reset_vec_counters()
+        _run_kernel_modes(
+            _bank_conflict_kernel(), grid=2, block=64, out_words=128
+        )
+        bh_forces_gpu(
+            uniform_sphere(48, seed=11), block_size=64,
+            device=Device(fastpath=2, cache=KernelCache()),
+        )
+        got = vec_counters()
+        assert got["fallbacks"] > 0
+        assert sum(got[r] for r in FALLBACK_REASONS) == got["fallbacks"]
+
+
+def _bank_conflict_kernel():
+    b = KernelBuilder("k_conflict", params=("dst",))
+    tid = b.sreg("tid")
+    i = b.imad("i", b.sreg("ctaid"), b.sreg("ntid"), tid)
+    x = b.i2f(b.reg("x"), tid)
+    b.st_shared(b.shl("sa", tid, 7), x)
+    b.bar_sync()
+    y = b.ld_shared(b.reg("y"), b.shl("sb", tid, 7))
+    b.add(y, y, 1.0)
+    b.mul(y, y, 2.0)
+    b.st_global(b.imad("a", i, 4, b.param("dst")), y)
+    return b.build(shared_words=64 * 32)
 
 
 # -- CFG splitting ---------------------------------------------------------
@@ -334,8 +368,6 @@ class TestCfg:
     def test_branch_targets_are_leaders(self):
         lk, _ = _lowered()
         lead = leaders(lk)
-        from repro.cudasim.isa import Op
-
         for ins in lk.instructions:
             if ins.op is Op.BRA:
                 assert lk.targets[ins.target] in lead
@@ -383,16 +415,27 @@ class TestCodegenCache:
         assert p1 is p2
 
     def test_codegen_templates_deduplicate(self):
-        """Unrolled kernels repeat instruction shapes; the generated
-        module must share one template per shape, not one def per pc."""
+        """Unrolled kernels repeat instruction shapes: every fusible pc
+        gets a bind-table row, the rows share one template per shape,
+        and the module holds templates only — its size does not grow
+        with the unroll factor."""
         lk, _ = _lowered(unroll=16)
-        source = generate_source(lk, G8800GTX)
-        templates = source.count("def _T")
-        binds = source.count("steps[")
-        assert binds >= len(
-            [i for i in lk.instructions if i.op in FUSIBLE_OPS]
-        )
-        assert templates < binds / 2
+        fused = [
+            pc for pc, i in enumerate(lk.instructions) if i.op in FUSIBLE_OPS
+        ]
+        source, table, vtable = generate_program(lk, G8800GTX, vectorize=True)
+        for rows, prefix in ((table, "_T"), (vtable, "_V")):
+            assert [pc for pc, _, _ in rows] == fused
+            templates = {index for _, index, _ in rows}
+            assert len(templates) == source.count(f"def {prefix}")
+            assert len(templates) < len(rows) / 2
+        sizes = [
+            len(generate_program(
+                _lowered(unroll)[0], G8800GTX, vectorize=True
+            )[0].splitlines())
+            for unroll in (2, 16, "full")
+        ]
+        assert sizes == sorted(sizes, reverse=True), sizes
 
     def test_env_switch(self, monkeypatch):
         monkeypatch.delenv(FASTPATH_ENV, raising=False)
@@ -606,3 +649,198 @@ class TestKernelPlan:
         assert not any(t.is_alive() for t in threads)
         for want, have in zip(expected, got):
             _assert_identical(want, have)
+
+    def test_concurrent_compiles_keep_programs_apart(
+        self, _fresh_default_cache
+    ):
+        """Two threads compile and launch *different* kernels at once:
+        each program's bind tables must stay with that program, so every
+        result still equals its interpreter reference."""
+        import sys
+        import threading
+
+        kernels = [
+            [_scaled_kernel(c, bias) for c in (0.5, 1.5, 2.5, 3.5)]
+            for bias in (1.0, -2.0)
+        ]
+        expected = [
+            [_rebind_launch(compile_kernel(k, cache=None), 0, 2, 64, 1.5, 0.25)
+             for k in row]
+            for row in kernels
+        ]
+        got: list = [[], []]
+        start = threading.Barrier(2)
+
+        def work(t):
+            start.wait()
+            for k in kernels[t]:
+                lk = compile_kernel(k, cache=None)
+                got[t].append(_rebind_launch(lk, 2, 2, 64, 1.5, 0.25))
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for want_row, got_row in zip(expected, got):
+            assert len(got_row) == len(want_row)
+            for want, have in zip(want_row, got_row):
+                _assert_identical(want, have)
+
+
+def _scaled_kernel(c: float, bias: float):
+    """A fused chain whose immediates (and so its program) depend on
+    ``c`` and ``bias``; the launch interface matches ``_rebind_kernel``."""
+    b = KernelBuilder(f"k_scaled_{c}_{bias}", params=("dst", "scale", "bias"))
+    tid = b.sreg("tid")
+    i = b.imad("i", b.sreg("ctaid"), b.sreg("ntid"), tid)
+    x = b.i2f(b.reg("x"), i)
+    b.mad(x, x, c, b.param("scale"))
+    b.add(x, x, bias)
+    b.mul(x, x, b.param("bias"))
+    b.st_global(b.imad("a", i, 4, b.param("dst")), x)
+    return b.build()
+
+
+# -- generated kernels -------------------------------------------------------
+#
+# Chains of fusible ops drawn over the kernel builder: immediates, launch
+# parameters and thread ids as operands, destinations aliasing a source,
+# integers past float32's exact range fed into float ops, predicated ops,
+# and an optional predicated exit that leaves every warp partially active.
+
+_FLOAT_BIN = (Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.MIN, Op.MAX)
+_FLOAT_UN = (Op.RSQRT, Op.SQRT, Op.NEG, Op.ABS, Op.F2I, Op.I2F, Op.MOV)
+_INT_BIN = (Op.IADD, Op.ISUB, Op.IMUL, Op.AND, Op.OR, Op.XOR)
+_CMPS = ("lt", "le", "gt", "ge", "eq", "ne")
+
+_imms = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False, width=32),
+    st.integers(-(2**31), 2**31 - 1),
+    st.integers(2**24 + 1, 2**30),
+)
+
+
+@st.composite
+def _fusible_chains(draw):
+    """``(kernel, grid, block, outputs)`` for one generated kernel: a
+    straight-line chain of fusible ops whose registers are all stored."""
+    b = KernelBuilder("k_fuzz", params=("dst", "pf", "pi"))
+    tid = b.sreg("tid")
+    i = b.imad("i", b.sreg("ctaid"), b.sreg("ntid"), tid)
+    pool = [
+        b.i2f(b.reg("r0"), tid),
+        b.mov(b.reg("r1"), b.param("pf")),
+        b.iadd(b.reg("r2"), tid, b.param("pi")),  # past 2**24
+        b.mul(b.reg("r3"), b.i2f(b.reg("r4"), tid), draw(_imms)),
+    ]
+    # A lane-dependent predicate, so predicated ops see partial masks.
+    p = b.pred()
+    b.setp("lt", p, b.sreg("laneid"), draw(st.integers(1, 31)))
+    preds = [p]
+    if draw(st.booleans()):
+        q = b.pred()
+        b.setp("ge", q, b.sreg("laneid"), draw(st.integers(1, 31)))
+        b.exit(pred=q)
+    register = st.integers(0, 10**6).map(lambda k: pool[k % len(pool)])
+    operand = st.one_of(
+        register, register, register, _imms, st.just(b.param("pf")),
+        st.just(tid),
+    )
+    for step in range(draw(st.integers(2, 14))):
+        op = draw(st.sampled_from(
+            _FLOAT_BIN + _FLOAT_UN + _INT_BIN
+            + (Op.MAD, Op.IMAD, Op.SHL, Op.SETP, Op.SELP)
+        ))
+        guard = draw(st.sampled_from(preds)) if draw(st.booleans()) else None
+        # A predicated write only updates some lanes, so its destination
+        # must already be defined.
+        alias = guard is not None or draw(st.booleans())
+        dst = draw(register) if alias else b.reg(f"v{step}")
+        if op is Op.SETP:
+            p = b.pred()
+            b.setp(draw(st.sampled_from(_CMPS)), p,
+                   draw(operand), draw(operand))
+            preds.append(p)
+            continue
+        if op is Op.SELP:
+            srcs = (draw(operand), draw(operand),
+                    draw(st.sampled_from(preds)))
+        elif op is Op.SHL:
+            srcs = (draw(operand), draw(st.integers(0, 8)))
+        elif op in (Op.MAD, Op.IMAD):
+            srcs = tuple(draw(operand) for _ in range(3))
+        elif op in _FLOAT_UN:
+            srcs = (draw(operand),)
+        else:
+            srcs = (draw(operand), draw(operand))
+        b.emit(Instr(
+            op, dsts=(dst,), srcs=tuple(b._coerce(s) for s in srcs),
+            pred=guard, pred_neg=guard is not None and draw(st.booleans()),
+        ))
+        if not alias:
+            pool.append(dst)
+    # Memory holds float32 words, which would hide a register's low
+    # bits; store two exact probes of each register besides its value:
+    # its low integer bits and whether it is float32-representable.
+    outs = []
+    for k, reg in enumerate(pool):
+        rounded = b.add(b.reg(f"f{k}"), reg, 0.0)
+        same = b.pred()
+        b.setp("eq", same, reg, rounded)
+        low = b.reg(f"lo{k}")
+        b.emit(Instr(Op.AND, dsts=(low,), srcs=(reg, Imm(255))))
+        outs += [reg, low, b.selp(b.reg(f"ex{k}"), 1.0, 0.0, same)]
+    addr = b.imad("a", i, 4, b.param("dst"))
+    for k, reg in enumerate(outs):
+        b.st_global(addr, reg, offset=4 * k * 3 * 128)
+    grid = draw(st.integers(1, 3))
+    block = 32 * draw(st.integers(2, 4))
+    return b.build(), grid, block, len(outs)
+
+
+class TestGeneratedKernels:
+    """interpreter ≡ v1 ≡ v2 on generated fusible chains, plus the
+    shrunk counterexamples the strategy found."""
+
+    @pytest.mark.parametrize(
+        "op, srcs",
+        [
+            (Op.DIV, (1.0, 0.0)),
+            (Op.RSQRT, (0.0,)),
+            (Op.RSQRT, (-4.0,)),
+            (Op.SQRT, (-1.0,)),
+        ],
+    )
+    def test_unfoldable_constants_run_on_device(self, op, srcs):
+        """Constant folding used to raise on immediates the host cannot
+        evaluate (ZeroDivisionError, math domain error), failing the
+        compile; the device computes inf/NaN instead."""
+        b = KernelBuilder("k_unfoldable", params=("dst",))
+        i = b.imad("i", b.sreg("ctaid"), b.sreg("ntid"), b.sreg("tid"))
+        x = b.reg("x")
+        b.emit(Instr(op, dsts=(x,), srcs=tuple(Imm(v) for v in srcs)))
+        b.st_global(b.imad("a", i, 4, b.param("dst")), x)
+        outs = _run_kernel_modes(b.build(), grid=1, block=64, out_words=64)
+        assert not np.isfinite(np.frombuffer(outs[0][0], np.float32)).any()
+
+    @settings(
+        max_examples=80,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=_fusible_chains(), pf=_imms)
+    def test_fusible_chains_bit_identical(self, case, pf):
+        kernel, grid, block, outputs = case
+        _run_kernel_modes(
+            kernel, grid=grid, block=block,
+            out_words=outputs * 3 * 128,
+            params={"pf": pf, "pi": 2**24 + 3},
+        )

@@ -283,3 +283,40 @@ class TestOverlapTelemetry:
         for s in copies:
             assert s.attrs.get("device")
             assert s.attrs.get("nbytes", 0) > 0
+
+
+class TestGraphTransferAccounting:
+    def test_graph_summary_matches_op_by_op(self):
+        """Graph replays re-fire the events their capture recorded: every
+        replay's tiles must still be counted, so after several steps both
+        modes report the same transfer totals (graph mode used to stop
+        counting tiles after the capture)."""
+        system = uniform_sphere(128, seed=5)
+        cfg = GpuConfig(layout_kind="soaoas", block_size=32)
+        summaries, counters = [], []
+        for use_graph in (False, True):
+            telemetry.enable()
+            telemetry.reset()
+            try:
+                sim = OutOfCoreSimulation(
+                    system.copy(), cfg, device=Device(), tile_rows=32,
+                    use_graph=use_graph,
+                )
+                sim.run(7, DT)
+                summaries.append(sim.xfer_summary())
+                sim.close()
+                snap = telemetry.snapshot()
+            finally:
+                telemetry.disable()
+            counters.append(tuple(
+                sum(s["value"] for s in snap[name]["series"])
+                for name in ("cudasim.xfer.tiles", "cudasim.xfer.copy_bytes")
+            ))
+        op, graph = summaries
+        assert op["tiles"] == 7 * 16
+        for key in (
+            "tiles", "copy_bytes", "tile_copy_cycles", "extra_copy_cycles",
+            "tile_compute_cycles", "exposed_cycles", "copy_exposed_fraction",
+        ):
+            assert graph[key] == op[key], key
+        assert counters[1] == counters[0]
