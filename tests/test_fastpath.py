@@ -212,8 +212,10 @@ class TestDifferentialProfile:
 def _run_kernel_modes(kernel, grid, block, out_words, params=None):
     """Launch ``kernel`` under each fastpath mode; return observables.
 
-    ``params`` are launch values besides the ``dst`` output pointer."""
+    ``params`` are launch values besides the ``dst`` output pointer.
+    With the profiler enabled the launches' profiles must match too."""
     outs = []
+    profiles = []
     for mode in MODES:
         dev = Device(
             toolchain=Toolchain.CUDA_1_0,
@@ -234,8 +236,12 @@ def _run_kernel_modes(kernel, grid, block, out_words, params=None):
                 result.stats.as_dict(),
             )
         )
+        if result.profile is not None:
+            profiles.append(result.profile.as_dict())
     for fast in outs[1:]:
         _assert_identical(outs[0], fast)
+    for prof in profiles[1:]:
+        assert prof == profiles[0], "kernel profiles differ"
     return outs
 
 
@@ -713,7 +719,8 @@ def _scaled_kernel(c: float, bias: float):
 # Chains of fusible ops drawn over the kernel builder: immediates, launch
 # parameters and thread ids as operands, destinations aliasing a source,
 # integers past float32's exact range fed into float ops, predicated ops,
-# and an optional predicated exit that leaves every warp partially active.
+# CLOCK reads, and an optional predicated exit that leaves every warp
+# partially active.
 
 _FLOAT_BIN = (Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.MIN, Op.MAX)
 _FLOAT_UN = (Op.RSQRT, Op.SQRT, Op.NEG, Op.ABS, Op.F2I, Op.I2F, Op.MOV)
@@ -756,7 +763,7 @@ def _fusible_chains(draw):
     for step in range(draw(st.integers(2, 14))):
         op = draw(st.sampled_from(
             _FLOAT_BIN + _FLOAT_UN + _INT_BIN
-            + (Op.MAD, Op.IMAD, Op.SHL, Op.SETP, Op.SELP)
+            + (Op.MAD, Op.IMAD, Op.SHL, Op.SETP, Op.SELP, Op.CLOCK)
         ))
         guard = draw(st.sampled_from(preds)) if draw(st.booleans()) else None
         # A predicated write only updates some lanes, so its destination
@@ -774,6 +781,8 @@ def _fusible_chains(draw):
                     draw(st.sampled_from(preds)))
         elif op is Op.SHL:
             srcs = (draw(operand), draw(st.integers(0, 8)))
+        elif op is Op.CLOCK:
+            srcs = ()
         elif op in (Op.MAD, Op.IMAD):
             srcs = tuple(draw(operand) for _ in range(3))
         elif op in _FLOAT_UN:
@@ -836,8 +845,13 @@ class TestGeneratedKernels:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
+    @pytest.mark.parametrize("profiled", (False, True))
     @given(case=_fusible_chains(), pf=_imms)
-    def test_fusible_chains_bit_identical(self, case, pf):
+    def test_fusible_chains_bit_identical(self, profiled, case, pf):
+        """Unprofiled runs take the replay scheduler, profiled ones the
+        lockstep dispatcher (whose profiles must match too)."""
+        if profiled:
+            profiler.enable()
         kernel, grid, block, outputs = case
         _run_kernel_modes(
             kernel, grid=grid, block=block,
