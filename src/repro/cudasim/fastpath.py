@@ -124,6 +124,7 @@ layout × coalescing policy.
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import deque
 from operator import itemgetter
 from dataclasses import dataclass, field
@@ -1164,15 +1165,21 @@ _VEC_COUNTERS = {
 }
 
 
+#: Concurrent SM runs (thread engine, several streams) flush at once.
+_VEC_LOCK = threading.Lock()
+
+
 def vec_counters() -> dict:
     """Snapshot of the cross-warp dispatch counters (process-local)."""
-    return dict(_VEC_COUNTERS)
+    with _VEC_LOCK:
+        return dict(_VEC_COUNTERS)
 
 
 def reset_vec_counters() -> None:
     """Zero the cross-warp dispatch counters (benchmark bookkeeping)."""
-    for k in _VEC_COUNTERS:
-        _VEC_COUNTERS[k] = 0
+    with _VEC_LOCK:
+        for k in _VEC_COUNTERS:
+            _VEC_COUNTERS[k] = 0
 
 
 class _Run:
@@ -2550,17 +2557,19 @@ class FastSMExecutor(SMExecutor):
         why["warps"] = self._vw
         why["instructions"] = self._vi
         why["fallbacks"] = self._vf
-        enabled = _telemetry.enabled()
-        for name, value in why.items():
-            if value:
+        with _VEC_LOCK:
+            for name, value in why.items():
                 _VEC_COUNTERS[name] += value
-                if enabled:
+        if _telemetry.enabled():
+            for name, value in why.items():
+                if value:
                     _telemetry.inc(
                         f"cudasim.fastpath.vec.{name}",
                         float(value),
                         kernel=self.lk.name,
                     )
-                why[name] = 0
+        for name in why:
+            why[name] = 0
         self._vd = self._vw = self._vi = self._vf = 0
 
     def _flush_counts(self) -> None:

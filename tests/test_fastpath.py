@@ -327,6 +327,39 @@ class TestVectorFallbacks:
         assert got["fallbacks"] > 0
         assert sum(got[r] for r in FALLBACK_REASONS) == got["fallbacks"]
 
+    def test_counters_add_up_under_concurrent_runs(self):
+        """Concurrent SM runs flush the process-wide counters at once:
+        no update may be lost, so N concurrent copies of a launch count
+        exactly N times its serial counts."""
+        import sys
+        import threading
+
+        def launch():
+            dev = Device(fastpath=2, cache=KernelCache(), heap_bytes=1 << 20)
+            lk = compile_kernel(_bank_conflict_kernel())
+            dev.launch(lk, grid=2, block=64, params={"dst": dev.malloc(512)})
+
+        reset_vec_counters()
+        launch()
+        once = vec_counters()
+        assert once["dispatches"] > 0
+        reset_vec_counters()
+        threads = [
+            threading.Thread(target=lambda: [launch() for _ in range(4)])
+            for _ in range(6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert vec_counters() == {k: 24 * v for k, v in once.items()}
+
 
 def _bank_conflict_kernel():
     b = KernelBuilder("k_conflict", params=("dst",))
