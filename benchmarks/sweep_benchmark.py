@@ -11,10 +11,10 @@ configurations:
 * ``warm``      — streams plus a warmed kernel cache (the steady state
   of a sweep grid re-run, e.g. ``gravit-repro run fig11 fig11``).
 
-Also times one cycle launch per SM engine (serial/thread/process) so the
+Also times one cycle launch per SM engine (serial/process) so the
 pool's effect is recorded alongside the host core count — on a single
-core only caching can win; on multi-core hosts the process engine adds
-real parallel speedup.
+core only caching can win, so the process engine is timed only on
+multi-core hosts, where it adds real parallel speedup.
 
 Writes ``BENCH_sweep.json`` at the repository root::
 
@@ -86,7 +86,7 @@ def bench_engines(repeats: int) -> dict:
     from repro.gravit import GpuConfig, GpuForceBackend, two_galaxies
 
     system = two_galaxies(512, seed=7)
-    engines = ["serial", "thread"]
+    engines = ["serial"]
     if (os.cpu_count() or 1) >= 2:
         engines.append("process")
     out = {}

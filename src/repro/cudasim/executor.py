@@ -436,33 +436,36 @@ class SMExecutor:
                 best, best_t = w, t
         if best is None:  # pragma: no cover - defensive
             reason = "other"
-        elif best_t > best.next_issue:
-            # Blocked on the scoreboard: some needed register is pending
-            # past the issue port's own availability.
-            reason = self._prof_dep_reason(
-                best, self._needs(best.pc), best_t
+        else:
+            reason = self._prof_reason(
+                best.pending, best.mem_ready, best.next_issue,
+                self._needs(best.pc), best_t, now,
             )
-        elif best.next_issue > now:
-            # The only mechanism pushing next_issue past the current
-            # cycle at a no-issue point is a barrier release.
-            reason = "barrier"
-        else:  # pragma: no cover - defensive
-            reason = "other"
         self.profile.gap(now, new_now - now, reason)
 
     @staticmethod
-    def _prof_dep_reason(warp: WarpState, need, t: float) -> str:
-        """Memory or execution dependency?  The binding register is the
-        one whose ready cycle equals the wake time; it was produced by
-        the memory pipeline iff the shadow scoreboard agrees exactly."""
-        pending = warp.pending
-        mem_ready = warp.mem_ready
-        for r in need:
-            if pending[r] == t:
-                if mem_ready is not None and mem_ready[r] == t:
-                    return "mem_dependency"
-                return "exec_dependency"
-        return "other"
+    def _prof_reason(
+        pending, mem_ready, next_issue: float, need, t: float, now: float
+    ) -> str:
+        """Why a warp that wakes at ``t`` could not issue at ``now``,
+        from its scoreboard ``pending``, memory shadow ``mem_ready``,
+        ``next_issue`` and the registers ``need`` its pc waits on."""
+        if t > next_issue:
+            # Blocked on the scoreboard.  The binding register is the
+            # one whose ready cycle equals the wake time; it was
+            # produced by the memory pipeline iff the shadow scoreboard
+            # agrees exactly.
+            for r in need:
+                if pending[r] == t:
+                    if mem_ready is not None and mem_ready[r] == t:
+                        return "mem_dependency"
+                    return "exec_dependency"
+            return "other"
+        if next_issue > now:
+            # The only mechanism pushing next_issue past the current
+            # cycle at a no-issue point is a barrier release.
+            return "barrier"
+        return "other"  # pragma: no cover - defensive
 
     # ------------------------------------------------------------------ run
 
@@ -931,11 +934,10 @@ class SMExecutor:
 # :class:`KernelStats` for race-free kernels (the serial engine remains
 # the default and the reference).
 
-#: Available engines: ``serial`` (reference, in-process loop), ``thread``
-#: (shared-heap thread pool; SM simulations interleave under the GIL but
-#: numpy sections overlap), ``process`` (true multi-core; the heap's live
-#: segments are shipped to workers and their stores replayed back).
-SM_ENGINES = ("serial", "thread", "process")
+#: Available engines: ``serial`` (reference, in-process loop) and
+#: ``process`` (true multi-core; the heap's live segments are shipped to
+#: workers and their stores replayed back).
+SM_ENGINES = ("serial", "process")
 
 #: Environment override for the default engine of new ``Device``s.
 ENGINE_ENV = "REPRO_SM_ENGINE"
@@ -1083,7 +1085,6 @@ def run_sms(
     assignments: list[tuple[int, list[int]]],
     resident: int,
     engine: str = "serial",
-    max_workers: int | None = None,
     trace=None,
     fastpath: bool | int = False,
     profile=None,
@@ -1100,7 +1101,7 @@ def run_sms(
     fastpath-mode combination produces identical results.  ``profile`` is an
     optional picklable :class:`~repro.cudasim.profiler.ProfileSpec`;
     it travels in the payload (not via the profiler's module global) so
-    ``process`` workers collect the same counters as in-process engines.
+    ``process`` workers collect the same counters as the serial engine.
     """
     if engine not in SM_ENGINES:
         raise ValueError(f"unknown SM engine {engine!r}; choose from {SM_ENGINES}")
@@ -1116,23 +1117,6 @@ def run_sms(
             )
             for sm, block_ids in assignments
         ]
-
-    workers = max_workers or min(len(assignments), os.cpu_count() or 1)
-    if engine == "thread":
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="cudasim-sm"
-        ) as pool:
-            runs = list(
-                pool.map(
-                    lambda a: _run_sm_serial(
-                        device, policy, gmem, lk, params, block_dim,
-                        grid_dim, a[1], resident, a[0], trace=trace,
-                        fastpath=fastpath, profile_spec=profile,
-                    ),
-                    assignments,
-                )
-            )
-        return sorted(runs, key=lambda r: r.sm_index)
 
     # engine == "process"
     size_bytes = gmem.size_bytes

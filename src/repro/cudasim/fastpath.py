@@ -71,35 +71,20 @@ executing warp is the *only* ready warp:
 * reconvergence pcs are always block leaders (see :mod:`.cfg`), so the
   divergence-stack check is needed only at run entry.
 
-The v2 cross-warp dispatch rests on a *lockstep* property of the same
-scan: when every countable warp sits at the same pc ``pc0`` (cost
-``c0``) in one contiguous arena-row range ``[lo, hi]`` and warp at
-cyclic position ``m`` from the chosen warp has ``wake <= now + c0*m``,
-the interpreter issues warp-major round-robin with zero stalls and zero
-idle — instruction ``q`` issues for position ``m`` at exactly
-``now + O_q + m*c_q`` with ``O_{q+1} = O_q + W*c_q``.  One vectorized
-``(warps, lanes)`` step per instruction reproduces that schedule
-bit-for-bit (every simulated time is a dyadic rational, so float64
-sums are exact in any association order).  The dispatch window is
-bounded statically per ``(pc0, W)`` by the in-run dependency test
-``O_a + L_a + max(0, c_a - c_q)*(W-1) <= O_q`` and dynamically by a
-vectorized pre-run scoreboard check; countable warps outside the bucket
-are tolerated only while they provably stay asleep (their wake at or
-past the window end), charging the interpreter's wrap-scan stalls in
-closed form.  Anything else — divergence splitting the bucket across
-pcs, barriers, memory-pipeline stagger — returns ``None`` and the v1
-per-warp path executes instead.
-
-On top of the lockstep window, unprofiled runs use a *replay*
-scheduler (:meth:`FastSMExecutor._vreplay` /
-:meth:`FastSMExecutor._vdispatch_replay`): the interpreter's
-round-robin scan is simulated once in pure Python over a window of
-schedulable pcs (:func:`repro.cudasim.cfg.replay_schedulable` —
-fusible ALU work plus unpredicated shared loads and branches), and the
-resulting issue plan is memoized on the shared program keyed by the
-warps' pc and entry-wake configuration.  Within each branch/load-free
-segment, complete row groups (all warps at one pc) fold into stacked
-steps, and each maximal run of them becomes one *run event*: its steps
+The v2 cross-warp scheduler is a *replay*
+(:meth:`FastSMExecutor._vreplay` /
+:meth:`FastSMExecutor._vdispatch_replay`), the only one, profiled or
+not: the interpreter's round-robin scan is simulated once in pure
+Python over a window of schedulable pcs
+(:func:`repro.cudasim.cfg.replay_schedulable` — fusible ALU work plus
+unpredicated shared loads and branches) for every countable warp of
+the SM, and the resulting issue plan is memoized on the shared program
+keyed by the warps' pc and entry-wake configuration.  Every simulated
+time is a dyadic rational, so float64 sums are exact in any
+association order and the plan's offsets from dispatch time hold for
+any dispatch clock.  Within each branch/load-free segment, complete
+row groups (all warps at one pc) fold into stacked steps, and each
+maximal run of them becomes one *run event*: its steps
 execute back to back, then one precomputed ``(warps, k)`` offset array
 writes every scoreboard mark the run leaves behind and its issue and
 lane counts are added at once.  Shared loads are scheduled at their
@@ -111,7 +96,12 @@ real ``_issue``, and any deviation — cost, direction, or a mask rebind
 from divergence — aborts the window via a per-event snapshot that
 restores warp clocks, pcs and the exact stall/idle attribution of the
 prefix.  Mixed resident blocks whose divergence stacks reach into the
-window's visited pc range fall back before dispatch.
+window's visited pc range fall back before dispatch.  The plan also
+records each idle advance of its schedule with the rows that can win
+it and their in-window scoreboard marks, so a profiled dispatch
+attributes every gap to the stall reason the interpreter's scan would
+(:meth:`FastSMExecutor._vgaps`): profiling changes no scheduling
+decision.
 
 The reference interpreter stays available behind
 ``REPRO_EXEC_FASTPATH=0`` or ``Device(fastpath=False)``; ``=1`` pins
@@ -174,7 +164,10 @@ FASTPATH_ENV = "REPRO_EXEC_FASTPATH"
 #: values through ``bind``, so bound families outlive one launch.
 #: Generation 4: factories return ``(templates, bind)`` and the per-pc
 #: bindings are a table on the program; vector steps are data-only.
-FASTPATH_GENERATION = 4
+#: Generation 5: one cross-warp scheduler (the replay, whose plans
+#: record their idle gaps); shared-load pcs flush their vector issue
+#: cost.
+FASTPATH_GENERATION = 5
 
 #: Spelling → mode for :data:`FASTPATH_ENV`.  The boolean aliases keep
 #: their historical meaning: any "true" spelling selects the best
@@ -187,6 +180,7 @@ FASTPATH_MODES = {
 
 _F64 = np.float64
 _INF = float("inf")
+_NAN = float("nan")
 
 _CMP_UFUNCS = {
     "lt": "less",
@@ -255,7 +249,7 @@ class FastProgram:
     Vectorized (v2) programs additionally carry ``make_vsteps`` and
     ``vtable`` — the data-only cross-warp templates operating on
     ``(warps, lanes)`` stacks — plus the static per-pc timing metadata
-    the vector schedulers need: ``costs`` (issue cycles), ``lats``
+    the replay scheduler needs: ``costs`` (issue cycles), ``lats``
     (result latency, ``None`` when the op writes no scoreboard entry)
     and ``writes`` (destination register slot, ``-1`` when none).
     """
@@ -306,11 +300,6 @@ class FastProgram:
     #: are pure functions of the program, so the cache lives here and
     #: is shared by every SM executor and launch of this program.
     vmeta: dict = field(default_factory=dict)
-    #: Lockstep-window cache keyed by ``(pc0, W)``, shared likewise.
-    windows: dict = field(default_factory=dict)
-    #: Cyclic issue positions of a lockstep window keyed by ``(W, k0)``
-    #: (read-only).
-    positions: dict = field(default_factory=dict)
     #: Bound step families no SM run holds (see :meth:`acquire`).
     idle: list = field(default_factory=list, repr=False)
 
@@ -336,7 +325,7 @@ class FastProgram:
 class StepSet:
     """One instance of a program's step families (``make_steps`` and, for
     vectorized programs, ``make_vsteps``) plus the per-pc issue and lane
-    accumulators the per-warp steps and the vector dispatchers write.
+    accumulators the per-warp steps and the replay dispatcher write.
     An SM run holds its set exclusively between
     :meth:`FastProgram.acquire` and :meth:`FastProgram.release`, so
     concurrent runs never share counters or launch values."""
@@ -1064,9 +1053,12 @@ def _build_program(
     exec(compile(source, f"<fastpath:{lk.name}>", "exec"), namespace)
     ends = fusible_run_ends(lk)
     costs, lats, writes = _step_costs(lk, dev)
+    mem = _mem_costs(lk, dev)
     # Fused ops have static issue costs (SFU ops on SFU timing, all else
     # on ALU timing, as in _value_expr), so the profiler's per-pc
-    # issue cycles are count x cost.
+    # issue cycles are count x cost.  The only shared loads counted
+    # here are the replay's inlined broadcasts, which issue at their
+    # conflict-free vector cost.
     ops = [i.op for i in lk.instructions]
     flush_ops = list(dict.fromkeys(ops))
     group_of = {op: g for g, op in enumerate(flush_ops)}
@@ -1081,7 +1073,11 @@ def _build_program(
         flush_ops=flush_ops,
         flush_group=np.array([group_of[op] for op in ops], dtype=np.intp),
         flush_cost=np.array(
-            [sfu_i if op in SFU_OPS else alu_i for op in ops], dtype=_F64
+            [
+                m[0] if m is not None else sfu_i if op in SFU_OPS else alu_i
+                for op, m in zip(ops, mem)
+            ],
+            dtype=_F64,
         ),
         param_names=tuple(lk.kernel.params),
         fused_pcs=len(table),
@@ -1097,7 +1093,7 @@ def _build_program(
         costs=costs,
         lats=lats,
         writes=writes,
-        mem=_mem_costs(lk, dev),
+        mem=mem,
         bra=_bra_costs(lk, dev),
         vok=[replay_schedulable(ins) for ins in lk.instructions],
     )
@@ -1143,10 +1139,9 @@ def compile_fastpath(
 #: exactly one reason, so these sum to ``fallbacks``.
 FALLBACK_REASONS = (
     "fallback_bucket",  # fewer than 2 warps, or not one contiguous range
-    "fallback_no_plan",  # no replay plan / empty lockstep window
+    "fallback_no_plan",  # the replay schedules under 2 issues
     "fallback_pending",  # a pre-window pending exceeds its threshold
     "fallback_reconverge",  # a reconvergence pc inside the window
-    "fallback_stagger",  # lockstep: a warp misses its cyclic issue slot
 )
 
 #: Process-local dispatch telemetry for the cross-warp scheduler.  The
@@ -1165,7 +1160,7 @@ _VEC_COUNTERS = {
 }
 
 
-#: Concurrent SM runs (thread engine, several streams) flush at once.
+#: Concurrent SM runs (several streams or devices) flush at once.
 _VEC_LOCK = threading.Lock()
 
 
@@ -1230,9 +1225,11 @@ class FastSMExecutor(SMExecutor):
     With ``vectorize=True`` (``fastpath=2``, the default mode) the
     executor additionally keeps every resident warp's register file,
     predicate file and scoreboard stacked in one per-SM arena and
-    dispatches same-pc warp groups through the cross-warp templates —
-    see :meth:`_vdispatch`.  The per-warp machinery stays fully
-    functional underneath as the fallback engine.
+    dispatches warp buckets through one cross-warp scheduler, the
+    replay (:meth:`_vdispatch_replay`), whether or not the profiler is
+    on: a profiled dispatch makes the same decisions and additionally
+    attributes the plan's idle gaps (:meth:`_vgaps`).  The per-warp
+    machinery stays fully functional underneath as the fallback engine.
     """
 
     def __init__(self, *args, vectorize: bool = False, **kwargs) -> None:
@@ -1257,11 +1254,8 @@ class FastSMExecutor(SMExecutor):
         self._ends = program.ends
         if self._vec:
             self._vsteps = self._set.vsteps
-            # Static schedule caches, shared by every SM and launch of
-            # the program.
-            self._vmeta = program.windows  # (pc0, W) -> lockstep window
+            # Replay plans, shared by every SM and launch of the program.
             self._vrmeta = program.vmeta  # (pcs, k0, dkey) -> replay
-            self._mv_cache = program.positions
             self._vok = program.vok
         # Dispatch counters (merged into _VEC_COUNTERS per run); the
         # fallback/abort reasons and masked runs are tallied in _vwhy.
@@ -1362,282 +1356,6 @@ class FastSMExecutor(SMExecutor):
                 t = v
         return t
 
-    def _vwindow(self, pc0: int, W: int) -> tuple:
-        """Static lockstep window for a ``(pc0, W)`` bucket.
-
-        Walks the fusible run from ``pc0`` accumulating each
-        instruction's position-0 issue offset
-
-            ``O_q = max(O_{q-1} + W*c_{q-1}, max_a(O_a + L_a))``
-
-        where ``a`` ranges over in-run writers of ``q``'s dependencies.
-        When the dependency bound wins, the interpreter idles uniformly
-        (every warp's wake is staggered by its position, so the group
-        sleeps and wakes together); the gap is recorded for exact
-        stall/idle/profile replay at dispatch time.  The window stops at
-        the first instruction whose dependency cannot be ready by the
-        *last* position's slot — possible only for a producer with a
-        larger issue cost (SFU feeding ALU)::
-
-            O_a + L_a + (c_a - c_q) * (W - 1) <= O_q
-
-        Registers whose pending value predates the run collect the
-        offset of their first appearance past ``pc0`` into the
-        ``(cols, thr)`` arrays — the dispatcher's vectorized pre-run
-        scoreboard check.  ``pc0``'s own dependencies are excluded
-        because the bucket wake test already bounds them exactly (this
-        is what lets a run resume vectorized right after a dependency
-        stall truncated it).
-
-        Returns ``(stop, offsets, tots, gaps, cols, thr)``: per window
-        instruction ``k = q - pc0``, ``offsets[k]`` is ``O_q``,
-        ``tots[k]`` the clock once every position finished ``q``, and
-        ``gaps[k]`` the idle the issue port sees before ``q``.  All
-        offsets are exact dyadic rationals, so the float arithmetic is
-        association-free.
-        """
-        prog = self._program
-        end = prog.ends[pc0]
-        deps = prog.deps
-        costs = prog.costs
-        lats = prog.lats
-        dst = prog.writes
-        offsets: list[float] = []
-        tots: list[float] = []
-        gaps: list[float] = []
-        written: dict[int, tuple[float, float, float]] = {}
-        pre: dict[int, float] = {}
-        stop = pc0
-        prev_end = 0.0
-        for q in range(pc0, end):
-            c = costs[q]
-            o_q = prev_end
-            slow = None
-            pre_regs = None
-            for r in deps[q]:
-                hit = written.get(r)
-                if hit is not None:
-                    t = hit[0] + hit[2]
-                    if t > o_q:
-                        o_q = t
-                    if hit[1] > c:
-                        if slow is None:
-                            slow = [hit]
-                        else:
-                            slow.append(hit)
-                elif q > pc0 and r not in pre:
-                    if pre_regs is None:
-                        pre_regs = [r]
-                    else:
-                        pre_regs.append(r)
-            if slow is not None and any(
-                o_a + l_a + (c_a - c) * (W - 1) > o_q
-                for o_a, c_a, l_a in slow
-            ):
-                break
-            if pre_regs is not None:
-                for r in pre_regs:
-                    pre[r] = o_q
-            offsets.append(o_q)
-            gaps.append(o_q - prev_end)
-            prev_end = o_q + c * W
-            tots.append(prev_end)
-            w = dst[q]
-            if w >= 0:
-                written[w] = (o_q, c, lats[q])
-            stop = q + 1
-        cols = np.array(sorted(pre), dtype=np.intp)
-        thr = np.array([pre[r] for r in sorted(pre)], dtype=_F64)
-        return stop, offsets, tots, gaps, cols, thr
-
-    def _vdispatch(
-        self,
-        warps: list[WarpState],
-        wake: list[float],
-        i: int,
-        pc0: int,
-        now: float,
-    ) -> tuple[float, int] | None:
-        """Attempt one cross-warp dispatch for the warp group at ``pc0``.
-
-        Succeeds when every countable warp at ``pc0`` forms one
-        contiguous arena-row range in lockstep (each member issuable at
-        its cyclic round-robin slot) and every countable warp *outside*
-        the group stays asleep past the window — then the interpreter's
-        schedule is provably warp-major round-robin with zero idle, and
-        the whole window executes as ``stop - pc0`` stacked steps, each
-        followed by its staggered scoreboard marks (from ``prog.lats`` /
-        ``writes`` / ``costs``) and issue/lane counts.  Returns
-        ``(new_now, new_rr)`` or ``None`` to fall back to the per-warp
-        v1 path (divergent pcs, barriers, dependency stalls,
-        non-contiguous groups).
-        """
-        prog = self._program
-        c0 = prog.costs[pc0]
-        n = len(warps)
-        # Bucket discovery: done / at-barrier warps are scanned free by
-        # the interpreter and are ignored here too; countable warps off
-        # ``pc0`` must sleep past the window (their earliest wake is
-        # ``t_out``); countable warps at ``pc0`` must form one
-        # contiguous row range so the arena can be sliced.
-        lo = hi = -1
-        count = 0
-        n_out = 0
-        t_out = _INF
-        for j in range(n):
-            w = warps[j]
-            if w.done or w.at_barrier:
-                continue
-            if w.pc != pc0:
-                n_out += 1
-                t = wake[j]
-                if t < t_out:
-                    t_out = t
-                continue
-            if lo < 0:
-                lo = j
-            hi = j
-            count += 1
-        W = count
-        if W < 2 or hi - lo + 1 != W or not lo <= i <= hi:
-            return self._vfallback("fallback_bucket")
-        # Lockstep wake check: the warp at cyclic position m (scan order
-        # from the chosen warp i) must be issuable at now + m*c0.
-        for j in range(lo, hi + 1):
-            m = j - i
-            if m < 0:
-                m += W
-            if wake[j] > now + m * c0:
-                return self._vfallback("fallback_stagger")
-        key = (pc0, W)
-        meta = self._vmeta.get(key)
-        if meta is None:
-            meta = self._vmeta[key] = self._vwindow(pc0, W)
-        stop, offsets, tots, gaps, cols, thr = meta
-        # Outside sleepers bound the window: every wrap and idle scan
-        # happens strictly before the window's end time, so wake >=
-        # T_stop keeps them asleep (and charged one stall per scan,
-        # below).
-        if n_out and t_out != _INF:
-            limit = t_out - now
-            while stop > pc0 and tots[stop - 1 - pc0] > limit:
-                stop -= 1
-        if stop <= pc0:
-            return self._vfallback("fallback_no_plan")
-        hi2 = hi + 1
-        R, P, pend, tid, cta = self._vrows(lo, hi2)
-        if cols.size and not (pend[:, cols] <= now + thr).all():
-            return self._vfallback("fallback_pending")
-        # Committed.  Reconvergence pops first (mask-only, timing-free).
-        prof = self.profile
-        for j in range(lo, hi2):
-            w = warps[j]
-            while w.div_stack and w.pc == w.div_stack[-1][0]:
-                _, mask = w.div_stack.pop()
-                w.active = (w.active | mask) & w.alive
-                if prof is not None:
-                    prof.reconvergences += 1
-        # Stack the active masks; per-warp masks may differ — writes are
-        # row-masked and the timing model is mask-independent.
-        nl = 0
-        allfull = True
-        for j in range(lo, hi2):
-            w = warps[j]
-            act = w.active
-            if act is w._fp_act:
-                na = w._fp_na
-            else:
-                na = int(np.count_nonzero(act))
-                w._fp_act = act
-                w._fp_na = na
-            nl += na
-            if na != WARP:
-                allfull = False
-        if allfull:
-            act2 = True
-        else:
-            act2 = np.vstack([warps[j].active for j in range(lo, hi2)])
-            self._vwhy["masked_runs"] += 1
-        k0 = i - lo
-        mv = self._mv_cache.get((W, k0))
-        if mv is None:
-            mv = (np.arange(W, dtype=_F64) - k0) % W
-            self._mv_cache[(W, k0)] = mv
-        vsteps = self._vsteps
-        cnt = self._cnt
-        lanes_acc = self._lanes_acc
-        lats = prog.lats
-        writes = prog.writes
-        costs = prog.costs
-        clocks = prog.clock_pcs
-        stats = self.stats
-        warp_i = warps[i]
-        deps = prog.deps
-        rounds = stop - pc0
-        for k in range(rounds):
-            q = pc0 + k
-            t_q = now + offsets[k]
-            g = gaps[k]
-            if g:
-                # Uniform dependency stall: the whole group sleeps and
-                # wakes staggered — one failed full scan (every
-                # countable warp charged), the idle advance, and the
-                # gap attributed to the earliest waker, warp i at
-                # cyclic position 0 (provably the strict minimum, the
-                # same winner ``_prof_gap`` would pick).
-                stats.scoreboard_stalls += W + n_out
-                stats.idle_cycles += g
-                if prof is not None:
-                    prof.gap(
-                        t_q - g,
-                        g,
-                        self._prof_dep_reason(warp_i, deps[q], t_q),
-                    )
-            # Warp at cyclic position mv issues at t_q + mv*c.
-            c = costs[q]
-            got = vsteps[q](
-                R, P, tid, cta, act2,
-                (t_q + mv * c)[:, None] if q in clocks else None,
-            )
-            lat = lats[q]
-            if lat is not None:
-                pend[:, writes[q]] = t_q + lat + mv * c
-            cnt[q] += W
-            lanes_acc[q] += nl if got is None else got
-        t = now + tots[rounds - 1]
-        if n_out:
-            # Each wrap scan passes every countable outside warp once,
-            # charging one scoreboard stall per warp — the interpreter's
-            # accounting, in closed form.  A group starting at row lo
-            # wraps between instructions (rounds - 1); one starting
-            # mid-range wraps inside each instruction (rounds).
-            wraps = rounds - 1 if i == lo else rounds
-            if wraps:
-                stats.scoreboard_stalls += n_out * wraps
-        # Per-warp epilogue: pc, next_issue and the cached wake time.
-        deps_stop = prog.deps[stop]
-        c_last = prog.costs[stop - 1]
-        for j in range(lo, hi2):
-            w = warps[j]
-            m = j - i
-            if m < 0:
-                m += W
-            w.pc = stop
-            ni = t - c_last * (W - 1 - m)
-            w.next_issue = ni
-            pending = w.pending
-            wk = ni
-            for r in deps_stop:
-                v = pending[r]
-                if v > wk:
-                    wk = v
-            wake[j] = wk
-        self._vd += 1
-        self._vw += W
-        self._vi += W * rounds
-        rr = i if i > lo else hi2 % n
-        return t, rr
-
     def _vreplay(self, pcs: tuple, k0: int, dkey: tuple) -> tuple | None:
         """Symbolic replay of the scheduler for one warp bucket.
 
@@ -1682,16 +1400,30 @@ class FastSMExecutor(SMExecutor):
         dispatcher checks the bound vectorized and falls back if it
         fails.
 
+        Each idle advance is recorded for the profiler (:meth:`_vgaps`).
+        The interpreter attributes the gap to the first warp in flat
+        order whose wake equals the target.  Every row's real wake is at
+        least its modeled one, and the row picked right after the
+        advance has both equal, so the winner is among the rows modeled
+        to wake at the target, the *candidates*.  Plans are memoized, so
+        the records are packed into one float64 array: per gap its start
+        and target offsets and candidate count, then per candidate in
+        flat order its row, pc, next-issue offset (-1 when never issued)
+        and the in-window ready offset of each of the pc's dependencies
+        (NaN when only a pre-window pending can bind it, which the
+        dispatcher reads).
+
         Returns ``None`` when the window is too small to be worth
         dispatching, else ``(plan, kvec, pvec, qlo, qhi, cut, rr_pos,
-        stalls, idle, cols, thr2, nivec, total)``: the execution plan
-        (run events of stacked steps, scalar steps, memory issues and
-        branch validations, in schedule order), per-row instruction counts,
-        per-row final pcs, per-row visited pc ranges, the port-free cut
-        offset, the ring cursor at the cut, closed-form stall/idle
-        charges, the pre-window threshold arrays, and per-row
-        next-issue offsets.  All offsets are exact dyadic rationals, so
-        the float arithmetic is association-free.
+        stalls, idle, cols, thr2, nivec, total, gaps)``: the execution
+        plan (run events of stacked steps, scalar steps, memory issues
+        and branch validations, in schedule order), per-row instruction
+        counts, per-row final pcs, per-row visited pc ranges, the
+        port-free cut offset, the ring cursor at the cut, closed-form
+        stall/idle charges, the pre-window threshold arrays, per-row
+        next-issue offsets, the issue total and the idle-advance
+        records (``None`` when there are none).  All offsets are exact dyadic rationals, so the float
+        arithmetic is association-free.
         """
         prog = self._program
         W = len(dkey)
@@ -1712,6 +1444,8 @@ class FastSMExecutor(SMExecutor):
         wrow: list[dict] = [{} for _ in range(W)]  # in-window completions
         threc: list[dict] = [{} for _ in range(W)]  # pre-window first reads
         ev: list[tuple] = []  # events in schedule order
+        gaps: list[float] = []  # idle-advance records, packed
+        ngaps = 0
         stalls = 0
         idle = 0.0
         total = 0
@@ -1747,19 +1481,19 @@ class FastSMExecutor(SMExecutor):
                 if mq is not None:
                     c, lat, dsts = mq[:3]
                     # Shared load: constant latency, conflict-free cost
-                    # assumed; the prefix of committed charges rides
-                    # along for the dispatcher's mid-window abort.
-                    ev.append((1, pos, q, t, c, stalls, idle))
+                    # assumed; the prefix of committed charges and gaps
+                    # rides along for the dispatcher's mid-window abort.
+                    ev.append((1, pos, q, t, c, stalls, idle, ngaps))
                     done = t + lat
                     for w in dsts:
                         wr[w] = done
                     nxt = q + 1
                 else:
                     # Branch under a direction assumption; validated by
-                    # the dispatcher, so it carries the charge prefix
-                    # for an exact abort on mismatch.
+                    # the dispatcher, so it carries the charge and gap
+                    # prefix for an exact abort on mismatch.
                     tgt, _pi, _ng, taken, c = bra[q]
-                    ev.append((3, pos, q, t, c, stalls, idle))
+                    ev.append((3, pos, q, t, c, stalls, idle, ngaps))
                     nxt = tgt if taken else q + 1
             k[pos] += 1
             total += 1
@@ -1835,6 +1569,16 @@ class FastSMExecutor(SMExecutor):
                     break  # cut before this scan
                 stalls += W
                 idle += tgt - t
+                cands = [
+                    pos for pos in range(W)
+                    if not fin[pos] and wake_v[pos] == tgt
+                ]
+                gaps += (t, tgt, len(cands))
+                for pos in cands:
+                    q = p[pos]
+                    gaps += (pos, q, ni[pos])
+                    gaps.extend(wrow[pos].get(r, _NAN) for r in deps[q])
+                ngaps += 1
                 t = tgt
                 continue  # post-idle scan, same cursor
             stalls += charges
@@ -1970,6 +1714,7 @@ class FastSMExecutor(SMExecutor):
             thr2,
             tuple(ni),
             total,
+            np.array(gaps, dtype=_F64) if gaps else None,
         )
 
     def _vdispatch_replay(
@@ -1982,15 +1727,16 @@ class FastSMExecutor(SMExecutor):
     ) -> tuple[float, int] | None:
         """Cross-warp dispatch through the symbolic scheduler replay.
 
-        The profiler-off counterpart of :meth:`_vdispatch`: the bucket
-        is every countable warp — at *any* pc — and the schedule comes
-        from :meth:`_vreplay` keyed by the bucket's exact entry pcs and
-        wake pattern, so staggered, reordered and mixed-pc groups
-        vectorize, with shared loads issued by the interpreter's own
-        ``_issue`` at their scheduled times.  Aligned stretches run as
-        stacked numpy steps; everything else replays scalar in schedule
-        order.  Stall and idle charges come from the replay's closed
-        forms.
+        The bucket is every countable warp — at *any* pc — and the
+        schedule comes from :meth:`_vreplay` keyed by the bucket's exact
+        entry pcs and wake pattern, so staggered, reordered and mixed-pc
+        groups vectorize, with shared loads issued by the interpreter's
+        own ``_issue`` at their scheduled times.  Aligned stretches run
+        as stacked numpy steps; everything else replays scalar in
+        schedule order.  Stall and idle charges come from the replay's
+        closed forms; with the profiler on, so do the idle gaps, and
+        the inlined paths add the counters ``_issue`` would.  Every
+        decision is the same with the profiler on or off.
         """
         prog = self._program
         n = len(warps)
@@ -2023,7 +1769,7 @@ class FastSMExecutor(SMExecutor):
         if meta is None:
             return self._vfallback("fallback_no_plan")
         (plan, kvec, pvec, qlovec, qhivec, cut, rr_pos, stalls, idle,
-         cols, thr2, nivec, total) = meta
+         cols, thr2, nivec, total, gaps) = meta
         hi2 = hi + 1
         R, P, pend, tid, cta = self._vrows(lo, hi2)
         if cols is not None and not (pend[:, cols] <= now + thr2).all():
@@ -2046,8 +1792,14 @@ class FastSMExecutor(SMExecutor):
                             ql <= s0 <= qh for s0, _ in stack[: idx + 1]
                         ):
                             return self._vfallback("fallback_reconverge")
-        # Committed.  Reconvergence pops for every row that issues
-        # (rows the window never schedules haven't moved).
+        # Committed.  Gaps are classified from the pre-dispatch
+        # scoreboards, so before anything executes.
+        prof = self.profile
+        recs = None
+        if prof is not None and gaps is not None:
+            recs = self._vgaps(warps, lo, now, gaps)
+        # Reconvergence pops for every row that issues (rows the window
+        # never schedules haven't moved).
         for m in range(W):
             if not kvec[m]:
                 continue
@@ -2055,6 +1807,8 @@ class FastSMExecutor(SMExecutor):
             while wp.div_stack and wp.pc == wp.div_stack[-1][0]:
                 _, mask = wp.div_stack.pop()
                 wp.active = (wp.active | mask) & wp.alive
+                if prof is not None:
+                    prof.reconvergences += 1
         nl = 0
         allfull = True
         acts = []
@@ -2142,7 +1896,7 @@ class FastSMExecutor(SMExecutor):
                     or wp.active is not acts[m]
                 ):
                     return self._vabort(
-                        warps, wake, lo, W, now, end, e, "abort_branch"
+                        warps, wake, lo, W, now, end, e, "abort_branch", recs
                     )
             else:
                 m = e[1]
@@ -2156,7 +1910,8 @@ class FastSMExecutor(SMExecutor):
                 # serialized by the vector width), which is the replay's
                 # assumed cost, so this shape can never abort; stats
                 # flow through the per-pc counters ``_flush_counts``
-                # folds, identically to ``KernelStats.count``.
+                # folds, identically to ``KernelStats.count``, and so do
+                # the profiler's issue cycles (``flush_cost``).
                 _, lat, dsts, aslot, off = mem[q]
                 if aslot >= 0 and nas[m] == WARP:
                     arow = wp.regs[aslot]
@@ -2178,16 +1933,21 @@ class FastSMExecutor(SMExecutor):
                             pending[dst] = tl
                         cnt[q] += 1
                         lanes_acc[q] += WARP
+                        if prof is not None and len(dsts) > 1:
+                            prof.bank_conflicts[q] += len(dsts) - 1
                         continue
                 wp.pc = q
                 end = issue_one(wp, t)
                 if end != t + e[4]:
                     return self._vabort(
-                        warps, wake, lo, W, now, end, e, "abort_cost"
+                        warps, wake, lo, W, now, end, e, "abort_cost", recs
                     )
         stats = self.stats
         stats.scoreboard_stalls += stalls
         stats.idle_cycles += idle
+        if recs:
+            for rec in recs:
+                prof.gap(*rec)
         deps = prog.deps
         for m in range(W):
             if not kvec[m]:
@@ -2220,9 +1980,11 @@ class FastSMExecutor(SMExecutor):
         end: float,
         e: tuple,
         reason: str,
+        recs: list | None,
     ) -> tuple[float, int]:
         """Exact mid-window abort on a validation mismatch (``reason``:
-        ``abort_cost`` or ``abort_branch``).
+        ``abort_cost`` or ``abort_branch``; ``recs``: the classified
+        gaps of a profiled dispatch).
 
         A scheduled load hit a bank conflict (its real issue cost
         exceeds the replay's conflict-free assumption) or a scheduled
@@ -2230,17 +1992,20 @@ class FastSMExecutor(SMExecutor):
         event is invalid.  The executed prefix — the mismatching event
         included — is exactly what the interpreter would have done (no
         earlier decision depended on the outcome), so charge the
-        prefix's stall and idle accrual, rebuild pc/next-issue/wake for
-        every row from the event's precomputed snapshot (the aborted
-        row keeps the pc ``_issue`` just applied — the real branch
-        outcome), and resume the main loop at the event's real end with
-        the cursor just past the aborting warp.
+        prefix's stall and idle accrual and emit its gaps, rebuild
+        pc/next-issue/wake for every row from the event's precomputed
+        snapshot (the aborted row keeps the pc ``_issue`` just applied —
+        the real branch outcome), and resume the main loop at the
+        event's real end with the cursor just past the aborting warp.
         """
         prog = self._program
         stats = self.stats
         stats.scoreboard_stalls += e[5]
         stats.idle_cycles += e[6]
-        kpart, last, lastpc = e[7]
+        if recs:
+            for rec in recs[: e[7]]:
+                self.profile.gap(*rec)
+        kpart, last, lastpc = e[8]
         m_ab = e[1]
         deps = prog.deps
         ntot = 0
@@ -2272,6 +2037,48 @@ class FastSMExecutor(SMExecutor):
         n = len(warps)
         rr = lo + pos if pos < W else (lo + W) % n
         return end, rr
+
+    def _vgaps(
+        self, warps: list[WarpState], lo: int, now: float, gaps: np.ndarray
+    ) -> list[tuple]:
+        """A plan's packed idle-advance records (see :meth:`_vreplay`) as
+        ``prof.gap`` arguments, classified as the interpreter's
+        ``_prof_gap`` would.
+
+        Must run before the plan executes: each candidate's scoreboard
+        is its pre-dispatch ``pending`` overlaid with the in-window
+        marks the replay recorded.  The winner is the first candidate
+        whose wake reaches the gap's end.
+        """
+        deps = self._program.deps
+        reason_of = self._prof_reason
+        vals = gaps.tolist()
+        out = []
+        j = 0
+        while j < len(vals):
+            t, tgt, n = vals[j], vals[j + 1], int(vals[j + 2])
+            j += 3
+            end = now + tgt
+            found = False
+            for _ in range(n):
+                m, q, ni = int(vals[j]), int(vals[j + 1]), vals[j + 2]
+                need = deps[q]
+                marks = vals[j + 3 : j + 3 + len(need)]
+                j += 3 + len(need)
+                if found:
+                    continue
+                wp = warps[lo + m]
+                pending = wp.pending
+                # ``v != v`` is NaN: no in-window mark.
+                pv = {
+                    r: pending[r] if v != v else now + v
+                    for r, v in zip(need, marks)
+                }
+                nxt = now + ni if ni >= 0 else wp.next_issue
+                win = (pv, wp.mem_ready, nxt, need)
+                found = max([nxt, *pv.values()]) == end
+            out.append((now + t, tgt - t, reason_of(*win, end, now + t)))
+        return out
 
     def _vrun_special(self, run, R, P, tid, cta, act, now: float) -> None:
         """Steps of a run holding CLOCK or predicated steps: CLOCK reads
@@ -2388,26 +2195,11 @@ class FastSMExecutor(SMExecutor):
                     rr = 0
                 warp = warps[i]
                 pc0 = warp.pc
-                if vec and countable_others:
-                    # The scheduler replay handles staggered, reordered
-                    # and mixed-pc buckets (shared loads included) but
-                    # has no per-gap profiler attribution; profiled runs
-                    # use the uniform lockstep dispatcher whose
-                    # attribution is provably identical to the
-                    # interpreter's.
-                    if prof is None:
-                        if vok[pc0]:
-                            res = self._vdispatch_replay(
-                                warps, wake, i, pc0, now
-                            )
-                            if res is not None:
-                                now, rr = res
-                                continue
-                    elif steps[pc0] is not None:
-                        res = self._vdispatch(warps, wake, i, pc0, now)
-                        if res is not None:
-                            now, rr = res
-                            continue
+                if vec and countable_others and vok[pc0]:
+                    res = self._vdispatch_replay(warps, wake, i, pc0, now)
+                    if res is not None:
+                        now, rr = res
+                        continue
                 if steps[pc0] is not None:
                     # Fused driver, inlined (one entry per scheduler
                     # iteration makes the call itself measurable).  The
@@ -2456,12 +2248,14 @@ class FastSMExecutor(SMExecutor):
                                 # The running warp is provably the gap's
                                 # earliest waker (others wake at or past
                                 # t_other > wk), so attribute directly —
-                                # same verdict as the interpreter's scan.
+                                # same verdict as the interpreter's scan
+                                # (its next issue is ``now``).
                                 prof.gap(
                                     now,
                                     wk - now,
-                                    self._prof_dep_reason(
-                                        warp, deps[pc], wk
+                                    self._prof_reason(
+                                        pending, warp.mem_ready, now,
+                                        deps[pc], wk, now,
                                     ),
                                 )
                             now = wk
@@ -2580,8 +2374,10 @@ class FastSMExecutor(SMExecutor):
         totals identical to per-issue counting.  The same holds for the
         profiler's per-pc counters: every fused op has a static issue
         cost (SFU ops 16 cycles, everything else 4 — mirroring
-        ``_value_expr``), so ``count × cost`` equals the interpreter's
-        per-issue accumulation exactly.  The fold is vectorized over the
+        ``_value_expr``), and so does every shared load the replay
+        inlines (its conflict-free vector cost), so ``count × cost``
+        equals the interpreter's per-issue accumulation exactly.  The
+        fold is vectorized over the
         program's pcs (counts stay far below 2**53, so the float64
         per-op sums are exact).
         """

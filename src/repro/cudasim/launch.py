@@ -195,8 +195,9 @@ class Device:
     """A simulated GPU + driver of a given CUDA toolchain revision.
 
     ``sm_engine`` selects how cycle simulation distributes SMs:
-    ``"serial"`` (the historical loop), ``"thread"`` or ``"process"``
-    (``concurrent.futures`` pools; see :func:`repro.cudasim.executor.run_sms`).
+    ``"serial"`` (the historical loop) or ``"process"`` (a
+    ``concurrent.futures`` process pool; see
+    :func:`repro.cudasim.executor.run_sms`).
     Defaults to the ``REPRO_SM_ENGINE`` environment variable, else serial.
     ``cache`` is the kernel-compilation cache :meth:`compile` consults
     (default: the process-wide cache; pass ``None`` to disable).

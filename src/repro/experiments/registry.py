@@ -16,6 +16,7 @@ import sys
 import time
 from typing import Callable
 
+from ..cudasim.executor import SM_ENGINES
 from ..telemetry import runtime as _telemetry
 from ..telemetry.manifest import append_manifest, build_manifest
 from .report import ExperimentResult
@@ -252,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     runp.add_argument(
         "--engine",
-        choices=("serial", "thread", "process"),
+        choices=SM_ENGINES,
         default=None,
         help="SM engine for cycle simulation (default: REPRO_SM_ENGINE "
         "env var, else serial)",

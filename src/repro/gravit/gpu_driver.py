@@ -662,8 +662,11 @@ class GpuSimulation:
             self._gstream.close()
             self._gstream = None
             self._graphs.clear()
-        self.device.free(self._forces)
-        self.device.free(self._buf)
+        for attr in ("_forces", "_buf"):
+            ptr = getattr(self, attr)
+            if ptr is not None:
+                self.device.free(ptr)
+                setattr(self, attr, None)
 
     def __enter__(self) -> "GpuSimulation":
         return self
@@ -1548,9 +1551,11 @@ class ShardedGpuSimulation:
         self._graphs.clear()
         for stream in self._streams:
             stream.close()
+        self._streams = []
         for dev, buf, forces in zip(self.group, self._bufs, self._forces):
             dev.free(forces)
             dev.free(buf)
+        self._bufs, self._forces = [], []
 
     def __enter__(self) -> "ShardedGpuSimulation":
         return self

@@ -365,7 +365,7 @@ class TestParticlePools:
         for f in ("px", "py", "pz", "vx", "vy", "vz"):
             assert np.array_equal(getattr(pooled, f), getattr(expect, f)), f
 
-    @pytest.mark.parametrize("engine", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("engine", ["serial", "process"])
     def test_engines_bit_identical_on_pool_state(self, engine):
         """Particle state after pooled steps is bit-identical across SM
         engines (including a mid-run compaction)."""

@@ -9,7 +9,10 @@ traversal, a dynamic pooled-simulation epoch with mid-run compaction,
 and generated chains of fusible ops.  These tests pin that equivalence
 byte for byte, including the fallback seams where the v2 warp-group
 scheduler must hand buckets back to the per-warp path (divergence,
-barriers, mixed resident blocks, conflicting shared addressing).
+barriers, mixed resident blocks, conflicting shared addressing).  v2
+has one cross-warp scheduler, the replay, for profiled and unprofiled
+launches alike: profiles match the interpreter's, and profiling changes
+no scheduling decision.
 """
 
 from __future__ import annotations
@@ -149,6 +152,28 @@ class TestDifferentialDivergent:
         for fast in outs[1:]:
             _assert_identical(outs[0], fast)
 
+    def test_bh_traversal_profile_identical(self):
+        """Profiled, the divergent loops and reconvergence pops of the
+        traversal go through the replay scheduler too (two warps per
+        block): its profile must match the interpreter's counter for
+        counter."""
+        dumps = []
+        for fastpath in MODES:
+            profiler.enable()
+            profiler.reset()
+            reset_vec_counters()
+            dev = Device(fastpath=fastpath, cache=KernelCache())
+            forces, result = bh_forces_gpu(
+                uniform_sphere(48, seed=11), block_size=2 * BLOCK, device=dev
+            )
+            dumps.append((forces.tobytes(), result.profile.as_dict()))
+            profiler.disable()
+        assert vec_counters()["dispatches"] > 0
+        prof = dumps[0][1]
+        assert prof["divergent_branches"] > 0 and prof["reconvergences"] > 0
+        assert dumps[1] == dumps[0]
+        assert dumps[2] == dumps[0]
+
 
 class TestDifferentialPooled:
     """A dynamic-population epoch: spawn, step, remove, compact, step."""
@@ -183,30 +208,66 @@ class TestDifferentialProfile:
     """`gravit-prof` KernelProfile: identical across all three modes."""
 
     def test_profile_identical_across_modes(self):
-        cfg = GpuConfig(layout_kind="soaoas", block_size=BLOCK, unroll=16)
-        dumps = []
-        for fastpath in MODES:
-            profiler.enable()
-            profiler.reset()
-            system = uniform_cube(N, seed=7)
-            dev = Device(fastpath=fastpath, cache=KernelCache())
-            backend = GpuForceBackend(cfg, device=dev)
-            forces, result = backend.forces_cycle(system)
-            assert result.profile is not None
-            dumps.append((forces.tobytes(), result.profile.as_dict()))
+        """Every layout kind, rolled, unrolled by 16 and fully unrolled,
+        with two warps per block so v2 runs its cross-warp replay."""
+        for kind in LAYOUT_KINDS:
+            for unroll in (None, 16, "full"):
+                cfg = GpuConfig(
+                    layout_kind=kind, block_size=2 * BLOCK, unroll=unroll
+                )
+                dumps = []
+                for fastpath in MODES:
+                    profiler.enable()
+                    profiler.reset()
+                    system = uniform_cube(N, seed=7)
+                    dev = Device(fastpath=fastpath, cache=KernelCache())
+                    backend = GpuForceBackend(cfg, device=dev)
+                    forces, result = backend.forces_cycle(system)
+                    assert result.profile is not None
+                    dumps.append(
+                        (forces.tobytes(), result.profile.as_dict())
+                    )
+                    profiler.disable()
+                assert dumps[0] == dumps[1], (kind, unroll)
+                assert dumps[0] == dumps[2], (kind, unroll)
+
+    @pytest.mark.parametrize("case", ("paper", "bank_conflict"))
+    def test_profiling_changes_no_scheduling_decision(self, case):
+        """A profiled v2 launch makes exactly the dispatches, fallbacks
+        and aborts of an unprofiled one: one scheduler for both."""
+        counts = []
+        for profiled in (False, True):
+            if profiled:
+                profiler.enable()
+            reset_vec_counters()
+            dev = Device(fastpath=2, cache=KernelCache(), heap_bytes=1 << 20)
+            if case == "paper":
+                cfg = GpuConfig(
+                    layout_kind="soaoas", block_size=128, unroll="full"
+                )
+                GpuForceBackend(cfg, device=dev).forces_cycle(
+                    uniform_cube(256, seed=7)
+                )
+            else:
+                lk = compile_kernel(_bank_conflict_kernel())
+                dev.launch(
+                    lk, grid=2, block=64, params={"dst": dev.malloc(512)}
+                )
+            counts.append(vec_counters())
             profiler.disable()
-        assert dumps[0] == dumps[1]
-        assert dumps[0] == dumps[2]
+        assert counts[0]["dispatches"] > 0
+        assert counts[1] == counts[0]
 
 
 # -- v2 fallback seams -----------------------------------------------------
 #
-# Micro-kernels that force the cross-warp scheduler off its lockstep
-# window: divergence leaving warps at one PC with different masks, a
-# barrier splitting a bucket mid-stretch, mixed resident blocks parked
-# at different PCs, and a bank-conflicted shared load whose real issue
-# cost contradicts the replay's assumption.  Each must be bit-identical
-# (memory, cycles, stats — stall attribution included) across modes.
+# Micro-kernels at the seams of the cross-warp replay scheduler:
+# divergence leaving warps at one PC with different masks, a barrier
+# splitting a bucket mid-stretch, mixed resident blocks parked at
+# different PCs, and a bank-conflicted shared load whose real issue cost
+# contradicts the replay's assumption.  Each must be bit-identical
+# (memory, cycles, stats — stall attribution included) across modes,
+# unprofiled and profiled, profiles included.
 
 
 def _run_kernel_modes(kernel, grid, block, out_words, params=None):
@@ -240,9 +301,19 @@ def _run_kernel_modes(kernel, grid, block, out_words, params=None):
             profiles.append(result.profile.as_dict())
     for fast in outs[1:]:
         _assert_identical(outs[0], fast)
+    assert len(profiles) in (0, len(MODES))
     for prof in profiles[1:]:
         assert prof == profiles[0], "kernel profiles differ"
     return outs
+
+
+def _run_seam(kernel, grid, block, out_words):
+    """:func:`_run_kernel_modes` unprofiled, then profiled (the profiler
+    is disabled again by the autouse fixture)."""
+    for profiled in (False, True):
+        if profiled:
+            profiler.enable()
+        _run_kernel_modes(kernel, grid, block, out_words)
 
 
 class TestVectorFallbacks:
@@ -262,7 +333,7 @@ class TestVectorFallbacks:
         b.add(x, x, 5.0)
         b.mul(x, x, 0.5)
         b.st_global(b.imad("a", i, 4, b.param("dst")), x)
-        _run_kernel_modes(b.build(), grid=2, block=64, out_words=128)
+        _run_seam(b.build(), grid=2, block=64, out_words=128)
 
     def test_barrier_splits_bucket(self):
         """bar_sync in the middle of an ALU stretch: the bucket must
@@ -280,9 +351,7 @@ class TestVectorFallbacks:
         b.add(y, y, x)
         b.mul(y, y, 0.25)
         b.st_global(b.imad("a", i, 4, b.param("dst")), y)
-        _run_kernel_modes(
-            b.build(shared_words=64), grid=3, block=64, out_words=192
-        )
+        _run_seam(b.build(shared_words=64), grid=3, block=64, out_words=192)
 
     def test_mixed_blocks_at_different_pcs(self):
         """Per-block trip counts leave co-resident warps from different
@@ -297,22 +366,45 @@ class TestVectorFallbacks:
             b.add(acc, acc, 1.0)
             b.mul(acc, acc, 0.5)
         b.st_global(b.imad("a", i, 4, b.param("dst")), acc)
-        _run_kernel_modes(b.build(), grid=34, block=32, out_words=34 * 32)
+        _run_seam(b.build(), grid=34, block=32, out_words=34 * 32)
 
     def test_bank_conflict_breaks_cost_assumption(self):
         """All 32 lanes hit shared bank 0 (stride 32 words): the real
         broadcast degree contradicts the replay's assumed issue cost,
-        forcing the mid-window abort path."""
-        reset_vec_counters()
-        _run_kernel_modes(
-            _bank_conflict_kernel(), grid=2, block=64, out_words=128
-        )
-        assert vec_counters()["abort_cost"] >= 1
+        forcing the mid-window abort path, profiled or not."""
+        for profiled in (False, True):
+            if profiled:
+                profiler.enable()
+            reset_vec_counters()
+            _run_kernel_modes(
+                _bank_conflict_kernel(), grid=2, block=64, out_words=128
+            )
+            assert vec_counters()["abort_cost"] >= 1
+
+    def test_memory_stalls_inside_replay_windows(self):
+        """A warp woken by its global load runs a dependent chain while
+        its siblings still wait on theirs: the replay's idle gaps are
+        won by warps it never issued, stalled on memory, so the
+        profiled attribution must read their pre-dispatch scoreboards."""
+        b = KernelBuilder("k_memgaps", params=("dst",))
+        tid = b.sreg("tid")
+        i = b.imad("i", b.sreg("ctaid"), b.sreg("ntid"), tid)
+        a = b.imad("a", i, 4, b.param("dst"))
+        x = b.ld_global(b.reg("x"), a)
+        y = b.add(b.reg("y"), x, 1.0)
+        b.mul(y, y, 1.5)
+        b.rsqrt(y, y)
+        b.add(y, y, x)
+        b.bar_sync()
+        b.mul(y, y, 0.5)
+        b.add(y, y, 2.0)
+        b.st_global(a, y)
+        _run_seam(b.build(), grid=34, block=64, out_words=34 * 64)
 
     @pytest.mark.parametrize("profiled", (False, True))
     def test_fallback_reasons_sum_to_fallbacks(self, profiled):
-        """Every fallback is counted under exactly one reason, by the
-        replay scheduler and (profiled) by the lockstep one."""
+        """Every fallback is counted under exactly one reason, profiled
+        or not."""
         if profiled:
             profiler.enable()
         reset_vec_counters()
@@ -543,7 +635,7 @@ class TestCodegenCache:
     def test_sm_engine_env_rejected_loudly(self, monkeypatch):
         from repro.cudasim.executor import ENGINE_ENV
 
-        monkeypatch.setenv(ENGINE_ENV, "threads")  # typo of "thread"
+        monkeypatch.setenv(ENGINE_ENV, "processes")  # typo of "process"
         with pytest.raises(ValueError, match=ENGINE_ENV):
             Device(cache=KernelCache())
 
@@ -881,8 +973,8 @@ class TestGeneratedKernels:
     @pytest.mark.parametrize("profiled", (False, True))
     @given(case=_fusible_chains(), pf=_imms)
     def test_fusible_chains_bit_identical(self, profiled, case, pf):
-        """Unprofiled runs take the replay scheduler, profiled ones the
-        lockstep dispatcher (whose profiles must match too)."""
+        """Profiled runs take the same replay scheduler as unprofiled
+        ones, and their profiles must match the interpreter's too."""
         if profiled:
             profiler.enable()
         kernel, grid, block, outputs = case

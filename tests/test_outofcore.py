@@ -87,7 +87,7 @@ class TestBitIdentity:
         assert np.array_equal(ref_forces, forces)
 
     @pytest.mark.parametrize("fastpath", (True, False))
-    @pytest.mark.parametrize("engine", ("serial", "thread"))
+    @pytest.mark.parametrize("engine", ("serial", "process"))
     def test_fastpath_and_engine(self, system, fastpath, engine):
         cfg = GpuConfig(layout_kind="soaoas", block_size=BLOCK)
         ref_state, ref_forces = _run_single(

@@ -142,18 +142,8 @@ class TestFastpathCounterParity:
 
 
 class TestEngineCounterParity:
-    """serial/thread SM engines: identical stats AND profiler counters
-    (the process engine is pinned in the slow tier below)."""
+    """serial/process SM engines: identical stats AND profiler counters."""
 
-    def test_serial_vs_thread(self):
-        cfg = GpuConfig(layout_kind="aos", block_size=BLOCK)
-        serial = _forces_run(cfg, engine="serial")
-        thread = _forces_run(cfg, engine="thread")
-        assert serial == thread
-
-
-@pytest.mark.slow
-class TestProcessEngineCounterParity:
     def test_serial_vs_process(self):
         cfg = GpuConfig(layout_kind="aos", block_size=BLOCK)
         serial = _forces_run(cfg, engine="serial")

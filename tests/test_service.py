@@ -150,7 +150,7 @@ class TestSimulationConfig:
         assert base.kernel_key != base.replace(layout="aos").kernel_key
         assert base.kernel_key != base.replace(block_size=64).kernel_key
         # Engine/fastpath/topology never change what gets compiled.
-        assert base.kernel_key == base.replace(engine="thread").kernel_key
+        assert base.kernel_key == base.replace(engine="process").kernel_key
         assert base.kernel_key == base.replace(fastpath=False).kernel_key
         assert base.kernel_key == base.replace(devices=4).kernel_key
 
@@ -182,6 +182,26 @@ class TestSimulationConfig:
             HW.replace(pool_records_per_block=16), system.copy()
         )
         assert isinstance(sim, PooledSimulation)
+        sim.close()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"use_graph": True},
+            {"devices": 2},
+            {"out_of_core": True, "tile_rows": 32},
+            {"pool_records_per_block": 16},
+        ],
+        ids=("plain", "graph", "sharded", "out-of-core", "pooled"),
+    )
+    def test_second_close_is_a_no_op(self, system, overrides):
+        """Every driver the front door builds tolerates a second close:
+        leaving a ``with`` block after an explicit ``close()`` must not
+        free its buffers twice."""
+        with Simulation.create(HW.replace(**overrides), system.copy()) as sim:
+            sim.step(0.01)
+            sim.close()
         sim.close()
 
     def test_create_with_overrides_kwargs(self, system):
@@ -426,7 +446,7 @@ class TestServiceRuns:
         assert np.array_equal(res.forces, direct.download_forces())
         direct.close()
 
-    @pytest.mark.parametrize("engine", ("serial", "thread"))
+    @pytest.mark.parametrize("engine", ("serial", "process"))
     def test_bit_identical_across_sm_engines(self, system, engine):
         cfg = HW.replace(engine=engine)
         with SimulationService(devices=2, hardware=cfg) as svc:
