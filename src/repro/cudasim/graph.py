@@ -96,7 +96,7 @@ class GraphOp:
     simulated interval from the most recent replay (span synthesis).
     """
 
-    kind: str  #: "htod" | "launch" | "record" | "wait" | "peer" | "marker"
+    kind: str  #: "htod" | "launch" | "record" | "wait" | "peer"
     stream: int
     label: str
     tag: str | None = None
@@ -126,23 +126,17 @@ class ReplayResult:
     """What one :meth:`LaunchGraph.replay` produced.
 
     The single future-free return value replacing the op-by-op path's
-    per-op futures: launch results in capture order, per-stream cursor
-    positions around the replay, and marker snapshots for drivers that
-    split the epoch into accounting intervals.
+    per-op futures: launch results in capture order and per-stream cursor
+    positions around the replay.  Drivers that split an epoch into
+    accounting intervals record events at the interval boundaries; every
+    replay re-fires them at its own cycles.
     """
 
     graph: "LaunchGraph"
     #: LaunchResult per captured launch, in capture order.
     launches: list = field(default_factory=list)
-    #: marker label -> per-stream cycle cursors at that point.
-    markers: dict = field(default_factory=dict)
     begin_cycles: tuple = ()
     end_cycles: tuple = ()
-
-    @property
-    def launch_cycles(self) -> float:
-        """Sum of all launches' simulated cycles (serial-stream total)."""
-        return sum(r.cycles for r in self.launches)
 
     @property
     def stream_deltas(self) -> tuple:
@@ -278,25 +272,6 @@ class LaunchGraph:
             s._end_capture(self)
         self.state = "dead"
 
-    def marker(self, label: str) -> None:
-        """Capture a named accounting point.
-
-        At replay, :attr:`ReplayResult.markers` maps ``label`` to the
-        per-stream cycle cursors when the marker was crossed — how the
-        sharded driver splits one replay into compute/copy intervals
-        without per-phase host synchronization.
-        """
-        if self.state != "capturing":
-            raise GraphCaptureError(
-                f"graph {self.name!r} is {self.state}; markers can only "
-                "be captured"
-            )
-        if any(op.kind == "marker" and op.label == label for op in self.ops):
-            raise GraphValidationError(
-                f"duplicate marker {label!r} in graph {self.name!r}"
-            )
-        self.ops.append(GraphOp(kind="marker", stream=-1, label=label))
-
     # -- recording hooks (called by Stream while capturing) -----------------
 
     def _sidx(self, stream: Stream) -> int:
@@ -426,15 +401,6 @@ class LaunchGraph:
         Each closure replicates exactly the simulated-cursor arithmetic
         of the corresponding ``Stream`` op — the bit-identity contract.
         """
-        if op.kind == "marker":
-            streams = self.streams
-
-            def run_marker(result: ReplayResult, op=op) -> None:
-                result.markers[op.label] = tuple(
-                    s.cycles for s in streams
-                )
-
-            return run_marker
         stream = self.streams[op.stream]
         device = stream.device
         if op.kind == "htod":
@@ -618,13 +584,10 @@ class LaunchGraph:
         replay's wall window (linear scale) and appends the spans after
         the fact, preserving per-stream tracks and overlap shape.
         """
-        ops = [op for op in self.ops if op.kind != "marker"]
-        if not ops:
-            return
-        c0 = min(op.begin_cycle for op in ops)
-        c1 = max(op.end_cycle for op in ops)
+        c0 = min(op.begin_cycle for op in self.ops)
+        c1 = max(op.end_cycle for op in self.ops)
         scale = max(wall1 - wall0, 0.0) / max(c1 - c0, 1.0)
-        for op in ops:
+        for op in self.ops:
             stream = self.streams[op.stream]
             attrs = {
                 "stream": stream.name,

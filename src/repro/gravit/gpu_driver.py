@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import enum
 import sys
-import warnings
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from typing import Literal, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from ..cudasim.launch import Device, LaunchResult
 from ..cudasim.lower import LoweredKernel
 from ..cudasim.memory import DevicePtr
 from ..cudasim.occupancy import occupancy
+from ..cudasim.stream import Event, Stream
 from ..cudasim.xfer import StagingBuffer, TilePlan, TransferPipeline, XferStats
 from .forces_cpu import direct_forces_f32_tiled
 from .gpu_kernels import (
@@ -68,33 +68,6 @@ __all__ = [
     "PCIE_BYTES_PER_S",
     "device_buffers",
 ]
-
-
-#: Simulation classes whose legacy kwarg constructor already warned this
-#: process — each warns exactly once, like compile_kernel's kwarg shim.
-_legacy_ctor_warned: set[str] = set()
-
-
-def _warn_legacy_ctor(cls_name: str, overrides: dict) -> None:
-    """One-per-process deprecation warning for kwarg-style constructors.
-
-    ``GpuSimulation(system, layout_kind="soa")`` and friends still work,
-    but the blessed spelling is the unified front door::
-
-        Simulation.create(SimulationConfig(layout="soa"), system)
-
-    (or passing an explicit :class:`GpuConfig`, which never warns).
-    """
-    if not overrides or cls_name in _legacy_ctor_warned:
-        return
-    _legacy_ctor_warned.add(cls_name)
-    warnings.warn(
-        f"{cls_name}(system, {', '.join(sorted(overrides))}=...) keyword "
-        "configuration is deprecated; build a repro.gravit.SimulationConfig "
-        "and call Simulation.create(config, system) (or pass a GpuConfig)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @contextmanager
@@ -452,7 +425,143 @@ class GpuForceBackend:
         return seconds
 
 
-class GpuSimulation:
+def _phases(dt: float, scheme: str) -> tuple[tuple[float, float, bool], ...]:
+    """``(kick_dt, drift_dt, drifts)`` per force + integrate phase of a step.
+
+    ``"euler"`` is one kick-and-drift phase; ``"leapfrog"`` is
+    kick-drift-kick: a half kick with the full drift, then a second force
+    evaluation and the closing half kick.  ``drifts`` marks the phases
+    that move positions, and still holds when ``dt`` is a placeholder.
+    """
+    if scheme == "euler":
+        return ((dt, dt, True),)
+    if scheme == "leapfrog":
+        return ((dt / 2.0, dt, True), (dt / 2.0, 0.0, False))
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
+class _EpochDriver:
+    """What the stepping drivers share: counters, graph cache, lifecycle.
+
+    A driver states its epoch once, as a function that issues stream ops
+    for a phase table (see :func:`_phases`) and tags each integrate launch
+    ``integrate<phase><suffix>``.  :meth:`_epoch` runs it: op-by-op (the
+    default, and the reference graph replay is tested against) on the
+    live streams with the real ``kick_dt``/``drift_dt``; with
+    ``use_graph=True`` it is captured once per graph name with ``0.0``
+    placeholders, and every epoch replays that capture with the real
+    values bound.
+
+    Streams and device buffers are registered as they are acquired, so
+    :meth:`close` releases each exactly once, and a constructor that fails
+    part-way releases what it had acquired before re-raising.
+    """
+
+    def __init__(self, use_graph: bool = False) -> None:
+        self.use_graph = bool(use_graph)
+        self.cycles_total = 0.0
+        self.steps_done = 0
+        self.graph_replays = 0
+        #: graph name -> (instantiated graph, what its capture returned).
+        self._graphs: dict[str, tuple[LaunchGraph, object]] = {}
+        self._owned = ExitStack()
+
+    # -- resources -----------------------------------------------------------
+
+    @contextmanager
+    def _acquiring(self):
+        """Constructor guard: a failure releases what was acquired so far."""
+        try:
+            yield
+        except BaseException:
+            self._owned.close()
+            raise
+
+    def _alloc(self, device: Device, nbytes: int) -> DevicePtr:
+        ptr = device.malloc(nbytes)
+        self._owned.callback(device.free, ptr)
+        return ptr
+
+    def _open_stream(self, device: Device, name: str) -> Stream:
+        stream = device.stream(name)
+        self._owned.callback(stream.close)
+        return stream
+
+    def close(self) -> None:
+        """Release graphs, streams and device buffers (idempotent)."""
+        self._graphs.clear()
+        self._owned.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    # -- stepping ------------------------------------------------------------
+
+    def _dt_params(self, kick_dt: float, drift_dt: float) -> dict:
+        """An integrate launch's time-step parameters."""
+        return {"kick_dt": kick_dt * self.config.g, "drift_dt": drift_dt}
+
+    def _epoch(
+        self,
+        name: str,
+        streams: Sequence[Stream],
+        issue: Callable,
+        phases: Sequence[tuple[float, float, bool]],
+        suffixes: Sequence[str] = ("",),
+        check: Callable | None = None,
+    ):
+        """Run ``issue(phases)`` on the live streams, or replay its capture.
+
+        In graph mode ``issue`` is captured on ``streams`` once, as graph
+        ``name``, with ``0.0`` placeholders; every call then replays the
+        capture with each ``integrate<p><suffix>`` tag bound to phase
+        ``p``'s ``kick_dt``/``drift_dt``, after ``check(graph, captured)``
+        has vetted it.  Returns what ``issue`` returned (at capture, in
+        graph mode).
+        """
+        if not self.use_graph:
+            return issue(phases)
+        entry = self._graphs.get(name)
+        if entry is None:
+            graph = LaunchGraph(name=name)
+            graph.begin(*streams)
+            try:
+                out = issue(tuple((0.0, 0.0, drifts) for *_, drifts in phases))
+                graph.end()
+            except BaseException:
+                graph.abort()
+                raise
+            entry = self._graphs[name] = (graph.instantiate(), out)
+        graph, out = entry
+        if check is not None:
+            check(graph, out)
+        for stream in streams:
+            stream.synchronize()  # a replay needs idle streams
+        graph.replay({
+            f"integrate{p}{suffix}": self._dt_params(kick_dt, drift_dt)
+            for p, (kick_dt, drift_dt, _) in enumerate(phases)
+            for suffix in suffixes
+        })
+        self.graph_replays += 1
+        return out
+
+    def _count_step(self, cycles: float, metric: str, scheme: str) -> float:
+        self.cycles_total += cycles
+        self.steps_done += 1
+        _telemetry.inc(metric, scheme=scheme)
+        return cycles
+
+    def run(self, steps: int, dt: float, scheme: str = "euler") -> float:
+        """Advance ``steps`` steps; returns total device cycles."""
+        if steps < 0:
+            raise ValueError("steps must be non-negative")
+        return sum((self.step(dt, scheme=scheme) for _ in range(steps)), 0.0)
+
+
+class GpuSimulation(_EpochDriver):
     """A fully device-resident Gravit run (cycle-simulated).
 
     Uploads the particle state once, then advances it with two kernel
@@ -464,10 +573,11 @@ class GpuSimulation:
 
     Intended for modest n (every step is a full cycle simulation).
 
-    ``use_graph=True`` captures the step's launch sequence into a
+    ``use_graph=True`` captures the step's launches (:meth:`_issue`, the
+    function op-by-op stepping runs) into a
     :class:`~repro.cudasim.graph.LaunchGraph` on first use (one graph
-    per integration scheme) and replays it on every subsequent step with
-    ``dt`` rebound — bit-identical results, near-zero host dispatch.
+    per integration scheme) and replays it every step with ``dt``
+    rebound — bit-identical results, near-zero host dispatch.
     """
 
     def __init__(
@@ -476,17 +586,10 @@ class GpuSimulation:
         config: GpuConfig | None = None,
         device: Device | None = None,
         use_graph: bool = False,
-        **config_overrides,
     ) -> None:
-        if config is not None and config_overrides:
-            raise ValueError("pass either a GpuConfig or keyword overrides")
-        _warn_legacy_ctor("GpuSimulation", config_overrides)
-        self.config = config or GpuConfig(**config_overrides)
+        super().__init__(use_graph)
+        self.config = config or GpuConfig()
         self.device = device or Device(toolchain=self.config.toolchain)
-        self.use_graph = bool(use_graph)
-        self.graph_replays = 0
-        self._graphs: dict[str, LaunchGraph] = {}
-        self._gstream = None
         self.n = system.n
         cfg = self.config
         padded = system.padded(cfg.block_size)
@@ -504,143 +607,64 @@ class GpuSimulation:
         )
         self._int_lk = self.device.compile(integrate_kernel)
 
-        self._buf = self.device.malloc(self.layout.size_bytes)
-        self.device.memcpy_htod(self._buf, padded.pack(self.layout))
-        self._forces = self.device.malloc(16 * self.n_pad)
-        self.cycles_total = 0.0
-        self.steps_done = 0
+        with self._acquiring():
+            self._buf = self._alloc(self.device, self.layout.size_bytes)
+            self.device.memcpy_htod(self._buf, padded.pack(self.layout))
+            self._forces = self._alloc(self.device, 16 * self.n_pad)
+            self._stream = self._open_stream(self.device, "gpu-step")
 
     def _params_for(self, plan: KernelPlan, fields) -> dict:
         return _step_params(self._buf, self.layout, plan, fields)
 
-    def _launch_forces(self, trace=None) -> float:
+    def _issue(self, phases, trace=None) -> None:
+        """Enqueue one step's launches on the step stream.
+
+        Per phase: the force kernel, then the integrate kernel tagged
+        ``integrate<p>``.  ``trace`` hooks the first force launch's
+        global accesses (a graph cannot capture it).
+        """
         cfg = self.config
         grid = self.n_pad // cfg.block_size
         fparams = self._params_for(self._force_plan, POSMASS_FIELDS)
         fparams.update(out=self._forces, nslices=grid, eps=cfg.eps)
-        return self.device.launch(
-            self._force_lk, grid=grid, block=cfg.block_size, params=fparams,
-            trace=trace,
-        ).cycles
-
-    def _launch_integrate(self, kick_dt: float, drift_dt: float) -> float:
-        cfg = self.config
-        grid = self.n_pad // cfg.block_size
-        iparams = self._params_for(self._int_plan, ALL_FIELDS)
-        iparams.update(
-            forces=self._forces, kick_dt=kick_dt * cfg.g, drift_dt=drift_dt
-        )
-        return self.device.launch(
-            self._int_lk, grid=grid, block=cfg.block_size, params=iparams
-        ).cycles
-
-    # -- graph-replay stepping ----------------------------------------------
-
-    def _capture_step(self, stream, scheme: str) -> None:
-        """Record one step's launches; integrates carry rebind tags."""
-        cfg = self.config
-        grid = self.n_pad // cfg.block_size
-
-        def force() -> None:
-            fparams = self._params_for(self._force_plan, POSMASS_FIELDS)
-            fparams.update(out=self._forces, nslices=grid, eps=cfg.eps)
-            stream.launch_async(
-                self._force_lk, grid, cfg.block_size, params=fparams
+        for p, (kick_dt, drift_dt, _) in enumerate(phases):
+            hook = {"trace": trace} if trace is not None and p == 0 else {}
+            self._stream.launch_async(
+                self._force_lk, grid, cfg.block_size, params=fparams, **hook
             )
-
-        def integrate(i: int) -> None:
             iparams = self._params_for(self._int_plan, ALL_FIELDS)
-            # dt placeholders; every replay rebinds before running.
-            iparams.update(forces=self._forces, kick_dt=0.0, drift_dt=0.0)
-            stream.launch_async(
-                self._int_lk, grid, cfg.block_size, params=iparams,
-                tag=f"integrate{i}",
+            iparams.update(
+                forces=self._forces, **self._dt_params(kick_dt, drift_dt)
             )
-
-        force()
-        integrate(0)
-        if scheme == "leapfrog":
-            force()
-            integrate(1)
-
-    def _graph_for(self, scheme: str) -> LaunchGraph:
-        graph = self._graphs.get(scheme)
-        if graph is None:
-            if self._gstream is None:
-                self._gstream = self.device.stream("graph")
-            graph = LaunchGraph(name=f"gpu-step-{scheme}")
-            graph.begin(self._gstream)
-            try:
-                self._capture_step(self._gstream, scheme)
-                graph.end()
-            except BaseException:
-                graph.abort()
-                raise
-            graph.instantiate()
-            self._graphs[scheme] = graph
-        return graph
-
-    def _step_binds(self, dt: float, scheme: str) -> dict:
-        cfg = self.config
-        if scheme == "euler":
-            return {"integrate0": {"kick_dt": dt * cfg.g, "drift_dt": dt}}
-        if scheme == "leapfrog":
-            return {
-                "integrate0": {"kick_dt": dt / 2.0 * cfg.g, "drift_dt": dt},
-                "integrate1": {"kick_dt": dt / 2.0 * cfg.g, "drift_dt": 0.0},
-            }
-        raise ValueError(f"unknown scheme {scheme!r}")
-
-    def _step_graph(self, dt: float, scheme: str) -> float:
-        binds = self._step_binds(dt, scheme)  # validates the scheme
-        graph = self._graph_for(scheme)
-        with _telemetry.span(
-            "gravit.gpu_step", scheme=scheme, n=self.n, graph=graph.name
-        ) as sp:
-            result = graph.replay(binds)
-            cycles = result.launch_cycles
-            sp.set(cycles=cycles)
-        self.graph_replays += 1
-        self.cycles_total += cycles
-        self.steps_done += 1
-        _telemetry.inc("gravit.gpu_steps", scheme=scheme)
-        return cycles
+            self._stream.launch_async(
+                self._int_lk, grid, cfg.block_size, params=iparams,
+                tag=f"integrate{p}",
+            )
 
     def step(self, dt: float, force_trace=None, scheme: str = "euler") -> float:
         """One integration step on the device; returns its cycle cost.
 
         ``scheme``: ``"euler"`` (one force + one kick-and-drift launch)
         or ``"leapfrog"`` (kick-drift-kick: two force evaluations).
+        A step with a ``force_trace`` hook runs op-by-op in either mode.
         """
-        if self.use_graph and force_trace is None:
-            return self._step_graph(dt, scheme)
+        phases = _phases(dt, scheme)
         with _telemetry.span(
             "gravit.gpu_step", scheme=scheme, n=self.n
         ) as sp:
-            if scheme == "euler":
-                cycles = self._launch_forces(trace=force_trace)
-                cycles += self._launch_integrate(dt, dt)
-            elif scheme == "leapfrog":
-                cycles = self._launch_forces(trace=force_trace)
-                cycles += self._launch_integrate(dt / 2.0, dt)  # kick + drift
-                cycles += self._launch_forces()
-                cycles += self._launch_integrate(dt / 2.0, 0.0)  # closing kick
+            begin = self._stream.cycles
+            if force_trace is None:
+                self._epoch(
+                    f"gpu-step-{scheme}", (self._stream,), self._issue, phases
+                )
             else:
-                raise ValueError(f"unknown scheme {scheme!r}")
+                self._issue(phases, trace=force_trace)
+            self._stream.synchronize()
+            # Only this step's launches moved the cursor, by integral
+            # cycle counts, so the delta is exactly their sum.
+            cycles = self._stream.cycles - begin
             sp.set(cycles=cycles)
-        self.cycles_total += cycles
-        self.steps_done += 1
-        _telemetry.inc("gravit.gpu_steps", scheme=scheme)
-        return cycles
-
-    def run(self, steps: int, dt: float, scheme: str = "euler") -> float:
-        """Advance ``steps`` steps; returns total device cycles."""
-        if steps < 0:
-            raise ValueError("steps must be non-negative")
-        total = 0.0
-        for _ in range(steps):
-            total += self.step(dt, scheme=scheme)
-        return total
+        return self._count_step(cycles, "gravit.gpu_steps", scheme)
 
     def download(self) -> ParticleSystem:
         """Copy the particle state back to the host (padding dropped)."""
@@ -657,25 +681,14 @@ class GpuSimulation:
         words = self.device.memcpy_dtoh(self._forces, 4 * self.n_pad)
         return words.reshape(-1, 4)[: self.n, :3].copy()
 
+    # Defined in this class body, not only inherited, so per-class
+    # wrappers (benchmarks/e2e/tracer.py) find it.
     def close(self) -> None:
-        if self._gstream is not None:
-            self._gstream.close()
-            self._gstream = None
-            self._graphs.clear()
-        for attr in ("_forces", "_buf"):
-            ptr = getattr(self, attr)
-            if ptr is not None:
-                self.device.free(ptr)
-                setattr(self, attr, None)
-
-    def __enter__(self) -> "GpuSimulation":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        """Close the step stream and free the device buffers (idempotent)."""
+        super().close()
 
 
-class OutOfCoreSimulation:
+class OutOfCoreSimulation(_EpochDriver):
     """Tiled Gravit run for populations larger than the device heap.
 
     The host keeps the packed layout image as the system of record; the
@@ -698,6 +711,10 @@ class OutOfCoreSimulation:
        image — double-buffered host-side too, so later slices still read
        pre-phase state.
 
+    Steps 1–3 up to the writeback are one slice's epoch
+    (:meth:`_slice`); graph mode captures one graph per slice.  The
+    writebacks stay op-by-op because the host consumes them this phase.
+
     Column tiles launch in increasing order with the in-core kernel's
     instruction sequence, so every float32 operation happens in the same
     order on the same values: results are **bit-identical** to
@@ -718,12 +735,9 @@ class OutOfCoreSimulation:
         device: Device | None = None,
         tile_rows: int | None = None,
         use_graph: bool = False,
-        **config_overrides,
     ) -> None:
-        if config is not None and config_overrides:
-            raise ValueError("pass either a GpuConfig or keyword overrides")
-        _warn_legacy_ctor("OutOfCoreSimulation", config_overrides)
-        self.config = config or GpuConfig(**config_overrides)
+        super().__init__(use_graph)
+        self.config = config or GpuConfig()
         cfg = self.config
         self.device = device or Device(toolchain=cfg.toolchain)
         self.n = system.n
@@ -738,24 +752,17 @@ class OutOfCoreSimulation:
             raise ValueError(f"tile_rows must be >= 1, got {tile_rows}")
         self.tile_rows = min(-(-tile_rows // k) * k, self.n_pad)
         self.degenerate = self.tile_rows >= self.n_pad
-        self.use_graph = bool(use_graph)
-        self.graph_replays = 0
-        #: Per-resident-slice upload+compute graphs (graph mode only);
-        #: keyed by rtile index, valued (graph, ev_int, captured ntiles,
-        #: the capture's transfer records).
-        self._graphs: dict[int, tuple] = {}
-        self.cycles_total = 0.0
-        self.steps_done = 0
         if self.degenerate:
             # Everything fits in one tile: the streaming machinery would
             # only re-derive the in-core schedule, so use it directly.
-            self._incore: GpuSimulation | None = GpuSimulation(
+            self._incore = GpuSimulation(
                 system, cfg, device=self.device, use_graph=use_graph
             )
+            self._owned.callback(self._incore.close)
             return
-        self._incore = None
 
-        #: Host system of record: the packed layout image (padded).
+        #: Host system of record: the packed layout image (padded).  It
+        #: is updated in place, because captured uploads alias it.
         self._image = padded.pack(self.layout)
         self._host_forces = np.zeros((self.n_pad, 4), dtype=np.float32)
 
@@ -767,26 +774,16 @@ class OutOfCoreSimulation:
         self._cb_names = column_param_names(self._psteps)
         self._isteps = self.layout.read_plan(ALL_FIELDS)
 
-        self._resident = None
-        self._forces = None
-        self._staging = None
-        self._copy = None
-        self._compute = None
-        try:
-            self._resident = self.device.malloc(self._rplan.slot_bytes)
-            self._forces = self.device.malloc(16 * self.tile_rows)
+        with self._acquiring():
+            self._resident = self._alloc(self.device, self._rplan.slot_bytes)
+            self._forces = self._alloc(self.device, 16 * self.tile_rows)
             self._staging = StagingBuffer(
                 self.device, self._cplan.slot_bytes, slots=2
             )
-            self._copy = self.device.stream("ooc-copy")
-            self._compute = self.device.stream("ooc-compute")
-        except Exception:
-            self.close()
-            raise
+            self._owned.callback(self._staging.free)
+            self._copy = self._open_stream(self.device, "ooc-copy")
+            self._compute = self._open_stream(self.device, "ooc-compute")
         self.stats = XferStats()
-        self._pipeline = TransferPipeline(
-            self._copy, self._compute, self._staging, self.stats
-        )
 
         integrate_kernel, self._int_plan = build_integrate_kernel(
             self.layout, block_size=k
@@ -808,7 +805,76 @@ class OutOfCoreSimulation:
             )
         return self._force_lks[key]
 
-    def _phase(self, kick_dt: float, drift_dt: float) -> float:
+    def _slice(
+        self, rtile, image, pipeline: TransferPipeline, phases
+    ) -> Event:
+        """Issue one resident slice's epoch; returns its integrate event.
+
+        Uploads the slice's full records, streams every column tile of
+        ``image`` through ``pipeline`` into the chained force kernel, then
+        integrates the slice in place with the one phase in ``phases``
+        (tagged ``integrate0``).  The resident upload and the tiles are
+        recorded into ``pipeline.stats``.
+        """
+        k = self.config.block_size
+        grid = rtile.rows // k
+        ev_a = self._copy.record_event()
+        res_bytes = 0
+        for soff, words in self._rplan.host_views(rtile, image):
+            self._copy.memcpy_htod_async(
+                self._resident.slice(soff, 4 * words.size), words
+            )
+            res_bytes += 4 * words.size
+        ev_res = self._copy.record_event()
+        pipeline.stats.add_copy("resident", res_bytes, ev_a, ev_res)
+        self._compute.wait_event(ev_res)
+        # Fresh exposure reference: time the compute stream spent on the
+        # previous slice's integrate (or waiting for this upload) is not
+        # the prefetcher's failure.
+        pipeline.mark()
+
+        pb_params = {
+            name: self._resident.slice(soff, extent)
+            for name, (soff, extent) in zip(
+                self._pb_names,
+                self._rplan.step_offsets(rtile, POSMASS_FIELDS),
+            )
+        }
+        ntiles = len(self._cplan)
+        for ctile in self._cplan:
+            pipeline.stage(
+                self._make_upload(ctile, image),
+                self._make_compute(ctile, ntiles, grid, pb_params),
+            )
+
+        (kick_dt, drift_dt, _), = phases
+        iparams = {
+            name: self._resident.slice(soff, extent)
+            for name, (soff, extent) in zip(
+                self._int_plan.param_for_step,
+                self._rplan.step_offsets(rtile, ALL_FIELDS),
+            )
+        }
+        iparams.update(
+            forces=self._forces, **self._dt_params(kick_dt, drift_dt)
+        )
+        self._compute.launch_async(
+            self._int_lk, grid, k, params=iparams, tag="integrate0"
+        )
+        return self._compute.record_event()
+
+    def _check_tiles(self, graph: LaunchGraph, captured) -> None:
+        """Refuse a slice graph whose capture baked in another tile count."""
+        _, stats = captured
+        if len(stats.tiles) != len(self._cplan):
+            raise GraphError(
+                f"graph {graph.name!r} captured {len(stats.tiles)} column "
+                f"tiles but the plan now has {len(self._cplan)}; the capture "
+                "no longer matches the tile schedule — re-create the "
+                "simulation (or drop its graphs) after resizing"
+            )
+
+    def _phase(self, phase) -> float:
         """One force evaluation + one integration over every row.
 
         Forces for *all* rows are computed from the pre-phase image
@@ -816,207 +882,31 @@ class OutOfCoreSimulation:
         second host image), matching the in-core driver's force-then-
         integrate launch order exactly.
         """
-        cfg = self.config
-        k = cfg.block_size
         image = self._image
         next_image = image.copy()
         copy0, compute0 = self._copy.cycles, self._compute.cycles
-        ntiles = len(self._cplan)
-        inflight = []
+        streams = (self._copy, self._compute)
+        inflight, recorded = [], []
         for rtile in self._rplan:
-            grid = rtile.rows // k
-
-            # 1. resident slice up (full records, merged regions).
-            ev_a = self._copy.record_event()
-            res_bytes = 0
-            for soff, words in self._rplan.host_views(rtile, image):
-                self._copy.memcpy_htod_async(
-                    self._resident.slice(soff, 4 * words.size), words
+            # A fresh pipeline per slice, so a capture's slot gates never
+            # wait on another capture's events.  The cross-slice gates it
+            # drops are cycle-neutral: the writeback below already waits
+            # for the slice's integrate, which follows every tile.
+            def issue(phases, rtile=rtile):
+                pipeline = TransferPipeline(
+                    self._copy, self._compute, self._staging,
+                    XferStats(counted=False),
                 )
-                res_bytes += 4 * words.size
-            ev_res = self._copy.record_event()
-            self.stats.add_copy("resident", res_bytes, ev_a, ev_res)
-            self._compute.wait_event(ev_res)
-            # Fresh exposure reference: time the compute stream spent on
-            # the previous slice's integrate (or waiting for this upload)
-            # is not the prefetcher's failure.
-            self._pipeline.mark()
-
-            pb_params = {
-                name: self._resident.slice(soff, extent)
-                for name, (soff, extent) in zip(
-                    self._pb_names,
-                    self._rplan.step_offsets(rtile, POSMASS_FIELDS),
-                )
-            }
-
-            # 2. stream every column tile, prefetch overlapped.
-            for ctile in self._cplan:
-                self._pipeline.stage(
-                    self._make_upload(ctile, image),
-                    self._make_compute(ctile, ntiles, grid, pb_params),
+                return (
+                    self._slice(rtile, image, pipeline, phases),
+                    pipeline.stats,
                 )
 
-            # 3. integrate the resident slice in place, then write back.
-            iparams = {
-                name: self._resident.slice(soff, extent)
-                for name, (soff, extent) in zip(
-                    self._int_plan.param_for_step,
-                    self._rplan.step_offsets(rtile, ALL_FIELDS),
-                )
-            }
-            iparams.update(
-                forces=self._forces,
-                kick_dt=kick_dt * cfg.g,
-                drift_dt=drift_dt,
+            ev_int, stats = self._epoch(
+                f"ooc-slice{rtile.index}", streams, issue, (phase,),
+                check=self._check_tiles,
             )
-            self._compute.launch_async(
-                self._int_lk, grid, k, params=iparams
-            )
-            ev_int = self._compute.record_event()
-            self._copy.wait_event(ev_int)
-            wb_a = self._copy.record_event()
-            region_futs = [
-                (offset, nbytes,
-                 self._copy.memcpy_dtoh_async(
-                     self._resident.slice(soff, nbytes), nbytes // 4
-                 ))
-                for offset, nbytes, soff in rtile.regions
-            ]
-            force_fut = self._copy.memcpy_dtoh_async(
-                self._forces, 4 * rtile.rows
-            )
-            wb_b = self._copy.record_event()
-            self.stats.add_copy(
-                "writeback",
-                sum(nb for _, nb, _ in rtile.regions) + 16 * rtile.rows,
-                wb_a,
-                wb_b,
-            )
-            inflight.append((rtile, region_futs, force_fut))
-
-        self._pipeline.synchronize()
-        for rtile, region_futs, force_fut in inflight:
-            for offset, nbytes, fut in region_futs:
-                next_image[offset // 4 : (offset + nbytes) // 4] = fut.result()
-            self._host_forces[rtile.lo : rtile.hi] = (
-                force_fut.result().reshape(-1, 4)
-            )
-        self._image = next_image
-        return max(
-            self._copy.cycles - copy0, self._compute.cycles - compute0
-        )
-
-    def _capture_rtile(self, rtile, grid, ntiles, image):
-        """Capture one resident slice's upload + tile-stream + integrate.
-
-        Returns ``(graph, ev_int, ntiles, captured)``: the instantiated
-        graph, the integrate-done event the op-by-op writeback gates on
-        (it re-fires with fresh cycles every replay), the column-tile
-        count baked into the capture, and the capture's resident-upload
-        and tile records (an uncounted :class:`XferStats`, added to
-        :attr:`stats` once per drained replay).  Uses a *fresh*
-        :class:`TransferPipeline` so slot gates never reference another
-        capture's events; the cross-slice gates they replace are
-        cycle-neutral (the integrate wait already orders slot reuse).
-        The captured host→device views alias
-        ``image`` — :meth:`_phase_graph` updates that buffer in place so
-        replays always read the current pre-phase state.
-        """
-        cfg = self.config
-        k = cfg.block_size
-        graph = LaunchGraph(name=f"ooc-slice{rtile.index}")
-        captured = XferStats(counted=False)
-        graph.begin(self._copy, self._compute)
-        try:
-            pipeline = TransferPipeline(
-                self._copy, self._compute, self._staging, captured
-            )
-            ev_a = self._copy.record_event()
-            res_bytes = 0
-            for soff, words in self._rplan.host_views(rtile, image):
-                self._copy.memcpy_htod_async(
-                    self._resident.slice(soff, 4 * words.size), words
-                )
-                res_bytes += 4 * words.size
-            ev_res = self._copy.record_event()
-            captured.add_copy("resident", res_bytes, ev_a, ev_res)
-            self._compute.wait_event(ev_res)
-            pipeline.mark()
-
-            pb_params = {
-                name: self._resident.slice(soff, extent)
-                for name, (soff, extent) in zip(
-                    self._pb_names,
-                    self._rplan.step_offsets(rtile, POSMASS_FIELDS),
-                )
-            }
-            for ctile in self._cplan:
-                pipeline.stage(
-                    self._make_upload(ctile, image),
-                    self._make_compute(ctile, ntiles, grid, pb_params),
-                )
-
-            iparams = {
-                name: self._resident.slice(soff, extent)
-                for name, (soff, extent) in zip(
-                    self._int_plan.param_for_step,
-                    self._rplan.step_offsets(rtile, ALL_FIELDS),
-                )
-            }
-            iparams.update(forces=self._forces, kick_dt=0.0, drift_dt=0.0)
-            self._compute.launch_async(
-                self._int_lk, grid, k, params=iparams, tag="integrate"
-            )
-            ev_int = self._compute.record_event()
-            graph.end()
-        except BaseException:
-            graph.abort()
-            raise
-        graph.instantiate()
-        return graph, ev_int, ntiles, captured
-
-    def _phase_graph(self, kick_dt: float, drift_dt: float) -> float:
-        """Graph-mode :meth:`_phase`: replay per-slice captured graphs.
-
-        The device→host writebacks stay op-by-op (the host consumes
-        their results this phase); everything upstream of the integrate
-        event replays from the slice's captured graph.  Bit-identical to
-        :meth:`_phase` — same op order on both streams, same cursor
-        arithmetic — with host dispatch collapsed to one replay call per
-        resident slice.
-        """
-        cfg = self.config
-        k = cfg.block_size
-        image = self._image
-        next_image = image.copy()
-        copy0, compute0 = self._copy.cycles, self._compute.cycles
-        ntiles = len(self._cplan)
-        binds = {
-            "integrate": {"kick_dt": kick_dt * cfg.g, "drift_dt": drift_dt}
-        }
-        inflight = []
-        for rtile in self._rplan:
-            grid = rtile.rows // k
-            entry = self._graphs.get(rtile.index)
-            if entry is None:
-                entry = self._capture_rtile(rtile, grid, ntiles, image)
-                self._graphs[rtile.index] = entry
-            graph, ev_int, cap_ntiles, _ = entry
-            if cap_ntiles != ntiles:
-                raise GraphError(
-                    f"graph {graph.name!r} captured {cap_ntiles} column "
-                    f"tiles but the plan now has {ntiles}; the capture "
-                    "no longer matches the tile schedule — re-create the "
-                    "simulation (or drop its graphs) after resizing"
-                )
-            # Replay advances the cursors inline, so the previous
-            # slice's writebacks must be fully drained first (they read
-            # the resident slab this replay overwrites).
-            self._copy.synchronize()
-            self._compute.synchronize()
-            graph.replay(binds)
-            self.graph_replays += 1
+            recorded.append(stats)
 
             self._copy.wait_event(ev_int)
             wb_a = self._copy.record_event()
@@ -1041,17 +931,15 @@ class OutOfCoreSimulation:
 
         self._copy.synchronize()
         self._compute.synchronize()
-        # Drained: every replayed slice's events hold this phase's cycles.
-        for rtile in self._rplan:
-            self.stats.add_replay(self._graphs[rtile.index][3])
+        # Drained: every slice's events hold this phase's cycles.
+        for stats in recorded:
+            self.stats.add_replay(stats)
         for rtile, region_futs, force_fut in inflight:
             for offset, nbytes, fut in region_futs:
                 next_image[offset // 4 : (offset + nbytes) // 4] = fut.result()
             self._host_forces[rtile.lo : rtile.hi] = (
                 force_fut.result().reshape(-1, 4)
             )
-        # In place, NOT a rebind: the captured upload views alias this
-        # buffer, so replays keep reading the current pre-phase state.
         image[:] = next_image
         return max(
             self._copy.cycles - copy0, self._compute.cycles - compute0
@@ -1094,103 +982,78 @@ class OutOfCoreSimulation:
 
     def step(self, dt: float, scheme: str = "euler") -> float:
         """One integration step, streamed; returns its cycle cost."""
-        if self._incore is not None:
+        if self.degenerate:
             cycles = self._incore.step(dt, scheme=scheme)
             self.cycles_total = self._incore.cycles_total
             self.steps_done = self._incore.steps_done
             self.graph_replays = self._incore.graph_replays
             return cycles
-        phase = self._phase_graph if self.use_graph else self._phase
+        phases = _phases(dt, scheme)
         with _telemetry.span(
             "gravit.ooc_step", scheme=scheme, n=self.n,
             tile_rows=self.tile_rows,
         ) as sp:
-            if scheme == "euler":
-                cycles = phase(dt, dt)
-            elif scheme == "leapfrog":
-                cycles = phase(dt / 2.0, dt)  # kick + drift
-                cycles += phase(dt / 2.0, 0.0)  # closing kick
-            else:
-                raise ValueError(f"unknown scheme {scheme!r}")
+            cycles = sum(self._phase(phase) for phase in phases)
             sp.set(cycles=cycles)
-        self.cycles_total += cycles
-        self.steps_done += 1
-        _telemetry.inc("gravit.ooc_steps", scheme=scheme)
-        return cycles
-
-    def run(self, steps: int, dt: float, scheme: str = "euler") -> float:
-        """Advance ``steps`` steps; returns total device cycles."""
-        if steps < 0:
-            raise ValueError("steps must be non-negative")
-        total = 0.0
-        for _ in range(steps):
-            total += self.step(dt, scheme=scheme)
-        return total
+        return self._count_step(cycles, "gravit.ooc_steps", scheme)
 
     def download(self) -> ParticleSystem:
         """The current particle state (padding dropped) — no device I/O:
         the host image *is* the system of record."""
-        if self._incore is not None:
+        if self.degenerate:
             return self._incore.download()
         return ParticleSystem.unpack(self.layout, self._image).take(self.n)
 
     def download_forces(self) -> np.ndarray:
         """Raw float32 ``(n, 3)`` forces of the last evaluation, matching
         :meth:`GpuSimulation.download_forces` word for word."""
-        if self._incore is not None:
+        if self.degenerate:
             return self._incore.download_forces()
         return self._host_forces[: self.n, :3].copy()
 
     def xfer_summary(self) -> dict:
         """Transfer-pipeline accounting (see :class:`XferStats.summary`);
         empty when degenerate (no streaming happened)."""
-        if self._incore is not None:
+        if self.degenerate:
             return {}
         return self.stats.summary()
 
+    # Defined in this class body, not only inherited, so per-class
+    # wrappers (benchmarks/e2e/tracer.py) find it.
     def close(self) -> None:
-        if self._incore is not None:
-            self._incore.close()
-            self._incore = None
-            return
-        for stream in (self._compute, self._copy):
-            if stream is not None:
-                stream.close()
-        self._compute = self._copy = None
-        if self._staging is not None:
-            self._staging.free()
-            self._staging = None
-        for attr in ("_forces", "_resident"):
-            ptr = getattr(self, attr)
-            if ptr is not None:
-                self.device.free(ptr)
-                setattr(self, attr, None)
-
-    def __enter__(self) -> "OutOfCoreSimulation":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        """Close the streams and free the slab, staging slots and forces
+        (or the in-core delegate); idempotent."""
+        super().close()
 
 
-class ShardedGpuSimulation:
+def _slowest(phase_spans) -> float:
+    """Sum over phases of the slowest ``(begin, end)`` event span."""
+    return sum(
+        (max(end.cycle - begin.cycle for begin, end in spans)
+         for spans in phase_spans),
+        0.0,
+    )
+
+
+class ShardedGpuSimulation(_EpochDriver):
     """:class:`GpuSimulation` row-block-sharded over a :class:`DeviceGroup`.
 
     The multi-GPU decomposition of the O(n²) far-field kernel (the
     row-block scheme of Belleman et al.'s multi-card ports): each of the
     ``M`` devices holds a *full replica* of the particle layout plus a
     full-size force buffer, and computes forces for its contiguous slice
-    of particle rows over **all** ``n`` column particles.  Per step:
+    of particle rows over **all** ``n`` column particles.  Per phase:
 
     1. every shard launches the force + integration kernels for its rows
        on its own stream (asynchronously, so shards overlap);
-    2. the host synchronizes, then each owner broadcasts the *posmass*
-       regions of its rows to every peer replica
+    2. once every shard's kernels have run, each owner broadcasts the
+       *posmass* regions of its rows to every peer replica
        (:meth:`Stream.memcpy_peer_async`, PCIe-costed; host-staged when
        the group lacks peer access) — velocities stay owner-local, the
        access-frequency grouping argument again;
     3. the step's modeled cost is the slowest shard's compute time plus
-       the slowest owner's broadcast time.
+       the slowest owner's broadcast time, read from events recorded on
+       each shard stream.
 
     Row slicing enters the kernels as a single integer ``row0`` offset on
     the thread index (``row_offset=True`` kernel variants), so the
@@ -1217,12 +1080,9 @@ class ShardedGpuSimulation:
         fastpath: bool | int | None = None,
         peer_access: bool = True,
         use_graph: bool = False,
-        **config_overrides,
     ) -> None:
-        if config is not None and config_overrides:
-            raise ValueError("pass either a GpuConfig or keyword overrides")
-        _warn_legacy_ctor("ShardedGpuSimulation", config_overrides)
-        self.config = config or GpuConfig(**config_overrides)
+        super().__init__(use_graph)
+        self.config = config or GpuConfig()
         cfg = self.config
         self.group = group or DeviceGroup(
             num_devices,
@@ -1265,213 +1125,136 @@ class ShardedGpuSimulation:
         self._int_lks = [dev.compile(integrate_kernel) for dev in self.group]
 
         packed = padded.pack(self.layout)
-        self._bufs = [dev.malloc(self.layout.size_bytes) for dev in self.group]
-        self._forces = [dev.malloc(16 * self.n_pad) for dev in self.group]
-        for dev, buf in zip(self.group, self._bufs):
-            dev.memcpy_htod(buf, packed)
-        self._streams = [
-            dev.stream(f"shard{d}") for d, dev in enumerate(self.group)
-        ]
+        with self._acquiring():
+            self._bufs = [
+                self._alloc(dev, self.layout.size_bytes) for dev in self.group
+            ]
+            self._forces = [
+                self._alloc(dev, 16 * self.n_pad) for dev in self.group
+            ]
+            for dev, buf in zip(self.group, self._bufs):
+                dev.memcpy_htod(buf, packed)
+            self._streams = [
+                self._open_stream(dev, f"shard{d}")
+                for d, dev in enumerate(self.group)
+            ]
         #: Merged posmass byte regions per owner — what a broadcast ships.
         self._regions = [
             self.layout.row_regions(r0, r1, POSMASS_FIELDS) if r0 < r1 else ()
             for r0, r1 in self._row_ranges
         ]
 
-        self.cycles_total = 0.0
         self.compute_cycles_total = 0.0
         self.copy_cycles_total = 0.0
         self.copy_bytes_total = 0
-        self.steps_done = 0
-        self.use_graph = bool(use_graph)
-        self.graph_replays = 0
-        self._graphs: dict[str, LaunchGraph] = {}
-        #: Broadcast bytes one replay of each scheme's graph ships.
-        self._graph_copy_bytes: dict[str, int] = {}
 
     @property
     def row_ranges(self) -> tuple[tuple[int, int], ...]:
         """Per-device owned particle-row ranges ``[lo, hi)``."""
         return tuple(self._row_ranges)
 
-    # -- per-shard launches --------------------------------------------------
-
-    def _shard_params(self, d: int, plan: KernelPlan, fields) -> dict:
-        return _step_params(self._bufs[d], self.layout, plan, fields)
-
-    def _launch_forces(self, d: int) -> None:
-        cfg = self.config
-        r0, r1 = self._row_ranges[d]
-        grid = (r1 - r0) // cfg.block_size
-        params = self._shard_params(d, self._force_plan, POSMASS_FIELDS)
-        params.update(
-            out=self._forces[d],
-            nslices=self.n_pad // cfg.block_size,
-            eps=cfg.eps,
-            row0=r0,
-        )
-        self._streams[d].launch_async(
-            self._force_lks[d], grid=grid, block=cfg.block_size, params=params
-        )
-
-    def _launch_integrate(
-        self, d: int, kick_dt: float, drift_dt: float,
-        tag: str | None = None,
-    ) -> None:
-        cfg = self.config
-        r0, r1 = self._row_ranges[d]
-        grid = (r1 - r0) // cfg.block_size
-        params = self._shard_params(d, self._int_plan, ALL_FIELDS)
-        params.update(
-            forces=self._forces[d],
-            kick_dt=kick_dt * cfg.g,
-            drift_dt=drift_dt,
-            row0=r0,
-        )
-        self._streams[d].launch_async(
-            self._int_lks[d], grid=grid, block=cfg.block_size, params=params,
-            tag=tag,
-        )
-
     def _active(self) -> list[int]:
         return [
             d for d, (r0, r1) in enumerate(self._row_ranges) if r0 < r1
         ]
 
-    def _sync_delta(self, start: list[float]) -> float:
-        """Synchronize all shard streams; max per-stream cycle advance."""
-        for s in self._streams:
-            s.synchronize()
-        return max(
-            (s.cycles - c0 for s, c0 in zip(self._streams, start)),
-            default=0.0,
+    def _launch(self, d: int, p: int, kick_dt: float, drift_dt: float):
+        """Enqueue shard ``d``'s force + integrate launches of phase ``p``."""
+        cfg = self.config
+        r0, r1 = self._row_ranges[d]
+        grid = (r1 - r0) // cfg.block_size
+        stream, buf = self._streams[d], self._bufs[d]
+        fparams = _step_params(
+            buf, self.layout, self._force_plan, POSMASS_FIELDS
+        )
+        fparams.update(
+            out=self._forces[d],
+            nslices=self.n_pad // cfg.block_size,
+            eps=cfg.eps,
+            row0=r0,
+        )
+        stream.launch_async(
+            self._force_lks[d], grid=grid, block=cfg.block_size,
+            params=fparams,
+        )
+        iparams = _step_params(buf, self.layout, self._int_plan, ALL_FIELDS)
+        iparams.update(
+            forces=self._forces[d], row0=r0,
+            **self._dt_params(kick_dt, drift_dt),
+        )
+        stream.launch_async(
+            self._int_lks[d], grid=grid, block=cfg.block_size,
+            params=iparams, tag=f"integrate{p}.{d}",
         )
 
-    def _issue_exchange(self) -> int:
-        """Enqueue every owner's posmass broadcast; returns bytes shipped.
+    def _broadcast(self, d: int) -> int:
+        """Enqueue owner ``d``'s posmass copies to its peers; returns bytes.
 
-        Copies are issued on the owner's stream, so different owners'
-        broadcasts overlap.  Shared between the op-by-op step and graph
-        capture — the captured op sequence is this exact one.
+        The copies go on the owner's stream, so different owners'
+        broadcasts overlap.
         """
-        via_host = self.group.via_host
         total = 0
-        for d in self._active():
-            stream = self._streams[d]
-            for e, peer in enumerate(self.group):
-                if e == d:
-                    continue
-                for offset, nbytes in self._regions[d]:
-                    stream.memcpy_peer_async(
-                        self._bufs[d].slice(offset, nbytes),
-                        peer,
-                        self._bufs[e].slice(offset, nbytes),
-                        nbytes // 4,
-                        via_host=via_host,
-                    )
-                    total += nbytes
+        for e, peer in enumerate(self.group):
+            if e == d:
+                continue
+            for offset, nbytes in self._regions[d]:
+                self._streams[d].memcpy_peer_async(
+                    self._bufs[d].slice(offset, nbytes),
+                    peer,
+                    self._bufs[e].slice(offset, nbytes),
+                    nbytes // 4,
+                    via_host=self.group.via_host,
+                )
+                total += nbytes
         return total
 
-    def _exchange_posmass(self) -> float:
-        """Broadcast every owner's posmass rows to all peer replicas.
+    def _issue(self, phases):
+        """Enqueue one step on the shard streams; returns its accounting.
 
-        Returns the modeled copy cycles added this exchange (the slowest
-        owner's makespan).
+        Per phase, every shard that owns rows launches force + integrate
+        (tagged ``integrate<p>.<d>``); after a drifting phase each owner
+        broadcasts its posmass rows to every peer replica.  Events order
+        the broadcasts without a host synchronize: an owner's copies wait
+        until every peer's kernels of the phase have run (a peer's force
+        kernel reads the pre-broadcast positions), and the next phase's
+        launches wait until every broadcast into their replica landed.
+
+        Returns ``(compute, copy, copy_bytes)``: per phase, the
+        ``(begin, end)`` events bracketing each shard's kernels, and per
+        broadcast, those bracketing each owner's copies; then the bytes
+        broadcast.
         """
-        if self.num_devices == 1:
-            return 0.0
-        start = [s.cycles for s in self._streams]
-        self.copy_bytes_total += self._issue_exchange()
-        return self._sync_delta(start)
-
-    # -- graph-replay stepping ----------------------------------------------
-
-    @staticmethod
-    def _phases(dt: float, scheme: str) -> list[tuple[float, float, bool]]:
-        """``(kick_dt, drift_dt, drifts)`` per launch phase of ``scheme``."""
-        if scheme == "euler":
-            return [(dt, dt, True)]
-        if scheme == "leapfrog":
-            return [(dt / 2.0, dt, True), (dt / 2.0, 0.0, False)]
-        raise ValueError(f"unknown scheme {scheme!r}")
-
-    def _graph_for(self, scheme: str) -> LaunchGraph:
-        """Capture (once per scheme) the whole step across all shards.
-
-        Marker pairs bracket each phase's compute and broadcast spans so
-        a replay yields the same compute/copy split the op-by-op path
-        derives from its host-sync deltas.  ``kick_dt``/``drift_dt`` are
-        captured as placeholders; every replay rebinds them.
-        """
-        graph = self._graphs.get(scheme)
-        if graph is None:
-            graph = LaunchGraph(name=f"sharded-step-{scheme}")
-            graph.begin(*self._streams)
-            try:
-                copy_bytes = 0
-                for p, (_, _, drifts) in enumerate(self._phases(0.0, scheme)):
-                    graph.marker(f"p{p}.start")
-                    for d in self._active():
-                        self._launch_forces(d)
-                        self._launch_integrate(d, 0.0, 0.0, tag=f"int{p}.{d}")
-                    graph.marker(f"p{p}.compute")
-                    if drifts and self.num_devices > 1:
-                        copy_bytes += self._issue_exchange()
-                    graph.marker(f"p{p}.copy")
-                graph.end()
-            except BaseException:
-                graph.abort()
-                raise
-            graph.instantiate()
-            self._graphs[scheme] = graph
-            self._graph_copy_bytes[scheme] = copy_bytes
-        return graph
-
-    def _step_binds(self, dt: float, scheme: str) -> dict:
-        cfg = self.config
-        binds = {}
-        for p, (kick_dt, drift_dt, _) in enumerate(self._phases(dt, scheme)):
-            for d in self._active():
-                binds[f"int{p}.{d}"] = {
-                    "kick_dt": kick_dt * cfg.g, "drift_dt": drift_dt,
-                }
-        return binds
-
-    def _step_graph(self, dt: float, scheme: str) -> float:
-        binds = self._step_binds(dt, scheme)  # validates the scheme
-        graph = self._graph_for(scheme)
-        with _telemetry.span(
-            "gravit.sharded_step",
-            scheme=scheme,
-            n=self.n,
-            devices=self.num_devices,
-            graph=graph.name,
-        ) as sp:
-            result = graph.replay(binds)
-            compute = 0.0
-            copy = 0.0
-            for p in range(len(self._phases(dt, scheme))):
-                m0 = result.markers[f"p{p}.start"]
-                m1 = result.markers[f"p{p}.compute"]
-                m2 = result.markers[f"p{p}.copy"]
-                compute += max(
-                    (b - a for a, b in zip(m0, m1)), default=0.0
-                )
-                copy += max(
-                    (b - a for a, b in zip(m1, m2)), default=0.0
-                )
-            cycles = compute + copy
-            sp.set(cycles=cycles, copy_cycles=copy)
-        self.graph_replays += 1
-        self.copy_bytes_total += self._graph_copy_bytes[scheme]
-        self.compute_cycles_total += compute
-        self.copy_cycles_total += copy
-        self.cycles_total += cycles
-        self.steps_done += 1
-        _telemetry.inc("gravit.sharded_steps", scheme=scheme)
-        return cycles
-
-    # -- stepping ------------------------------------------------------------
+        active = self._active()
+        compute, copy, copy_bytes = [], [], 0
+        landed: dict[int, Event] = {}
+        for p, (kick_dt, drift_dt, drifts) in enumerate(phases):
+            ran: dict[int, Event] = {}
+            spans = []
+            for d in active:
+                stream = self._streams[d]
+                for e, event in landed.items():
+                    if e != d:
+                        stream.wait_event(event)
+                begin = stream.record_event()
+                self._launch(d, p, kick_dt, drift_dt)
+                ran[d] = stream.record_event()
+                spans.append((begin, ran[d]))
+            compute.append(spans)
+            landed = {}
+            if not drifts or self.num_devices == 1:
+                continue
+            spans = []
+            for d in active:
+                stream = self._streams[d]
+                for e, event in ran.items():
+                    if e != d:
+                        stream.wait_event(event)
+                begin = stream.record_event()
+                copy_bytes += self._broadcast(d)
+                landed[d] = stream.record_event()
+                spans.append((begin, landed[d]))
+            copy.append(spans)
+        return compute, copy, copy_bytes
 
     def step(self, dt: float, scheme: str = "euler") -> float:
         """One sharded step; returns its modeled cycle cost.
@@ -1480,42 +1263,26 @@ class ShardedGpuSimulation:
         follows every launch phase whose integration drifts positions
         (the leapfrog closing kick has ``drift_dt=0``, so it needs none).
         """
-        if self.use_graph:
-            return self._step_graph(dt, scheme)
+        phases = _phases(dt, scheme)
         with _telemetry.span(
             "gravit.sharded_step",
             scheme=scheme,
             n=self.n,
             devices=self.num_devices,
         ) as sp:
-            phases = self._phases(dt, scheme)
-            compute = 0.0
-            copy = 0.0
-            for kick_dt, drift_dt, drifts in phases:
-                start = [s.cycles for s in self._streams]
-                for d in self._active():
-                    self._launch_forces(d)
-                    self._launch_integrate(d, kick_dt, drift_dt)
-                compute += self._sync_delta(start)
-                if drifts:
-                    copy += self._exchange_posmass()
+            compute, copy, copy_bytes = self._epoch(
+                f"sharded-step-{scheme}", self._streams, self._issue, phases,
+                suffixes=[f".{d}" for d in self._active()],
+            )
+            for stream in self._streams:
+                stream.synchronize()
+            compute, copy = _slowest(compute), _slowest(copy)
             cycles = compute + copy
             sp.set(cycles=cycles, copy_cycles=copy)
         self.compute_cycles_total += compute
         self.copy_cycles_total += copy
-        self.cycles_total += cycles
-        self.steps_done += 1
-        _telemetry.inc("gravit.sharded_steps", scheme=scheme)
-        return cycles
-
-    def run(self, steps: int, dt: float, scheme: str = "euler") -> float:
-        """Advance ``steps`` steps; returns total modeled cycles."""
-        if steps < 0:
-            raise ValueError("steps must be non-negative")
-        total = 0.0
-        for _ in range(steps):
-            total += self.step(dt, scheme=scheme)
-        return total
+        self.copy_bytes_total += copy_bytes
+        return self._count_step(cycles, "gravit.sharded_steps", scheme)
 
     # -- state ---------------------------------------------------------------
 
@@ -1547,24 +1314,8 @@ class ShardedGpuSimulation:
             out[r0:r1] = words.reshape(-1, 4)[r0:r1]
         return out[: self.n, :3].copy()
 
-    def close(self) -> None:
-        self._graphs.clear()
-        for stream in self._streams:
-            stream.close()
-        self._streams = []
-        for dev, buf, forces in zip(self.group, self._bufs, self._forces):
-            dev.free(forces)
-            dev.free(buf)
-        self._bufs, self._forces = [], []
 
-    def __enter__(self) -> "ShardedGpuSimulation":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class PooledSimulation:
+class PooledSimulation(_EpochDriver):
     """Device-resident run over a *dynamic* particle population.
 
     The :class:`~repro.cudasim.alloc.BlockPool` is the system of record:
@@ -1586,25 +1337,20 @@ class PooledSimulation:
         device: Device,
         config: GpuConfig | None = None,
         handles=None,
-        **config_overrides,
     ) -> None:
         if getattr(device, "gmem", None) is not pool.memory:
             raise ValueError(
                 "device must own the pool's heap "
                 "(expected device.gmem is pool.memory)"
             )
-        if config is not None and config_overrides:
-            raise ValueError("pass either a GpuConfig or keyword overrides")
-        _warn_legacy_ctor("PooledSimulation", config_overrides)
-        self.config = config or GpuConfig(**config_overrides)
+        super().__init__()
+        self.config = config or GpuConfig()
         self.pool = pool
         self.device = device
         self.handles = (
             list(handles) if handles is not None else pool.live_handles()
         )
         self._sim: GpuSimulation | None = None
-        self.cycles_total = 0.0
-        self.steps_done = 0
 
     @property
     def n(self) -> int:
@@ -1657,14 +1403,6 @@ class PooledSimulation:
         self.steps_done += 1
         return cycles
 
-    def run(self, steps: int, dt: float, scheme: str = "euler") -> float:
-        if steps < 0:
-            raise ValueError("steps must be non-negative")
-        total = 0.0
-        for _ in range(steps):
-            total += self.step(dt, scheme=scheme)
-        return total
-
     # -- state -------------------------------------------------------------
 
     def state(self) -> ParticleSystem:
@@ -1681,9 +1419,3 @@ class PooledSimulation:
     def close(self) -> None:
         """Flush to the pool and release staging buffers (pool survives)."""
         self._flush()
-
-    def __enter__(self) -> "PooledSimulation":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -19,11 +19,6 @@ module collapses them behind:
   CLI, the tests and the multi-tenant service all drive the exact same
   surface.  Results are bit-identical to constructing the drivers
   directly: the config only *carries* the knobs, it never changes them.
-
-The legacy kwarg constructors (``GpuSimulation(system, layout_kind=...)``
-etc.) keep working behind a once-per-process deprecation warning each —
-the same shim pattern :func:`repro.cudasim.compile_kernel` used for its
-pre-1.1 keyword form.
 """
 
 from __future__ import annotations

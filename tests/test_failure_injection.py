@@ -8,7 +8,8 @@ with the device left usable.
 import numpy as np
 import pytest
 
-from repro.cudasim import Device, KernelBuilder, compile_kernel
+from repro.core import make_layout
+from repro.cudasim import Device, DeviceGroup, KernelBuilder, compile_kernel
 from repro.cudasim.errors import (
     AccessViolation,
     AllocationError,
@@ -16,8 +17,16 @@ from repro.cudasim.errors import (
     MisalignedAccess,
 )
 from repro.cudasim.occupancy import suggest_block_size
+from repro.cudasim.xfer import TilePlan
 from repro.cudasim import G8800GTX
-from repro.gravit import GpuConfig, GpuForceBackend, GpuSimulation, uniform_cube
+from repro.gravit import (
+    GpuConfig,
+    GpuForceBackend,
+    GpuSimulation,
+    OutOfCoreSimulation,
+    ShardedGpuSimulation,
+    uniform_cube,
+)
 
 
 def _store_kernel(offset_expr):
@@ -91,6 +100,34 @@ class TestResourceExhaustion:
                 system, GpuConfig(block_size=64),
                 device=Device(heap_bytes=1 << 12),
             )
+
+    @pytest.mark.parametrize("driver", ["plain", "sharded", "out-of-core"])
+    def test_failed_constructor_frees_what_it_allocated(self, driver):
+        """The heap fits the driver's first allocation but not a later
+        one: the constructor must free the first before re-raising."""
+        system = uniform_cube(1024, seed=3)
+        cfg = GpuConfig(layout_kind="soaoas", block_size=128)
+        layout = make_layout("soaoas", 1024)
+        if driver == "out-of-core":  # first comes the resident slab
+            heap = TilePlan(layout, 512).slot_bytes + 4096
+        else:  # first comes the particle layout
+            heap = layout.size_bytes + 4096
+        if driver == "sharded":
+            group = DeviceGroup(2, heap_bytes=heap)
+            devices = list(group)
+            build = lambda: ShardedGpuSimulation(system, cfg, group=group)
+        elif driver == "plain":
+            devices = [Device(heap_bytes=heap)]
+            build = lambda: GpuSimulation(system, cfg, device=devices[0])
+        else:
+            devices = [Device(heap_bytes=heap)]
+            build = lambda: OutOfCoreSimulation(
+                system, cfg, device=devices[0], tile_rows=512
+            )
+        before = [dev.gmem.bytes_in_use for dev in devices]
+        with pytest.raises(AllocationError):
+            build()
+        assert [dev.gmem.bytes_in_use for dev in devices] == before
 
     def test_register_hungry_block_rejected_at_launch(self):
         dev = Device(heap_bytes=1 << 12)

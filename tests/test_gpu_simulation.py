@@ -80,7 +80,7 @@ class TestGpuSimulation:
 
     def test_config_xor_overrides(self):
         system = uniform_cube(64, seed=55)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             GpuSimulation(system, GpuConfig(), layout_kind="soa")
 
     def test_negative_steps_rejected(self):

@@ -36,7 +36,6 @@ from repro.gravit import (
     SimulationConfig,
     plummer,
 )
-from repro.gravit import gpu_driver
 from repro.service import (
     JobCancelledError,
     JobHandle,
@@ -192,8 +191,12 @@ class TestSimulationConfig:
             {"devices": 2},
             {"out_of_core": True, "tile_rows": 32},
             {"pool_records_per_block": 16},
+            {"out_of_core": True, "tile_rows": 256},
         ],
-        ids=("plain", "graph", "sharded", "out-of-core", "pooled"),
+        ids=(
+            "plain", "graph", "sharded", "out-of-core", "pooled",
+            "out-of-core-degenerate",
+        ),
     )
     def test_second_close_is_a_no_op(self, system, overrides):
         """Every driver the front door builds tolerates a second close:
@@ -223,32 +226,6 @@ class TestSimulationConfig:
 
 
 class TestDeprecationShims:
-    @pytest.fixture(autouse=True)
-    def fresh_warning_state(self, monkeypatch):
-        monkeypatch.setattr(gpu_driver, "_legacy_ctor_warned", set())
-
-    def test_legacy_kwargs_warn_once_per_class(self, system):
-        with pytest.warns(DeprecationWarning, match="SimulationConfig"):
-            sim = GpuSimulation(
-                system.copy(), layout_kind="soa", block_size=32
-            )
-        sim.close()
-        # Second legacy construction: shim already fired for this class.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            sim = GpuSimulation(
-                system.copy(), layout_kind="aos", block_size=32
-            )
-            sim.close()
-
-    def test_each_class_warns_independently(self, system):
-        with pytest.warns(DeprecationWarning, match="GpuSimulation"):
-            GpuSimulation(system.copy(), block_size=32).close()
-        with pytest.warns(DeprecationWarning, match="ShardedGpuSimulation"):
-            ShardedGpuSimulation(system.copy(), block_size=32).close()
-
     def test_config_path_never_warns(self, system):
         import warnings
 
@@ -258,7 +235,7 @@ class TestDeprecationShims:
             Simulation.create(HW, system.copy()).close()
 
     def test_config_plus_kwargs_still_rejected(self, system):
-        with pytest.raises(ValueError, match="either"):
+        with pytest.raises(TypeError, match="layout_kind"):
             GpuSimulation(system.copy(), GpuConfig(), layout_kind="soa")
 
 
