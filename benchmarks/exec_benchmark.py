@@ -2,20 +2,20 @@
 
 Times the paper's two simulation-heavy sweeps — the Fig. 10 layout ×
 toolchain grid (which also powers Fig. 11's derived speedups) and the
-unroll-factor sweep — under all three execution modes of
+unroll-factor sweep — under both execution modes of
 :mod:`repro.cudasim.fastpath`: the reference interpreter
-(``REPRO_EXEC_FASTPATH=0``), the per-warp compiled path (``1``) and the
-cross-warp vectorized path (``2``).  Each mode gets one warm-up pass so
+(``REPRO_EXEC_FASTPATH=0``) and the compiled path (``2``, reported as
+``fastpath_v2``).  Each mode gets one warm-up pass so
 the kernel-compilation and fastpath-codegen caches are hot and the
 numbers measure cycle simulation, not compilation; the reported time is
 then the best of ``--repeats`` runs.
 
 A paper-scale point (the largest n that fits the CI budget, unroll 16)
-is timed under the two compiled modes only — the interpreter needs
-minutes per repeat there, which is exactly the affordability problem the
-vectorized executor solves.  The v2 runs also report scheduler shape:
-warps per vector dispatch and the fraction of warp-stretches that fell
-back to the per-warp path.
+is timed under the compiled mode only — the interpreter needs minutes
+per repeat there, which is exactly the affordability problem the
+vectorized executor solves.  The compiled runs also report scheduler
+shape: warps per vector dispatch and the fraction of warp-stretches that
+fell back to the per-warp path.
 
 Every mode is bit-identical to the interpreter by construction
 (``tests/test_fastpath.py`` pins memory images, stats and cycle counts),
@@ -39,13 +39,13 @@ import time
 UNROLL_FACTORS = (1, 4, 16, 128)
 
 #: The paper-scale point: largest n affordable in the CI budget under
-#: the compiled modes (the source paper sweeps 40k..1M; the cycle-level
+#: the compiled mode (the source paper sweeps 40k..1M; the cycle-level
 #: interpreter needs ~1 min per repeat already at this size).
 PAPER_N = 2048
 PAPER_UNROLL = 16
 
 #: Execution modes: env value -> report key suffix.
-MODES = (("0", "interpreter"), ("1", "fastpath_v1"), ("2", "fastpath_v2"))
+MODES = (("0", "interpreter"), ("2", "fastpath_v2"))
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -116,14 +116,11 @@ def bench_sweeps(repeats: int) -> dict:
                 out[f"{name}_speedup_{suffix[-2:]}"] = (
                     out[f"{name}_interpreter_s"] / out[f"{name}_{suffix}_s"]
                 )
-        # Paper-scale point: compiled modes only (see module docstring).
+        # Paper-scale point: compiled mode only (see module docstring).
         for env, suffix in MODES[1:]:
             timed("paper_scale", sweep_paper_scale, env, suffix)
         out["paper_scale_n"] = PAPER_N
         out["paper_scale_unroll"] = PAPER_UNROLL
-        out["paper_scale_speedup_v2_vs_v1"] = (
-            out["paper_scale_fastpath_v1_s"] / out["paper_scale_fastpath_v2_s"]
-        )
     finally:
         if saved is None:
             os.environ.pop(FASTPATH_ENV, None)
@@ -146,7 +143,7 @@ def main(argv=None) -> int:
 
     report = {
         "benchmark": (
-            "executor fastpath v1/v2 vs interpreter "
+            "executor fastpath vs interpreter "
             "(fig10+fig11 / unroll / paper-scale)"
         ),
         "python": sys.version.split()[0],
@@ -156,7 +153,7 @@ def main(argv=None) -> int:
             "best-of-N with warm compile/codegen caches; all modes "
             "produce bit-identical memory, stats and cycles "
             "(tests/test_fastpath.py); paper-scale point runs the "
-            "compiled modes only"
+            "compiled mode only"
         ),
         "results": bench_sweeps(args.repeats),
     }

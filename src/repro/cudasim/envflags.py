@@ -13,7 +13,7 @@ flag now goes through one of two strict parsers:
 * :func:`env_choice` — for enumerated flags: the value must be one of
   the given choices, rejected loudly otherwise;
 * :func:`env_mapped` — for flags whose spellings map onto a small value
-  domain (``REPRO_EXEC_FASTPATH=0|1|2`` with boolean aliases): the value
+  domain (``REPRO_EXEC_FASTPATH=0|2`` with boolean aliases): the value
   must be a key of the mapping, rejected loudly otherwise.
 
 Rejecting beats guessing: a typo in a CI environment block should fail

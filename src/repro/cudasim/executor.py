@@ -265,7 +265,7 @@ class KernelPlan:
     """Launch-invariant executor state of one lowered kernel.
 
     Everything an SM run derives from the kernel alone — the pre-resolved
-    instructions and, per device × toolchain × mode, the fast path's
+    instructions and, per device × toolchain, the fast path's
     compiled program — is built on the kernel's first SM run and shared,
     read-only, by every later run on any SM, launch or thread.  Lives on
     :attr:`LoweredKernel.exec_plan`.  Threads racing on a first build
@@ -278,7 +278,7 @@ class KernelPlan:
     def __init__(self) -> None:
         #: Ops left unprepared (see :func:`_prepare`) → per-pc ``_Prep``.
         self.prepped: dict = {}
-        #: ``(DeviceProperties, toolchain, vectorize)`` → FastProgram,
+        #: ``(DeviceProperties, toolchain)`` → FastProgram,
         #: filled by :class:`repro.cudasim.fastpath.FastSMExecutor`.
         self.programs: dict = {}
 
@@ -997,14 +997,9 @@ def _run_sm_serial(
         from .profiler import SMProfile
 
         profile = SMProfile(len(lk.instructions), sm_index, profile_spec)
-    # ``fastpath`` is a mode: 0/False = interpreter, 1 = per-warp v1,
-    # 2/True = cross-warp vectorized v2.
-    mode = (2 if fastpath else 0) if isinstance(fastpath, bool) else int(fastpath)
-    extra: dict = {}
-    if mode:
+    # ``fastpath`` is a mode: 0/False = interpreter, 2/True = compiled.
+    if fastpath:
         from .fastpath import FastSMExecutor as executor_cls
-
-        extra["vectorize"] = mode >= 2
     else:
         executor_cls = SMExecutor
     ex = executor_cls(
@@ -1019,7 +1014,6 @@ def _run_sm_serial(
         trace=trace,
         sm_index=sm_index,
         profile=profile,
-        **extra,
     )
     end = ex.run(block_ids, resident)
     stats.memory.merge(ex.pipeline.stats)
@@ -1095,11 +1089,10 @@ def run_sms(
     observes accesses in program order and is not generally picklable.
     Under ``process``, worker stores are replayed into ``gmem`` in SM
     order, so race-free kernels end with a bit-identical heap.
-    ``fastpath`` is a mode — ``0``/``False`` interpreter, ``1`` per-warp
-    codegen, ``2``/``True`` cross-warp vectorized — selecting
-    :class:`repro.cudasim.fastpath.FastSMExecutor`; every engine ×
-    fastpath-mode combination produces identical results.  ``profile`` is an
-    optional picklable :class:`~repro.cudasim.profiler.ProfileSpec`;
+    ``fastpath`` is a mode — ``0``/``False`` interpreter, ``2``/``True``
+    the compiled :class:`repro.cudasim.fastpath.FastSMExecutor`; every
+    engine × fastpath-mode combination produces identical results.
+    ``profile`` is an optional picklable :class:`~repro.cudasim.profiler.ProfileSpec`;
     it travels in the payload (not via the profiler's module global) so
     ``process`` workers collect the same counters as the serial engine.
     """

@@ -23,28 +23,28 @@ overhead without perturbing a single simulated cycle:
    IR hash × device timing × toolchain × fastpath generation, and looked
    up once per kernel (the kernel's
    :class:`~repro.cudasim.executor.KernelPlan` keeps the result).  SM
-   runs borrow bound step families (:class:`StepSet`) from the program
+   runs borrow bound step sets (:class:`StepSet`) from the program
    and return them, rebinding only the launch values.
 3. :class:`FastSMExecutor` replaces the O(warps) round-robin rescan with
    a cached wake-time list (invalidated on scoreboard writes and barrier
-   release) and runs straight-line stretches through a fused driver
-   inlined in :meth:`FastSMExecutor._run` that replays the interpreter's
-   exact stall/idle accounting while other warps sleep.
-4. (v2, ``REPRO_EXEC_FASTPATH=2``, the default) warps sitting at the
-   same pc of the same basic block are *batched*: the executor keeps all
-   resident warps' register files, predicates and scoreboards stacked in
-   one per-SM arena (``(regs, warps, lanes)`` arrays; each
-   :class:`WarpState` holds row views), and the cross-warp schedulers
-   run stacked steps from the ``make_vsteps`` template family emitted
-   next to the per-warp ``make_steps``.  Vector steps are *data-only*:
-   one in-place ufunc per op (``out=`` the float64 destination row,
+   release) and keeps all resident warps' register files, predicates and
+   scoreboards stacked in one per-SM arena (``(regs, warps, lanes)``
+   arrays; each :class:`WarpState` holds row views).
+4. The templates are *data-only* and run on a stack of arena rows: one
+   in-place ufunc per op (``out=`` the float64 destination rows,
    computing in float32 or int64 through the ufunc's own casts, under
-   ``where=`` the active mask); scoreboard marks, issue counts and lane
-   counts are written by the scheduler, once per run of steps.
+   ``where=`` the active mask).  Scoreboard marks, issue counts and lane
+   counts are written by the caller.  Warps sitting at the same pc of
+   the same basic block are *batched*: the cross-warp scheduler runs one
+   step over all of their rows, and writes the marks and counts once per
+   run of steps.  What it leaves over — the replay's leftover events and
+   the straight-line stretches of a warp that is the only one ready,
+   run by a fused driver inlined in :meth:`FastSMExecutor._run` that
+   replays the interpreter's exact stall/idle accounting while other
+   warps sleep — runs the same templates on the warp's one arena row.
    Divergence, barriers and per-warp-divergent scoreboard timing fall
-   back to the per-warp v1 path (which remains the general engine
-   underneath); :func:`vec_counters` counts every fallback and abort by
-   reason.
+   back to that per-warp path; :func:`vec_counters` counts every
+   fallback and abort by reason.
 
 Bit-identity argument
 ---------------------
@@ -104,11 +104,10 @@ attributes every gap to the stall reason the interpreter's scan would
 decision.
 
 The reference interpreter stays available behind
-``REPRO_EXEC_FASTPATH=0`` or ``Device(fastpath=False)``; ``=1`` pins
-the per-warp v1 path and ``=2`` (default) enables cross-warp batching.
-``tests/test_fastpath.py`` pins heap bytes, :class:`KernelStats`,
-:class:`KernelProfile` and end cycles across all three modes for every
-layout × coalescing policy.
+``REPRO_EXEC_FASTPATH=0`` or ``Device(fastpath=False)``; ``=2`` (the
+default) selects this module.  ``tests/test_fastpath.py`` pins heap
+bytes, :class:`KernelStats`, :class:`KernelProfile` and end cycles
+across both modes for every layout × coalescing policy.
 """
 
 from __future__ import annotations
@@ -151,9 +150,9 @@ __all__ = [
 ]
 
 #: Environment switch: ``0``/``false``/``no``/``off`` forces the
-#: reference interpreter, ``1`` the per-warp v1 fast path, ``2`` (also
-#: ``true``/``yes``/``on``, and the default when unset) the cross-warp
-#: vectorized v2 path (parsed strictly by :func:`env_mapped`).
+#: reference interpreter, ``2`` (also ``true``/``yes``/``on``, and the
+#: default when unset) the compiled path (parsed strictly by
+#: :func:`env_mapped`: any other value, ``1`` included, is rejected).
 FASTPATH_ENV = "REPRO_EXEC_FASTPATH"
 
 #: Bump when generated code changes observable behavior, so cached
@@ -166,15 +165,15 @@ FASTPATH_ENV = "REPRO_EXEC_FASTPATH"
 #: bindings are a table on the program; vector steps are data-only.
 #: Generation 5: one cross-warp scheduler (the replay, whose plans
 #: record their idle gaps); shared-load pcs flush their vector issue
-#: cost.
-FASTPATH_GENERATION = 5
+#: cost.  Generation 6: one template family — single warps run the
+#: vector templates on their arena row, and the per-warp family is gone.
+FASTPATH_GENERATION = 6
 
 #: Spelling → mode for :data:`FASTPATH_ENV`.  The boolean aliases keep
-#: their historical meaning: any "true" spelling selects the best
-#: available engine (now v2), any "false" spelling the interpreter.
+#: their historical meaning: any "true" spelling selects the compiled
+#: path, any "false" spelling the interpreter.
 FASTPATH_MODES = {
     "0": 0, "false": 0, "no": 0, "off": 0,
-    "1": 1,
     "2": 2, "true": 2, "yes": 2, "on": 2,
 }
 
@@ -191,38 +190,24 @@ _CMP_UFUNCS = {
     "ne": "not_equal",
 }
 
-_FLOAT_BINOP_SYMS = {Op.ADD: "+", Op.SUB: "-", Op.MUL: "*", Op.DIV: "/"}
-_INT_BINOP_SYMS = {
-    Op.IADD: "+",
-    Op.ISUB: "-",
-    Op.IMUL: "*",
-    Op.SHL: "<<",
-    Op.SHR: ">>",
-    Op.AND: "&",
-    Op.OR: "|",
-    Op.XOR: "^",
-}
-
 
 def fastpath_mode(override: bool | int | None = None) -> int:
-    """Resolve the three-state fastpath switch: ``0`` interpreter,
-    ``1`` per-warp v1, ``2`` cross-warp vectorized v2.
+    """Resolve the fastpath switch: ``0`` interpreter, ``2`` compiled.
 
-    ``override`` takes an explicit mode (``0``/``1``/``2``) or a boolean
-    (``True`` → the best engine, mode 2; ``False`` → interpreter) and
-    wins over the environment.  The environment value is parsed strictly
-    through :data:`FASTPATH_MODES` so ``=off`` can never silently
-    *enable* the fast path and a typo fails loudly; unset defaults to
-    mode 2.
+    ``override`` takes an explicit mode (``0``/``2``) or a boolean
+    (``True`` → mode 2; ``False`` → interpreter) and wins over the
+    environment.  The environment value is parsed strictly through
+    :data:`FASTPATH_MODES` so ``=off`` can never silently *enable* the
+    fast path and a typo fails loudly; unset defaults to mode 2.
     """
     if override is not None:
         if isinstance(override, bool):
             return 2 if override else 0
         mode = int(override)
-        if mode not in (0, 1, 2):
+        if mode not in (0, 2):
             raise ValueError(
-                f"fastpath mode must be 0 (interpreter), 1 (per-warp) "
-                f"or 2 (vectorized); got {override!r}"
+                f"fastpath mode must be 0 (interpreter) or 2 (compiled); "
+                f"got {override!r}"
             )
         return mode
     return env_mapped(FASTPATH_ENV, FASTPATH_MODES, default=2)
@@ -237,28 +222,25 @@ def fastpath_enabled(override: bool | int | None = None) -> bool:
 class FastProgram:
     """One lowered kernel compiled for the fast path.
 
-    ``make_steps(ctx)`` (the ``exec``'d module's factory) binds the
-    counter accumulators of ``ctx`` and returns the family's step
-    templates plus a ``bind(block_dim, grid_dim, params)`` function that
-    sets the launch values the steps read; ``table`` says which template
-    each fusible pc instantiates with which slots and immediates.  SM
-    runs get bound families through :meth:`acquire`.
+    ``make_vsteps()`` (the ``exec``'d module's factory) returns the
+    data-only step templates, which operate on stacks of arena rows
+    (``(warps, lanes)``), plus a ``bind(block_dim, grid_dim, params)``
+    function that sets the launch values the steps read; ``vtable`` says
+    which template each fusible pc instantiates with which slots and
+    immediates.  SM runs get bound step sets through :meth:`acquire`.
     ``deps``/``ends`` and the ``flush_*`` arrays are shared, read-only
-    metadata used by the fused driver and the stat flush.
-
-    Vectorized (v2) programs additionally carry ``make_vsteps`` and
-    ``vtable`` — the data-only cross-warp templates operating on
-    ``(warps, lanes)`` stacks — plus the static per-pc timing metadata
-    the replay scheduler needs: ``costs`` (issue cycles), ``lats``
-    (result latency, ``None`` when the op writes no scoreboard entry)
-    and ``writes`` (destination register slot, ``-1`` when none).
+    metadata used by the fused driver and the stat flush.  The static
+    per-pc timing every caller of a step applies itself is ``costs``
+    (issue cycles), ``lats`` (result latency, ``None`` when the op
+    writes no scoreboard entry) and ``writes`` (destination register
+    slot, ``-1`` when none).
     """
 
     n: int
     source: str
-    make_steps: Callable
-    #: Per-warp bind table: ``(pc, template index, factory args)`` rows.
-    table: tuple
+    make_vsteps: Callable
+    #: Bind table: ``(pc, template index, factory args)`` rows.
+    vtable: tuple
     deps: list  # per-pc tuple of blocking register slots (may be empty)
     ends: list[int]  # per-pc fusible-run end (cfg.fusible_run_ends)
     # Stat flush: the kernel's distinct ops (first-appearance order),
@@ -266,48 +248,46 @@ class FastProgram:
     flush_ops: list
     flush_group: np.ndarray
     flush_cost: np.ndarray
-    param_names: tuple[str, ...] = ()
-    fused_pcs: int = field(default=0)
-    make_vsteps: Callable | None = None
-    vtable: tuple | None = None  # cross-warp bind table, like ``table``
-    #: Fusible pcs whose vector step needs more than the stack: CLOCK
-    #: steps take the per-row issue moments, predicated steps return
-    #: their active lane count.
-    clock_pcs: frozenset = frozenset()
-    pred_pcs: frozenset = frozenset()
-    costs: list | None = None  # per-pc issue cycles (None: not fusible)
-    lats: list | None = None  # per-pc result latency (None: no mark)
-    writes: list | None = None  # per-pc scoreboarded dst slot (-1: none)
+    costs: list  # per-pc issue cycles (None: not fusible)
+    lats: list  # per-pc result latency (None: no mark)
+    writes: list  # per-pc scoreboarded dst slot (-1: none)
     #: Per-pc ``(issue cycles, result latency, dst slots, address reg
     #: slot, byte offset)`` for the memory ops the replay scheduler can
     #: place inside a window — unpredicated shared loads, whose result
     #: latency is constant and whose conflict-free issue cost the
     #: dispatcher validates at execution time.  ``None`` for every
     #: other pc.
-    mem: list | None = None
+    mem: list
     #: Per-pc ``(target, pred slot, pred negated, assumed taken, issue
     #: cycles)`` for branches the replay schedules under a direction
     #: assumption — backward and unconditional branches assumed taken,
     #: forward predicated branches assumed fall-through — validated at
     #: execution time (wrong direction or divergence aborts the window
     #: exactly).  ``None`` for every other pc.
-    bra: list | None = None
+    bra: list
     #: Per-pc replay-window membership
     #: (:func:`repro.cudasim.cfg.replay_schedulable`): fusible ALU work
     #: plus the validated shared loads and branches.
-    vok: list | None = None
+    vok: list
+    param_names: tuple[str, ...] = ()
+    fused_pcs: int = field(default=0)
+    #: Fusible pcs whose step needs more than the stack: CLOCK steps
+    #: take the per-row issue moments, predicated steps return their
+    #: active lane count.
+    clock_pcs: frozenset = frozenset()
+    pred_pcs: frozenset = frozenset()
     #: Scheduler-replay cache keyed by ``(pcs, k0, dkey)`` — schedules
     #: are pure functions of the program, so the cache lives here and
     #: is shared by every SM executor and launch of this program.
     vmeta: dict = field(default_factory=dict)
-    #: Bound step families no SM run holds (see :meth:`acquire`).
+    #: Bound step sets no SM run holds (see :meth:`acquire`).
     idle: list = field(default_factory=list, repr=False)
 
     def acquire(self, block_dim: int, grid_dim: int, params) -> "StepSet":
-        """A step family bound to one launch's values, for one SM run.
+        """A step set bound to one launch's values, for one SM run.
 
-        Families are built once and recycled through :meth:`release`, so
-        a kernel pays the closure-building cost once per concurrently
+        Sets are built once and recycled through :meth:`release`, so a
+        kernel pays the closure-building cost once per concurrently
         running SM rather than once per SM run.
         """
         try:
@@ -318,55 +298,27 @@ class FastProgram:
         return steps
 
     def release(self, steps: "StepSet") -> None:
-        """Return a family whose counters the run has flushed to zero."""
+        """Return a set whose counters the run has flushed to zero."""
         self.idle.append(steps)
 
 
 class StepSet:
-    """One instance of a program's step families (``make_steps`` and, for
-    vectorized programs, ``make_vsteps``) plus the per-pc issue and lane
-    accumulators the per-warp steps and the replay dispatcher write.
-    An SM run holds its set exclusively between
+    """One instance of a program's step templates (one step per fusible
+    pc, ``None`` elsewhere) plus the per-pc issue and lane accumulators
+    their callers write.  An SM run holds its set exclusively between
     :meth:`FastProgram.acquire` and :meth:`FastProgram.release`, so
     concurrent runs never share counters or launch values."""
 
-    __slots__ = ("cnt", "lanes", "steps", "vsteps", "_binds")
+    __slots__ = ("cnt", "lanes", "vsteps", "bind")
 
     def __init__(self, program: FastProgram) -> None:
         n = program.n
         self.cnt = [0] * n
         self.lanes = [0] * n
-        ctx = {
-            "cnt": self.cnt,
-            "lanes": self.lanes,
-            "lane": np.arange(WARP, dtype=np.int64),
-        }
-        self.steps, bind = _instantiate(
-            program.make_steps(ctx), program.table, n
-        )
-        self._binds = [bind]
-        self.vsteps = None
-        if program.make_vsteps is not None:
-            self.vsteps, vbind = _instantiate(
-                program.make_vsteps(ctx), program.vtable, n
-            )
-            self._binds.append(vbind)
-
-    def bind(self, block_dim: int, grid_dim: int, params) -> None:
-        for bind in self._binds:
-            bind(block_dim, grid_dim, params)
-
-
-def _instantiate(
-    family: tuple, table: tuple, n: int
-) -> tuple[list, Callable]:
-    """Apply a bind table to a factory's ``(templates, bind)``: one step
-    per fusible pc (``None`` elsewhere), plus the family's ``bind``."""
-    templates, bind = family
-    steps: list = [None] * n
-    for pc, index, args in table:
-        steps[pc] = templates[index](*args)
-    return steps, bind
+        templates, self.bind = program.make_vsteps()
+        self.vsteps = [None] * n
+        for pc, index, args in program.vtable:
+            self.vsteps[pc] = templates[index](*args)
 
 
 # --------------------------------------------------------------- codegen
@@ -393,194 +345,6 @@ class _Args:
         self.names.append(name)
         self.values.append(value)
         return name
-
-
-class _OperandExpr:
-    """Compile-time resolution of one operand to a source expression.
-
-    ``dtype`` is the statically-known element type of the expression
-    (``"f64"`` for register slots, ``"i64"`` for tid/laneid, ``"bool"``
-    for predicates, ``None`` for host scalars) — it lets the cast
-    helpers elide conversions that are value-identity at runtime.
-    """
-
-    __slots__ = ("raw", "is_vector", "dtype")
-
-    def __init__(self, raw: str, is_vector: bool, dtype: str | None = None):
-        self.raw = raw
-        self.is_vector = is_vector
-        self.dtype = dtype
-
-
-def _operand_expr(
-    s, params_bound: dict, lk: LoweredKernel, args: _Args
-) -> _OperandExpr:
-    if isinstance(s, Reg):
-        if s.is_predicate:
-            return _OperandExpr(
-                f"w.preds[{args.add(lk.pred_map[s.name])}]", True, "bool"
-            )
-        return _OperandExpr(
-            f"R[{args.add(lk.reg_map[s.name])}]", True, "f64"
-        )
-    if isinstance(s, Imm):
-        return _OperandExpr(args.add(s.value), False)
-    if isinstance(s, Param):
-        local = params_bound.setdefault(s.name, f"_p{len(params_bound)}")
-        return _OperandExpr(local, False)
-    if isinstance(s, SReg):
-        sp = s.special
-        if sp is Special.TID:
-            return _OperandExpr("w.tid", True, "i64")
-        if sp is Special.CTAID:
-            return _OperandExpr("w.block.block_id", False)
-        if sp is Special.NTID:
-            return _OperandExpr("_ntid", False)
-        if sp is Special.NCTAID:
-            return _OperandExpr("_nctaid", False)
-        if sp is Special.LANEID:
-            return _OperandExpr("_lane", True, "i64")
-    raise ExecutionError(f"cannot codegen operand {s!r}")
-
-
-def _f32(e: _OperandExpr) -> str:
-    return f"A({e.raw}, _F32)"
-
-
-def _i64(e: _OperandExpr) -> str:
-    # ``asarray(x, f64)`` is the identity for f64 register slots, and
-    # the f64 round trip is exact for i64 operands in tid/index range —
-    # eliding it changes no produced value.
-    if e.dtype == "f64":
-        return f"A({e.raw}, _I64)"
-    if e.dtype == "i64":
-        return e.raw
-    return f"A(A({e.raw}, _F64), _I64)"
-
-
-def _f64(e: _OperandExpr) -> str:
-    if e.dtype == "f64":
-        return e.raw
-    return f"A({e.raw}, _F64)"
-
-
-def _value_expr(ins, srcs: list[_OperandExpr], dev: DeviceProperties):
-    """(expression, result latency or None, issue cycles) for one op.
-
-    Mirrors ``SMExecutor._issue`` exactly: the same numpy calls in the
-    same order, so float32 rounding is reproduced bit for bit.
-    """
-    op = ins.op
-    alu_i, sfu_i = float(dev.alu_issue_cycles), float(dev.sfu_issue_cycles)
-    alu_l, sfu_l = float(dev.alu_result_latency), float(dev.sfu_result_latency)
-    if op in _FLOAT_BINOP_SYMS:
-        expr = f"{_f32(srcs[0])} {_FLOAT_BINOP_SYMS[op]} {_f32(srcs[1])}"
-        # DIV runs on the SFU; the interpreter's second _mark overwrites
-        # the ALU one, so the net scoreboard write is the SFU latency.
-        if op is Op.DIV:
-            return expr, sfu_l, sfu_i
-        return expr, alu_l, alu_i
-    if op is Op.MIN:
-        return f"np.minimum({_f32(srcs[0])}, {_f32(srcs[1])})", alu_l, alu_i
-    if op is Op.MAX:
-        return f"np.maximum({_f32(srcs[0])}, {_f32(srcs[1])})", alu_l, alu_i
-    if op in _INT_BINOP_SYMS:
-        expr = f"{_i64(srcs[0])} {_INT_BINOP_SYMS[op]} {_i64(srcs[1])}"
-        return expr, alu_l, alu_i
-    if op is Op.MOV:
-        return srcs[0].raw, alu_l, alu_i
-    if op is Op.MAD:
-        expr = f"{_f32(srcs[0])} * {_f32(srcs[1])} + {_f32(srcs[2])}"
-        return expr, alu_l, alu_i
-    if op is Op.IMAD:
-        expr = f"{_i64(srcs[0])} * {_i64(srcs[1])} + {_i64(srcs[2])}"
-        return expr, alu_l, alu_i
-    if op is Op.RSQRT:
-        return f"_F1 / np.sqrt({_f32(srcs[0])})", sfu_l, sfu_i
-    if op is Op.SQRT:
-        return f"np.sqrt({_f32(srcs[0])})", sfu_l, sfu_i
-    if op is Op.NEG:
-        return f"-{_f32(srcs[0])}", alu_l, alu_i
-    if op is Op.ABS:
-        return f"np.abs({_f32(srcs[0])})", alu_l, alu_i
-    if op is Op.F2I:
-        return f"np.trunc({_f64(srcs[0])})", alu_l, alu_i
-    if op is Op.I2F:
-        return f"A({_f64(srcs[0])}, _F32)", alu_l, alu_i
-    if op is Op.SETP:
-        fn = f"np.{_CMP_UFUNCS[ins.cmp]}"
-        return f"{fn}({_f64(srcs[0])}, {_f64(srcs[1])})", None, alu_i
-    if op is Op.SELP:
-        expr = f"np.where({srcs[2].raw}, {_f64(srcs[0])}, {_f64(srcs[1])})"
-        return expr, alu_l, alu_i
-    if op is Op.CLOCK:
-        return "now", None, alu_i
-    if op is Op.NOP:
-        return None, None, alu_i
-    raise ExecutionError(f"cannot codegen fusible op {ins.op!r}")
-
-
-def _emit_step(
-    ins,
-    lk: LoweredKernel,
-    dev: DeviceProperties,
-    params_bound: dict,
-) -> tuple[str, _Args]:
-    """Template body + bound values for one fusible instruction.
-
-    The body is the canonical source of the step closure with register
-    and predicate slots and immediates replaced by factory parameters
-    (see :class:`_Args`); structurally identical instructions therefore
-    share one compiled ``def`` and differ only in the values their
-    factory call binds.
-    """
-    args = _Args()
-    srcs = [_operand_expr(s, params_bound, lk, args) for s in ins.srcs]
-    expr, latency, issue = _value_expr(ins, srcs, dev)
-    body: list[str] = []
-
-    predicated = ins.pred is not None
-    if predicated:
-        pi = args.add(lk.pred_map[ins.pred.name])
-        inv = "~" if ins.pred_neg else ""
-        body.append(f"m = act & {inv}w.preds[{pi}]")
-        body.append("cnt[pc] += 1")
-        body.append("lanes[pc] += int(m.sum())")
-        mask, full_var = "m", None
-    else:
-        body.append("cnt[pc] += 1")
-        body.append("lanes[pc] += na")
-        mask, full_var = "act", "full"
-
-    if expr is not None and ins.dsts:
-        body.append("R = w.regs")
-        body.append(f"v = {expr}")
-        d = ins.dsts[0]
-        if d.is_predicate:
-            tgt = f"w.preds[{args.add(lk.pred_map[d.name])}]"
-            bcast = f"np.broadcast_to(v, ({WARP},))"
-            if full_var:
-                body.append(f"if {full_var}:")
-                body.append(f"    {tgt}[:] = {bcast}")
-                body.append("else:")
-                body.append(f"    {tgt}[{mask}] = {bcast}[{mask}]")
-            else:
-                body.append(f"{tgt}[{mask}] = {bcast}[{mask}]")
-        else:
-            di = args.add(lk.reg_map[d.name])
-            bcast = f"np.broadcast_to(A(v, _F64), ({WARP},))"
-            if full_var:
-                body.append(f"if {full_var}:")
-                body.append(f"    R[{di}][:] = v")
-                body.append("else:")
-                body.append(f"    R[{di}][{mask}] = {bcast}[{mask}]")
-            else:
-                body.append(f"R[{di}][{mask}] = {bcast}[{mask}]")
-            if latency is not None:
-                # Scoreboard write is unconditional, like _mark.
-                body.append(f"w.pending[{di}] = now + {latency!r}")
-    body.append(f"return now + {issue!r}")
-    return "\n".join(body), args
 
 
 #: Conversions of a scalar operand (immediate, kernel parameter, block or
@@ -657,23 +421,19 @@ def _launch_local(scalars: dict, source: str, ctx: str) -> str:
     return local
 
 
-def _emit_vstep(
-    ins,
-    lk: LoweredKernel,
-    dev: DeviceProperties,
-    scalars: dict,
-) -> tuple[str, _Args]:
+def _emit_vstep(ins, lk: LoweredKernel, scalars: dict) -> tuple[str, _Args]:
     """Data-only template body for one instruction over a warp stack.
 
-    The step computes the instruction for every row of the stack in
-    place: one ufunc writes the float64 destination row through
-    ``out=``, computing in float32 or int64 (``dtype=``) with the
-    ufunc's own input/output casts, under ``where=act`` (``True`` for
-    fully active stacks).  MAD/IMAD and RSQRT keep their intermediate in
-    a float32 (int64) temporary, so every rounding step matches the
-    interpreter's.  Timing, scoreboard marks and issue/lane counters are
-    the dispatcher's job; a predicated step returns its active lane
-    count, and ``CLOCK`` reads the per-row issue moments ``t``.
+    The step computes the instruction for every row of the stack (one
+    row for a single warp) in place: one ufunc writes the float64
+    destination row through ``out=``, computing in float32 or int64
+    (``dtype=``) with the ufunc's own input/output casts, under
+    ``where=act`` (``True`` for fully active stacks).  MAD/IMAD and
+    RSQRT keep their intermediate in a float32 (int64) temporary, so
+    every rounding step matches the interpreter's.  Timing, scoreboard
+    marks and issue/lane counters are the caller's job; a predicated
+    step returns its active lane count, and ``CLOCK`` reads the per-row
+    issue moments ``t``.
     """
     args = _Args()
     op = ins.op
@@ -739,25 +499,16 @@ def _emit_vstep(
 
 
 
-def _emit_factory(
-    lk: LoweredKernel,
-    dev: DeviceProperties,
-    factory: str,
-    prefix: str,
-    sig: str,
-    emit,
-    per_warp: bool,
-) -> tuple[list[str], tuple, int]:
-    """Emit one template family's factory (``make_steps``/``make_vsteps``).
+def _emit_factory(lk: LoweredKernel) -> tuple[list[str], tuple, int]:
+    """Emit the template factory ``make_vsteps``.
 
-    The factory defines the family's templates — one ``def`` per
-    distinct instruction shape — and a ``bind(block_dim, grid_dim,
-    params)`` that sets the launch values the steps read; it returns
-    ``(templates, bind)``.  Which template each pc uses, with which
-    slots and immediates, is *data*: the returned table of ``(pc,
-    template index, args)`` rows, which :class:`StepSet` applies.  The
-    module therefore grows with the number of shapes, not of pcs.
-    Per-warp templates take the pc first (their steps count issues).
+    The factory defines the templates — one ``def`` per distinct
+    instruction shape — and a ``bind(block_dim, grid_dim, params)`` that
+    sets the launch values the steps read; it returns ``(templates,
+    bind)``.  Which template each pc uses, with which slots and
+    immediates, is *data*: the returned table of ``(pc, template index,
+    args)`` rows, which :class:`StepSet` applies.  The module therefore
+    grows with the number of shapes, not of pcs.
 
     Returns the source lines, the table and the template count.
     """
@@ -767,40 +518,31 @@ def _emit_factory(
     for pc, ins in enumerate(lk.instructions):
         if ins.op not in FUSIBLE_OPS:
             continue
-        body, args = emit(ins, lk, dev, scalars)
+        body, args = _emit_vstep(ins, lk, scalars)
         entry = templates.get(body)
         if entry is None:
             entry = (len(templates), list(args.names))
             templates[body] = entry
-        values = (pc, *args.values) if per_warp else tuple(args.values)
-        table.append((pc, entry[0], values))
+        table.append((pc, entry[0], tuple(args.values)))
     # Launch values (block/grid dims, kernel parameters) are factory
-    # locals that ``bind`` rebinds, so one bound step family serves any
+    # locals that ``bind`` rebinds, so one bound step set serves any
     # number of launches: the steps read them as closure cells, exactly
     # as fast as constants baked in at factory time.
-    if per_warp:
-        assigns = [("_ntid", "block_dim"), ("_nctaid", "grid_dim")]
-        assigns += [
-            (local, f"params[{name!r}]") for name, local in scalars.items()
-        ]
-    else:
-        assigns = [
-            (local, _SCALAR_CASTS[ctx][0].format(source))
-            for (source, ctx), local in scalars.items()
-        ]
+    assigns = [
+        (local, _SCALAR_CASTS[ctx][0].format(source))
+        for (source, ctx), local in scalars.items()
+    ]
     lines = [
         "",
         "",
-        f"def {factory}(ctx):",
+        "def make_vsteps():",
         "    A = np.asarray",
         "    _F32 = np.float32",
         "    _F64 = np.float64",
         "    _I64 = np.int64",
         "    _F1 = A(1.0, _F32)",
-        "    _lane = ctx['lane']",
+        f"    _lane = np.arange({WARP}, dtype=_I64)",
     ]
-    if per_warp:
-        lines += ["    cnt = ctx['cnt']", "    lanes = ctx['lanes']"]
     launch_locals = [local for local, _ in assigns]
     if launch_locals:
         lines.append(f"    {' = '.join(launch_locals)} = None")
@@ -812,12 +554,11 @@ def _emit_factory(
     lines.extend(f"        {local} = {value}" for local, value in assigns)
     names = []
     for tmpl_body, (index, argnames) in templates.items():
-        name = f"{prefix}{index}"
+        name = f"_V{index}"
         names.append(name)
-        tmpl_sig = ", ".join((["pc"] if per_warp else []) + argnames)
         lines.append("")
-        lines.append(f"    def {name}({tmpl_sig}):")
-        lines.append(f"        def s({sig}):")
+        lines.append(f"    def {name}({', '.join(argnames)}):")
+        lines.append("        def s(R, P, tid, cta, act, t=None):")
         lines.extend(f"            {ln}" for ln in tmpl_body.splitlines())
         lines.append("        return s")
     lines.append("")
@@ -825,39 +566,17 @@ def _emit_factory(
     return lines, tuple(table), len(templates)
 
 
-def generate_program(
-    lk: LoweredKernel, dev: DeviceProperties, vectorize: bool = False
-) -> tuple[str, tuple, tuple | None]:
-    """Source of the program module for ``lk`` on ``dev``, plus the bind
-    tables of its template families (see :func:`_emit_factory`).
-
-    With ``vectorize`` the module carries *both* factories: the v2
-    executor dispatches cross-warp stacks through ``make_vsteps`` and
-    falls back to the per-warp ``make_steps`` family everywhere the
-    vector schedulers do not apply.  Returns ``(source, table,
-    vtable)``; ``vtable`` is ``None`` without ``vectorize``.
-    """
-    warp_lines, table, n_tmpl = _emit_factory(
-        lk, dev, "make_steps", "_T", "w, now, act, full, na",
-        _emit_step, per_warp=True,
-    )
-    n = len(lk.instructions)
+def generate_program(lk: LoweredKernel) -> tuple[str, tuple]:
+    """Source of the program module for ``lk`` plus its bind table (see
+    :func:`_emit_factory`)."""
+    lines, table, n_tmpl = _emit_factory(lk)
     head = [
         f"# codegen: fastpath for kernel {lk.name!r} "
-        f"({len(table)}/{n} pcs fused, {n_tmpl} step shapes"
-        f"{', cross-warp' if vectorize else ''})"
-        " -- generated, do not edit",
+        f"({len(table)}/{len(lk.instructions)} pcs fused, "
+        f"{n_tmpl} step shapes) -- generated, do not edit",
         "import numpy as np",
     ]
-    lines = head + warp_lines
-    vtable = None
-    if vectorize:
-        vec_lines, vtable, _ = _emit_factory(
-            lk, dev, "make_vsteps", "_V", "R, P, tid, cta, act, t=None",
-            _emit_vstep, per_warp=False,
-        )
-        lines += vec_lines
-    return "\n".join(lines) + "\n", table, vtable
+    return "\n".join(head + lines) + "\n", table
 
 
 def _need_tuples(lk: LoweredKernel) -> list[tuple[int, ...]]:
@@ -884,11 +603,11 @@ def _step_costs(
 ) -> tuple[list, list, list]:
     """Per-pc (issue cycles, result latency, scoreboarded dst slot).
 
-    Mirrors exactly what :func:`_value_expr` bakes into the step
-    templates: SFU ops (``SFU_OPS``) issue/complete on SFU timing,
-    everything else on ALU timing; ``SETP``/``CLOCK``/``NOP`` and
-    predicate destinations write no scoreboard mark (latency ``None``,
-    slot ``-1``).  Non-fusible pcs carry ``None`` costs.
+    Mirrors the interpreter's ``_issue``: SFU ops (``SFU_OPS``)
+    issue/complete on SFU timing, everything else on ALU timing;
+    ``SETP``/``CLOCK``/``NOP`` and predicate destinations write no
+    scoreboard mark (latency ``None``, slot ``-1``).  Non-fusible pcs
+    carry ``None`` costs.
     """
     costs: list = []
     lats: list = []
@@ -992,20 +711,13 @@ def _bra_costs(lk: LoweredKernel, dev: DeviceProperties) -> list:
 
 
 def program_key(
-    lk: LoweredKernel,
-    dev: DeviceProperties,
-    toolchain=None,
-    vectorize: bool = False,
+    lk: LoweredKernel, dev: DeviceProperties, toolchain=None
 ) -> str:
     """Cache key: lowered-IR hash × device timing × toolchain ×
-    generation × vectorization mode.  The mode token guarantees a
-    per-warp (v1) program — in memory or in a ``REPRO_KERNEL_CACHE_DIR``
-    disk cache — can never be returned to the vectorized executor, and
-    vice versa."""
+    generation."""
     h = hashlib.sha256()
     h.update(b"fastpath:")
     h.update(str(FASTPATH_GENERATION).encode())
-    h.update(b"|vec" if vectorize else b"|warp")
     h.update(str(getattr(toolchain, "value", toolchain)).encode())
     h.update(
         f"|{dev.alu_issue_cycles}|{dev.sfu_issue_cycles}"
@@ -1045,17 +757,15 @@ def program_key(
     return h.hexdigest()
 
 
-def _build_program(
-    lk: LoweredKernel, dev: DeviceProperties, vectorize: bool = False
-) -> FastProgram:
-    source, table, vtable = generate_program(lk, dev, vectorize=vectorize)
+def _build_program(lk: LoweredKernel, dev: DeviceProperties) -> FastProgram:
+    source, vtable = generate_program(lk)
     namespace: dict = {}
     exec(compile(source, f"<fastpath:{lk.name}>", "exec"), namespace)
     ends = fusible_run_ends(lk)
     costs, lats, writes = _step_costs(lk, dev)
     mem = _mem_costs(lk, dev)
     # Fused ops have static issue costs (SFU ops on SFU timing, all else
-    # on ALU timing, as in _value_expr), so the profiler's per-pc
+    # on ALU timing, as in _step_costs), so the profiler's per-pc
     # issue cycles are count x cost.  The only shared loads counted
     # here are the replay's inlined broadcasts, which issue at their
     # conflict-free vector cost.
@@ -1066,8 +776,8 @@ def _build_program(
     return FastProgram(
         n=len(lk.instructions),
         source=source,
-        make_steps=namespace["make_steps"],
-        table=table,
+        make_vsteps=namespace["make_vsteps"],
+        vtable=vtable,
         deps=_need_tuples(lk),
         ends=ends,
         flush_ops=flush_ops,
@@ -1080,9 +790,7 @@ def _build_program(
             dtype=_F64,
         ),
         param_names=tuple(lk.kernel.params),
-        fused_pcs=len(table),
-        make_vsteps=namespace.get("make_vsteps"),
-        vtable=vtable,
+        fused_pcs=len(vtable),
         clock_pcs=frozenset(
             pc for pc, ins in enumerate(lk.instructions) if ins.op is Op.CLOCK
         ),
@@ -1104,25 +812,23 @@ def compile_fastpath(
     dev: DeviceProperties,
     toolchain=None,
     cache: KernelCache | None = None,
-    vectorize: bool = False,
 ) -> FastProgram:
     """Compile (or fetch) the fastpath program for one lowered kernel.
 
     Programs are memoized in ``cache`` (default: the process-wide kernel
     cache) and counted on the telemetry registry as
     ``cudasim.fastpath.hits`` / ``.misses``; a miss is wrapped in a
-    ``cudasim.fastpath.compile`` span.  ``vectorize`` requests the
-    cross-warp (v2) program — keyed separately, see :func:`program_key`.
+    ``cudasim.fastpath.compile`` span.
     """
     cache = cache if cache is not None else default_cache()
-    key = program_key(lk, dev, toolchain, vectorize=vectorize)
+    key = program_key(lk, dev, toolchain)
     missed = False
 
     def build() -> FastProgram:
         nonlocal missed
         missed = True
         with _telemetry.span("cudasim.fastpath.compile", kernel=lk.name):
-            return _build_program(lk, dev, vectorize=vectorize)
+            return _build_program(lk, dev)
 
     program = cache.get_or_build(key, build)
     if missed:
@@ -1135,8 +841,8 @@ def compile_fastpath(
 # ------------------------------------------------------------- executor
 
 
-#: Why a bucket attempt fell back to the v1 path; every fallback counts
-#: exactly one reason, so these sum to ``fallbacks``.
+#: Why a bucket attempt fell back to the per-warp path; every fallback
+#: counts exactly one reason, so these sum to ``fallbacks``.
 FALLBACK_REASONS = (
     "fallback_bucket",  # fewer than 2 warps, or not one contiguous range
     "fallback_no_plan",  # the replay schedules under 2 issues
@@ -1152,7 +858,7 @@ _VEC_COUNTERS = {
     "dispatches": 0,  # successful cross-warp dispatches
     "warps": 0,  # warps issued through those dispatches
     "instructions": 0,  # warp-instructions issued vectorized
-    "fallbacks": 0,  # bucket attempts that fell back to the v1 path
+    "fallbacks": 0,  # bucket attempts that fell back to the per-warp path
     **dict.fromkeys(FALLBACK_REASONS, 0),
     "abort_cost": 0,  # replay aborted: shared-load cost mismatch
     "abort_branch": 0,  # replay aborted: branch direction or divergence
@@ -1219,44 +925,40 @@ class FastSMExecutor(SMExecutor):
     """SM executor running straight-line stretches through codegen.
 
     Drop-in replacement for :class:`SMExecutor` selected by
-    ``run_sms(..., fastpath=1)``; produces bit-identical memory,
+    ``run_sms(..., fastpath=2)``; produces bit-identical memory,
     stats and cycle counts (pinned by ``tests/test_fastpath.py``).
 
-    With ``vectorize=True`` (``fastpath=2``, the default mode) the
-    executor additionally keeps every resident warp's register file,
-    predicate file and scoreboard stacked in one per-SM arena and
-    dispatches warp buckets through one cross-warp scheduler, the
-    replay (:meth:`_vdispatch_replay`), whether or not the profiler is
-    on: a profiled dispatch makes the same decisions and additionally
-    attributes the plan's idle gaps (:meth:`_vgaps`).  The per-warp
-    machinery stays fully functional underneath as the fallback engine.
+    The executor keeps every resident warp's register file, predicate
+    file and scoreboard stacked in one per-SM arena and dispatches warp
+    buckets through one cross-warp scheduler, the replay
+    (:meth:`_vdispatch_replay`), whether or not the profiler is on: a
+    profiled dispatch makes the same decisions and additionally
+    attributes the plan's idle gaps (:meth:`_vgaps`).  Buckets it
+    cannot dispatch fall back to the fused driver and the interpreter's
+    ``_issue``, one warp at a time.
     """
 
-    def __init__(self, *args, vectorize: bool = False, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._vec = bool(vectorize)
         toolchain = type(self.policy).__name__
         # The program is looked up once per kernel × device × toolchain
-        # × mode (hashing the IR for the kernel-cache key costs as much
-        # as a small SM run); its bound step families are recycled.
-        key = (self.device, toolchain, self._vec)
+        # (hashing the IR for the kernel-cache key costs as much as a
+        # small SM run); its bound step sets are recycled.
+        key = (self.device, toolchain)
         program = self.plan.programs.get(key)
         if program is None:
             program = self.plan.programs[key] = compile_fastpath(
-                self.lk, self.device, toolchain=toolchain,
-                vectorize=self._vec,
+                self.lk, self.device, toolchain=toolchain
             )
         self._program = program
         self._set = program.acquire(self.block_dim, self.grid_dim, self.params)
         self._cnt = self._set.cnt
         self._lanes_acc = self._set.lanes
-        self._steps = self._set.steps
+        self._vsteps = self._set.vsteps
         self._ends = program.ends
-        if self._vec:
-            self._vsteps = self._set.vsteps
-            # Replay plans, shared by every SM and launch of the program.
-            self._vrmeta = program.vmeta  # (pcs, k0, dkey) -> replay
-            self._vok = program.vok
+        # Replay plans, shared by every SM and launch of the program.
+        self._vrmeta = program.vmeta  # (pcs, k0, dkey) -> replay
+        self._vok = program.vok
         # Dispatch counters (merged into _VEC_COUNTERS per run); the
         # fallback/abort reasons and masked runs are tallied in _vwhy.
         self._vd = self._vw = self._vi = self._vf = 0
@@ -1268,9 +970,9 @@ class FastSMExecutor(SMExecutor):
         """Allocate the stacked per-SM state: one row per resident warp.
 
         :class:`WarpState` instances are bound to row *views*, so the
-        per-warp interpreter/v1 paths and the cross-warp steps read and
-        write the same storage — there is no copy on either side of a
-        fallback boundary.
+        interpreter's ``_issue`` and the steps read and write the same
+        storage — there is no copy on either side of a fallback
+        boundary.
         """
         rows = max(1, max_resident) * max(1, self.block_dim // WARP)
         regs = max(self.lk.reg_count, 1)
@@ -1827,12 +1529,15 @@ class FastSMExecutor(SMExecutor):
             nl += na
             if na != WARP:
                 allfull = False
-        steps = self._steps
         vsteps = self._vsteps
         act2 = True if allfull else np.vstack(acts)
+        # Each row's own views, for its leftover events.
+        rows = [self._vrows(j, j + 1) for j in range(lo, hi2)]
         issue_one = self._issue
         mem = prog.mem
         bra = prog.bra
+        lats = prog.lats
+        writes = prog.writes
         cnt = self._cnt
         lanes_acc = self._lanes_acc
         for e in plan:
@@ -1855,11 +1560,21 @@ class FastSMExecutor(SMExecutor):
                 if not allfull:
                     self._vwhy["masked_runs"] += 1
             elif kind == 0:
+                # Leftover event: one row's step at its issue time, then
+                # the bookkeeping a run event does for its rows.
                 m = e[1]
+                q = e[2]
+                t = now + e[3]
                 na = nas[m]
-                steps[e[2]](
-                    warps[lo + m], now + e[3], acts[m], na == WARP, na
+                R1, P1, _, tid1, cta1 = rows[m]
+                got = vsteps[q](
+                    R1, P1, tid1, cta1, True if na == WARP else acts[m], t
                 )
+                w = writes[q]
+                if w >= 0:
+                    pend[m, w] = t + lats[q]
+                cnt[q] += 1
+                lanes_acc[q] += na if got is None else got
             elif kind == 3:
                 m = e[1]
                 q = e[2]
@@ -2096,27 +1811,31 @@ class FastSMExecutor(SMExecutor):
                 lanes[q] += got
 
     def _vfallback(self, reason: str) -> None:
-        """Count one fallback to the v1 path under ``reason``."""
+        """Count one fallback to the per-warp path under ``reason``."""
         self._vf += 1
         self._vwhy[reason] += 1
         return None
 
     def _run(self, block_ids: list[int], max_resident: int) -> float:
-        steps = self._steps
+        vsteps = self._vsteps
         prepped = self._prepped
         stats = self.stats
         prof = self.profile
         wake_of = self._wake_inf
-        deps = self._program.deps
+        prog = self._program
+        deps = prog.deps
+        costs = prog.costs
+        lats = prog.lats
+        writes = prog.writes
+        cnt = self._cnt
+        lanes_acc = self._lanes_acc
         ends = self._ends
-        n_prog = self._program.n
+        n_prog = prog.n
+        vok = self._vok
         queue = deque(block_ids)
         resident: list[BlockState] = []
         now = 0.0
-        vec = self._vec
-        vok = self._vok if vec else None
-        if vec:
-            self._arena_alloc(max_resident)
+        self._arena_alloc(max_resident)
 
         # The scan state is cached instead of recomputed per iteration:
         # ``wake[i]`` is warp i's earliest issue cycle (inf = done or at
@@ -2154,8 +1873,7 @@ class FastSMExecutor(SMExecutor):
                 hi = lo + len(blk.warps)
                 spans.extend([(lo, hi)] * len(blk.warps))
                 lo = hi
-            if vec:
-                self._assign_rows(warps)
+            self._assign_rows(warps)
             wake = [wake_of(w) for w in warps]
 
         activate()
@@ -2195,12 +1913,12 @@ class FastSMExecutor(SMExecutor):
                     rr = 0
                 warp = warps[i]
                 pc0 = warp.pc
-                if vec and countable_others and vok[pc0]:
+                if countable_others and vok[pc0]:
                     res = self._vdispatch_replay(warps, wake, i, pc0, now)
                     if res is not None:
                         now, rr = res
                         continue
-                if steps[pc0] is not None:
+                if vsteps[pc0] is not None:
                     # Fused driver, inlined (one entry per scheduler
                     # iteration makes the call itself measurable).  The
                     # scan above already charged the stalls that chose
@@ -2208,7 +1926,9 @@ class FastSMExecutor(SMExecutor):
                     # unconditionally; each further issue replays the
                     # interpreter's full round-robin scan in constant
                     # time (other wake times are provably constant while
-                    # this warp runs — see the module docstring).
+                    # this warp runs — see the module docstring).  Each
+                    # step runs on the warp's arena row, followed by the
+                    # bookkeeping a run event does for its rows.
                     while warp.div_stack and warp.pc == warp.div_stack[-1][0]:
                         _, mask = warp.div_stack.pop()
                         warp.active = (warp.active | mask) & warp.alive
@@ -2221,15 +1941,23 @@ class FastSMExecutor(SMExecutor):
                         na = int(np.count_nonzero(act))  # == int(act.sum())
                         warp._fp_act = act
                         warp._fp_na = na
-                    full = na == WARP
+                    if na == WARP:
+                        act = True
+                    R1, P1, _, tid1, cta1 = self._vrows(i, i + 1)
                     pending = warp.pending
                     pc = pc0
                     end = ends[pc]
-                    now = steps[pc](warp, now, act, full, na)
-                    pc += 1
-                    while pc < end:
-                        if t_other <= now:
-                            break  # another warp is ready, scans first
+                    while True:
+                        got = vsteps[pc](R1, P1, tid1, cta1, act, now)
+                        w = writes[pc]
+                        if w >= 0:
+                            pending[w] = now + lats[pc]
+                        cnt[pc] += 1
+                        lanes_acc[pc] += na if got is None else got
+                        now += costs[pc]
+                        pc += 1
+                        if pc >= end or t_other <= now:
+                            break  # block end, or another warp scans first
                         wk = now
                         for r in deps[pc]:
                             v = pending[r]
@@ -2260,8 +1988,6 @@ class FastSMExecutor(SMExecutor):
                                 )
                             now = wk
                         stats.scoreboard_stalls += countable_others
-                        now = steps[pc](warp, now, act, full, na)
-                        pc += 1
                     warp.pc = pc
                     warp.next_issue = now
                     if pc >= n_prog:  # pragma: no cover - lower() appends EXIT
@@ -2335,11 +2061,10 @@ class FastSMExecutor(SMExecutor):
             now = new_now
         stats.sm_cycles.append(now)
         self._flush_counts()
-        # Flushed counters are zero again: the family is reusable.  A run
+        # Flushed counters are zero again: the set is reusable.  A run
         # that raised never gets here, so a half-counted set is dropped.
         self._program.release(self._set)
-        if vec:
-            self._flush_vec()
+        self._flush_vec()
         return now
 
     # -- stats ------------------------------------------------------------
@@ -2374,7 +2099,7 @@ class FastSMExecutor(SMExecutor):
         totals identical to per-issue counting.  The same holds for the
         profiler's per-pc counters: every fused op has a static issue
         cost (SFU ops 16 cycles, everything else 4 — mirroring
-        ``_value_expr``), and so does every shared load the replay
+        ``_step_costs``), and so does every shared load the replay
         inlines (its conflict-free vector cost), so ``count × cost``
         equals the interpreter's per-issue accumulation exactly.  The
         fold is vectorized over the

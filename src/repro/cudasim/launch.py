@@ -203,8 +203,8 @@ class Device:
     (default: the process-wide cache; pass ``None`` to disable).
     ``fastpath`` selects the execution mode of
     :mod:`repro.cudasim.fastpath` (bit-identical to the reference
-    interpreter): ``0``/``False`` interpreter, ``1`` per-warp codegen,
-    ``2``/``True`` cross-warp vectorized.  It defaults to the
+    interpreter): ``0``/``False`` interpreter, ``2``/``True`` compiled;
+    any other value raises :class:`ValueError`.  It defaults to the
     ``REPRO_EXEC_FASTPATH`` environment variable, else mode 2; the
     resolved mode is exposed as :attr:`fastpath_mode` (``fastpath`` is
     a read-only boolean view of it).

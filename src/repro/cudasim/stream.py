@@ -24,7 +24,9 @@ simulated makespan for back-of-envelope overlap math.
 Failure poisoning follows CUDA's sticky-error model: once an operation
 raises, the stream refuses further work and every subsequent
 ``result()`` / ``synchronize()`` re-raises :class:`StreamError` wrapping
-the original fault.
+the original fault.  An event recorded behind the failure still fires,
+carrying that fault, so a peer stream waiting on it fails at once with
+the root cause instead of timing out.
 
 Example::
 
@@ -77,6 +79,9 @@ class Event:
     def __init__(self, name: str | None = None) -> None:
         self.name = name or f"event{next(_stream_counter)}"
         self.cycle: float | None = None
+        # The recording stream's sticky error when that stream had failed
+        # before reaching the marker (None otherwise).
+        self._error: BaseException | None = None
         self._fired = threading.Event()
 
     def query(self) -> bool:
@@ -84,12 +89,22 @@ class Event:
         return self._fired.is_set()
 
     def synchronize(self, timeout: float | None = None) -> None:
-        """Block the *host* until the marker executes."""
+        """Block the *host* until the marker executes; raise
+        :class:`StreamError` from the recording stream's fault if that
+        stream failed before reaching it."""
         if not self._fired.wait(timeout):
             raise StreamError(f"timed out waiting for event {self.name!r}")
+        self._check()
 
-    def _fire(self, cycle: float) -> None:
+    def _check(self) -> None:
+        if self._error is not None:
+            raise StreamError(
+                f"event {self.name!r} was recorded behind a failure"
+            ) from self._error
+
+    def _fire(self, cycle: float, error: BaseException | None = None) -> None:
         self.cycle = cycle
+        self._error = error
         self._fired.set()
 
 
@@ -148,7 +163,11 @@ class Stream:
         self._set_depth_gauge()
 
     def _submit(
-        self, label: str, fn: Callable[[], object], **attrs
+        self,
+        label: str,
+        fn: Callable[[], object],
+        on_abort: Callable[[BaseException], None] | None = None,
+        **attrs,
     ) -> concurrent.futures.Future:
         with self._lock:
             if self._capture is not None:
@@ -164,7 +183,9 @@ class Stream:
                     f"stream {self.name!r} aborted by an earlier failure"
                 ) from self._error
             try:
-                fut = self._pool.submit(self._run_op, label, fn, attrs)
+                fut = self._pool.submit(
+                    self._run_op, label, fn, attrs, on_abort
+                )
             except RuntimeError as exc:
                 # close()/__exit__ shut the pool between our _closed check
                 # and this submit (or an interpreter-shutdown hook did).
@@ -196,9 +217,17 @@ class Stream:
         """
         return self._submit(label, fn, **attrs)
 
-    def _run_op(self, label: str, fn: Callable[[], object], attrs: dict):
+    def _run_op(
+        self,
+        label: str,
+        fn: Callable[[], object],
+        attrs: dict,
+        on_abort: Callable[[BaseException], None] | None,
+    ):
         try:
             if self._error is not None:
+                if on_abort is not None:
+                    on_abort(self._error)
                 raise StreamError(
                     f"stream {self.name!r} aborted by an earlier failure"
                 ) from self._error
@@ -296,8 +325,12 @@ class Stream:
         if self._capture is not None:
             self._capture._record_record(self, ev)
             return ev
-        self._submit("record_event", lambda: ev._fire(self.cycles),
-                     event=ev.name)
+        self._submit(
+            "record_event",
+            lambda: ev._fire(self.cycles),
+            on_abort=lambda error: ev._fire(self.cycles, error),
+            event=ev.name,
+        )
         return ev
 
     def memcpy_peer_async(
@@ -346,7 +379,9 @@ class Stream:
         event that is never recorded; it defaults to the device's
         ``event_timeout`` (60 s unless ``Device(event_timeout=...)`` or
         ``REPRO_EVENT_TIMEOUT`` says otherwise), and ``None`` or ``inf``
-        waits forever.
+        waits forever.  If the recording stream failed before reaching
+        the event, the wait fails at once with :class:`StreamError` from
+        that stream's fault.
         """
         if self._capture is not None:
             self._capture._record_wait(self, event)
@@ -364,6 +399,7 @@ class Stream:
                     "raise Device(event_timeout=) or REPRO_EVENT_TIMEOUT "
                     "for legitimately slow upstream streams)"
                 )
+            event._check()
             self.cycles = max(self.cycles, event.cycle or 0.0)
 
         self._submit("wait_event", op, event=event.name)

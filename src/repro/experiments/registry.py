@@ -272,14 +272,6 @@ def main(argv: list[str] | None = None) -> int:
         "compiled fast path (sets REPRO_EXEC_FASTPATH=0); results are "
         "bit-identical either way, only wall-clock time changes",
     )
-    runp.add_argument(
-        "--fastpath-mode",
-        choices=("0", "1", "2"),
-        default=None,
-        help="execution mode: 0 = reference interpreter, 1 = per-warp "
-        "compiled fast path, 2 = cross-warp vectorized (default; sets "
-        "REPRO_EXEC_FASTPATH); results are bit-identical across modes",
-    )
     args = parser.parse_args(argv)
 
     if args.command == "list":
@@ -298,12 +290,10 @@ def main(argv: list[str] | None = None) -> int:
         from ..cudasim.executor import ENGINE_ENV
 
         os.environ[ENGINE_ENV] = args.engine
-    if args.no_fastpath or args.fastpath_mode is not None:
+    if args.no_fastpath:
         from ..cudasim.fastpath import FASTPATH_ENV
 
-        os.environ[FASTPATH_ENV] = (
-            "0" if args.no_fastpath else args.fastpath_mode
-        )
+        os.environ[FASTPATH_ENV] = "0"
     # With --json, stdout is reserved for the machine-readable records.
     human = sys.stderr if args.json else sys.stdout
 

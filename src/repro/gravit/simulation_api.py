@@ -67,7 +67,7 @@ class SimulationConfig:
     eps: float = 1e-2
     g: float = 1.0
     engine: str | None = None  #: SM engine (serial/thread/process); None = env
-    fastpath: bool | int | None = None  #: exec mode 0|1|2; None = env default
+    fastpath: bool | int | None = None  #: exec mode 0|2; None = env default
     devices: int = 1
     peer_access: bool = True
     device_props: DeviceProperties = field(repr=False, default=G8800GTX)

@@ -5,6 +5,8 @@ driver, oversized launches — each must surface as the right exception
 with the device left usable.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.cudasim.errors import (
     AllocationError,
     LaunchError,
     MisalignedAccess,
+    StreamError,
 )
 from repro.cudasim.occupancy import suggest_block_size
 from repro.cudasim.xfer import TilePlan
@@ -82,6 +85,37 @@ class TestKernelFaults:
         # Same device, valid kernel: still works.
         dev.launch(_store_kernel(0), 1, 32, {"dst": dst})
         assert dev.memcpy_dtoh(dst, 32).sum() == 32
+
+
+def _causes(exc):
+    """``exc`` and its ``__cause__`` chain."""
+    out = []
+    while exc is not None:
+        out.append(exc)
+        exc = exc.__cause__
+    return out
+
+
+class TestCrossStreamFaults:
+    def test_sharded_step_reports_the_shard_fault(self, monkeypatch):
+        """A kernel fault on shard 1 of an op-by-op sharded step is the
+        cause of ``step()``'s error: shard 0's wait on shard 1's event
+        fails with it instead of timing out."""
+        group = DeviceGroup(2, event_timeout=30)
+        sim = ShardedGpuSimulation(
+            uniform_cube(64, seed=4), GpuConfig(block_size=32), group=group
+        )
+
+        def fault(*args, **kwargs):
+            raise AccessViolation("injected fault on shard 1")
+
+        monkeypatch.setattr(group[1], "launch", fault)
+        with pytest.raises(StreamError) as info:
+            sim.step(1e-3)
+        causes = _causes(info.value)
+        assert any(isinstance(e, AccessViolation) for e in causes), causes
+        with contextlib.suppress(StreamError):  # the streams stay poisoned
+            sim.close()
 
 
 class TestResourceExhaustion:

@@ -1,13 +1,12 @@
 """Fastpath vs interpreter: bit-identity, CFG splitting, codegen cache.
 
-The compiled fast path (:mod:`repro.cudasim.fastpath`) must be an exact
-stand-in for the reference interpreter in *both* of its modes — per-warp
-v1 (``fastpath=1``) and cross-warp vectorized v2 (``fastpath=2``): same
-memory image, same :class:`KernelStats`, same cycle counts — for every
+The compiled fast path (:mod:`repro.cudasim.fastpath`, ``fastpath=2``)
+must be an exact stand-in for the reference interpreter: same memory
+image, same :class:`KernelStats`, same cycle counts — for every
 layout, coalescing policy, unroll factor, a divergent Barnes-Hut
 traversal, a dynamic pooled-simulation epoch with mid-run compaction,
 and generated chains of fusible ops.  These tests pin that equivalence
-byte for byte, including the fallback seams where the v2 warp-group
+byte for byte, including the fallback seams where the cross-warp
 scheduler must hand buckets back to the per-warp path (divergence,
 barriers, mixed resident blocks, conflicting shared addressing).  v2
 has one cross-warp scheduler, the replay, for profiled and unprofiled
@@ -71,8 +70,8 @@ def _clean_telemetry():
 N = 64
 BLOCK = 32
 
-#: Interpreter, per-warp v1, cross-warp vectorized v2.
-MODES = (0, 1, 2)
+#: Interpreter, compiled fast path.
+MODES = (0, 2)
 
 
 def _forces_run(cfg: GpuConfig, fastpath: int):
@@ -116,18 +115,14 @@ class TestDifferentialForces:
         cfg = GpuConfig(
             layout_kind=kind, block_size=BLOCK, toolchain=toolchain
         )
-        interp = _forces_run(cfg, 0)
-        for mode in (1, 2):
-            _assert_identical(interp, _forces_run(cfg, mode))
+        _assert_identical(_forces_run(cfg, 0), _forces_run(cfg, 2))
 
     @pytest.mark.parametrize("unroll", [2, 16, BLOCK])
     def test_unroll_bit_identical(self, unroll):
         cfg = GpuConfig(
             layout_kind="soaoas", block_size=BLOCK, unroll=unroll, licm=True
         )
-        interp = _forces_run(cfg, 0)
-        for mode in (1, 2):
-            _assert_identical(interp, _forces_run(cfg, mode))
+        _assert_identical(_forces_run(cfg, 0), _forces_run(cfg, 2))
 
 
 class TestDifferentialDivergent:
@@ -172,7 +167,6 @@ class TestDifferentialDivergent:
         prof = dumps[0][1]
         assert prof["divergent_branches"] > 0 and prof["reconvergences"] > 0
         assert dumps[1] == dumps[0]
-        assert dumps[2] == dumps[0]
 
 
 class TestDifferentialPooled:
@@ -201,11 +195,10 @@ class TestDifferentialPooled:
                 )
             )
         assert states[0] == states[1]
-        assert states[0] == states[2]
 
 
 class TestDifferentialProfile:
-    """`gravit-prof` KernelProfile: identical across all three modes."""
+    """`gravit-prof` KernelProfile: identical across both modes."""
 
     def test_profile_identical_across_modes(self):
         """Every layout kind, rolled, unrolled by 16 and fully unrolled,
@@ -229,7 +222,6 @@ class TestDifferentialProfile:
                     )
                     profiler.disable()
                 assert dumps[0] == dumps[1], (kind, unroll)
-                assert dumps[0] == dumps[2], (kind, unroll)
 
     @pytest.mark.parametrize("case", ("paper", "bank_conflict"))
     def test_profiling_changes_no_scheduling_decision(self, case):
@@ -401,6 +393,44 @@ class TestVectorFallbacks:
         b.st_global(a, y)
         _run_seam(b.build(), grid=34, block=64, out_words=34 * 64)
 
+    def test_solo_warp_predicated_steps(self):
+        """One warp per block never dispatches cross-warp, so the fused
+        driver runs every fusible step on the warp's arena row: a
+        predicated step counts its own active lanes, not the warp's."""
+        b = KernelBuilder("k_solo_pred", params=("dst",))
+        tid = b.sreg("tid")
+        i = b.imad("i", b.sreg("ctaid"), b.sreg("ntid"), tid)
+        p = b.pred()
+        b.setp("lt", p, tid, 10)
+        x = b.i2f(b.reg("x"), tid)
+        b.emit(Instr(Op.ADD, dsts=(x,), srcs=(x, Imm(1.5)), pred=p))
+        b.emit(Instr(
+            Op.MUL, dsts=(x,), srcs=(x, Imm(3.0)), pred=p, pred_neg=True
+        ))
+        b.st_global(b.imad("a", i, 4, b.param("dst")), x)
+        _run_seam(b.build(), grid=1, block=32, out_words=32)
+
+    def test_clock_in_leftover_events(self):
+        """Global loads wake a block's two warps at different cycles, so
+        shared loads split the replay window between their CLOCK reads:
+        each read is a leftover event and must see its own issue time,
+        not the dispatch's."""
+        b = KernelBuilder("k_clock_left", params=("dst",))
+        tid = b.sreg("tid")
+        i = b.imad("i", b.sreg("ctaid"), b.sreg("ntid"), tid)
+        a = b.imad("a", i, 4, b.param("dst"))
+        x = b.ld_global(b.reg("x"), a)
+        y = b.add(b.reg("y"), x, 1.0)
+        s0 = b.mov(b.reg("s0"), 0)
+        clocks = []
+        for k in range(3):
+            clocks.append(b.clock(b.reg(f"c{k}")))
+            b.add(y, y, b.ld_shared(b.reg(f"l{k}"), s0, offset=4 * k))
+        for k, c in enumerate(clocks):
+            b.st_global(a, c, offset=4 * 64 * (k + 1))
+        b.st_global(a, y)
+        _run_seam(b.build(shared_words=4), grid=1, block=64, out_words=256)
+
     @pytest.mark.parametrize("profiled", (False, True))
     def test_fallback_reasons_sum_to_fallbacks(self, profiled):
         """Every fallback is counted under exactly one reason, profiled
@@ -530,14 +560,6 @@ class TestCodegenCache:
         assert k1 == k2
         assert k1 != k3
 
-    def test_program_key_vectorize_sensitive(self):
-        """A per-warp v1 program cached on disk must never be returned
-        to the vectorized executor, and vice versa."""
-        lk, _ = _lowered()
-        k1 = program_key(lk, G8800GTX, Toolchain.CUDA_1_0, vectorize=False)
-        k2 = program_key(lk, G8800GTX, Toolchain.CUDA_1_0, vectorize=True)
-        assert k1 != k2
-
     def test_compile_fastpath_memoizes(self):
         lk, _ = _lowered()
         cache = KernelCache()
@@ -554,16 +576,13 @@ class TestCodegenCache:
         fused = [
             pc for pc, i in enumerate(lk.instructions) if i.op in FUSIBLE_OPS
         ]
-        source, table, vtable = generate_program(lk, G8800GTX, vectorize=True)
-        for rows, prefix in ((table, "_T"), (vtable, "_V")):
-            assert [pc for pc, _, _ in rows] == fused
-            templates = {index for _, index, _ in rows}
-            assert len(templates) == source.count(f"def {prefix}")
-            assert len(templates) < len(rows) / 2
+        source, table = generate_program(lk)
+        assert [pc for pc, _, _ in table] == fused
+        templates = {index for _, index, _ in table}
+        assert len(templates) == source.count("def _V")
+        assert len(templates) < len(table) / 2
         sizes = [
-            len(generate_program(
-                _lowered(unroll)[0], G8800GTX, vectorize=True
-            )[0].splitlines())
+            len(generate_program(_lowered(unroll)[0])[0].splitlines())
             for unroll in (2, 16, "full")
         ]
         assert sizes == sorted(sizes, reverse=True), sizes
@@ -582,19 +601,21 @@ class TestCodegenCache:
         assert fastpath_mode() == 2
         monkeypatch.setenv(FASTPATH_ENV, "0")
         assert fastpath_mode() == 0
-        monkeypatch.setenv(FASTPATH_ENV, "1")
-        assert fastpath_mode() == 1
-        assert fastpath_enabled() is True
         monkeypatch.setenv(FASTPATH_ENV, "2")
         assert fastpath_mode() == 2
+        monkeypatch.setenv(FASTPATH_ENV, "1")
+        with pytest.raises(ValueError, match=FASTPATH_ENV):
+            fastpath_mode()
 
     def test_mode_override_beats_env(self, monkeypatch):
         monkeypatch.setenv(FASTPATH_ENV, "2")
         assert fastpath_mode(0) == 0
-        assert fastpath_mode(1) == 1
+        assert fastpath_mode(2) == 2
         assert fastpath_mode(False) == 0
         assert fastpath_mode(True) == 2
         monkeypatch.delenv(FASTPATH_ENV, raising=False)
+        with pytest.raises(ValueError):
+            fastpath_mode(1)
         with pytest.raises(ValueError):
             fastpath_mode(3)
         with pytest.raises(ValueError):
@@ -605,6 +626,8 @@ class TestCodegenCache:
             dev = Device(cache=KernelCache(), fastpath=mode)
             assert dev.fastpath_mode == mode
             assert dev.fastpath is (mode > 0)
+        with pytest.raises(ValueError):
+            Device(cache=KernelCache(), fastpath=1)
 
     @pytest.mark.parametrize("value", ("off", "false", "no", "OFF", "False"))
     def test_env_false_spellings_disable(self, monkeypatch, value):
@@ -613,7 +636,7 @@ class TestCodegenCache:
         monkeypatch.setenv(FASTPATH_ENV, value)
         assert fastpath_enabled() is False
 
-    @pytest.mark.parametrize("value", ("1", "true", "yes", "on", "TRUE"))
+    @pytest.mark.parametrize("value", ("true", "yes", "on", "TRUE"))
     def test_env_true_spellings_enable(self, monkeypatch, value):
         monkeypatch.setenv(FASTPATH_ENV, value)
         assert fastpath_enabled() is True
@@ -940,7 +963,7 @@ def _fusible_chains(draw):
 
 
 class TestGeneratedKernels:
-    """interpreter ≡ v1 ≡ v2 on generated fusible chains, plus the
+    """interpreter ≡ fast path on generated fusible chains, plus the
     shrunk counterexamples the strategy found."""
 
     @pytest.mark.parametrize(

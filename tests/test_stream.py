@@ -17,6 +17,7 @@ from repro.cudasim import (
     KernelBuilder,
     StreamError,
 )
+from repro.cudasim.errors import LaunchError
 from repro.cudasim.stream import PCIE_BYTES_PER_S
 
 
@@ -146,6 +147,30 @@ class TestFailurePoisoning:
             s.memcpy_htod_async(bx, x)
         with pytest.raises(StreamError, match="failed"):
             s.synchronize()
+
+    def test_event_behind_a_failure_carries_it(self, dev, launched):
+        """A record queued behind a failing op still fires, carrying the
+        producer's fault: the consumer's wait and the host's
+        ``Event.synchronize`` raise it instead of timing out."""
+        import threading
+
+        lk, x, bx, by = launched
+        gate = threading.Event()
+        p, c = dev.stream("producer"), dev.stream("consumer")
+        p.submit("gate", gate.wait)  # hold the queue until all is queued
+        p.launch_async(lk, grid=-1, block=BLOCK, params={})
+        ev = p.record_event()
+        c.wait_event(ev, timeout=30)
+        gate.set()
+        for sync in (c.synchronize, lambda: ev.synchronize(timeout=30)):
+            with pytest.raises(StreamError) as info:
+                sync()
+            causes = []
+            exc = info.value
+            while exc is not None:
+                causes.append(exc)
+                exc = exc.__cause__
+            assert any(isinstance(e, LaunchError) for e in causes), causes
 
     def test_closed_stream_rejects_work(self, dev, launched):
         lk, x, bx, by = launched
