@@ -81,16 +81,14 @@ def bench_sweeps(repeats: int) -> dict:
     )
 
     def sweep_fig10_fig11():
-        fig10 = fig10_memory_cycles.run(serial=True)
+        fig10 = fig10_memory_cycles.run()
         fig11_layout_speedup.run(fig10=fig10)
 
     def sweep_unroll():
-        unrolling_sweep.run(factors=UNROLL_FACTORS, serial=True)
+        unrolling_sweep.run(factors=UNROLL_FACTORS)
 
     def sweep_paper_scale():
-        unrolling_sweep.run(
-            factors=(PAPER_UNROLL,), serial=True, n=PAPER_N
-        )
+        unrolling_sweep.run(factors=(PAPER_UNROLL,), n=PAPER_N)
 
     saved = os.environ.get(FASTPATH_ENV)
     out: dict = {}

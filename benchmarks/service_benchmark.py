@@ -1,27 +1,23 @@
 """Simulation-service benchmark: throughput/latency vs tenant count.
 
 Drives :class:`repro.service.SimulationService` with a shuffled
-multi-layout job mix at 1, 4 and 16 tenants, once per placement policy
-(cache-aware vs naive round-robin), and records:
+multi-layout job mix at 1, 4 and 16 tenants, and records:
 
-* ``placement`` — the *deterministic* policy comparison: the same
-  arrival order replayed through :func:`repro.service.replay_placement`
-  (no threads, no clocks), so the warm-set hit rates regress exactly;
 * ``bit_identical`` — service-run results word-for-word equal to direct
   :meth:`repro.gravit.Simulation.create` runs across every layout and
   fastpath on/off;
-* ``live`` — jobs/s and p50/p99 submit-to-result latency from the real
-  threaded service.  These are host wall-clock numbers: the regression
-  checker skips the whole subtree (``service.live``) and only the
-  deterministic sections gate.
+* ``live`` — jobs/s, p50/p99 submit-to-result latency and the warm hit
+  rate from the real threaded service.  These are host wall-clock
+  numbers: the regression checker skips the whole subtree
+  (``service.live``) and only the bit-identity section gates.
 
 Writes ``BENCH_service.json`` at the repository root::
 
     python benchmarks/service_benchmark.py [--out BENCH_service.json]
 
-``--quick`` shrinks only the live workload; the placement and
-bit-identity sections always run at baseline size so the deterministic
-comparison stays complete.
+``--quick`` shrinks only the live workload; the bit-identity section
+always runs at baseline size so the deterministic comparison stays
+complete.
 """
 
 from __future__ import annotations
@@ -53,9 +49,7 @@ def _job_mix(hardware, tenants: int, jobs: int, seed: int):
     """``jobs`` (tenant, config) pairs, seeded-shuffled.
 
     Each tenant runs its own configuration (layout x block size), so
-    kernel diversity — and therefore the placement problem — grows with
-    the tenant count.  The shuffle matters: a cyclic arrival order would
-    let naive round-robin line up with the kernel mix by accident.
+    kernel diversity grows with the tenant count.
     """
     tenant_cfgs = [
         hardware.replace(
@@ -67,28 +61,6 @@ def _job_mix(hardware, tenants: int, jobs: int, seed: int):
     mix = [(f"t{i % tenants}", tenant_cfgs[i % tenants]) for i in range(jobs)]
     random.Random(seed).shuffle(mix)
     return mix
-
-
-def bench_placement(devices: int = 2, jobs: int = 48) -> dict:
-    """Deterministic replay: warm-set hit rate per policy per tenant mix."""
-    from repro.service import replay_placement
-
-    hardware = _hardware()
-    out: dict = {"devices": devices, "jobs": jobs, "per_tenant_count": {}}
-    for tenants in TENANT_COUNTS:
-        keys = [
-            cfg.kernel_key
-            for _, cfg in _job_mix(hardware, tenants, jobs, SEED + tenants)
-        ]
-        row = {
-            policy: replay_placement(keys, devices, policy)
-            for policy in ("cache", "round_robin")
-        }
-        row["cache_beats_round_robin"] = bool(
-            row["cache"]["warm_hit_rate"] >= row["round_robin"]["warm_hit_rate"]
-        )
-        out["per_tenant_count"][str(tenants)] = row
-    return out
 
 
 def bench_bit_identity(n: int = 96, steps: int = 1, devices: int = 2) -> dict:
@@ -152,36 +124,29 @@ def bench_live(
         total = tenants * jobs_per_tenant
         hardware = _hardware()
         mix = _job_mix(hardware, tenants, total, SEED + tenants)
-        row: dict = {}
-        for policy in ("cache", "round_robin"):
-            svc = SimulationService(
-                devices=devices,
-                hardware=hardware,
-                placement=policy,
-                max_queue_depth=total + devices,
-            )
-            t0 = time.perf_counter()
-            handles = [
-                svc.submit(tenant, system, cfg, steps=steps)
-                for tenant, cfg in mix
-            ]
-            for h in handles:
-                h.result(timeout=600.0)
-            wall_s = time.perf_counter() - t0
-            stats = svc.stats()
-            svc.close()
-            latencies = sorted(
-                h.finished_s - h.submitted_s for h in handles
-            )
-            row[policy] = {
-                "jobs": total,
-                "wall_s": wall_s,
-                "jobs_per_s": total / wall_s if wall_s else 0.0,
-                "p50_latency_s": float(np.percentile(latencies, 50)),
-                "p99_latency_s": float(np.percentile(latencies, 99)),
-                "warm_hit_rate": stats["warm_hit_rate"],
-            }
-        out["per_tenant_count"][str(tenants)] = row
+        svc = SimulationService(
+            devices=devices,
+            hardware=hardware,
+            max_queue_depth=total + devices,
+        )
+        t0 = time.perf_counter()
+        handles = [
+            svc.submit(tenant, system, cfg, steps=steps) for tenant, cfg in mix
+        ]
+        for h in handles:
+            h.result(timeout=600.0)
+        wall_s = time.perf_counter() - t0
+        stats = svc.stats()
+        svc.close()
+        latencies = sorted(h.finished_s - h.submitted_s for h in handles)
+        out["per_tenant_count"][str(tenants)] = {
+            "jobs": total,
+            "wall_s": wall_s,
+            "jobs_per_s": total / wall_s if wall_s else 0.0,
+            "p50_latency_s": float(np.percentile(latencies, 50)),
+            "p99_latency_s": float(np.percentile(latencies, 99)),
+            "warm_hit_rate": stats["warm_hit_rate"],
+        }
     return out
 
 
@@ -193,8 +158,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="shrink the live workload only (deterministic sections "
-        "always run at baseline size)",
+        help="shrink the live workload only (the bit-identity section "
+        "always runs at baseline size)",
     )
     args = parser.parse_args(argv)
 
@@ -202,7 +167,6 @@ def main(argv=None) -> int:
         "benchmark": "multi-tenant simulation service over a device group",
         "python": sys.version.split()[0],
         "cpu_count": os.cpu_count(),
-        "placement": bench_placement(devices=args.devices),
         "bit_identity": bench_bit_identity(n=args.n, devices=args.devices),
         "live": bench_live(
             n=args.n,

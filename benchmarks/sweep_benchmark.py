@@ -1,15 +1,12 @@
-"""Sweep-level wall-clock benchmark: streams + kernel cache vs the
-pre-stream serial driver.
+"""Sweep-level wall-clock benchmark: the kernel cache, cold vs warm.
 
-Times the fig10 layout sweep and the unroll-factor sweep in three
+Times the fig10 layout sweep and the unroll-factor sweep in two
 configurations:
 
-* ``baseline``  — serial submission, compilation cache disabled per
-  repetition (the pre-stream code path: every configuration recompiles);
-* ``streams``   — every configuration submitted to its own stream, cold
-  cache (measures submission overlap alone);
-* ``warm``      — streams plus a warmed kernel cache (the steady state
-  of a sweep grid re-run, e.g. ``gravit-repro run fig11 fig11``).
+* ``baseline``  — compilation cache disabled per repetition (every
+  configuration recompiles);
+* ``warm``      — a warmed kernel cache (the steady state of a sweep
+  grid re-run, e.g. ``gravit-repro run fig11 fig11``).
 
 Also times one cycle launch per SM engine (serial/process) so the
 pool's effect is recorded alongside the host core count — on a single
@@ -46,34 +43,20 @@ def bench_sweeps(repeats: int) -> dict:
 
     factors = (1, 4, 128)
 
-    def sweep(serial: bool):
-        fig10_memory_cycles.run(serial=serial)
-        unrolling_sweep.run(factors=factors, serial=serial)
+    def sweep():
+        fig10_memory_cycles.run()
+        unrolling_sweep.run(factors=factors)
 
-    def cold(serial: bool):
+    def cold():
         set_default_cache(KernelCache())
-        sweep(serial)
+        sweep()
 
-    results = {
-        "baseline_serial_cold_cache_s": _best_of(
-            lambda: cold(serial=True), repeats
-        ),
-        "streams_cold_cache_s": _best_of(
-            lambda: cold(serial=False), repeats
-        ),
-    }
+    results = {"baseline_serial_cold_cache_s": _best_of(cold, repeats)}
     set_default_cache(KernelCache())
-    sweep(serial=False)  # warm the cache once
-    results["streams_warm_cache_s"] = _best_of(
-        lambda: sweep(serial=False), repeats
-    )
-    results["speedup_streams"] = (
-        results["baseline_serial_cold_cache_s"]
-        / results["streams_cold_cache_s"]
-    )
+    sweep()  # warm the cache once
+    results["warm_cache_s"] = _best_of(sweep, repeats)
     results["speedup_warm_cache"] = (
-        results["baseline_serial_cold_cache_s"]
-        / results["streams_warm_cache_s"]
+        results["baseline_serial_cold_cache_s"] / results["warm_cache_s"]
     )
     set_default_cache(None)
     return results
@@ -137,7 +120,7 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
         "note": (
             "SM-pool speedup needs >= 2 cores; on one core the win "
-            "comes from the kernel cache and submission overlap"
+            "comes from the kernel cache"
         ),
         "sweeps": bench_sweeps(args.repeats),
         "engines": bench_engines(max(1, args.repeats - 1)),

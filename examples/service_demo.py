@@ -10,8 +10,9 @@ through :class:`repro.service.SimulationService`:
 * ``greedy`` has a 2-job quota and hits ``TenantQuotaError`` on its
   third submission, while the bounded global queue answers overload
   with ``QueueFullError`` + a retry-after hint;
-* each tenant runs its own layout, so cache-aware placement routes
-  repeat jobs to the device whose kernel cache is already warm;
+* each job goes to the least-loaded device; every device shares one
+  kernel cache, so a tenant's repeat jobs count as warm wherever they
+  land;
 * the same service is driven once more from asyncio
   (``submit_async`` / ``await handle.wait()``).
 

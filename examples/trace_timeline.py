@@ -17,7 +17,7 @@ import sys
 from repro import telemetry
 from repro.cudasim import TraceRecorder
 from repro.experiments.report import format_table
-from repro.gravit import GpuForceBackend, plummer
+from repro.gravit import GpuConfig, GpuForceBackend, plummer
 
 LAYOUTS = ("aos", "soa", "aoas", "soaoas")
 
@@ -27,7 +27,7 @@ def main(outdir: str = "results") -> None:
     system = plummer(512, seed=7)
     rows = []
     for kind in LAYOUTS:
-        backend = GpuForceBackend(layout_kind=kind)
+        backend = GpuForceBackend(GpuConfig(layout_kind=kind))
         recorder = TraceRecorder(kernel_name=f"forces-{kind}")
         with telemetry.span("trace_timeline.layout", layout=kind):
             _, result = backend.forces_cycle(system, trace=recorder)

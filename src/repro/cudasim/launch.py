@@ -25,9 +25,8 @@ Example::
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
@@ -76,7 +75,6 @@ EVENT_TIMEOUT_ENV = "REPRO_EVENT_TIMEOUT"
 DEFAULT_EVENT_TIMEOUT = 60.0
 
 _UNSET = object()
-_legacy_kwargs_warned = False
 
 
 def lower_kernel(kernel: Kernel, options: CompileOptions) -> LoweredKernel:
@@ -105,11 +103,6 @@ def compile_kernel(
     *,
     cache: KernelCache | None | object = _UNSET,
     toolchain: Toolchain | None = None,
-    unroll: Union[int, str, None, object] = _UNSET,
-    licm: bool | object = _UNSET,
-    dce: bool | object = _UNSET,
-    max_registers: int | None | object = _UNSET,
-    validate: bool | object = _UNSET,
 ) -> LoweredKernel:
     """Lower a kernel through the optimization pipeline (memoized).
 
@@ -120,39 +113,7 @@ def compile_kernel(
     static checker first.  Results are memoized in ``cache`` (default:
     the process-wide cache) keyed by the kernel's IR hash, the options
     and ``toolchain``; pass ``cache=None`` to force a fresh compilation.
-
-    The pre-1.1 keyword form ``compile_kernel(kernel, unroll=..., ...)``
-    still works but is deprecated (one warning per process).
     """
-    global _legacy_kwargs_warned
-    legacy = {
-        name: value
-        for name, value in (
-            ("unroll", unroll),
-            ("licm", licm),
-            ("dce", dce),
-            ("max_registers", max_registers),
-            ("validate", validate),
-        )
-        if value is not _UNSET
-    }
-    if legacy:
-        if options is not None:
-            raise TypeError(
-                "pass either a CompileOptions or the legacy keyword "
-                f"arguments, not both: {sorted(legacy)}"
-            )
-        if not _legacy_kwargs_warned:
-            _legacy_kwargs_warned = True
-            warnings.warn(
-                "compile_kernel(kernel, unroll=, licm=, dce=, "
-                "max_registers=, validate=) is deprecated; pass a "
-                "CompileOptions instead: compile_kernel(kernel, "
-                "CompileOptions(...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        options = CompileOptions(**legacy)
     if options is None:
         options = CompileOptions()
     cache_obj = default_cache() if cache is _UNSET else cache

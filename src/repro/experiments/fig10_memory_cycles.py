@@ -23,7 +23,7 @@ from ..cudasim.launch import Device
 from ..gravit.gpu_kernels import ALL_FIELDS, build_membench_kernel
 from .report import ExperimentResult, format_table
 
-__all__ = ["measure_layout", "submit_layout", "collect_layout", "run"]
+__all__ = ["measure_layout", "run"]
 
 #: Launch shape of the microbenchmark: a small resident set so the
 #: dependent-use chain (not cross-warp queueing) dominates, as in the
@@ -33,7 +33,7 @@ BENCH_BLOCK = 64
 BENCH_GRID = 1
 
 
-def submit_layout(
+def measure_layout(
     kind: str,
     toolchain: Toolchain,
     n: int = BENCH_N,
@@ -42,12 +42,12 @@ def submit_layout(
     records_per_thread: int = 1,
     seed: int = 1,
 ) -> dict:
-    """Enqueue one layout/toolchain configuration on its own stream.
+    """Cycle-simulate the microbenchmark for one layout/toolchain.
 
-    Compiles the microbenchmark kernel (through the kernel cache), opens
-    a stream on a fresh device, queues copy-in → launch → copy-out, and
-    returns immediately with the in-flight handles.  Pass the result to
-    :func:`collect_layout` to block and build the measurement dict.
+    Compiles the microbenchmark kernel (through the kernel cache), then
+    copies in, launches and copies out on a fresh device.  Returns
+    per-element and whole-structure cycle figures plus the transaction
+    counters the layout analysis predicts.
     """
     layout = make_layout(kind, n)
     kernel, plan = build_membench_kernel(
@@ -58,8 +58,7 @@ def submit_layout(
     buf = dev.malloc(layout.size_bytes)
     if profiler.enabled():
         # Advertise the layout's field spans so profiled traffic is
-        # binned per region.  Regions are session state, so profiled
-        # sweeps should collect serially (measure_layout / serial=True).
+        # binned per region.
         profiler.set_regions(profiler.regions_for_layout(layout, buf.addr))
     rng = np.random.default_rng(seed)
     data = {f: rng.random(n).astype(np.float32) for f in ALL_FIELDS}
@@ -71,38 +70,15 @@ def submit_layout(
         for name, step in zip(plan.param_for_step, steps)
     }
     params["out"] = out
-    stream = dev.stream(f"fig10-{kind}-{toolchain.value}")
-    stream.memcpy_htod_async(buf, layout.pack(data))
-    launch = stream.launch_async(lk, grid=grid, block=block, params=params)
-    words = stream.memcpy_dtoh_async(out, 2 * threads)
-    return {
-        "kind": kind,
-        "toolchain": toolchain,
-        "layout": layout,
-        "records_per_thread": records_per_thread,
-        "stream": stream,
-        "launch": launch,
-        "words": words,
-    }
-
-
-def collect_layout(submission: dict) -> dict:
-    """Wait for a :func:`submit_layout` configuration and summarize it.
-
-    Returns per-element and whole-structure cycle figures plus the
-    transaction counters the layout analysis predicts.
-    """
-    result = submission["launch"].result()
-    words = submission["words"].result().reshape(-1, 2)
-    submission["stream"].close()
-    layout = submission["layout"]
-    toolchain = submission["toolchain"]
-    per_thread_cycles = words[:, 0] / submission["records_per_thread"]
+    dev.memcpy_htod(buf, layout.pack(data))
+    result = dev.launch(lk, grid=grid, block=block, params=params)
+    words = dev.memcpy_dtoh(out, 2 * threads).reshape(-1, 2)
+    per_thread_cycles = words[:, 0] / records_per_thread
     elements = layout.elements_per_record(ALL_FIELDS)
     # Checksum validates the loads happened (sum of 7 uniform randoms).
     checksum_ok = bool(np.all(words[:, 1] > 0))
     return {
-        "kind": submission["kind"],
+        "kind": kind,
         "toolchain": toolchain.value,
         "cycles_per_structure": float(per_thread_cycles.mean()),
         "cycles_per_element": float(per_thread_cycles.mean() / elements),
@@ -117,37 +93,17 @@ def collect_layout(submission: dict) -> dict:
     }
 
 
-def measure_layout(kind: str, toolchain: Toolchain, **kwargs) -> dict:
-    """Cycle-simulate the microbenchmark for one layout/toolchain."""
-    return collect_layout(submit_layout(kind, toolchain, **kwargs))
-
-
 def run(
     kinds: tuple[str, ...] = LAYOUT_KINDS,
     toolchains: tuple[Toolchain, ...] = tuple(Toolchain),
-    serial: bool = False,
     **kwargs,
 ) -> ExperimentResult:
-    """Full Fig. 10 sweep.
-
-    By default every configuration is submitted to its own stream up
-    front and results are collected as they complete; ``serial=True``
-    falls back to one synchronous configuration at a time.
-    """
-    grid = [(kind, tc) for tc in toolchains for kind in kinds]
-    if serial:
-        measurements = {
-            (kind, tc): measure_layout(kind, tc, **kwargs)
-            for kind, tc in grid
-        }
-    else:
-        submissions = {
-            (kind, tc): submit_layout(kind, tc, **kwargs)
-            for kind, tc in grid
-        }
-        measurements = {
-            key: collect_layout(sub) for key, sub in submissions.items()
-        }
+    """Full Fig. 10 sweep, one configuration at a time."""
+    measurements = {
+        (kind, tc): measure_layout(kind, tc, **kwargs)
+        for tc in toolchains
+        for kind in kinds
+    }
     headers = ["layout"] + [f"CUDA {tc.value}" for tc in toolchains]
     rows = []
     for kind in kinds:

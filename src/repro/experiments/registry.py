@@ -9,7 +9,6 @@ summaries, and (with ``--dat DIR``) writes gnuplot-ready data files.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -27,16 +26,16 @@ __all__ = ["EXPERIMENTS", "run_experiment", "main", "DEFAULT_RESULTS_PATH"]
 DEFAULT_RESULTS_PATH = "results/results.jsonl"
 
 
-def _fig10(quick: bool, serial: bool = False) -> ExperimentResult:
+def _fig10(quick: bool) -> ExperimentResult:
     from . import fig10_memory_cycles
 
-    return fig10_memory_cycles.run(serial=serial)
+    return fig10_memory_cycles.run()
 
 
-def _fig11(quick: bool, serial: bool = False) -> ExperimentResult:
+def _fig11(quick: bool) -> ExperimentResult:
     from . import fig11_layout_speedup
 
-    return fig11_layout_speedup.run(serial=serial)
+    return fig11_layout_speedup.run()
 
 
 def _fig12(quick: bool) -> ExperimentResult:
@@ -50,11 +49,11 @@ def _fig12(quick: bool) -> ExperimentResult:
     return fig12_gravit_levels.run(sizes=sizes)
 
 
-def _unroll(quick: bool, serial: bool = False) -> ExperimentResult:
+def _unroll(quick: bool) -> ExperimentResult:
     from . import unrolling_sweep
 
     factors = (1, 4, 128) if quick else (1, 2, 4, 8, 16, 32, 64, 128)
-    return unrolling_sweep.run(factors=factors, serial=serial)
+    return unrolling_sweep.run(factors=factors)
 
 
 def _occupancy(quick: bool) -> ExperimentResult:
@@ -191,9 +190,7 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[bool], ExperimentResult]]] = {
 }
 
 
-def run_experiment(
-    name: str, quick: bool = False, serial: bool = False
-) -> ExperimentResult:
+def run_experiment(name: str, quick: bool = False) -> ExperimentResult:
     try:
         _, fn = EXPERIMENTS[name]
     except KeyError:
@@ -201,8 +198,6 @@ def run_experiment(
             f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}"
         ) from None
     with _telemetry.span("experiment.run", experiment=name, quick=quick):
-        if "serial" in inspect.signature(fn).parameters:
-            return fn(quick, serial=serial)
         return fn(quick)
 
 
@@ -246,12 +241,6 @@ def main(argv: list[str] | None = None) -> int:
         "manifests then carry the metrics snapshot",
     )
     runp.add_argument(
-        "--serial",
-        action="store_true",
-        help="run sweep configurations one at a time instead of "
-        "submitting them all to streams",
-    )
-    runp.add_argument(
         "--engine",
         choices=SM_ENGINES,
         default=None,
@@ -262,8 +251,7 @@ def main(argv: list[str] | None = None) -> int:
         "--profile",
         action="store_true",
         help="enable the gravit-prof profiler for the run and print a "
-        "per-kernel counter summary afterwards (forces --serial, since "
-        "profiler region state is per-launch)",
+        "per-kernel counter summary afterwards",
     )
     runp.add_argument(
         "--no-fastpath",
@@ -285,7 +273,6 @@ def main(argv: list[str] | None = None) -> int:
         from ..cudasim import profiler as _profiler
 
         _profiler.enable()
-        args.serial = True
     if args.engine:
         from ..cudasim.executor import ENGINE_ENV
 
@@ -302,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     for name in names:
         t0 = time.perf_counter()
         try:
-            result = run_experiment(name, quick=args.quick, serial=args.serial)
+            result = run_experiment(name, quick=args.quick)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

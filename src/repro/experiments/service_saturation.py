@@ -14,12 +14,10 @@ a mixed-tenant workload and reports:
    raw force words) to driving :meth:`repro.gravit.Simulation.create`
    directly with the same config.  The service only *routes*; it never
    touches the math.
-2. **Cache-aware placement** — jobs carry a
-   :attr:`~repro.gravit.SimulationConfig.kernel_key`; routing a job to
-   the device already warm for its key keeps the per-device warm-set
-   hit rate high where naive round-robin scatters configurations
-   across cards.  Measured both live and via the deterministic
-   :func:`repro.service.replay_placement` replay.
+2. **Live throughput** — jobs/s, p50/p99 submit-to-result latency, and
+   the warm hit rate: the share of jobs whose
+   :attr:`~repro.gravit.SimulationConfig.kernel_key` an earlier job
+   already ran, so their compile hits the group's shared kernel cache.
 3. **Weighted fairness** — under saturation, a weight-3 tenant should
    see ~3x the dispatches of a weight-1 tenant (stride scheduling).
 """
@@ -35,13 +33,7 @@ import numpy as np
 from ..cudasim.device import G8800GTX
 from ..gravit.simulation_api import Simulation, SimulationConfig
 from ..gravit.spawn import uniform_sphere
-from ..service import (
-    JobHandle,
-    JobScheduler,
-    JobSpec,
-    SimulationService,
-    replay_placement,
-)
+from ..service import JobHandle, JobScheduler, JobSpec, SimulationService
 from ..telemetry import runtime as _telemetry
 from .report import ExperimentResult, format_table
 
@@ -64,12 +56,9 @@ def _fields_equal(a, b) -> bool:
 def _job_configs(
     hardware: SimulationConfig, count: int, seed: int
 ) -> list[SimulationConfig]:
-    """``count`` job configs cycling the layouts, then seeded-shuffled.
-
-    The shuffle matters: a cyclic layout order over a device group lets
-    round-robin placement line up with the kernel mix by accident; a
-    shuffled arrival order is what real multi-tenant traffic looks like.
-    """
+    """``count`` job configs cycling the layouts, then seeded-shuffled
+    (a shuffled arrival order is what real multi-tenant traffic looks
+    like)."""
     configs = [
         hardware.replace(layout=LAYOUT_KINDS[i % len(LAYOUT_KINDS)])
         for i in range(count)
@@ -145,49 +134,36 @@ def run(
     total_jobs = tenants * jobs_per_tenant
     job_cfgs = _job_configs(hardware, total_jobs, seed)
 
-    per_policy: dict[str, dict] = {}
-    for policy in ("cache", "round_robin"):
-        with _telemetry.span("service.saturation", policy=policy, jobs=total_jobs):
-            svc = SimulationService(
-                devices=devices,
-                hardware=hardware,
-                placement=policy,
-                max_queue_depth=total_jobs + devices,
-            )
-            for t in tenant_names:
-                svc.register_tenant(t, weight=weights[t])
-            t0 = time.perf_counter()
-            handles = [
-                svc.submit(
-                    tenant_names[i % tenants], system, cfg, steps=steps, dt=dt
-                )
-                for i, cfg in enumerate(job_cfgs)
-            ]
-            results = [h.result(timeout=600.0) for h in handles]
-            wall_s = time.perf_counter() - t0
-            stats = svc.stats()
-            svc.close()
-        latencies = sorted(
-            h.finished_s - h.submitted_s for h in handles
+    with _telemetry.span("service.saturation", jobs=total_jobs):
+        svc = SimulationService(
+            devices=devices,
+            hardware=hardware,
+            max_queue_depth=total_jobs + devices,
         )
-        per_policy[policy] = {
-            "jobs": len(results),
-            "wall_s": wall_s,
-            "jobs_per_s": len(results) / wall_s if wall_s else 0.0,
-            "p50_latency_s": float(np.percentile(latencies, 50)),
-            "p99_latency_s": float(np.percentile(latencies, 99)),
-            "warm_hit_rate": stats["warm_hit_rate"],
-            "dispatches_per_tenant": {
-                t: stats["tenants"][t]["dispatched"] for t in tenant_names
-            },
-        }
-
-    # Deterministic replay of the same arrival order: placement policy
-    # compared with the thread-timing noise taken out.
-    keys = [cfg.kernel_key for cfg in job_cfgs]
-    replay = {
-        policy: replay_placement(keys, devices, policy)
-        for policy in ("cache", "round_robin")
+        for t in tenant_names:
+            svc.register_tenant(t, weight=weights[t])
+        t0 = time.perf_counter()
+        handles = [
+            svc.submit(
+                tenant_names[i % tenants], system, cfg, steps=steps, dt=dt
+            )
+            for i, cfg in enumerate(job_cfgs)
+        ]
+        results = [h.result(timeout=600.0) for h in handles]
+        wall_s = time.perf_counter() - t0
+        stats = svc.stats()
+        svc.close()
+    latencies = sorted(h.finished_s - h.submitted_s for h in handles)
+    live = {
+        "jobs": len(results),
+        "wall_s": wall_s,
+        "jobs_per_s": len(results) / wall_s if wall_s else 0.0,
+        "p50_latency_s": float(np.percentile(latencies, 50)),
+        "p99_latency_s": float(np.percentile(latencies, 99)),
+        "warm_hit_rate": stats["warm_hit_rate"],
+        "dispatches_per_tenant": {
+            t: stats["tenants"][t]["dispatched"] for t in tenant_names
+        },
     }
 
     # Bit-identity: one service job per layout vs the direct driver.
@@ -215,23 +191,16 @@ def run(
     )
     fairness_ratio = fairness["heavy_light_ratio"]
 
-    headers = ["policy", "jobs/s", "p50 (s)", "p99 (s)", "warm hit", "replay hit"]
-    table_rows = [
-        [
-            policy,
-            per_policy[policy]["jobs_per_s"],
-            per_policy[policy]["p50_latency_s"],
-            per_policy[policy]["p99_latency_s"],
-            per_policy[policy]["warm_hit_rate"],
-            replay[policy]["warm_hit_rate"],
-        ]
-        for policy in ("cache", "round_robin")
-    ]
-    table = format_table(headers, table_rows, float_fmt="{:.3f}")
+    columns = {
+        "jobs": "jobs",
+        "jobs/s": "jobs_per_s",
+        "p50 (s)": "p50_latency_s",
+        "p99 (s)": "p99_latency_s",
+        "warm hit": "warm_hit_rate",
+    }
+    row = [live[key] for key in columns.values()]
+    table = format_table(list(columns), [row], float_fmt="{:.3f}")
 
-    replay_edge = (
-        replay["cache"]["warm_hit_rate"] - replay["round_robin"]["warm_hit_rate"]
-    )
     return ExperimentResult(
         experiment_id="service",
         title="Multi-tenant job service saturation over a device group",
@@ -243,32 +212,16 @@ def run(
             "steps": steps,
             "block_size": block_size,
             "weights": weights,
-            "policies": per_policy,
-            "replay": replay,
+            "live": live,
             "bit_identical": identical,
             "fairness_ratio": fairness_ratio,
             "fairness_window_counts": fairness["window_counts"],
-            "series": {
-                "latency": {
-                    "policy": list(per_policy),
-                    "p50_latency_s": [
-                        per_policy[p]["p50_latency_s"] for p in per_policy
-                    ],
-                    "p99_latency_s": [
-                        per_policy[p]["p99_latency_s"] for p in per_policy
-                    ],
-                },
-            },
         },
         table=table,
         paper_claims={
             "service == direct": (
                 "service-run jobs bit-identical to direct Simulation.create "
                 "runs for every layout (the service only routes)"
-            ),
-            "cache-aware placement": (
-                "routing on kernel_key beats round-robin on per-device "
-                "warm-set hit rate for shuffled multi-layout traffic"
             ),
             "weighted fairness": (
                 "a weight-3 tenant gets ~3x a weight-1 tenant's dispatches "
@@ -279,11 +232,6 @@ def run(
             "service == direct": (
                 "bit-identical" if identical else "MISMATCH"
             ),
-            "cache-aware placement": (
-                f"replay hit rate {replay['cache']['warm_hit_rate']:.2f} vs "
-                f"{replay['round_robin']['warm_hit_rate']:.2f} round-robin "
-                f"(+{replay_edge:.2f})"
-            ),
             "weighted fairness": (
                 f"heavy/light ratio {fairness_ratio:.1f}x in the first "
                 "half of the dispatch order"
@@ -293,9 +241,8 @@ def run(
         },
         notes=[
             "Extends the paper: simulation-as-a-service scheduling "
-            "(admission, stride-scheduled tenant fairness, kernel-cache-"
-            "aware placement) over the simulated device group; live "
-            "latency numbers are host wall-clock and machine-dependent, "
-            "the replay comparison is deterministic.",
+            "(admission, stride-scheduled tenant fairness, least-loaded "
+            "placement) over the simulated device group; live latency "
+            "numbers are host wall-clock and machine-dependent.",
         ],
     )

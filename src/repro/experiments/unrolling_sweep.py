@@ -32,8 +32,6 @@ from .report import ExperimentResult, format_table
 __all__ = [
     "run",
     "measure_factor",
-    "submit_factor",
-    "collect_factor",
     "BODY_INSTRS",
     "REMOVABLE_INSTRS",
 ]
@@ -46,7 +44,7 @@ LOOP_BOOKKEEPING = 3
 REMOVABLE_INSTRS = FOLDABLE_ADDS + LOOP_BOOKKEEPING
 
 
-def submit_factor(
+def measure_factor(
     factor: int | str | None,
     layout_kind: str = "soaoas",
     block: int = 128,
@@ -55,7 +53,7 @@ def submit_factor(
     licm: bool = False,
     seed: int = 5,
 ) -> dict:
-    """Compile one unroll factor and enqueue its launch on a stream."""
+    """Compile and cycle-simulate the force kernel at one unroll factor."""
     layout = make_layout(layout_kind, n)
     kernel, plan = build_force_kernel(layout, block_size=block)
     dev = Device(toolchain=toolchain, heap_bytes=1 << 23)
@@ -73,30 +71,11 @@ def submit_factor(
         for name, step in zip(plan.param_for_step, steps)
     }
     params.update(out=out, nslices=n // block, eps=1e-2)
-    stream = dev.stream(f"unroll-{factor}")
-    stream.memcpy_htod_async(buf, system.pack(layout))
-    launch = stream.launch_async(
-        lk, grid=n // block, block=block, params=params
-    )
-    return {
-        "factor": factor,
-        "block": block,
-        "n": n,
-        "lk": lk,
-        "stream": stream,
-        "launch": launch,
-    }
-
-
-def collect_factor(submission: dict) -> dict:
-    """Wait for a :func:`submit_factor` launch and summarize it."""
-    result = submission["launch"].result()
-    submission["stream"].close()
-    lk = submission["lk"]
-    n, block = submission["n"], submission["block"]
+    dev.memcpy_htod(buf, system.pack(layout))
+    result = dev.launch(lk, grid=n // block, block=block, params=params)
     interactions = (n // block) * block  # per thread
     return {
-        "factor": submission["factor"],
+        "factor": factor,
         "registers": lk.reg_count,
         "static_instructions": lk.static_instruction_count,
         "warp_instructions": result.stats.warp_instructions,
@@ -106,38 +85,18 @@ def collect_factor(submission: dict) -> dict:
     }
 
 
-def measure_factor(factor: int | str | None, **kwargs) -> dict:
-    """Compile and cycle-simulate the force kernel at one unroll factor."""
-    return collect_factor(submit_factor(factor, **kwargs))
-
-
 def run(
     factors: tuple[int | str, ...] = (1, 2, 4, 8, 16, 32, 64, 128),
     block: int = 128,
-    serial: bool = False,
     **kwargs,
 ) -> ExperimentResult:
-    """Sweep unroll factors; configurations run on streams unless
-    ``serial=True``."""
+    """Sweep unroll factors, one launch at a time."""
     rows = []
     measurements = {}
     base = None
-
-    def compile_factor(f):
-        return None if f == 1 else ("full" if f == block else f)
-
-    if serial:
-        collected = [
-            measure_factor(compile_factor(f), block=block, **kwargs)
-            for f in factors
-        ]
-    else:
-        submissions = [
-            submit_factor(compile_factor(f), block=block, **kwargs)
-            for f in factors
-        ]
-        collected = [collect_factor(s) for s in submissions]
-    for f, m in zip(factors, collected):
+    for f in factors:
+        unroll = None if f == 1 else ("full" if f == block else f)
+        m = measure_factor(unroll, block=block, **kwargs)
         m["factor"] = f
         measurements[f] = m
         if base is None:

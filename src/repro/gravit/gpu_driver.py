@@ -220,11 +220,8 @@ class GpuForceBackend:
         self,
         config: GpuConfig | None = None,
         device: Device | None = None,
-        **config_overrides,
     ) -> None:
-        self.config = config or GpuConfig(**config_overrides)
-        if config is not None and config_overrides:
-            raise ValueError("pass either a GpuConfig or keyword overrides")
+        self.config = config or GpuConfig()
         self.device = device or Device(toolchain=self.config.toolchain)
         if self.device.toolchain is not self.config.toolchain:
             raise ValueError(

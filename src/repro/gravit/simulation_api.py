@@ -11,8 +11,8 @@ module collapses them behind:
   fastpath, device count, heap size, pool knobs.  Equal configurations
   compare and hash equal, and :attr:`SimulationConfig.kernel_key` is a
   stable digest of exactly the fields that determine the compiled force
-  kernel's content-addressed cache entry — the handle the service
-  scheduler routes on for cache-aware placement.
+  kernel's content-addressed cache entry — the service counts a job
+  warm when an earlier job already ran its key.
 * :class:`Simulation.create` — the single constructor.  It inspects the
   config and builds the right driver (pooled when ``pool_records_per_
   block`` is set, sharded when ``devices > 1``, plain otherwise) so the

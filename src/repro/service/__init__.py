@@ -4,10 +4,9 @@ The multi-tenant job layer: tenants submit simulation jobs
 (:class:`JobSpec`: scenario + :class:`~repro.gravit.SimulationConfig` +
 steps + priority/deadline) to a :class:`SimulationService`, whose
 scheduler admits them against a bounded queue, orders tenants by
-weighted fairness, places each job on the device already warm for its
-kernel, and dispatches onto per-device streams.  Results are
-bit-identical to calling :meth:`~repro.gravit.Simulation.create`
-directly.
+weighted fairness, places each job on the least-loaded device, and
+dispatches onto per-device streams.  Results are bit-identical to
+calling :meth:`~repro.gravit.Simulation.create` directly.
 
 One import site covers the whole failure surface of a submission: the
 host-side :class:`ServiceError` family (admission, quota, cancellation,
@@ -32,12 +31,7 @@ from .errors import (
     TenantQuotaError,
 )
 from .jobs import JobHandle, JobResult, JobSpec, JobState
-from .scheduler import (
-    PLACEMENT_POLICIES,
-    JobScheduler,
-    TenantState,
-    replay_placement,
-)
+from .scheduler import JobScheduler, TenantState
 from .service import SimulationService
 
 __all__ = [
@@ -50,8 +44,6 @@ __all__ = [
     "JobState",
     "JobScheduler",
     "TenantState",
-    "PLACEMENT_POLICIES",
-    "replay_placement",
     # host-side service errors
     "ServiceError",
     "QueueFullError",

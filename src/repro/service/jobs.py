@@ -81,7 +81,9 @@ class JobResult:
     forces: np.ndarray | None
     queue_wait_s: float
     run_s: float
-    warm_placement: bool  #: kernel was already compiled on that device
+    #: An earlier job of the service was dispatched with this job's
+    #: ``kernel_key``, so its compile should hit the shared kernel cache.
+    warm_placement: bool
 
 
 class JobHandle:

@@ -1,11 +1,8 @@
-"""Admission, weighted fairness, and cache-aware placement.
+"""Admission, weighted fairness, and least-loaded placement.
 
 :class:`JobScheduler` is a *pure state machine*: it owns no threads and
 takes no locks — the service drives it under one condition variable.
-That keeps every policy decision deterministic given the call sequence,
-which is what lets the same logic be replayed offline
-(:func:`replay_placement`) to compare placement policies bit-for-bit in
-benchmarks and tests.
+That keeps every decision deterministic given the call sequence.
 
 Three policies compose per dispatch:
 
@@ -20,15 +17,13 @@ Three policies compose per dispatch:
   contention, and an idle tenant re-enters at the current minimum so it
   cannot hoard credit.  Within a tenant, jobs order by (priority desc,
   deadline asc, submission).
-* **Placement** — ``"cache"`` routes a job to a free device that has
-  already compiled its :attr:`SimulationConfig.kernel_key` (warm), least
-  loaded first, falling back to the least-loaded free device;
-  ``"round_robin"`` is the naive baseline that cycles device indices.
-  Warm sets are recorded at dispatch (compilation happens at job start,
-  so by the time any later job could land there the entry is warm in the
-  device-group's shared content-addressed cache — but only *that device's
-  stream* replays it without a host-side cache miss window; placement
-  locality is what keeps the per-device hit rate high).
+* **Placement** — the job goes to the free device with the fewest jobs
+  in flight, lowest index on ties.  Every member of a device group
+  shares one content-addressed kernel cache, so no device is warmer
+  than another for a kernel.  A dispatch is *warm* when an earlier job
+  of this scheduler was dispatched with the same
+  :attr:`SimulationConfig.kernel_key`, i.e. when its compile should hit
+  that shared cache.
 """
 
 from __future__ import annotations
@@ -40,10 +35,7 @@ from dataclasses import dataclass, field
 from .errors import QueueFullError, TenantQuotaError
 from .jobs import JobHandle, JobState
 
-__all__ = ["JobScheduler", "TenantState", "PLACEMENT_POLICIES",
-           "replay_placement"]
-
-PLACEMENT_POLICIES = ("cache", "round_robin")
+__all__ = ["JobScheduler", "TenantState"]
 
 
 @dataclass
@@ -76,8 +68,6 @@ class JobScheduler:
         *,
         max_queue_depth: int = 64,
         max_inflight_per_device: int = 2,
-        placement: str = "cache",
-        default_weight: float = 1.0,
     ) -> None:
         if num_devices < 1:
             raise ValueError("num_devices must be >= 1")
@@ -85,27 +75,20 @@ class JobScheduler:
             raise ValueError("max_queue_depth must be >= 1")
         if max_inflight_per_device < 1:
             raise ValueError("max_inflight_per_device must be >= 1")
-        if placement not in PLACEMENT_POLICIES:
-            raise ValueError(
-                f"unknown placement policy {placement!r}; "
-                f"choose from {PLACEMENT_POLICIES}"
-            )
         self.num_devices = num_devices
         self.max_queue_depth = max_queue_depth
         self.max_inflight_per_device = max_inflight_per_device
-        self.placement = placement
-        self.default_weight = default_weight
         self.tenants: dict[str, TenantState] = {}
         self.queued_total = 0
         self.inflight = [0] * num_devices
-        self.warm: list[set[str]] = [set() for _ in range(num_devices)]
+        #: Kernel keys of every job dispatched so far.
+        self.seen: set[str] = set()
         self.warm_hits = 0
         self.cold_dispatches = 0
         self.dispatches = 0
         #: EWMA of observed job run time, seeding the retry-after estimate.
         self.avg_run_s = 0.05
         self._seq = itertools.count()
-        self._rr = 0
 
     # -- tenants -------------------------------------------------------------
 
@@ -115,25 +98,26 @@ class JobScheduler:
         weight: float | None = None,
         max_pending: int | None = None,
     ) -> TenantState:
-        """Fetch-or-register a tenant (idempotent; updates are explicit)."""
+        """Fetch-or-register a tenant (idempotent; updates are explicit).
+
+        A rejected weight (not > 0, NaN included) changes nothing.
+        """
+        if weight is not None and not weight > 0:
+            raise ValueError(f"tenant weight must be > 0, got {weight}")
         ts = self.tenants.get(name)
         if ts is None:
-            ts = self.tenants[name] = TenantState(
-                name,
-                weight=weight if weight is not None else self.default_weight,
-                max_pending=max_pending,
-            )
             # A newcomer starts at the current minimum pass so it neither
             # starves the incumbents nor owes them history.
-            active = [t.pass_value for t in self.tenants.values() if t is not ts]
-            ts.pass_value = min(active) if active else 0.0
-        else:
-            if weight is not None:
-                ts.weight = weight
-            if max_pending is not None:
-                ts.max_pending = max_pending
-        if ts.weight <= 0:
-            raise ValueError(f"tenant weight must be > 0, got {ts.weight}")
+            ts = self.tenants[name] = TenantState(
+                name,
+                pass_value=min(
+                    (t.pass_value for t in self.tenants.values()), default=0.0
+                ),
+            )
+        if weight is not None:
+            ts.weight = weight
+        if max_pending is not None:
+            ts.max_pending = max_pending
         return ts
 
     # -- admission -----------------------------------------------------------
@@ -186,35 +170,16 @@ class JobScheduler:
         while ts.pending and ts.pending[0][1]._cancelled:
             heapq.heappop(ts.pending)
 
-    def _free_devices(self) -> list[int]:
-        return [
-            d
-            for d in range(self.num_devices)
-            if self.inflight[d] < self.max_inflight_per_device
-        ]
-
-    def _place(self, kernel_key: str, free: list[int]) -> tuple[int, bool]:
-        """Pick a device for ``kernel_key``; returns (index, was_warm)."""
-        if self.placement == "round_robin":
-            for step in range(self.num_devices):
-                d = (self._rr + step) % self.num_devices
-                if d in free:
-                    self._rr = (d + 1) % self.num_devices
-                    return d, kernel_key in self.warm[d]
-            raise AssertionError("caller guarantees a free device")
-        warm_free = [d for d in free if kernel_key in self.warm[d]]
-        pool = warm_free or free
-        d = min(pool, key=lambda i: (self.inflight[i], i))
-        return d, bool(warm_free)
-
     def next_dispatch(self) -> tuple[JobHandle, int] | None:
         """The next (job, device) to run, or None if nothing can move.
 
         None means either no live queued job or no device below its
         inflight bound — the service waits for a completion either way.
+        The device is the least loaded one, lowest index on ties; all
+        devices share one bound, so it is free iff any device is.
         """
-        free = self._free_devices()
-        if not free:
+        d = min(range(self.num_devices), key=self.inflight.__getitem__)
+        if self.inflight[d] >= self.max_inflight_per_device:
             return None
         best: TenantState | None = None
         for ts in self.tenants.values():
@@ -229,8 +194,8 @@ class JobScheduler:
         _, handle = heapq.heappop(best.pending)
         self.queued_total -= 1
         kernel_key = handle.spec.config.kernel_key
-        d, warm = self._place(kernel_key, free)
-        self.warm[d].add(kernel_key)
+        warm = kernel_key in self.seen
+        self.seen.add(kernel_key)
         self.inflight[d] += 1
         best.inflight += 1
         best.dispatched += 1
@@ -272,7 +237,6 @@ class JobScheduler:
 
     def stats(self) -> dict:
         return {
-            "placement": self.placement,
             "dispatches": self.dispatches,
             "warm_hits": self.warm_hits,
             "cold_dispatches": self.cold_dispatches,
@@ -290,45 +254,3 @@ class JobScheduler:
                 for name, ts in sorted(self.tenants.items())
             },
         }
-
-
-def replay_placement(
-    kernel_keys: list[str],
-    num_devices: int,
-    placement: str = "cache",
-) -> dict:
-    """Deterministic offline replay of the placement policy alone.
-
-    Feeds ``kernel_keys`` (one per job, in dispatch order) through the
-    same :meth:`JobScheduler._place` logic with cumulative dispatch
-    counts as the load signal — no threads, no timing, so two runs of
-    the same job list produce identical numbers.  This is the apples-to-
-    apples comparison benchmarks use to show cache-aware placement
-    beating round-robin on warm-set hit rate.
-    """
-    sched = JobScheduler(
-        num_devices,
-        max_queue_depth=max(1, len(kernel_keys)),
-        # Replay has no completions: let every job stack on its device so
-        # `inflight` degenerates to the cumulative per-device load.
-        max_inflight_per_device=max(1, len(kernel_keys)),
-        placement=placement,
-    )
-    per_device = [0] * num_devices
-    hits = 0
-    for key in kernel_keys:
-        free = sched._free_devices()
-        d, warm = sched._place(key, free)
-        sched.warm[d].add(key)
-        sched.inflight[d] += 1
-        per_device[d] += 1
-        hits += bool(warm)
-    n = len(kernel_keys)
-    return {
-        "placement": placement,
-        "dispatches": n,
-        "warm_hits": hits,
-        "warm_hit_rate": hits / n if n else 0.0,
-        "per_device_dispatches": per_device,
-        "distinct_kernels": len(set(kernel_keys)),
-    }

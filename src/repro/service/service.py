@@ -5,7 +5,7 @@
 :class:`~repro.service.jobs.JobSpec`-shaped simulation jobs and get back
 :class:`~repro.service.jobs.JobHandle` futures; a dispatcher thread
 drives the :class:`~repro.service.scheduler.JobScheduler` (admission →
-weighted fairness → cache-aware placement) and lands each job on the
+weighted fairness → least-loaded placement) and lands each job on the
 chosen device's dedicated service stream, where it runs exactly the same
 :meth:`~repro.gravit.simulation_api.Simulation.create` path a direct
 caller would use — results are bit-identical to driving the simulation
@@ -55,11 +55,8 @@ class SimulationService:
         :class:`~repro.service.errors.QueueFullError` with a retry-after.
     ``max_inflight_per_device``
         Jobs dispatched-but-unfinished per device (1 running + the rest
-        waiting in the device stream's FIFO).
-    ``placement``
-        ``"cache"`` (default) routes jobs to devices warm for their
-        :attr:`~repro.gravit.simulation_api.SimulationConfig.kernel_key`;
-        ``"round_robin"`` is the naive baseline.
+        waiting in the device stream's FIFO).  Each job goes to the
+        device with the fewest of them.
     """
 
     def __init__(
@@ -70,8 +67,6 @@ class SimulationService:
         hardware: SimulationConfig | None = None,
         max_queue_depth: int = 64,
         max_inflight_per_device: int = 2,
-        placement: str = "cache",
-        default_weight: float = 1.0,
     ) -> None:
         if group is None:
             hw = hardware or SimulationConfig()
@@ -82,8 +77,6 @@ class SimulationService:
             len(group),
             max_queue_depth=max_queue_depth,
             max_inflight_per_device=max_inflight_per_device,
-            placement=placement,
-            default_weight=default_weight,
         )
         self._cond = threading.Condition()
         self._state = "running"  # -> "draining" -> "closed"
@@ -103,8 +96,8 @@ class SimulationService:
     ) -> None:
         """Declare a tenant's fair-share weight and pending-job quota.
 
-        Unregistered tenants are auto-registered at first submit with the
-        service's default weight and no quota.
+        Unregistered tenants are auto-registered at first submit with
+        weight 1 and no quota.
         """
         with self._cond:
             self._sched.tenant(name, weight=weight, max_pending=max_pending)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import make_layout
 from repro.cudasim import (
+    CompileOptions,
     KernelBuilder,
     Op,
     compile_kernel,
@@ -23,8 +24,8 @@ class TestDeterminism:
         physical assignments — the experiments depend on stable counts."""
         lay = make_layout("soaoas", 128)
         kernel, _ = build_force_kernel(lay, block_size=128)
-        a = compile_kernel(kernel, unroll="full", licm=True)
-        b = compile_kernel(kernel, unroll="full", licm=True)
+        a = compile_kernel(kernel, CompileOptions(unroll="full", licm=True))
+        b = compile_kernel(kernel, CompileOptions(unroll="full", licm=True))
         assert a.reg_map == b.reg_map
         assert a.pred_map == b.pred_map
         assert [i.op for i in a.instructions] == [i.op for i in b.instructions]
@@ -122,9 +123,9 @@ class TestPassHygiene:
     def test_compile_does_not_mutate_kernel(self):
         lay = make_layout("soa", 64)
         kernel, _ = build_force_kernel(lay, block_size=64)
-        r1 = compile_kernel(kernel, licm=True).reg_count
+        r1 = compile_kernel(kernel, CompileOptions(licm=True)).reg_count
         r2 = compile_kernel(kernel).reg_count
-        r3 = compile_kernel(kernel, licm=True).reg_count
+        r3 = compile_kernel(kernel, CompileOptions(licm=True)).reg_count
         assert r1 == r3 and r2 >= r1
 
 

@@ -16,9 +16,9 @@ def _device():
     return Device(toolchain=Toolchain.CUDA_1_0, heap_bytes=1 << 20)
 
 
-def _launch(builder_fn, grid=1, block=32, params=None, device=None, **kw):
+def _launch(builder_fn, grid=1, block=32, params=None, device=None):
     dev = device or _device()
-    lk = compile_kernel(builder_fn, **kw)
+    lk = compile_kernel(builder_fn)
     return dev, dev.launch(lk, grid=grid, block=block, params=params or {})
 
 

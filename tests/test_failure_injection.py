@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from repro.core import make_layout
-from repro.cudasim import Device, DeviceGroup, KernelBuilder, compile_kernel
+from repro.cudasim import (
+    CompileOptions,
+    Device,
+    DeviceGroup,
+    KernelBuilder,
+    compile_kernel,
+)
 from repro.cudasim.errors import (
     AccessViolation,
     AllocationError,
@@ -173,7 +179,7 @@ class TestResourceExhaustion:
         for r in regs:
             b.add(total, total, r)
         b.st_global(b.mov("a", b.param("dst")), total)
-        lk = compile_kernel(b.build(), dce=False)
+        lk = compile_kernel(b.build(), CompileOptions(dce=False))
         assert lk.reg_count > 32
         with pytest.raises(LaunchError):
             dev.launch(lk, 1, 512, {"dst": dev.malloc(64)})

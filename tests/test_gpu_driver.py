@@ -24,8 +24,11 @@ class TestConfig:
         assert GpuConfig(unroll=4).label == "soaoas+unroll4"
 
     def test_config_xor_overrides(self):
-        with pytest.raises(ValueError):
+        # Configuration travels only in a GpuConfig.
+        with pytest.raises(TypeError):
             GpuForceBackend(GpuConfig(), layout_kind="soa")
+        with pytest.raises(TypeError):
+            GpuForceBackend(layout_kind="soa")
 
     def test_registers_and_occupancy_exposed(self):
         be = _backend(block_size=128, unroll="full", licm=True)

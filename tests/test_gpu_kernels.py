@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import LAYOUT_KINDS, make_layout, sbp_counts
-from repro.cudasim import Op, compile_kernel, lower
+from repro.cudasim import CompileOptions, Op, compile_kernel, lower
 from repro.cudasim.ir import LoopStmt, Seq, walk_instrs
 from repro.gravit.gpu_kernels import (
     ALL_FIELDS,
@@ -43,8 +43,10 @@ class TestForceKernelStructure:
         lay = make_layout("soaoas", 128)
         kernel, _ = build_force_kernel(lay, block_size=128)
         assert compile_kernel(kernel).reg_count == 18
-        assert compile_kernel(kernel, unroll="full").reg_count == 17
-        assert compile_kernel(kernel, unroll="full", licm=True).reg_count == 16
+        full = CompileOptions(unroll="full")
+        assert compile_kernel(kernel, full).reg_count == 17
+        full_licm = CompileOptions(unroll="full", licm=True)
+        assert compile_kernel(kernel, full_licm).reg_count == 16
 
     def test_inner_loop_is_twenty_instructions(self):
         """16-instruction body + 1 induction add + 3 loop bookkeeping."""
@@ -105,7 +107,7 @@ class TestForceKernelStructure:
     def test_dce_does_not_break_force_kernel(self):
         lay = make_layout("aoas", 128)
         kernel, _ = build_force_kernel(lay, block_size=128)
-        lk = compile_kernel(kernel, unroll="full", licm=True)
+        lk = compile_kernel(kernel, CompileOptions(unroll="full", licm=True))
         assert lk.static_instruction_count > 100
 
 

@@ -3,12 +3,10 @@
 Covers key stability (same IR from different builders), option
 permutations (every option field must separate cache entries), the
 toolchain dimension, LRU bounding, the disk-persistence layer, the
-legacy-kwarg deprecation shim, and the Unroll enum coercions.
+rejection of the removed keyword form, and the Unroll enum coercions.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -26,7 +24,6 @@ from repro.cudasim import (
     lower_kernel,
     set_default_cache,
 )
-from repro.cudasim import launch as launch_mod
 
 
 def make_kernel(name="k", mul=2.0):
@@ -191,21 +188,9 @@ class TestCompileKernelFrontend:
         assert d10.compile(k) is d10.compile(k)
         assert d10.compile(k) is not d22.compile(k)
 
-    def test_legacy_kwargs_warn_once_and_still_work(self, monkeypatch):
-        monkeypatch.setattr(launch_mod, "_legacy_kwargs_warned", False)
-        k = make_kernel()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            lk = compile_kernel(k, unroll=4, licm=True)
-            compile_kernel(k, licm=True)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert lk.reg_count >= 1
-        # The shimmed call and the explicit-options call share an entry.
-        assert lk is compile_kernel(k, CompileOptions(unroll=4, licm=True))
-
     def test_options_and_legacy_kwargs_conflict(self):
+        # Options travel only in CompileOptions; the keyword form is gone.
+        with pytest.raises(TypeError):
+            compile_kernel(make_kernel(), unroll=4)
         with pytest.raises(TypeError):
             compile_kernel(make_kernel(), CompileOptions(), licm=True)

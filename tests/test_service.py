@@ -3,14 +3,14 @@
 Covers the four contracts the job service makes:
 
 * **One entry point** — :class:`SimulationConfig` + ``Simulation.create``
-  subsume the three driver constructors; the legacy kwarg forms still
-  work behind exactly one :class:`DeprecationWarning` per process.
+  subsume the three driver constructors, which take their knobs only
+  as a config object.
 * **Machine-readable refusals** — the :class:`ServiceError` family
   carries tenant/queue-depth/retry-after fields; the device-side
   ``LaunchError`` family is re-exported from the same package.
 * **Scheduling policy** — stride-scheduled weighted fairness,
   priority/deadline ordering within a tenant, bounded-queue
-  backpressure, cache-aware placement beating round-robin.
+  backpressure, least-loaded placement with a service-wide warm count.
 * **Service == direct** — a job run through the service is bit-identical
   to driving the simulation yourself, for every layout, fastpath
   setting, and SM engine.
@@ -47,7 +47,6 @@ from repro.service import (
     ServiceError,
     SimulationService,
     TenantQuotaError,
-    replay_placement,
 )
 
 N = 64
@@ -337,6 +336,26 @@ class TestSchedulerFairness:
             sched.admit(h)
         assert drain_dispatch(sched) == [soon, late, never]
 
+    def test_rejected_weight_changes_nothing(self, system):
+        sched = JobScheduler(
+            1, max_queue_depth=64, max_inflight_per_device=64
+        )
+        sched.tenant("a", weight=1.0)
+        with pytest.raises(ValueError):
+            sched.tenant("a", weight=-1.0)
+        assert sched.tenants["a"].weight == 1.0
+        with pytest.raises(ValueError):
+            sched.tenant("c", weight=0.0)
+        assert "c" not in sched.tenants
+        with pytest.raises(ValueError):
+            sched.tenant("a", weight=float("nan"))
+        assert sched.tenants["a"].weight == 1.0
+        for _ in range(3):
+            sched.admit(JobHandle(make_spec(system, "a"), None))
+            sched.admit(JobHandle(make_spec(system, "b"), None))
+        order = [h.tenant for h in drain_dispatch(sched)]
+        assert order == ["a", "b"] * 3
+
     def test_inflight_bound_blocks_dispatch(self, system):
         sched = JobScheduler(1, max_inflight_per_device=1)
         a = JobHandle(make_spec(system), None)
@@ -349,40 +368,57 @@ class TestSchedulerFairness:
 
 
 class TestPlacement:
-    def test_cache_policy_routes_to_warm_device(self, system):
+    def test_idle_device_beats_device_that_ran_the_kernel(self, system):
         sched = JobScheduler(
-            2, max_queue_depth=64, max_inflight_per_device=64
+            2, max_queue_depth=64, max_inflight_per_device=2
+        )
+        for _ in range(2):
+            sched.admit(JobHandle(make_spec(system), None))
+        first, second = drain_dispatch(sched)
+        assert first.device_index == 0 and not first.warm_placement
+        # Device 0 already ran the kernel but has a job in flight.
+        assert second.device_index == 1 and second.warm_placement
+
+    def test_ties_go_to_lowest_index(self, system):
+        sched = JobScheduler(
+            3, max_queue_depth=64, max_inflight_per_device=2
+        )
+        for _ in range(6):
+            sched.admit(JobHandle(make_spec(system), None))
+        handles = drain_dispatch(sched)
+        assert [h.device_index for h in handles] == [0, 1, 2, 0, 1, 2]
+        sched.complete(handles[5])  # device 2
+        sched.complete(handles[4])  # device 1
+        sched.admit(JobHandle(make_spec(system), None))
+        (h,) = drain_dispatch(sched)
+        assert h.device_index == 1
+
+    def test_first_dispatch_cold_later_warm_on_any_device(self, system):
+        sched = JobScheduler(
+            2, max_queue_depth=64, max_inflight_per_device=1
         )
         cfg_a, cfg_b = HW.replace(layout="aos"), HW.replace(layout="soa")
-        for cfg in (cfg_a, cfg_b, cfg_a, cfg_b, cfg_a, cfg_b):
+        for cfg in (cfg_a, cfg_a, cfg_b, cfg_a, cfg_b):
             sched.admit(JobHandle(make_spec(system, config=cfg), None))
-        handles = drain_dispatch(sched)
-        by_key = {}
-        for h in handles:
-            by_key.setdefault(h.spec.config.kernel_key, set()).add(
-                h.device_index
-            )
-        # Every repeat of a kernel landed on its first device.
-        assert all(len(devs) == 1 for devs in by_key.values())
-        assert sched.warm_hits == 4 and sched.cold_dispatches == 2
+        placed = []
+        while len(placed) < 5:
+            batch = drain_dispatch(sched)
+            placed += [(h.device_index, h.warm_placement) for h in batch]
+            for h in batch:
+                sched.complete(h)
+        # Keys a, a, b, a, b land on devices 0, 1, 0, 1, 0: each kernel's
+        # first dispatch is cold and every later one warm, on either
+        # device.
+        assert placed == [
+            (0, False), (1, True), (0, False), (1, True), (0, True)
+        ]
+        assert sched.warm_hits == 3 and sched.cold_dispatches == 2
 
-    def test_replay_cache_beats_round_robin(self):
-        import random
-
-        keys = [f"k{i % 5}" for i in range(60)]
-        random.Random(3).shuffle(keys)
-        cache = replay_placement(keys, 4, "cache")
-        rr = replay_placement(keys, 4, "round_robin")
-        assert cache["warm_hit_rate"] > rr["warm_hit_rate"]
-        assert cache["dispatches"] == rr["dispatches"] == 60
-
-    def test_replay_is_deterministic(self):
-        keys = [f"k{i % 3}" for i in range(24)]
-        assert replay_placement(keys, 2) == replay_placement(keys, 2)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="placement"):
-            JobScheduler(2, placement="astrology")
+    def test_placement_option_is_gone(self):
+        with pytest.raises(TypeError):
+            JobScheduler(2, placement="cache")
+        with pytest.raises(TypeError):
+            SimulationService(placement="cache")
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +500,8 @@ class TestServiceRuns:
         assert {r.job_id for r in results} == {h.job_id for h in handles}
         stats = svc.stats()
         assert stats["dispatches"] == 9
-        assert stats["warm_hits"] + stats["cold_dispatches"] == 9
+        assert stats["cold_dispatches"] == 3  # one per distinct kernel
+        assert stats["warm_hits"] == 6
 
     def test_async_submit_and_wait(self, system):
         async def go():

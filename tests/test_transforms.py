@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.cudasim import (
+    CompileOptions,
     Device,
     KernelBuilder,
     Op,
@@ -67,7 +68,9 @@ class TestUnrollCorrectness:
     def test_unrolled_matches_rolled(self, factor):
         trips = 8
         rolled = compile_kernel(_sum_kernel(trips))
-        unrolled = compile_kernel(_sum_kernel(trips), unroll=factor)
+        unrolled = compile_kernel(
+            _sum_kernel(trips), CompileOptions(unroll=factor)
+        )
         out_r, data = _run(rolled, trips)
         out_u, _ = _run(unrolled, trips)
         np.testing.assert_array_equal(out_r, out_u)
@@ -94,7 +97,7 @@ class TestUnrollCorrectness:
 
     def test_full_unroll_frees_loop_register(self):
         rolled = compile_kernel(_sum_kernel(8))
-        unrolled = compile_kernel(_sum_kernel(8), unroll="full")
+        unrolled = compile_kernel(_sum_kernel(8), CompileOptions(unroll="full"))
         assert unrolled.reg_count < rolled.reg_count
 
     def test_non_dividing_factor_rejected(self):
@@ -125,7 +128,7 @@ class TestUnrollCorrectness:
         b.imad(oaddr, b.sreg("tid"), 4, b.param("dst"))
         b.st_global(oaddr, acc)
         rolled = compile_kernel(b.build())
-        unrolled = compile_kernel(b.build(), unroll="full")
+        unrolled = compile_kernel(b.build(), CompileOptions(unroll="full"))
         dev = Device(heap_bytes=1 << 16)
         dst = dev.malloc(4 * 32)
         dev.launch(rolled, 1, 32, {"dst": dst})
@@ -187,7 +190,7 @@ class TestLICM:
         dev.memcpy_htod(src, data)
         outs = []
         for kk in (k, hoisted):
-            lk = compile_kernel(kk, dce=False)
+            lk = compile_kernel(kk, CompileOptions(dce=False))
             dev.launch(lk, 1, 32, {"src": src, "dst": dst, "c": 2.0})
             outs.append(dev.memcpy_dtoh(dst, 32))
         np.testing.assert_array_equal(outs[0], outs[1])
