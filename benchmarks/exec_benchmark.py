@@ -14,8 +14,9 @@ A paper-scale point (the largest n that fits the CI budget, unroll 16)
 is timed under the compiled mode only — the interpreter needs minutes
 per repeat there, which is exactly the affordability problem the
 vectorized executor solves.  The compiled runs also report scheduler
-shape: warps per vector dispatch and the fraction of warp-stretches that
-fell back to the per-warp path.
+shape: warps per vector dispatch, the fraction of warp-stretches that
+fell back to the per-warp path, and the per-row leftover events and
+validated shared loads per vectorized warp-instruction.
 
 Every mode is bit-identical to the interpreter by construction
 (``tests/test_fastpath.py`` pins memory images, stats and cycle counts),
@@ -58,15 +59,26 @@ def _best_of(fn, repeats: int) -> float:
 
 
 def _vec_shape(counters: dict) -> dict:
-    """Scheduler shape of the vectorized executor from its counters."""
+    """Scheduler shape of the vectorized executor from its counters.
+
+    The row fractions are per vectorized warp-instruction: per-row
+    leftover events and per-row validated shared loads, the work the
+    replay's run events leave to scalar per-warp execution."""
     dispatches = counters.get("dispatches", 0)
     warps = counters.get("warps", 0)
     fallbacks = counters.get("fallbacks", 0)
+    instructions = counters.get("instructions", 0)
+
+    def per_instruction(key: str) -> float:
+        return counters.get(key, 0) / instructions if instructions else 0.0
+
     return {
         "warps_per_dispatch": warps / dispatches if dispatches else 0.0,
         "fallback_fraction": (
             fallbacks / (warps + fallbacks) if warps + fallbacks else 0.0
         ),
+        "row_event_fraction": per_instruction("row_events"),
+        "row_load_fraction": per_instruction("row_loads"),
     }
 
 

@@ -82,21 +82,29 @@ the SM, and the resulting issue plan is memoized on the shared program
 keyed by the warps' pc and entry-wake configuration.  Every simulated
 time is a dyadic rational, so float64 sums are exact in any
 association order and the plan's offsets from dispatch time hold for
-any dispatch clock.  Within each branch/load-free segment, complete
-row groups (all warps at one pc) fold into stacked steps, and each
-maximal run of them becomes one *run event*: its steps
-execute back to back, then one precomputed ``(warps, k)`` offset array
-writes every scoreboard mark the run leaves behind and its issue and
-lane counts are added at once.  Shared loads are scheduled at their
-conflict-free cost and branches under a static direction assumption
-(backward/unconditional taken, forward predicated fall-through); at
-dispatch each such event is either proven by a cheap vectorized check
-(whole-warp broadcast load, uniform predicate) or executed through the
-real ``_issue``, and any deviation — cost, direction, or a mask rebind
-from divergence — aborts the window via a per-event snapshot that
-restores warp clocks, pcs and the exact stall/idle attribution of the
-prefix.  Mixed resident blocks whose divergence stacks reach into the
-window's visited pc range fall back before dispatch.  The plan also
+any dispatch clock.  Shared loads are scheduled at their
+conflict-free cost.  A load is *static* when its base register was
+last written inside the window by a constant ``mov`` and the address is
+aligned and in bounds: every active lane then reads the same words, a
+broadcast that costs exactly that, and the window holds no stores, so
+it is as state-invisible as an ALU op and needs no check.  Within each
+segment between validated events, complete row groups (all warps at
+one pc; static loads also at one address, each row reading its own
+block) fold into stacked steps, and each maximal run of them becomes
+one *run event*: its steps execute back to back (a static load as one
+read of a stacked view of the rows' shared memory), then one
+precomputed ``(warps, k)`` offset array writes every scoreboard mark
+the run leaves behind and its issue and lane counts are added at
+once.  The other loads are validated, and so are branches, scheduled
+under a static direction assumption (backward/unconditional taken,
+forward predicated fall-through): at dispatch each such event is
+either proven by a cheap vectorized check (whole-warp broadcast load,
+uniform predicate) or executed through the real ``_issue``, and any
+deviation — cost, direction, or a mask rebind from divergence —
+aborts the window via a per-event snapshot that restores warp clocks,
+pcs and the exact stall/idle attribution of the prefix.  Mixed
+resident blocks whose divergence stacks reach into the window's
+visited pc range fall back before dispatch.  The plan also
 records each idle advance of its schedule with the rows that can win
 it and their in-window scoreboard marks, so a profiled dispatch
 attributes every gap to the stall reason the interpreter's scan would
@@ -167,7 +175,9 @@ FASTPATH_ENV = "REPRO_EXEC_FASTPATH"
 #: record their idle gaps); shared-load pcs flush their vector issue
 #: cost.  Generation 6: one template family — single warps run the
 #: vector templates on their arena row, and the per-warp family is gone.
-FASTPATH_GENERATION = 6
+#: Generation 7: static shared loads (constant broadcast addresses) fold
+#: into replay runs; programs carry the per-pc register writes.
+FASTPATH_GENERATION = 7
 
 #: Spelling → mode for :data:`FASTPATH_ENV`.  The boolean aliases keep
 #: their historical meaning: any "true" spelling selects the compiled
@@ -254,9 +264,10 @@ class FastProgram:
     #: Per-pc ``(issue cycles, result latency, dst slots, address reg
     #: slot, byte offset)`` for the memory ops the replay scheduler can
     #: place inside a window — unpredicated shared loads, whose result
-    #: latency is constant and whose conflict-free issue cost the
-    #: dispatcher validates at execution time.  ``None`` for every
-    #: other pc.
+    #: latency is constant and whose issue cost is the conflict-free
+    #: one: proven statically for a constant broadcast address,
+    #: validated at execution time otherwise.  ``None`` for every other
+    #: pc.
     mem: list
     #: Per-pc ``(target, pred slot, pred negated, assumed taken, issue
     #: cycles)`` for branches the replay schedules under a direction
@@ -267,8 +278,11 @@ class FastProgram:
     bra: list
     #: Per-pc replay-window membership
     #: (:func:`repro.cudasim.cfg.replay_schedulable`): fusible ALU work
-    #: plus the validated shared loads and branches.
+    #: plus the shared loads and validated branches.
     vok: list
+    #: Per-pc ``(register slots written, constant)`` for the replay's
+    #: static-load analysis (see :func:`_reg_writes`).
+    regw: list
     param_names: tuple[str, ...] = ()
     fused_pcs: int = field(default=0)
     #: Fusible pcs whose step needs more than the stack: CLOCK steps
@@ -643,11 +657,13 @@ def _mem_costs(lk: LoweredKernel, dev: DeviceProperties) -> list:
     constant ALU latency and its destination marks are unconditional, so
     dependent wakes stay static.  The issue cost assumes a conflict-free
     access — degree ``lanes`` for an L-word vector load (a float4 read
-    is 4 shared accesses even without conflicts); the dispatcher
-    compares the real cost returned by ``_issue`` against it and aborts
-    the window on the first mismatch.  A predicated load can skip its
-    destination marks entirely when the mask comes up empty, so it
-    parks the row instead.
+    is 4 shared accesses even without conflicts).  A load whose address
+    the replay proves to be a constant, aligned, in-bounds broadcast
+    (*static*, see :meth:`FastSMExecutor._vreplay`) has exactly that
+    cost; for any other the dispatcher compares the real cost returned
+    by ``_issue`` against it and aborts the window on the first
+    mismatch.  A predicated load can skip its destination marks
+    entirely when the mask comes up empty, so it parks the row instead.
     """
     alu_i = float(dev.alu_issue_cycles)
     alu_l = float(dev.alu_result_latency)
@@ -670,6 +686,37 @@ def _mem_costs(lk: LoweredKernel, dev: DeviceProperties) -> list:
             out.append((alu_i * len(dsts), alu_l, dsts, aslot, ins.offset))
         else:
             out.append(None)
+    return out
+
+
+def _reg_writes(lk: LoweredKernel) -> list:
+    """Per-pc ``(register slots written, constant)``.
+
+    ``constant`` is set for an unpredicated ``mov reg, imm`` whose
+    immediate is an integer of magnitude at most ``2**24`` (so exact in
+    float32): it leaves every active lane holding that value, an exact
+    address base.  The replay tracks these writers to prove shared
+    loads static; every other register write invalidates what it
+    overwrites.
+    """
+    out: list = []
+    for ins in lk.instructions:
+        slots = ()
+        if ins.op is not Op.NOP:
+            slots = tuple(
+                lk.reg_map[d.name] for d in ins.dsts if not d.is_predicate
+            )
+        const = None
+        if (
+            ins.op is Op.MOV
+            and ins.pred is None
+            and slots
+            and isinstance(ins.srcs[0], Imm)
+        ):
+            v = float(ins.srcs[0].value)
+            if v.is_integer() and abs(v) <= 2**24:
+                const = v
+        out.append((slots, const))
     return out
 
 
@@ -767,8 +814,8 @@ def _build_program(lk: LoweredKernel, dev: DeviceProperties) -> FastProgram:
     # Fused ops have static issue costs (SFU ops on SFU timing, all else
     # on ALU timing, as in _step_costs), so the profiler's per-pc
     # issue cycles are count x cost.  The only shared loads counted
-    # here are the replay's inlined broadcasts, which issue at their
-    # conflict-free vector cost.
+    # here are the replay's static and inlined broadcasts, which issue
+    # at their conflict-free vector cost.
     ops = [i.op for i in lk.instructions]
     flush_ops = list(dict.fromkeys(ops))
     group_of = {op: g for g, op in enumerate(flush_ops)}
@@ -804,6 +851,7 @@ def _build_program(lk: LoweredKernel, dev: DeviceProperties) -> FastProgram:
         mem=mem,
         bra=_bra_costs(lk, dev),
         vok=[replay_schedulable(ins) for ins in lk.instructions],
+        regw=_reg_writes(lk),
     )
 
 
@@ -863,6 +911,8 @@ _VEC_COUNTERS = {
     "abort_cost": 0,  # replay aborted: shared-load cost mismatch
     "abort_branch": 0,  # replay aborted: branch direction or divergence
     "masked_runs": 0,  # run events executed under a partial lane mask
+    "row_events": 0,  # per-row leftover events the dispatches ran
+    "row_loads": 0,  # per-row validated shared loads, inline or _issue
 }
 
 
@@ -883,39 +933,82 @@ def reset_vec_counters() -> None:
             _VEC_COUNTERS[k] = 0
 
 
+def _vread(reads: tuple, R: list, S: np.ndarray, act) -> None:
+    """Static shared loads of a stack of rows (a run's group, or one
+    row's leftover): each ``(dst slot, word)`` writes ``S[word]`` — the
+    ``(rows, 1)`` column of each row's own block word in a stacked
+    shared view (see :meth:`FastSMExecutor._vshared`) — across the rows'
+    active lanes."""
+    if act is True:
+        for d, w in reads:
+            R[d][...] = S[w]
+    else:
+        for d, w in reads:
+            np.copyto(R[d], S[w], where=act)
+
+
 class _Run:
     """Run event of a replay plan: a maximal sequence of full row groups
     between validated events, executed as back-to-back stacked steps.
 
-    ``pcs`` are the steps in plan order.  ``cols``/``offs`` hold the
-    final scoreboard mark of every register slot the run writes, as
-    ``(W, k)`` per-row offsets from dispatch time (``None`` when it
-    marks nothing) — a later write of a slot overrides an earlier one,
-    exactly as issuing the steps one by one would.  ``plain`` are the
-    unpredicated pcs, whose lane count is the dispatch's; ``times``
-    gives each step the ``(W, 1)`` issue offsets a CLOCK step reads
-    (``None`` for every other step).  ``simple`` runs need neither.
+    ``pcs`` are the steps in plan order: fusible ALU steps and static
+    shared loads.  ``seq`` executes them as ``(ALU pcs, reads)`` chunks,
+    each stretch of ALU steps followed by the static loads issued after
+    it as ``(dst slot, word index)`` reads (see :func:`_vread`);
+    ``shared`` says whether there are any.  ``cols``/``offs`` hold the
+    final scoreboard mark of every register slot the run writes, loads
+    included, as ``(W, k)`` per-row offsets from dispatch time (``None``
+    when it marks nothing) — a later write of a slot overrides an
+    earlier one, exactly as issuing the steps one by one would.
+    ``plain`` are the unpredicated pcs, whose lane count is the
+    dispatch's; ``times`` gives each ALU step, in ``seq`` order, the
+    ``(W, 1)`` issue offsets a CLOCK step reads (``None`` for every
+    other step).  ``simple`` runs need neither.  ``conf`` lists the
+    ``(pc, conflicts)`` a profiled dispatch adds for multi-word loads:
+    an L-word broadcast serializes L-fold, ``W × (L − 1)`` per group.
     """
 
-    __slots__ = ("pcs", "plain", "cols", "offs", "times", "simple")
+    __slots__ = (
+        "pcs", "seq", "shared", "plain", "cols", "offs", "times", "simple",
+        "conf",
+    )
 
     def __init__(self, prog: FastProgram, groups: list[tuple]) -> None:
         self.pcs = tuple(e[2] for e in groups)
         marks: dict[int, np.ndarray] = {}
-        for _, _, q, tvec in groups:
-            lat = prog.lats[q]
-            if lat is not None:
-                marks[prog.writes[q]] = tvec + lat
+        seq: list[tuple] = []
+        steps: list[int] = []
+        reads: list[tuple] = []
+        times: list = []
+        conf: list[tuple] = []
+        for _, load, q, tvec in groups:
+            if load is None:
+                if reads:
+                    seq.append((tuple(steps), tuple(reads)))
+                    steps, reads = [], []
+                steps.append(q)
+                times.append(tvec[:, None] if q in prog.clock_pcs else None)
+                lat = prog.lats[q]
+                if lat is not None:
+                    marks[prog.writes[q]] = tvec + lat
+                continue
+            done = tvec + prog.mem[q][1]
+            for d, _ in load:
+                marks[d] = done
+            reads.extend(load)
+            if len(load) > 1:
+                conf.append((q, len(tvec) * (len(load) - 1)))
+        seq.append((tuple(steps), tuple(reads)))
+        self.seq = tuple(seq)
+        self.shared = any(r for _, r in seq)
+        self.conf = tuple(conf)
         self.cols = self.offs = None
         if marks:
             slots = sorted(marks)
             self.cols = np.array(slots, dtype=np.intp)
             self.offs = np.stack([marks[r] for r in slots], axis=1)
         self.plain = tuple(q for q in self.pcs if q not in prog.pred_pcs)
-        self.times = tuple(
-            tvec[:, None] if q in prog.clock_pcs else None
-            for _, _, q, tvec in groups
-        )
+        self.times = tuple(times)
         self.simple = len(self.plain) == len(self.pcs) and not any(
             t is not None for t in self.times
         )
@@ -1069,10 +1162,18 @@ class FastSMExecutor(SMExecutor):
         schedule and its stall/idle charges are exact for any entry
         stagger, any mix of pcs, and any interleaving of ALU work with
         schedulable shared loads: those have a constant result latency,
-        so dependent wakes stay static, and their conflict-free issue
-        cost is validated by the dispatcher as it executes, aborting the
-        window mid-schedule on the first mismatch (still exact, because
-        events run in schedule order).
+        so dependent wakes stay static, and their issue cost is the
+        conflict-free one.  A load is *static* when its base register
+        was last written inside the window, in its own row, by a
+        constant ``mov`` (see :func:`_reg_writes`) and the resulting
+        address is aligned and in bounds: every active lane then reads
+        the same words, a broadcast whose cost is exactly the assumed
+        one, so it folds like an ALU op and can never abort.  Whether a
+        load is static depends only on the window's instructions, so it
+        is part of the memoized plan.  Every other load is validated by
+        the dispatcher as it executes, aborting the window mid-schedule
+        on the first mismatch (still exact, because events run in
+        schedule order).
 
         Branches are scheduled under a direction assumption (see
         :func:`_bra_costs`): the replay follows each row's assumed pc
@@ -1118,8 +1219,9 @@ class FastSMExecutor(SMExecutor):
         Returns ``None`` when the window is too small to be worth
         dispatching, else ``(plan, kvec, pvec, qlo, qhi, cut, rr_pos,
         stalls, idle, cols, thr2, nivec, total, gaps)``: the execution
-        plan (run events of stacked steps, scalar steps, memory issues
-        and branch validations, in schedule order), per-row instruction
+        plan (run events of stacked steps and static loads, per-row
+        leftover events, validated loads and branch validations, in
+        schedule order), per-row instruction
         counts, per-row final pcs, per-row visited pc ranges, the
         port-free cut offset, the ring cursor at the cut, closed-form
         stall/idle charges, the pre-window threshold arrays, per-row
@@ -1135,6 +1237,8 @@ class FastSMExecutor(SMExecutor):
         dst = prog.writes
         mem = prog.mem
         bra = prog.bra
+        regw = prog.regw
+        sbytes = 4 * self.lk.shared_words
         k = [0] * W
         p = list(pcs)  # per-row current pc along the assumed trajectory
         qlo = list(pcs)  # per-row visited pc range (issue points)
@@ -1145,6 +1249,7 @@ class FastSMExecutor(SMExecutor):
         ni = [-1.0] * W  # last issue + cost (next_issue), -1 = never issued
         wrow: list[dict] = [{} for _ in range(W)]  # in-window completions
         threc: list[dict] = [{} for _ in range(W)]  # pre-window first reads
+        cst: list[dict] = [{} for _ in range(W)]  # in-window constant regs
         ev: list[tuple] = []  # events in schedule order
         gaps: list[float] = []  # idle-advance records, packed
         ngaps = 0
@@ -1181,11 +1286,25 @@ class FastSMExecutor(SMExecutor):
             else:
                 mq = mem[q]
                 if mq is not None:
-                    c, lat, dsts = mq[:3]
-                    # Shared load: constant latency, conflict-free cost
-                    # assumed; the prefix of committed charges and gaps
-                    # rides along for the dispatcher's mid-window abort.
-                    ev.append((1, pos, q, t, c, stalls, idle, ngaps))
+                    c, lat, dsts, aslot, off = mq
+                    # Shared load: constant latency, conflict-free cost.
+                    # A static one (see the docstring) is a fusible
+                    # event with its ``(dst slot, word)`` reads; any
+                    # other is validated, so the prefix of committed
+                    # charges and gaps rides along for the dispatcher's
+                    # mid-window abort.
+                    base = cst[pos].get(aslot)
+                    addr = -1 if base is None else int(base) + off
+                    if (
+                        addr >= 0
+                        and not addr & 3
+                        and addr + 4 * len(dsts) <= sbytes
+                    ):
+                        w0 = addr >> 2
+                        reads = tuple(zip(dsts, range(w0, w0 + len(dsts))))
+                        ev.append((4, pos, q, t, c, reads))
+                    else:
+                        ev.append((1, pos, q, t, c, stalls, idle, ngaps))
                     done = t + lat
                     for w in dsts:
                         wr[w] = done
@@ -1197,6 +1316,14 @@ class FastSMExecutor(SMExecutor):
                     tgt, _pi, _ng, taken, c = bra[q]
                     ev.append((3, pos, q, t, c, stalls, idle, ngaps))
                     nxt = tgt if taken else q + 1
+            slots, cv = regw[q]
+            if slots:
+                cs = cst[pos]
+                if cv is not None:
+                    cs[slots[0]] = cv
+                elif cs:
+                    for r in slots:
+                        cs.pop(r, None)
             k[pos] += 1
             total += 1
             if q < qlo[pos]:
@@ -1291,19 +1418,21 @@ class FastSMExecutor(SMExecutor):
         if total < 2:
             return None  # nothing beyond the forced first issue
         # Fold the schedule into an execution plan.  Within a *segment*
-        # — a maximal run of fusible ALU events between validated
-        # events (loads, branches) — execution order across rows is
-        # state-invisible: registers are warp-private, the window has
-        # no stores so shared memory is frozen, and each event keeps
-        # its own scheduled time.  Per-row order is preserved because a
-        # segment contains no back-edge, so each row's pcs strictly
-        # increase and sorting by pc keeps them in program order.  So
-        # sort each segment by pc and fold every complete group (all W
-        # rows at one pc) into one stacked step; leftovers stay scalar.
-        # Consecutive groups then merge into one run event (below).
-        # Folds never cross a validated event: everything before it in
-        # the plan is also before it in schedule time, which is what
-        # makes a mid-window abort exact.
+        # — a maximal run of fusible events (ALU ops and static shared
+        # loads) between validated events (other loads, branches) —
+        # execution order across rows is state-invisible: registers are
+        # warp-private, the window has no stores so shared memory is
+        # frozen, and each event keeps its own scheduled time.  Per-row
+        # order is preserved because a segment contains no back-edge,
+        # so each row's pcs strictly increase and sorting by pc keeps
+        # them in program order.  So sort each segment by pc and fold
+        # every complete group (all W rows at one pc, static loads also
+        # at one word index, each row reading its own block) into one
+        # stacked step; leftovers stay scalar.  Consecutive groups then
+        # merge into one run event (below).  Folds never cross a
+        # validated event: everything before it in the plan is also
+        # before it in schedule time, which is what makes a mid-window
+        # abort exact.
         plan: list[tuple] = []
         all_rows = (1 << W) - 1
         seg: list[tuple] = []
@@ -1314,16 +1443,20 @@ class FastSMExecutor(SMExecutor):
             j = 0
             while j < ns:
                 q = seg[j][2]
+                reads = seg[j][5] if seg[j][0] == 4 else None
                 jj = j
                 rows_seen = 0
+                same = True
                 while jj < ns and seg[jj][2] == q:
                     rows_seen |= 1 << seg[jj][1]
+                    if reads is not None and seg[jj][5] != reads:
+                        same = False
                     jj += 1
-                if jj - j == W and rows_seen == all_rows:
+                if jj - j == W and rows_seen == all_rows and same:
                     tvec = np.empty(W, dtype=_F64)
                     for e2 in seg[j:jj]:
                         tvec[e2[1]] = e2[3]
-                    plan.append((2, 0, q, tvec))
+                    plan.append((2, reads, q, tvec))
                 else:
                     plan.extend(seg[j:jj])
                 j = jj
@@ -1337,27 +1470,26 @@ class FastSMExecutor(SMExecutor):
         lr = list(dkey)
         pr = list(pcs)
         for e in ev:
-            if e[0] == 0:
+            if e[0] == 0 or e[0] == 4:
                 seg.append(e)
             else:
                 flush_seg()
                 plan.append(e)
         flush_seg()
         # Second pass: walk the folded plan once to attach snapshots.
-        costs_l = costs
         plan2: list[tuple] = []
         for e in plan:
             kind = e[0]
             if kind == 2:
                 q = e[2]
-                c = costs_l[q]
+                c = costs[q] if e[1] is None else mem[q][0]
                 tv = e[3]
                 for m in range(W):
                     kr[m] += 1
                     lr[m] = tv[m] + c
                     pr[m] = q + 1
                 plan2.append(e)
-            elif kind == 0:
+            elif kind == 0 or kind == 4:
                 m = e[1]
                 kr[m] += 1
                 lr[m] = e[3] + e[4]
@@ -1432,13 +1564,14 @@ class FastSMExecutor(SMExecutor):
         The bucket is every countable warp — at *any* pc — and the
         schedule comes from :meth:`_vreplay` keyed by the bucket's exact
         entry pcs and wake pattern, so staggered, reordered and mixed-pc
-        groups vectorize, with shared loads issued by the interpreter's
-        own ``_issue`` at their scheduled times.  Aligned stretches run
-        as stacked numpy steps; everything else replays scalar in
-        schedule order.  Stall and idle charges come from the replay's
-        closed forms; with the profiler on, so do the idle gaps, and
-        the inlined paths add the counters ``_issue`` would.  Every
-        decision is the same with the profiler on or off.
+        groups vectorize.  Aligned stretches, static shared loads
+        included, run as stacked numpy steps; everything else replays
+        scalar in schedule order, validated loads inline or through the
+        interpreter's own ``_issue`` at their scheduled times.  Stall
+        and idle charges come from the replay's closed forms; with the
+        profiler on, so do the idle gaps, and the inlined paths add the
+        counters ``_issue`` would.  Every decision is the same with the
+        profiler on or off.
         """
         prog = self._program
         n = len(warps)
@@ -1540,17 +1673,25 @@ class FastSMExecutor(SMExecutor):
         writes = prog.writes
         cnt = self._cnt
         lanes_acc = self._lanes_acc
+        S = None  # stacked shared view, built by the first static load
+        nev = nld = 0  # per-row leftover events, validated loads
+        abort = None
         for e in plan:
             kind = e[0]
             if kind == 2:
                 # Run event: its steps back to back, then all of its
                 # scoreboard marks and issue/lane counts at once.
                 run = e[1]
+                if run.shared and S is None:
+                    S = self._vshared(warps, lo, hi2)
                 if run.simple:
-                    for q in run.pcs:
-                        vsteps[q](R, P, tid, cta, act2)
+                    for qs, reads in run.seq:
+                        for q in qs:
+                            vsteps[q](R, P, tid, cta, act2)
+                        if reads:
+                            _vread(reads, R, S, act2)
                 else:
-                    self._vrun_special(run, R, P, tid, cta, act2, now)
+                    self._vrun_special(run, R, P, tid, cta, act2, now, S)
                 if run.cols is not None:
                     pend[:, run.cols] = now + run.offs
                 for q in run.pcs:
@@ -1559,9 +1700,13 @@ class FastSMExecutor(SMExecutor):
                     lanes_acc[q] += nl
                 if not allfull:
                     self._vwhy["masked_runs"] += 1
+                if prof is not None:
+                    for q, extra in run.conf:
+                        prof.bank_conflicts[q] += extra
             elif kind == 0:
                 # Leftover event: one row's step at its issue time, then
                 # the bookkeeping a run event does for its rows.
+                nev += 1
                 m = e[1]
                 q = e[2]
                 t = now + e[3]
@@ -1575,6 +1720,27 @@ class FastSMExecutor(SMExecutor):
                     pend[m, w] = t + lats[q]
                 cnt[q] += 1
                 lanes_acc[q] += na if got is None else got
+            elif kind == 4:
+                # Static load left out of a group: the same read for its
+                # one row, from its own block.
+                nev += 1
+                m = e[1]
+                q = e[2]
+                reads = e[5]
+                na = nas[m]
+                _vread(
+                    reads,
+                    rows[m][0],
+                    warps[lo + m].block.shared.words[:, None, None],
+                    True if na == WARP else acts[m],
+                )
+                tl = now + e[3] + mem[q][1]
+                for d, _ in reads:
+                    pend[m, d] = tl
+                cnt[q] += 1
+                lanes_acc[q] += na
+                if prof is not None and len(reads) > 1:
+                    prof.bank_conflicts[q] += len(reads) - 1
             elif kind == 3:
                 m = e[1]
                 q = e[2]
@@ -1610,10 +1776,10 @@ class FastSMExecutor(SMExecutor):
                     or wp.pc != (tgt if taken else q + 1)
                     or wp.active is not acts[m]
                 ):
-                    return self._vabort(
-                        warps, wake, lo, W, now, end, e, "abort_branch", recs
-                    )
+                    abort = (end, e, "abort_branch")
+                    break
             else:
+                nld += 1
                 m = e[1]
                 wp = warps[lo + m]
                 t = now + e[3]
@@ -1654,9 +1820,13 @@ class FastSMExecutor(SMExecutor):
                 wp.pc = q
                 end = issue_one(wp, t)
                 if end != t + e[4]:
-                    return self._vabort(
-                        warps, wake, lo, W, now, end, e, "abort_cost", recs
-                    )
+                    abort = (end, e, "abort_cost")
+                    break
+        why = self._vwhy
+        why["row_events"] += nev
+        why["row_loads"] += nld
+        if abort is not None:
+            return self._vabort(warps, wake, lo, W, now, *abort, recs)
         stats = self.stats
         stats.scoreboard_stalls += stalls
         stats.idle_cycles += idle
@@ -1795,20 +1965,41 @@ class FastSMExecutor(SMExecutor):
             out.append((now + t, tgt - t, reason_of(*win, end, now + t)))
         return out
 
-    def _vrun_special(self, run, R, P, tid, cta, act, now: float) -> None:
+    def _vrun_special(
+        self, run, R, P, tid, cta, act, now: float, S
+    ) -> None:
         """Steps of a run holding CLOCK or predicated steps: CLOCK reads
         its per-row issue moments, predicated steps report their active
-        lanes (every other step's lanes are the dispatch's)."""
+        lanes (every other step's lanes are the dispatch's); static
+        loads read ``S`` as in a simple run."""
         vsteps = self._vsteps
         lanes = self._lanes_acc
-        times = run.times
-        for j, q in enumerate(run.pcs):
-            tq = times[j]
-            got = vsteps[q](
-                R, P, tid, cta, act, None if tq is None else now + tq
-            )
-            if got is not None:
-                lanes[q] += got
+        times = iter(run.times)
+        for qs, reads in run.seq:
+            for q in qs:
+                tq = next(times)
+                got = vsteps[q](
+                    R, P, tid, cta, act, None if tq is None else now + tq
+                )
+                if got is not None:
+                    lanes[q] += got
+            if reads:
+                _vread(reads, R, S, act)
+
+    @staticmethod
+    def _vshared(warps: list[WarpState], lo: int, hi: int) -> np.ndarray:
+        """Stacked shared-memory view of rows ``[lo, hi)`` for static
+        loads, shaped ``(shared words, rows, 1)``: ``S[word]`` is the
+        ``(rows, 1)`` column of each row's own block word.  Rows of one
+        block share a broadcast view of its words; rows of several
+        blocks read a stacked copy, which is exact because a window
+        holds no stores (shared memory is frozen for the dispatch)."""
+        blk = warps[lo].block
+        if warps[hi - 1].block is blk:
+            return blk.shared.words[:, None, None]
+        return np.stack(
+            [warps[j].block.shared.words for j in range(lo, hi)], axis=1
+        )[:, :, None]
 
     def _vfallback(self, reason: str) -> None:
         """Count one fallback to the per-warp path under ``reason``."""

@@ -5,10 +5,11 @@ must be an exact stand-in for the reference interpreter: same memory
 image, same :class:`KernelStats`, same cycle counts — for every
 layout, coalescing policy, unroll factor, a divergent Barnes-Hut
 traversal, a dynamic pooled-simulation epoch with mid-run compaction,
-and generated chains of fusible ops.  These tests pin that equivalence
-byte for byte, including the fallback seams where the cross-warp
-scheduler must hand buckets back to the per-warp path (divergence,
-barriers, mixed resident blocks, conflicting shared addressing).  v2
+and generated chains of fusible ops and shared loads.  These tests pin
+that equivalence byte for byte, including the fallback seams where the
+cross-warp scheduler must hand buckets back to the per-warp path
+(divergence, barriers, mixed resident blocks, conflicting shared
+addressing) and the static shared loads it folds into its runs.  v2
 has one cross-warp scheduler, the replay, for profiled and unprofiled
 launches alike: profiles match the interpreter's, and profiling changes
 no scheduling decision.
@@ -37,9 +38,11 @@ from repro.cudasim.cfg import (
     split_blocks,
 )
 from repro.cudasim.device import G8800GTX, Toolchain
+from repro.cudasim.errors import AccessViolation, MisalignedAccess
 from repro.cudasim.fastpath import (
     FALLBACK_REASONS,
     FASTPATH_ENV,
+    FastSMExecutor,
     compile_fastpath,
     fastpath_enabled,
     fastpath_mode,
@@ -412,24 +415,33 @@ class TestVectorFallbacks:
 
     def test_clock_in_leftover_events(self):
         """Global loads wake a block's two warps at different cycles, so
-        shared loads split the replay window between their CLOCK reads:
-        each read is a leftover event and must see its own issue time,
-        not the dispatch's."""
-        b = KernelBuilder("k_clock_left", params=("dst",))
-        tid = b.sreg("tid")
-        i = b.imad("i", b.sreg("ctaid"), b.sreg("ntid"), tid)
-        a = b.imad("a", i, 4, b.param("dst"))
-        x = b.ld_global(b.reg("x"), a)
-        y = b.add(b.reg("y"), x, 1.0)
-        s0 = b.mov(b.reg("s0"), 0)
-        clocks = []
-        for k in range(3):
-            clocks.append(b.clock(b.reg(f"c{k}")))
-            b.add(y, y, b.ld_shared(b.reg(f"l{k}"), s0, offset=4 * k))
-        for k, c in enumerate(clocks):
-            b.st_global(a, c, offset=4 * 64 * (k + 1))
-        b.st_global(a, y)
-        _run_seam(b.build(shared_words=4), grid=1, block=64, out_words=256)
+        validated shared loads split the replay window between their
+        CLOCK reads: each read is a leftover event and must see its own
+        issue time, not the dispatch's.  The loads' base is uniform but
+        not written by a constant ``mov``, so they stay validated."""
+        reset_vec_counters()
+        _run_seam(
+            _clock_kernel(lambda b, tid: b.isub(b.reg("s0"), tid, tid)),
+            grid=1, block=64, out_words=256,
+        )
+        got = vec_counters()
+        assert got["row_loads"] > 0
+        assert got["row_events"] > 0
+
+    def test_row_counters_flush_to_telemetry(self):
+        """The per-row counters reach the registry like every other
+        dispatch counter."""
+        telemetry.enable()
+        reset_vec_counters()
+        _run_kernel_modes(
+            _clock_kernel(lambda b, tid: b.isub(b.reg("s0"), tid, tid)),
+            grid=1, block=64, out_words=256,
+        )
+        snap = telemetry.snapshot()
+        got = vec_counters()
+        for name in ("row_events", "row_loads"):
+            series = snap[f"cudasim.fastpath.vec.{name}"]["series"]
+            assert sum(s["value"] for s in series) == got[name] > 0
 
     @pytest.mark.parametrize("profiled", (False, True))
     def test_fallback_reasons_sum_to_fallbacks(self, profiled):
@@ -481,6 +493,260 @@ class TestVectorFallbacks:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert vec_counters() == {k: 24 * v for k, v in once.items()}
+
+
+def _clock_kernel(base):
+    """Global loads wake a block's two warps at different cycles; then
+    three CLOCK reads interleave with shared loads at the register that
+    ``base(builder, tid)`` writes."""
+    b = KernelBuilder("k_clock_left", params=("dst",))
+    tid = b.sreg("tid")
+    i = b.imad("i", b.sreg("ctaid"), b.sreg("ntid"), tid)
+    a = b.imad("a", i, 4, b.param("dst"))
+    x = b.ld_global(b.reg("x"), a)
+    y = b.add(b.reg("y"), x, 1.0)
+    s0 = base(b, tid)
+    clocks = []
+    for k in range(3):
+        clocks.append(b.clock(b.reg(f"c{k}")))
+        b.add(y, y, b.ld_shared(b.reg(f"l{k}"), s0, offset=4 * k))
+    for k, c in enumerate(clocks):
+        b.st_global(a, c, offset=4 * 64 * (k + 1))
+    b.st_global(a, y)
+    return b.build(shared_words=4)
+
+
+#: Words of the shared tile the static-load kernels fill, one per thread
+#: of a 64-thread block.
+TILE = 64
+
+
+def _tile_kernel(name, base, width=4, loads=8, active=None):
+    """Each thread stores a value of its global index into its word of
+    the shared tile; after a barrier ``base(builder, tid)`` sets ``s0``,
+    and ``loads`` shared loads of ``width`` words at ``[s0 + 16k]`` feed
+    an accumulator chain.  With ``active``, that part runs inside ``if
+    laneid < active`` and ends in a store, so the rows park before they
+    reconverge; every lane then adds all loaded registers, so lanes
+    outside the ``if`` show what the loads left in them."""
+    b = KernelBuilder(name, params=("dst",))
+    tid = b.sreg("tid")
+    i = b.imad("i", b.sreg("ctaid"), b.sreg("ntid"), tid)
+    a = b.imad("a", i, 4, b.param("dst"))
+    v = b.i2f(b.reg("v"), i)
+    b.mad(v, v, 0.75, 1.0)
+    b.st_shared(b.shl("sa", tid, 2), v)
+    b.bar_sync()
+    xs = [
+        [b.mov(b.reg(f"x{k}_{j}"), -1.0) for j in range(width)]
+        for k in range(loads)
+    ]
+    acc = b.mov(b.reg("acc"), 0.5)
+
+    def body():
+        s0 = base(b, tid)
+        for k, row in enumerate(xs):
+            b.ld_shared(tuple(row) if width > 1 else row[0], s0,
+                        offset=16 * k)
+            for x in row:
+                b.mad(acc, acc, 0.5, x)
+
+    if active is None:
+        body()
+    else:
+        p = b.pred()
+        b.setp("lt", p, b.sreg("laneid"), active)
+        with b.if_(p):
+            body()
+            b.st_global(a, acc)
+    for row in xs:
+        for x in row:
+            b.add(acc, acc, x)
+    b.st_global(a, acc)
+    return b.build(shared_words=TILE)
+
+
+def _stagger_kernel(active=None):
+    """Warp 1 of a 64-thread block reads global memory at a 17-word
+    stride (uncoalesced) and wakes long after warp 0.  Each warp then
+    reads two static ``.v2`` loads and stores, so it parks right after
+    them (inside ``if laneid < active`` when given); the loaded
+    registers are first read after the window, then a lane-dependent
+    (validated) load joins the stored sum."""
+    b = KernelBuilder("k_stagger", params=("dst",))
+    tid = b.sreg("tid")
+    i = b.imad("i", b.sreg("ctaid"), b.sreg("ntid"), tid)
+    o = b.imad("o", i, 4, b.param("dst"))
+    stride = b.imad("st", b.shr(b.reg("wid"), tid, 5), 16, 1)
+    a = b.imad("a", b.imul("j", i, stride), 4, b.param("dst"))
+    y = b.add(b.reg("y"), b.ld_global(b.reg("x"), a), 1.0)
+    regs = [b.mov(b.reg(f"l{k}"), -1.0) for k in range(4)]
+
+    def body():
+        s0 = b.mov(b.reg("s0"), 0)
+        for k in range(2):
+            b.ld_shared(tuple(regs[2 * k: 2 * k + 2]), s0, offset=8 * k)
+        b.st_global(o, y)
+
+    if active is None:
+        body()
+    else:
+        p = b.pred()
+        b.setp("lt", p, b.sreg("laneid"), active)
+        with b.if_(p):
+            body()
+    # l3 first: its load is still in flight right after the store.
+    for r in reversed(regs):
+        b.add(y, y, r)
+    z = b.ld_shared(b.reg("z"), b.shl(b.reg("s1"), b.sreg("laneid"), 2))
+    b.add(y, y, z)
+    b.st_global(o, y)
+    return b.build(shared_words=32)
+
+
+class TestStaticLoads:
+    """Shared loads at a base last written in the window by a constant
+    ``mov`` fold into replay runs like ALU ops; every other load stays
+    validated.  Each case is bit-identical to the interpreter, profiled
+    and not (profiles include the folded loads' bank conflicts)."""
+
+    @staticmethod
+    def _const_base(b, tid):
+        return b.mov(b.reg("s0"), 0)
+
+    def test_clock_between_static_loads(self):
+        """The CLOCK kernel with a constant base: its loads are static,
+        so they no longer split the window and no load is validated."""
+        reset_vec_counters()
+        _run_seam(
+            _clock_kernel(self._const_base), grid=1, block=64, out_words=256
+        )
+        got = vec_counters()
+        assert got["row_loads"] == 0
+        assert got["dispatches"] > 0
+
+    def test_group_reads_several_blocks(self, monkeypatch):
+        """Two resident blocks per SM hold different tiles: one group of
+        static loads reads every row's own block from a stacked view."""
+        rows_read = []
+        stacked = FastSMExecutor._vshared
+
+        def spy(warps, lo, hi):
+            view = stacked(warps, lo, hi)
+            rows_read.append(view.shape[1])
+            return view
+
+        monkeypatch.setattr(FastSMExecutor, "_vshared", staticmethod(spy))
+        reset_vec_counters()
+        grid = 2 * G8800GTX.num_sms
+        _run_seam(
+            _tile_kernel("k_tiles", self._const_base),
+            grid=grid, block=TILE, out_words=grid * TILE,
+        )
+        got = vec_counters()
+        assert got["row_loads"] == 0
+        assert max(rows_read) > 1, "no group read more than one block"
+
+    @pytest.mark.parametrize("width", (1, 4))
+    def test_partial_warp_reads_static_loads(self, width):
+        """Inside a lane-divergent ``if`` every row is partially
+        active: the folded reads write only the active lanes, and the
+        others keep their values past reconvergence."""
+        reset_vec_counters()
+        _run_seam(
+            _tile_kernel(
+                f"k_tiles_partial{width}", self._const_base,
+                width=width, active=20,
+            ),
+            grid=2, block=TILE, out_words=2 * TILE,
+        )
+        got = vec_counters()
+        assert got["masked_runs"] > 0
+        assert got["row_loads"] == 0
+
+    @pytest.mark.parametrize("active", (None, 20))
+    def test_static_loads_left_out_of_groups(self, active):
+        """Warp 1's uncoalesced global load wakes it long after warp 0,
+        which runs through its static loads alone: they are left out of
+        every group and read per row, fully or partially active."""
+        kernel = _stagger_kernel(active)
+        _run_seam(kernel, grid=1, block=TILE, out_words=17 * TILE)
+        dev = Device(fastpath=2, cache=KernelCache(), heap_bytes=1 << 20)
+        lk = compile_kernel(kernel)
+        dev.launch(
+            lk, grid=1, block=TILE, params={"dst": dev.malloc(4 * 17 * TILE)}
+        )
+        kinds = [
+            e[0]
+            for program in lk.exec_plan.programs.values()
+            for meta in program.vmeta.values()
+            if meta is not None
+            for e in meta[0]
+        ]
+        assert 4 in kinds, "no static load was left out of a group"
+
+    @staticmethod
+    def _rewritten(b, tid):
+        s0 = b.mov(b.reg("s0"), 0)
+        return b.iadd(s0, s0, 16)
+
+    @staticmethod
+    def _predicated(b, tid):
+        s0 = b.mov(b.reg("s0"), 0)
+        p = b.pred()
+        b.setp("lt", p, b.sreg("laneid"), 16)
+        b.emit(Instr(Op.MOV, dsts=(s0,), srcs=(Imm(16),), pred=p))
+        return s0
+
+    @staticmethod
+    def _lane_dependent(b, tid):
+        return b.shl(b.reg("s0"), b.sreg("laneid"), 2)
+
+    @pytest.mark.parametrize(
+        "base, width",
+        [
+            ("_rewritten", 4),
+            ("_predicated", 4),
+            ("_lane_dependent", 1),
+        ],
+    )
+    def test_loads_that_stay_validated(self, base, width):
+        """A base rewritten after its constant by a non-``mov``, set by a
+        predicated ``mov``, or different per lane is not static."""
+        reset_vec_counters()
+        _run_seam(
+            _tile_kernel(
+                f"k_validated{base}", getattr(self, base), width=width,
+                loads=4,
+            ),
+            grid=2, block=TILE, out_words=2 * TILE,
+        )
+        assert vec_counters()["row_loads"] > 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "addr, width, error",
+        [
+            (2, 1, MisalignedAccess),
+            (-4, 1, AccessViolation),
+            (4 * TILE, 1, AccessViolation),
+            (4 * (TILE - 2), 4, AccessViolation),
+        ],
+    )
+    def test_bad_constant_base_raises(self, mode, addr, width, error):
+        """A constant base that is misaligned or out of bounds is not
+        static: the load runs through ``_issue`` and faults."""
+        kernel = _tile_kernel(
+            f"k_bad{addr}_{width}",
+            lambda b, tid: b.mov(b.reg("s0"), addr),
+            width=width, loads=1,
+        )
+        dev = Device(fastpath=mode, cache=KernelCache(), heap_bytes=1 << 20)
+        lk = compile_kernel(kernel)
+        with pytest.raises(error):
+            dev.launch(
+                lk, grid=2, block=TILE, params={"dst": dev.malloc(4 * 128)}
+            )
 
 
 def _bank_conflict_kernel():
@@ -864,11 +1130,15 @@ def _scaled_kernel(c: float, bias: float):
 
 # -- generated kernels -------------------------------------------------------
 #
-# Chains of fusible ops drawn over the kernel builder: immediates, launch
-# parameters and thread ids as operands, destinations aliasing a source,
-# integers past float32's exact range fed into float ops, predicated ops,
-# CLOCK reads, and an optional predicated exit that leaves every warp
-# partially active.
+# Chains of fusible ops and shared loads drawn over the kernel builder:
+# immediates, launch parameters and thread ids as operands, destinations
+# aliasing a source, integers past float32's exact range fed into float
+# ops, predicated ops, CLOCK reads, and an optional predicated exit that
+# leaves every warp partially active.  Every lane first fills its four
+# words of a shared tile; the chain's scalar and ``.v4`` loads then read
+# it at constant bases (static loads, also kept across later ops or
+# clobbered by a predicated ``mov``) and at register bases masked into
+# range (validated loads, bank conflicts included).
 
 _FLOAT_BIN = (Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.MIN, Op.MAX)
 _FLOAT_UN = (Op.RSQRT, Op.SQRT, Op.NEG, Op.ABS, Op.F2I, Op.I2F, Op.MOV)
@@ -881,11 +1151,20 @@ _imms = st.one_of(
     st.integers(2**24 + 1, 2**30),
 )
 
+#: Largest word index a masked register base reaches (``and`` mask).
+_MASKED_HI = 127
+#: Registers a generated chain defines at most (each is stored with two
+#: probes, all live at once).
+_POOL_MAX = 18
+
 
 @st.composite
 def _fusible_chains(draw):
     """``(kernel, grid, block, outputs)`` for one generated kernel: a
-    straight-line chain of fusible ops whose registers are all stored."""
+    shared-tile fill and barrier, then a straight-line chain of fusible
+    ops and shared loads whose registers are all stored."""
+    block = 32 * draw(st.integers(2, 4))
+    words = 4 * block
     b = KernelBuilder("k_fuzz", params=("dst", "pf", "pi"))
     tid = b.sreg("tid")
     i = b.imad("i", b.sreg("ctaid"), b.sreg("ntid"), tid)
@@ -895,6 +1174,15 @@ def _fusible_chains(draw):
         b.iadd(b.reg("r2"), tid, b.param("pi")),  # past 2**24
         b.mul(b.reg("r3"), b.i2f(b.reg("r4"), tid), draw(_imms)),
     ]
+    # Each lane fills its four words of the tile, different per block.
+    b.st_shared(b.shl("fa", tid, 4), (b.i2f(b.reg("fi"), i), *pool[1:]))
+    # The loads' base, set before the barrier: a load that keeps it is
+    # not static (its constant was written outside the window).  ``hi``
+    # bounds its word index in every lane (None: a load must set it).
+    sb = b.mov(b.reg("sb"), 0)
+    pool.append(sb)
+    hi = 0
+    b.bar_sync()
     # A lane-dependent predicate, so predicated ops see partial masks.
     p = b.pred()
     b.setp("lt", p, b.sreg("laneid"), draw(st.integers(1, 31)))
@@ -903,6 +1191,20 @@ def _fusible_chains(draw):
         q = b.pred()
         b.setp("ge", q, b.sreg("laneid"), draw(st.integers(1, 31)))
         b.exit(pred=q)
+    if draw(st.booleans()):
+        # Odd warps run a few more ops, so the chain's windows start
+        # staggered and their validated events split rows' segments.
+        lag = b.mov(b.reg("lag"), 1.0)
+        wodd = b.reg("wodd")
+        b.emit(Instr(
+            Op.AND, dsts=(wodd,), srcs=(b.shr("wid", tid, 5), Imm(1))
+        ))
+        odd = b.pred()
+        b.setp("ne", odd, wodd, 0)
+        with b.if_(odd):
+            for _ in range(draw(st.integers(4, 8))):
+                b.mul(lag, lag, 1.5)
+        pool.append(lag)
     register = st.integers(0, 10**6).map(lambda k: pool[k % len(pool)])
     operand = st.one_of(
         register, register, register, _imms, st.just(b.param("pf")),
@@ -912,18 +1214,70 @@ def _fusible_chains(draw):
         op = draw(st.sampled_from(
             _FLOAT_BIN + _FLOAT_UN + _INT_BIN
             + (Op.MAD, Op.IMAD, Op.SHL, Op.SETP, Op.SELP, Op.CLOCK)
+            + (Op.LD_SHARED,) * 4
         ))
         guard = draw(st.sampled_from(preds)) if draw(st.booleans()) else None
         # A predicated write only updates some lanes, so its destination
-        # must already be defined.
-        alias = guard is not None or draw(st.booleans())
+        # must already be defined.  Past _POOL_MAX registers every write
+        # aliases one, so the stores' live ranges fit a 128-thread block.
+        alias = (
+            guard is not None or draw(st.booleans())
+            or len(pool) >= _POOL_MAX
+        )
         dst = draw(register) if alias else b.reg(f"v{step}")
+        if op is Op.LD_SHARED:
+            base = draw(st.sampled_from(
+                ("const", "const", "pred", "masked", "keep")
+            ))
+            if hi is None and base != "masked":
+                base = "const"
+            if base in ("const", "pred"):
+                c0 = draw(st.integers(0, words - 4))
+                b.emit(Instr(
+                    Op.MOV, dsts=(sb,), srcs=(Imm(4 * c0),),
+                    pred=guard if base == "pred" else None,
+                    pred_neg=(
+                        base == "pred" and guard is not None
+                        and draw(st.booleans())
+                    ),
+                ))
+                hi = c0 if base == "const" or guard is None else max(hi, c0)
+            elif base == "masked":
+                # Word stride 1, 4 or 16: the last puts every lane of a
+                # half-warp in one bank, so the load conflicts and aborts.
+                shift = draw(st.sampled_from((0, 2, 4)))
+                b.emit(Instr(
+                    Op.AND, dsts=(sb,),
+                    srcs=(draw(register), Imm(_MASKED_HI >> shift)),
+                ))
+                b.shl(sb, sb, 2 + shift)
+                hi = _MASKED_HI >> shift << shift
+            width = draw(st.sampled_from((1, 4)))
+            if width == 1:
+                dsts = (dst,)
+            elif alias or len(pool) + width > _POOL_MAX:
+                alias = True
+                dsts = tuple(draw(st.lists(
+                    register, min_size=width, max_size=width, unique=True
+                )))
+            else:
+                dsts = tuple(b.reg(f"v{step}_{j}") for j in range(width))
+            b.ld_shared(
+                dsts, sb, offset=4 * draw(st.integers(0, words - width - hi))
+            )
+            if sb in dsts:
+                hi = None
+            if not alias:
+                pool.extend(dsts)
+            continue
         if op is Op.SETP:
             p = b.pred()
             b.setp(draw(st.sampled_from(_CMPS)), p,
                    draw(operand), draw(operand))
             preds.append(p)
             continue
+        if dst == sb:
+            hi = None
         if op is Op.SELP:
             srcs = (draw(operand), draw(operand),
                     draw(st.sampled_from(preds)))
@@ -958,8 +1312,7 @@ def _fusible_chains(draw):
     for k, reg in enumerate(outs):
         b.st_global(addr, reg, offset=4 * k * 3 * 128)
     grid = draw(st.integers(1, 3))
-    block = 32 * draw(st.integers(2, 4))
-    return b.build(), grid, block, len(outs)
+    return b.build(shared_words=words), grid, block, len(outs)
 
 
 class TestGeneratedKernels:
