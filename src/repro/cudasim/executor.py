@@ -139,6 +139,7 @@ class WarpState:
         "_fp_act",
         "_fp_na",
         "_row",
+        "_fol",
         "_prof_t0",
     )
 
@@ -175,6 +176,9 @@ class WarpState:
         self._fp_na = 0
         # Arena row index under the vectorized fastpath (-1 = unbound).
         self._row = -1
+        # Under a fastpath gang, the other members' copies of this warp
+        # (set on the leader's warps only; see fastpath.FastSMExecutor).
+        self._fol = ()
 
 
 class _Prep:
@@ -322,6 +326,8 @@ class SMExecutor:
         # disabled profiling is free and enabled profiling bit-identical.
         self.profile = profile
         self.stats = stats if stats is not None else KernelStats()
+        #: Finish cycle of this SM, set when its simulation ends.
+        self.end_cycle: float | None = None
         self.pipeline = MemoryPipeline(device, policy)
         self.texcache = TextureCache(device, self.pipeline)
         self.plan = kernel_plan(lk)
@@ -335,6 +341,13 @@ class SMExecutor:
     #: Ops this executor never issues through :meth:`_issue`, so never
     #: pre-resolves (the interpreter issues everything).
     _UNPREPARED: frozenset = frozenset()
+
+    @property
+    def members(self) -> tuple:
+        """The SMs one :meth:`run` simulates: this executor's, plus the
+        other members of a compiled gang (see
+        :class:`repro.cudasim.fastpath.FastSMExecutor`), in SM order."""
+        return (self,)
 
     def _needs(self, pc: int):
         """Registers whose pending status blocks issue at ``pc``."""
@@ -471,7 +484,8 @@ class SMExecutor:
 
     def run(self, block_ids: list[int], max_resident: int) -> float:
         """Execute ``block_ids`` with at most ``max_resident`` co-resident
-        blocks; returns the finish cycle."""
+        blocks; returns the finish cycle (every member's is its
+        :attr:`end_cycle`)."""
         # Kernel float math follows IEEE-754 silently, like the GPU:
         # overflow → inf, 0/0 → NaN, without host-side warnings.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -480,7 +494,7 @@ class SMExecutor:
             with _telemetry.span(
                 "cudasim.sm",
                 kernel=self.lk.name,
-                sm=self.sm_index,
+                sms=[m.sm_index for m in self.members],
                 blocks=len(block_ids),
             ) as sp:
                 end = self._run(block_ids, max_resident)
@@ -557,6 +571,7 @@ class SMExecutor:
                 self._prof_gap(warps, now, new_now)
             now = new_now
         self.stats.sm_cycles.append(now)
+        self.end_cycle = now
         return now
 
     # ---------------------------------------------------------------- issue
@@ -929,10 +944,11 @@ class SMExecutor:
 # memory image, and race-free kernels (every kernel in this repository)
 # write disjoint output ranges.  That makes per-SM simulation
 # embarrassingly parallel, so :func:`run_sms` can farm the SMs out to a
-# ``concurrent.futures`` pool.  Results are merged in SM-index order, so
-# every engine produces bit-identical memory and identical
-# :class:`KernelStats` for race-free kernels (the serial engine remains
-# the default and the reference).
+# ``concurrent.futures`` pool — or, in compiled mode, interleave the
+# congruent SMs of a launch as one gang in this process.  Results are
+# merged in SM-index order, so every engine produces bit-identical
+# memory and identical :class:`KernelStats` for race-free kernels (the
+# serial engine remains the default and the reference).
 
 #: Available engines: ``serial`` (reference, in-process loop) and
 #: ``process`` (true multi-core; the heap's live segments are shipped to
@@ -984,13 +1000,16 @@ def _run_sm_serial(
     params: dict,
     block_dim: int,
     grid_dim: int,
-    block_ids: list[int],
+    group: list[tuple[int, list[int]]],
     resident: int,
-    sm_index: int,
     trace=None,
     fastpath: bool | int = False,
     profile_spec=None,
-) -> SMRun:
+) -> list[SMRun]:
+    """Simulate ``group``'s ``(sm_index, block_ids)`` assignments in this
+    process: one SM, or (compiled mode) several holding the same number
+    of blocks as one gang.  Returns one :class:`SMRun` per member."""
+    (sm_index, block_ids), gang = group[0], group[1:]
     stats = KernelStats()
     profile = None
     if profile_spec is not None:
@@ -998,8 +1017,11 @@ def _run_sm_serial(
 
         profile = SMProfile(len(lk.instructions), sm_index, profile_spec)
     # ``fastpath`` is a mode: 0/False = interpreter, 2/True = compiled.
+    extra = {}
     if fastpath:
         from .fastpath import FastSMExecutor as executor_cls
+
+        extra["gang"] = gang
     else:
         executor_cls = SMExecutor
     ex = executor_cls(
@@ -1014,14 +1036,35 @@ def _run_sm_serial(
         trace=trace,
         sm_index=sm_index,
         profile=profile,
+        **extra,
     )
     end = ex.run(block_ids, resident)
-    stats.memory.merge(ex.pipeline.stats)
     if profile is not None:
         profile.end_cycle = end
-    return SMRun(
-        sm_index=sm_index, end_cycle=end, stats=stats, profile=profile
-    )
+    runs = []
+    for m in ex.members:
+        m.stats.memory.merge(m.pipeline.stats)
+        runs.append(
+            SMRun(
+                sm_index=m.sm_index,
+                end_cycle=m.end_cycle,
+                stats=m.stats,
+                profile=m.profile,
+            )
+        )
+    return runs
+
+
+def _gangs(assignments: list[tuple[int, list[int]]]) -> list[list]:
+    """Assignments grouped by block count, each group in SM order.
+
+    SMs holding the same number of blocks start congruent — same warps,
+    same pcs, same clocks — whatever their block ids, so each group can
+    run as one compiled gang.  Launch geometry alone decides this."""
+    groups: dict[int, list] = {}
+    for assignment in assignments:
+        groups.setdefault(len(assignment[1]), []).append(assignment)
+    return list(groups.values())
 
 
 def _run_sm_task(payload: tuple):
@@ -1031,9 +1074,9 @@ def _run_sm_task(payload: tuple):
     gmem = _WriteLogMemory(size_bytes)
     for addr, words in segments:
         gmem.write(addr, words)
-    run = _run_sm_serial(
+    (run,) = _run_sm_serial(
         device, policy, gmem, lk, params, block_dim, grid_dim,
-        block_ids, resident, sm_index, fastpath=fastpath,
+        [(sm_index, block_ids)], resident, fastpath=fastpath,
         profile_spec=profile_spec,
     )
     return run, gmem.store_log
@@ -1085,6 +1128,10 @@ def run_sms(
 ) -> list[SMRun]:
     """Simulate every (sm_index, block_ids) assignment; results in SM order.
 
+    Under the serial engine in compiled mode, the assignments holding
+    the same number of blocks run as one gang (see :func:`_gangs` and
+    :class:`repro.cudasim.fastpath.FastSMExecutor`), unless a ``trace``
+    hook or the profiler is on: both observe one SM in program order.
     A non-``None`` ``trace`` hook forces the serial engine: the hook
     observes accesses in program order and is not generally picklable.
     Under ``process``, worker stores are replayed into ``gmem`` in SM
@@ -1102,14 +1149,21 @@ def run_sms(
         engine = "serial"
 
     if engine == "serial":
-        return [
-            _run_sm_serial(
+        if fastpath and trace is None and profile is None:
+            groups = _gangs(assignments)
+        else:
+            groups = [[assignment] for assignment in assignments]
+        runs = [
+            run
+            for group in groups
+            for run in _run_sm_serial(
                 device, policy, gmem, lk, params, block_dim, grid_dim,
-                block_ids, resident, sm, trace=trace, fastpath=fastpath,
+                group, resident, trace=trace, fastpath=fastpath,
                 profile_spec=profile,
             )
-            for sm, block_ids in assignments
         ]
+        runs.sort(key=lambda run: run.sm_index)
+        return runs
 
     # engine == "process"
     size_bytes = gmem.size_bytes

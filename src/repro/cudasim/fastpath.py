@@ -45,6 +45,9 @@ overhead without perturbing a single simulated cycle:
    Divergence, barriers and per-warp-divergent scoreboard timing fall
    back to that per-warp path; :func:`vec_counters` counts every
    fallback and abort by reason.
+5. Congruent SMs of a launch run as one *gang* whose arena rows stack
+   every member's warps, so each step runs over all of them at once
+   (see below).
 
 Bit-identity argument
 ---------------------
@@ -110,6 +113,45 @@ it and their in-window scoreboard marks, so a profiled dispatch
 attributes every gap to the stall reason the interpreter's scan would
 (:meth:`FastSMExecutor._vgaps`): profiling changes no scheduling
 decision.
+
+Gangs extend the argument across SMs.  The SMs of a launch that hold
+the same number of blocks (:func:`repro.cudasim.executor.run_sms`,
+serial engine, from launch geometry alone) start *congruent*: the same
+warps at the same pcs with the same clocks, differing only in block ids
+and data.  One :class:`FastSMExecutor` drives them as a gang: one scan,
+one wake list and one replay plan, computed from the leader's warps,
+over an arena whose rows interleave the members.  This is exact for as
+long as the members stay congruent, because everything the scheduler
+decides from — pcs, wake times, masks, barrier and done state — is then
+the same in every member:
+
+* fusible steps and static shared loads depend on no data but their
+  own rows, so one call over all members' rows gives each member what
+  its own call would, and their scoreboard marks are the same;
+* every data-dependent outcome runs per member, through the member's
+  own executor (its stats, memory pipeline, texture cache and blocks):
+  ``_issue`` for global and texture accesses, stores, barriers and
+  exits, validated shared loads and branches; so do the lane counts of
+  predicated steps, which feed only ``thread_instructions``;
+* after each of those, every member's outcome — clock, pc, active mask,
+  divergence depth, scoreboard, barrier and done state — is compared
+  with the leader's.  Equal outcomes keep the gang congruent.  A member
+  whose outcome differs leaves at that instruction: inside a window the
+  abort reconstruction ends the window for every member (it is exact
+  after any event, matched or not), the leaver copies its rows into an
+  arena of its own, and it later resumes alone from its own clock, the
+  scan cursor and its block queue — exactly where a lone run of that SM
+  would stand.
+
+Scan stalls, idle cycles and the per-pc issue counts are the gang's:
+they are counted once and handed to each member as it leaves or the
+gang ends.  Members interleave their global stores instruction by
+instruction instead of running one SM after another; under the
+race-free contract the process engine already relies on — the SMs of a
+launch write disjoint ranges and never read each other's writes — that
+order is invisible.  A trace hook or the profiler observes one SM's
+accesses in program order, so those launches run their SMs one at a
+time.
 
 The reference interpreter stays available behind
 ``REPRO_EXEC_FASTPATH=0`` or ``Device(fastpath=False)``; ``=2`` (the
@@ -177,7 +219,9 @@ FASTPATH_ENV = "REPRO_EXEC_FASTPATH"
 #: vector templates on their arena row, and the per-warp family is gone.
 #: Generation 7: static shared loads (constant broadcast addresses) fold
 #: into replay runs; programs carry the per-pc register writes.
-FASTPATH_GENERATION = 7
+#: Generation 8: predicated steps return their lane mask, so a gang
+#: counts each member's lanes.
+FASTPATH_GENERATION = 8
 
 #: Spelling → mode for :data:`FASTPATH_ENV`.  The boolean aliases keep
 #: their historical meaning: any "true" spelling selects the compiled
@@ -287,7 +331,7 @@ class FastProgram:
     fused_pcs: int = field(default=0)
     #: Fusible pcs whose step needs more than the stack: CLOCK steps
     #: take the per-row issue moments, predicated steps return their
-    #: active lane count.
+    #: lane mask (the caller counts its active lanes).
     clock_pcs: frozenset = frozenset()
     pred_pcs: frozenset = frozenset()
     #: Scheduler-replay cache keyed by ``(pcs, k0, dkey)`` — schedules
@@ -446,8 +490,9 @@ def _emit_vstep(ins, lk: LoweredKernel, scalars: dict) -> tuple[str, _Args]:
     RSQRT keep their intermediate in a float32 (int64) temporary, so
     every rounding step matches the interpreter's.  Timing, scoreboard
     marks and issue/lane counters are the caller's job; a predicated
-    step returns its active lane count, and ``CLOCK`` reads the per-row
-    issue moments ``t``.
+    step returns its lane mask over the stack (the caller counts it,
+    per gang member if need be), and ``CLOCK`` reads the per-row issue
+    moments ``t``.
     """
     args = _Args()
     op = ins.op
@@ -506,7 +551,7 @@ def _emit_vstep(ins, lk: LoweredKernel, scalars: dict) -> tuple[str, _Args]:
             f"np.{fn}({', '.join(srcs)}, out={out}{kw}, where={mask})"
         )
     if mask == "m":
-        body.append("return int(np.count_nonzero(m))")
+        body.append("return m")
     elif not body:
         body.append("pass")
     return "\n".join(body), args
@@ -913,6 +958,8 @@ _VEC_COUNTERS = {
     "masked_runs": 0,  # run events executed under a partial lane mask
     "row_events": 0,  # per-row leftover events the dispatches ran
     "row_loads": 0,  # per-row validated shared loads, inline or _issue
+    "gang_members": 0,  # SM runs that ran in a gang of two or more
+    "gang_splits": 0,  # members that left a gang before it finished
 }
 
 
@@ -1029,14 +1076,24 @@ class FastSMExecutor(SMExecutor):
     attributes the plan's idle gaps (:meth:`_vgaps`).  Buckets it
     cannot dispatch fall back to the fused driver and the interpreter's
     ``_issue``, one warp at a time.
+
+    ``gang`` lists ``(sm_index, block_ids)`` of other SMs holding as
+    many blocks as this one: they run as one *gang* with this executor
+    as the leader (see the module docstring).  Each member is an
+    executor of its own — stats, memory pipeline, texture cache, block
+    queue — but the gang has one round-robin scan, one wake list and one
+    arena whose rows interleave the members (row = warp × M + member),
+    so every vector step runs over all members at once.  A member whose
+    outcome differs from the leader's leaves and finishes alone.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
+    def __init__(self, *args, gang=(), **kwargs) -> None:
         super().__init__(*args, **kwargs)
         toolchain = type(self.policy).__name__
         # The program is looked up once per kernel × device × toolchain
         # (hashing the IR for the kernel-cache key costs as much as a
-        # small SM run); its bound step sets are recycled.
+        # small SM run); its bound step sets are recycled, and acquired
+        # by a run, so a gang's followers hold none.
         key = (self.device, toolchain)
         program = self.plan.programs.get(key)
         if program is None:
@@ -1044,10 +1101,6 @@ class FastSMExecutor(SMExecutor):
                 self.lk, self.device, toolchain=toolchain
             )
         self._program = program
-        self._set = program.acquire(self.block_dim, self.grid_dim, self.params)
-        self._cnt = self._set.cnt
-        self._lanes_acc = self._set.lanes
-        self._vsteps = self._set.vsteps
         self._ends = program.ends
         # Replay plans, shared by every SM and launch of the program.
         self._vrmeta = program.vmeta  # (pcs, k0, dkey) -> replay
@@ -1056,18 +1109,42 @@ class FastSMExecutor(SMExecutor):
         # fallback/abort reasons and masked runs are tallied in _vwhy.
         self._vd = self._vw = self._vi = self._vf = 0
         self._vwhy = dict.fromkeys(_VEC_COUNTERS, 0)
+        if gang and (self.trace is not None or self.profile is not None):
+            raise ValueError(
+                "traced and profiled launches run their SMs one at a time"
+            )
+        #: The current gang's other members, in SM order.
+        self._fols = [
+            FastSMExecutor(
+                self.device, self.policy, self.gmem, self.lk, self.params,
+                self.block_dim, self.grid_dim, sm_index=sm,
+            )
+            for sm, _ in gang
+        ]
+        for f, (_, ids) in zip(self._fols, gang):
+            f._queue = deque(ids)
+        self._gang = tuple(self._fols)  # every follower, leavers included
+        self._gm = 1 + len(self._fols)  # gang size M
+
+    @property
+    def members(self) -> tuple:
+        return (self, *self._gang)
 
     # -- arena ------------------------------------------------------------
 
     def _arena_alloc(self, max_resident: int) -> None:
-        """Allocate the stacked per-SM state: one row per resident warp.
+        """Allocate the stacked per-SM state: one row per resident warp
+        and gang member.
 
         :class:`WarpState` instances are bound to row *views*, so the
         interpreter's ``_issue`` and the steps read and write the same
         storage — there is no copy on either side of a fallback
-        boundary.
+        boundary.  Rows interleave a gang's members (row = warp × M +
+        member), so one warp's members are adjacent and a warp range is
+        one contiguous stack.
         """
         rows = max(1, max_resident) * max(1, self.block_dim // WARP)
+        rows *= self._gm
         regs = max(self.lk.reg_count, 1)
         preds = max(self.lk.pred_count, 1)
         self._a_regs = np.zeros((regs, rows, WARP), dtype=_F64)
@@ -1078,53 +1155,71 @@ class FastSMExecutor(SMExecutor):
         self._a_rows: dict = {}
 
     def _vrows(self, lo: int, hi: int) -> tuple:
-        """Stack views of arena rows ``[lo, hi)``: per-slot register and
-        predicate rows (lists, so a step indexes them without building
-        a view), the scoreboard, thread ids and block-id column.  The
-        arena lives for the whole SM run, so the views are cached."""
+        """Stack views of warps ``[lo, hi)`` — every member's row of
+        each: per-slot register and predicate rows (lists, so a step
+        indexes them without building a view), the scoreboard, thread
+        ids and block-id column, and the scoreboard as ``(warps,
+        members, regs)``.  The arena lives for the whole SM run (a gang
+        split re-lays it out and drops the cache), so the views are
+        cached."""
         key = (lo, hi)
         views = self._a_rows.get(key)
         if views is None:
+            M = self._gm
+            a, b = lo * M, hi * M
+            pend = self._a_pend[a:b]
             views = self._a_rows[key] = (
-                list(self._a_regs[:, lo:hi]),
-                list(self._a_preds[:, lo:hi]),
-                self._a_pend[lo:hi],
-                self._a_tid[lo:hi],
-                self._a_cta[lo:hi],
+                list(self._a_regs[:, a:b]),
+                list(self._a_preds[:, a:b]),
+                pend,
+                self._a_tid[a:b],
+                self._a_cta[a:b],
+                pend.reshape(hi - lo, M, pend.shape[1]),
             )
         return views
 
+    def _bind(self, w: WarpState, row: int) -> None:
+        """Point ``w``'s register, predicate, scoreboard and thread-id
+        views at arena row ``row``."""
+        w.regs = self._a_regs[:, row, :]
+        w.preds = self._a_preds[:, row, :]
+        w.pending = self._a_pend[row]
+        w.tid = self._a_tid[row]
+
     def _assign_rows(self, warps: list[WarpState]) -> None:
-        """Bind every warp to the arena row matching its list index.
+        """Bind every warp (and its gang copies) to the arena rows
+        matching its list index.
 
         Blocks are only ever removed from or appended to the resident
         list, so surviving warps move monotonically *down* (``old >
         idx``) and precede all fresh warps — copying in ascending index
         order never overwrites a row that is still to be read.
         """
+        M = self._gm
         regs3, preds3 = self._a_regs, self._a_preds
         pend2, tid2, cta2 = self._a_pend, self._a_tid, self._a_cta
         for idx, w in enumerate(warps):
             old = w._row
             if old == idx:
                 continue
+            lo = idx * M
+            hi = lo + M
             if old < 0:
                 # Fresh warp: all state is zero except the thread ids.
-                regs3[:, idx, :] = 0.0
-                preds3[:, idx, :] = False
-                pend2[idx] = 0.0
-                tid2[idx] = w.tid
+                regs3[:, lo:hi, :] = 0.0
+                preds3[:, lo:hi, :] = False
+                pend2[lo:hi] = 0.0
+                tid2[lo:hi] = w.tid
             else:
-                regs3[:, idx, :] = regs3[:, old, :]
-                preds3[:, idx, :] = preds3[:, old, :]
-                pend2[idx] = pend2[old]
-                tid2[idx] = tid2[old]
-            cta2[idx, 0] = w.block.block_id
-            w._row = idx
-            w.regs = regs3[:, idx, :]
-            w.preds = preds3[:, idx, :]
-            w.pending = pend2[idx]
-            w.tid = tid2[idx]
+                o = old * M
+                regs3[:, lo:hi, :] = regs3[:, o : o + M, :]
+                preds3[:, lo:hi, :] = preds3[:, o : o + M, :]
+                pend2[lo:hi] = pend2[o : o + M]
+                tid2[lo:hi] = tid2[o : o + M]
+            for row, mw in enumerate((w, *w._fol), lo):
+                cta2[row, 0] = mw.block.block_id
+                mw._row = idx
+                self._bind(mw, row)
 
     # -- scheduler --------------------------------------------------------
 
@@ -1606,8 +1701,10 @@ class FastSMExecutor(SMExecutor):
         (plan, kvec, pvec, qlovec, qhivec, cut, rr_pos, stalls, idle,
          cols, thr2, nivec, total, gaps) = meta
         hi2 = hi + 1
-        R, P, pend, tid, cta = self._vrows(lo, hi2)
-        if cols is not None and not (pend[:, cols] <= now + thr2).all():
+        R, P, pend, tid, cta, pend3 = self._vrows(lo, hi2)
+        # Every member's scoreboard equals the leader's (its rows are
+        # member 0 of each warp), so the leader's rows decide.
+        if cols is not None and not (pend3[:, 0, cols] <= now + thr2).all():
             return self._vfallback("fallback_pending")
         # A reconvergence point inside a row's visited pc range would
         # rejoin parked lanes mid-window; entries at the entry pc
@@ -1640,10 +1737,7 @@ class FastSMExecutor(SMExecutor):
                 continue
             wp = warps[lo + m]
             while wp.div_stack and wp.pc == wp.div_stack[-1][0]:
-                _, mask = wp.div_stack.pop()
-                wp.active = (wp.active | mask) & wp.alive
-                if prof is not None:
-                    prof.reconvergences += 1
+                self._rejoin(wp)
         nl = 0
         allfull = True
         acts = []
@@ -1663,10 +1757,19 @@ class FastSMExecutor(SMExecutor):
             if na != WARP:
                 allfull = False
         vsteps = self._vsteps
-        act2 = True if allfull else np.vstack(acts)
-        # Each row's own views, for its leftover events.
+        M = self._gm
+        gang = M > 1
+        if allfull:
+            act2 = True
+        elif gang:
+            # Members are congruent: each warp's mask is every member's.
+            act2 = np.repeat(np.vstack(acts), M, axis=0)
+        else:
+            act2 = np.vstack(acts)
+        # Each warp's own views (all of its members), for its leftover
+        # events.
         rows = [self._vrows(j, j + 1) for j in range(lo, hi2)]
-        issue_one = self._issue
+        issue_one = self._issue_at
         mem = prog.mem
         bra = prog.bra
         lats = prog.lats
@@ -1693,13 +1796,16 @@ class FastSMExecutor(SMExecutor):
                 else:
                     self._vrun_special(run, R, P, tid, cta, act2, now, S)
                 if run.cols is not None:
-                    pend[:, run.cols] = now + run.offs
+                    if gang:
+                        pend3[:, :, run.cols] = (now + run.offs)[:, None]
+                    else:
+                        pend[:, run.cols] = now + run.offs
                 for q in run.pcs:
                     cnt[q] += W
                 for q in run.plain:
                     lanes_acc[q] += nl
                 if not allfull:
-                    self._vwhy["masked_runs"] += 1
+                    self._vwhy["masked_runs"] += M
                 if prof is not None:
                     for q, extra in run.conf:
                         prof.bank_conflicts[q] += extra
@@ -1711,15 +1817,21 @@ class FastSMExecutor(SMExecutor):
                 q = e[2]
                 t = now + e[3]
                 na = nas[m]
-                R1, P1, _, tid1, cta1 = rows[m]
+                R1, P1, _, tid1, cta1, _ = rows[m]
                 got = vsteps[q](
                     R1, P1, tid1, cta1, True if na == WARP else acts[m], t
                 )
                 w = writes[q]
                 if w >= 0:
-                    pend[m, w] = t + lats[q]
+                    if gang:
+                        pend3[m, :, w] = t + lats[q]
+                    else:
+                        pend[m, w] = t + lats[q]
                 cnt[q] += 1
-                lanes_acc[q] += na if got is None else got
+                if got is None:
+                    lanes_acc[q] += na
+                else:
+                    self._pred_lanes(q, got)
             elif kind == 4:
                 # Static load left out of a group: the same read for its
                 # one row, from its own block.
@@ -1731,12 +1843,12 @@ class FastSMExecutor(SMExecutor):
                 _vread(
                     reads,
                     rows[m][0],
-                    warps[lo + m].block.shared.words[:, None, None],
+                    self._vshared(warps, lo + m, lo + m + 1),
                     True if na == WARP else acts[m],
                 )
                 tl = now + e[3] + mem[q][1]
                 for d, _ in reads:
-                    pend[m, d] = tl
+                    pend3[m, :, d] = tl
                 cnt[q] += 1
                 lanes_acc[q] += na
                 if prof is not None and len(reads) > 1:
@@ -1754,8 +1866,9 @@ class FastSMExecutor(SMExecutor):
                 ok = False
                 if nas[m] == WARP:
                     # Fully active warp: the assumption holds iff the
-                    # predicate is uniform in the assumed direction.
-                    prow = wp.preds[pi]
+                    # predicate is uniform in the assumed direction, in
+                    # every member's row.
+                    prow = rows[m][1][pi]
                     if neg:
                         ok = (not prow.any()) if taken else prow.all()
                     else:
@@ -1769,14 +1882,16 @@ class FastSMExecutor(SMExecutor):
                 # anything else ends the window exactly here with the
                 # real outcome already applied.
                 t = now + e[3]
-                wp.pc = q
-                end = issue_one(wp, t)
+                end = issue_one(wp, q, t)
                 if (
                     end != t + e[4]
                     or wp.pc != (tgt if taken else q + 1)
                     or wp.active is not acts[m]
                 ):
-                    abort = (end, e, "abort_branch")
+                    abort = (end, e, "abort_branch", M)
+                    break
+                if self._split_at:
+                    abort = (end, e, "abort_branch", len(self._split_at))
                     break
             else:
                 nld += 1
@@ -1790,43 +1905,55 @@ class FastSMExecutor(SMExecutor):
                 # exactly ``len(dsts)`` (one distinct word per bank,
                 # serialized by the vector width), which is the replay's
                 # assumed cost, so this shape can never abort; stats
-                # flow through the per-pc counters ``_flush_counts``
+                # flow through the per-pc counters ``_fold_counts``
                 # folds, identically to ``KernelStats.count``, and so do
-                # the profiler's issue cycles (``flush_cost``).
+                # the profiler's issue cycles (``flush_cost``).  A gang
+                # takes this path when every member's row has the shape,
+                # each reading its own block.
                 _, lat, dsts, aslot, off = mem[q]
                 if aslot >= 0 and nas[m] == WARP:
-                    arow = wp.regs[aslot]
-                    a0 = arow[0]
-                    addr = int(a0) + off
-                    shared = wp.block.shared
-                    if (
-                        not addr & 3
-                        and 0 <= addr
-                        and addr + 4 * len(dsts) <= shared.size_bytes
-                        and (arow == a0).all()
-                    ):
-                        words = shared.words
-                        ws = addr >> 2
-                        pending = wp.pending
+                    nw = len(dsts)
+                    hits = []
+                    for mw in (wp, *wp._fol):
+                        arow = mw.regs[aslot]
+                        a0 = arow[0]
+                        addr = int(a0) + off
+                        if (
+                            addr & 3
+                            or addr < 0
+                            or addr + 4 * nw > mw.block.shared.size_bytes
+                            or not (arow == a0).all()
+                        ):
+                            break
+                        hits.append((mw, addr >> 2))
+                    else:
                         tl = t + lat
-                        for kk, dst in enumerate(dsts):
-                            wp.regs[dst][:] = words[ws + kk]
-                            pending[dst] = tl
+                        for mw, ws in hits:
+                            words = mw.block.shared.words
+                            regs, pending = mw.regs, mw.pending
+                            for kk, dst in enumerate(dsts):
+                                regs[dst][:] = words[ws + kk]
+                                pending[dst] = tl
                         cnt[q] += 1
                         lanes_acc[q] += WARP
-                        if prof is not None and len(dsts) > 1:
-                            prof.bank_conflicts[q] += len(dsts) - 1
+                        if prof is not None and nw > 1:
+                            prof.bank_conflicts[q] += nw - 1
                         continue
-                wp.pc = q
-                end = issue_one(wp, t)
+                end = issue_one(wp, q, t)
                 if end != t + e[4]:
-                    abort = (end, e, "abort_cost")
+                    abort = (end, e, "abort_cost", M)
+                    break
+                if self._split_at:
+                    abort = (end, e, "abort_cost", len(self._split_at))
                     break
         why = self._vwhy
-        why["row_events"] += nev
-        why["row_loads"] += nld
+        why["row_events"] += nev * M
+        why["row_loads"] += nld * M
         if abort is not None:
-            return self._vabort(warps, wake, lo, W, now, *abort, recs)
+            end, rr = self._vabort(warps, wake, lo, W, now, *abort, recs)
+            if self._split_at:
+                self._split(rr)
+            return end, rr
         stats = self.stats
         stats.scoreboard_stalls += stalls
         stats.idle_cycles += idle
@@ -1839,9 +1966,12 @@ class FastSMExecutor(SMExecutor):
                 continue
             j = lo + m
             wp = warps[j]
-            wp.pc = pvec[m]
+            wp.pc = pc = pvec[m]
             t = now + nivec[m]
             wp.next_issue = t
+            for fw in wp._fol:
+                fw.pc = pc
+                fw.next_issue = t
             pending = wp.pending
             wk = t
             for r in deps[wp.pc]:
@@ -1849,9 +1979,9 @@ class FastSMExecutor(SMExecutor):
                 if v > wk:
                     wk = v
             wake[j] = wk
-        self._vd += 1
-        self._vw += W
-        self._vi += total
+        self._vd += M
+        self._vw += W * M
+        self._vi += total * M
         rr = lo + rr_pos if rr_pos < W else hi2 % n
         return now + cut, rr
 
@@ -1865,11 +1995,14 @@ class FastSMExecutor(SMExecutor):
         end: float,
         e: tuple,
         reason: str,
+        nabort: int,
         recs: list | None,
     ) -> tuple[float, int]:
         """Exact mid-window abort on a validation mismatch (``reason``:
-        ``abort_cost`` or ``abort_branch``; ``recs``: the classified
-        gaps of a profiled dispatch).
+        ``abort_cost`` or ``abort_branch``, counted ``nabort`` times:
+        once per gang member, or per leaving member when the leader's
+        outcome matched the plan; ``recs``: the classified gaps of a
+        profiled dispatch).
 
         A scheduled load hit a bank conflict (its real issue cost
         exceeds the replay's conflict-free assumption) or a scheduled
@@ -1882,6 +2015,12 @@ class FastSMExecutor(SMExecutor):
         snapshot (the aborted row keeps the pc ``_issue`` just applied —
         the real branch outcome), and resume the main loop at the
         event's real end with the cursor just past the aborting warp.
+
+        The same reconstruction ends a gang's window when some members'
+        outcome at a validated event differs from the leader's (see
+        :meth:`_gang_issue`): it is exact after *any* event, matched or
+        not, so every member leaves the window in the interpreter's
+        state, each aborting row keeping its own ``_issue`` result.
         """
         prog = self._program
         stats = self.stats
@@ -1902,11 +2041,14 @@ class FastSMExecutor(SMExecutor):
             j = lo + m
             wp = warps[j]
             if m != m_ab:
-                wp.pc = lastpc[m]
+                wp.pc = pc = lastpc[m]
                 t = now + last[m]
+                wp.next_issue = t
+                for fw in wp._fol:
+                    fw.pc = pc
+                    fw.next_issue = t
             else:
-                t = end
-            wp.next_issue = t
+                t = end  # _issue set every member's next_issue
             pending = wp.pending
             wk = t
             for r in deps[wp.pc]:
@@ -1914,10 +2056,11 @@ class FastSMExecutor(SMExecutor):
                 if v > wk:
                     wk = v
             wake[j] = wk
-        self._vd += 1
-        self._vw += W
-        self._vi += ntot
-        self._vwhy[reason] += 1
+        M = self._gm
+        self._vd += M
+        self._vw += W * M
+        self._vi += ntot * M
+        self._vwhy[reason] += nabort
         pos = m_ab + 1
         n = len(warps)
         rr = lo + pos if pos < W else (lo + W) % n
@@ -1969,45 +2112,101 @@ class FastSMExecutor(SMExecutor):
         self, run, R, P, tid, cta, act, now: float, S
     ) -> None:
         """Steps of a run holding CLOCK or predicated steps: CLOCK reads
-        its per-row issue moments, predicated steps report their active
-        lanes (every other step's lanes are the dispatch's); static
-        loads read ``S`` as in a simple run."""
+        its per-row issue moments (each warp's, for all of its gang
+        members), predicated steps report their lane masks (every other
+        step's lanes are the dispatch's); static loads read ``S`` as in
+        a simple run."""
         vsteps = self._vsteps
-        lanes = self._lanes_acc
+        M = self._gm
         times = iter(run.times)
         for qs, reads in run.seq:
             for q in qs:
                 tq = next(times)
-                got = vsteps[q](
-                    R, P, tid, cta, act, None if tq is None else now + tq
-                )
+                if tq is not None:
+                    tq = now + (tq if M == 1 else np.repeat(tq, M, axis=0))
+                got = vsteps[q](R, P, tid, cta, act, tq)
                 if got is not None:
-                    lanes[q] += got
+                    self._pred_lanes(q, got)
             if reads:
                 _vread(reads, R, S, act)
 
+    def _pred_lanes(self, q: int, m: np.ndarray) -> None:
+        """Count the active lanes of predicated step ``q``, given its
+        lane mask ``m`` over the step's rows: into the per-pc lane
+        counts of a lone SM, per member for a gang (its predicates are
+        data, so each member's count is its own)."""
+        glanes = self._glanes
+        if glanes is None:
+            self._lanes_acc[q] += int(np.count_nonzero(m))
+        else:
+            glanes[:, q] += np.count_nonzero(
+                m.reshape(-1, self._gm, WARP), axis=(0, 2)
+            )
+
     @staticmethod
     def _vshared(warps: list[WarpState], lo: int, hi: int) -> np.ndarray:
-        """Stacked shared-memory view of rows ``[lo, hi)`` for static
-        loads, shaped ``(shared words, rows, 1)``: ``S[word]`` is the
-        ``(rows, 1)`` column of each row's own block word.  Rows of one
-        block share a broadcast view of its words; rows of several
-        blocks read a stacked copy, which is exact because a window
-        holds no stores (shared memory is frozen for the dispatch)."""
+        """Stacked shared-memory view of warps ``[lo, hi)``'s rows (each
+        warp's gang members included) for static loads, shaped
+        ``(shared words, rows, 1)``: ``S[word]`` is the ``(rows, 1)``
+        column of each row's own block word.  Rows of one block share a
+        broadcast view of its words; rows of several blocks read a
+        stacked copy, which is exact because a window holds no stores
+        (shared memory is frozen for the dispatch)."""
         blk = warps[lo].block
-        if warps[hi - 1].block is blk:
+        if warps[hi - 1].block is blk and not warps[lo]._fol:
             return blk.shared.words[:, None, None]
         return np.stack(
-            [warps[j].block.shared.words for j in range(lo, hi)], axis=1
+            [
+                w.block.shared.words
+                for j in range(lo, hi)
+                for w in (warps[j], *warps[j]._fol)
+            ],
+            axis=1,
         )[:, :, None]
 
     def _vfallback(self, reason: str) -> None:
-        """Count one fallback to the per-warp path under ``reason``."""
-        self._vf += 1
-        self._vwhy[reason] += 1
+        """Count one fallback to the per-warp path under ``reason``
+        (once per gang member)."""
+        self._vf += self._gm
+        self._vwhy[reason] += self._gm
         return None
 
     def _run(self, block_ids: list[int], max_resident: int) -> float:
+        self._queue = deque(block_ids)
+        self._max_resident = max_resident
+        for mb in self.members:
+            mb._resident = []
+        self._split_at: list[tuple] = []  # (follower, its clock) leaving
+        self._leavers: list = []  # members that left, to finish alone
+        # Scheduler stalls and idle cycles are the gang's, counted on the
+        # leader's stats from here; followers take them when they leave
+        # or the gang ends.
+        self._gbase = (self.stats.scoreboard_stalls, self.stats.idle_cycles)
+        self._glanes = None
+        if self._fols:
+            # Per-member lane counts of predicated steps (row = member).
+            self._glanes = np.zeros((self._gm, self._program.n), np.int64)
+            self._vwhy["gang_members"] += self._gm
+        self._arena_alloc(max_resident)
+        self._acquire()
+        end = self._loop(0.0, 0)
+        for f in self._leavers:
+            f._loop(*f._resume)
+        return end
+
+    def _acquire(self) -> None:
+        """Take a step set bound to this launch (see
+        :meth:`FastProgram.acquire`)."""
+        steps = self._program.acquire(self.block_dim, self.grid_dim, self.params)
+        self._set = steps
+        self._cnt = steps.cnt
+        self._lanes_acc = steps.lanes
+        self._vsteps = steps.vsteps
+
+    def _loop(self, now: float, rr: int) -> float:
+        """The scheduler loop from clock ``now`` and scan cursor ``rr``
+        over the resident blocks and block queue; returns the finish
+        cycle."""
         vsteps = self._vsteps
         prepped = self._prepped
         stats = self.stats
@@ -2023,10 +2222,9 @@ class FastSMExecutor(SMExecutor):
         ends = self._ends
         n_prog = prog.n
         vok = self._vok
-        queue = deque(block_ids)
-        resident: list[BlockState] = []
-        now = 0.0
-        self._arena_alloc(max_resident)
+        queue = self._queue
+        resident = self._resident
+        max_resident = self._max_resident
 
         # The scan state is cached instead of recomputed per iteration:
         # ``wake[i]`` is warp i's earliest issue cycle (inf = done or at
@@ -2037,39 +2235,27 @@ class FastSMExecutor(SMExecutor):
         wake: list[float] = []
 
         def activate() -> None:
+            # A gang admits blocks in lockstep: one per member.
             while queue and len(resident) < max_resident:
-                bid = queue.popleft()
-                blk = BlockState(
-                    block_id=bid,
-                    shared=SharedMemory(self.lk.shared_words, self.device),
-                )
-                n_warps = self.block_dim // WARP
-                for w in range(n_warps):
-                    ws = WarpState(
-                        blk, w, self.lk.reg_count, self.lk.pred_count
-                    )
-                    ws.next_issue = now
-                    ws._prof_t0 = now
-                    blk.warps.append(ws)
-                resident.append(blk)
-                self.stats.blocks_executed += 1
-                self.stats.warps_executed += n_warps
+                for mb in (self, *self._fols):
+                    mb._admit(now)
 
         def rebuild() -> None:
             nonlocal warps, spans, wake
-            warps = [w for blk in resident for w in blk.warps]
+            warps = self._rebuild()
             spans = []
             lo = 0
             for blk in resident:
                 hi = lo + len(blk.warps)
                 spans.extend([(lo, hi)] * len(blk.warps))
                 lo = hi
-            self._assign_rows(warps)
             wake = [wake_of(w) for w in warps]
 
+        # A member resuming alone after leaving its gang may have just
+        # finished a block (see _split); a fresh run has none resident.
+        self._drop_blocks([k for k, b in enumerate(resident) if b.done])
         activate()
         rebuild()
-        rr = 0
         while resident:
             n = len(warps)
             # Round-robin scan over cached wake times: issue the first
@@ -2121,10 +2307,7 @@ class FastSMExecutor(SMExecutor):
                     # step runs on the warp's arena row, followed by the
                     # bookkeeping a run event does for its rows.
                     while warp.div_stack and warp.pc == warp.div_stack[-1][0]:
-                        _, mask = warp.div_stack.pop()
-                        warp.active = (warp.active | mask) & warp.alive
-                        if prof is not None:
-                            prof.reconvergences += 1
+                        self._rejoin(warp)
                     act = warp.active
                     if act is warp._fp_act:
                         na = warp._fp_na
@@ -2134,17 +2317,27 @@ class FastSMExecutor(SMExecutor):
                         warp._fp_na = na
                     if na == WARP:
                         act = True
-                    R1, P1, _, tid1, cta1 = self._vrows(i, i + 1)
+                    # Each step runs on all of the warp's member rows;
+                    # the leader's row reads back for the wake checks.
+                    R1, P1, pend1, tid1, cta1, _ = self._vrows(i, i + 1)
                     pending = warp.pending
+                    if not warp._fol:
+                        pend1 = None
                     pc = pc0
                     end = ends[pc]
                     while True:
                         got = vsteps[pc](R1, P1, tid1, cta1, act, now)
                         w = writes[pc]
                         if w >= 0:
-                            pending[w] = now + lats[pc]
+                            if pend1 is None:
+                                pending[w] = now + lats[pc]
+                            else:
+                                pend1[:, w] = now + lats[pc]
                         cnt[pc] += 1
-                        lanes_acc[pc] += na if got is None else got
+                        if got is None:
+                            lanes_acc[pc] += na
+                        else:
+                            self._pred_lanes(pc, got)
                         now += costs[pc]
                         pc += 1
                         if pc >= end or t_other <= now:
@@ -2181,8 +2374,12 @@ class FastSMExecutor(SMExecutor):
                         stats.scoreboard_stalls += countable_others
                     warp.pc = pc
                     warp.next_issue = now
+                    for fw in warp._fol:
+                        fw.pc = pc
+                        fw.next_issue = now
                     if pc >= n_prog:  # pragma: no cover - lower() appends EXIT
-                        self._retire(warp, now)
+                        for mw in (warp, *warp._fol):
+                            self._retire(mw, now)
                     # _wake_inf inlined: this runs once per fused entry.
                     if warp.done or warp.at_barrier:
                         wake[i] = _INF
@@ -2199,7 +2396,12 @@ class FastSMExecutor(SMExecutor):
                             wake[j] = wake_of(warps[j])
                 else:
                     op = prepped[pc0].op
-                    now = self._issue(warp, now)
+                    if warp._fol:
+                        now = self._gang_issue(warp, now)
+                        if self._split_at:
+                            self._split(rr)
+                    else:
+                        now = self._issue(warp, now)
                     if op is Op.BAR_SYNC or op is Op.EXIT or warp.done:
                         # Barrier release / retirement can change every
                         # sibling's wake time; anything else only self.
@@ -2221,7 +2423,7 @@ class FastSMExecutor(SMExecutor):
                     # iteration, but a block can only complete on the
                     # issue that retires its last warp — checking the
                     # issued warp's block is equivalent.
-                    resident.remove(warp.block)
+                    self._drop_blocks([resident.index(warp.block)])
                     activate()
                     rebuild()
                 continue
@@ -2235,9 +2437,9 @@ class FastSMExecutor(SMExecutor):
                         f"kernel {self.lk.name!r}: all warps blocked "
                         f"(divergent barrier?) at cycle {now:.0f}"
                     )
-                finished = [b for b in resident if b.done]
-                for b in finished:
-                    resident.remove(b)
+                self._drop_blocks(
+                    [k for k, b in enumerate(resident) if b.done]
+                )
                 activate()
                 rebuild()
                 continue
@@ -2250,13 +2452,205 @@ class FastSMExecutor(SMExecutor):
             if prof is not None:
                 self._prof_gap(warps, now, new_now)
             now = new_now
+        self._finish(now)
+        return now
+
+    # -- gangs ------------------------------------------------------------
+
+    def _admit(self, now: float) -> None:
+        """Make this member's next queued block resident at ``now``."""
+        blk = BlockState(
+            block_id=self._queue.popleft(),
+            shared=SharedMemory(self.lk.shared_words, self.device),
+        )
+        n_warps = self.block_dim // WARP
+        for w in range(n_warps):
+            ws = WarpState(blk, w, self.lk.reg_count, self.lk.pred_count)
+            ws.next_issue = now
+            ws._prof_t0 = now
+            blk.warps.append(ws)
+        self._resident.append(blk)
+        self.stats.blocks_executed += 1
+        self.stats.warps_executed += n_warps
+
+    def _rebuild(self) -> list[WarpState]:
+        """Flat warp lists of every member after a block retired or was
+        admitted; links each of the leader's warps to its copies
+        (``_fol``) and binds all of them to arena rows.  Returns the
+        leader's list, the one the scheduler scans."""
+        warps = [w for blk in self._resident for w in blk.warps]
+        self._warps = warps
+        for f in self._fols:
+            f._warps = [w for blk in f._resident for w in blk.warps]
+        if self._fols:
+            for j, w in enumerate(warps):
+                w._fol = tuple(f._warps[j] for f in self._fols)
+        self._assign_rows(warps)
+        return warps
+
+    def _drop_blocks(self, ks: list[int]) -> None:
+        """Retire the resident blocks at positions ``ks`` — the same
+        positions in every member, whose blocks finish together."""
+        if ks:
+            for mb in (self, *self._fols):
+                mb._resident[:] = [
+                    b for k, b in enumerate(mb._resident) if k not in ks
+                ]
+
+    def _rejoin(self, warp: WarpState) -> None:
+        """Pop one reconvergence entry at ``warp``'s pc: its parked lanes
+        rejoin, in every member (their masks are the leader's)."""
+        _, mask = warp.div_stack.pop()
+        warp.active = (warp.active | mask) & warp.alive
+        if self.profile is not None:
+            self.profile.reconvergences += 1
+        for fw in warp._fol:
+            fw.div_stack.pop()
+            fw.active = warp.active
+
+    def _issue_at(self, warp: WarpState, pc: int, now: float) -> float:
+        """Issue ``warp``'s instruction at ``pc`` from inside a dispatch
+        window, where its pc attribute still holds the window's entry."""
+        warp.pc = pc
+        if not warp._fol:
+            return self._issue(warp, now)
+        for fw in warp._fol:
+            fw.pc = pc
+        return self._gang_issue(warp, now)
+
+    def _gang_issue(self, warp: WarpState, now: float) -> float:
+        """The interpreter's ``_issue`` for ``warp`` in every member, each
+        through its own executor (stats, memory pipeline, texture cache,
+        block); returns the leader's clock.
+
+        Global and texture costs, bank conflicts, branch directions,
+        exits and barriers are data: each follower's outcome — clock,
+        pc, active mask, divergence depth, scoreboard, barrier and done
+        state — is compared with the leader's, and one that differs is
+        queued in ``_split_at`` with its own clock, to leave the gang
+        (:meth:`_split`).  Equal masks are rebound to the leader's
+        object, as the congruent steps assume."""
+        end = self._issue(warp, now)
+        fols = warp._fol
+        ends = [f._issue(fw, now) for f, fw in zip(self._fols, fols)]
+        M = self._gm
+        j = warp._row * M
+        pend = self._a_pend[j : j + M]
+        same = (pend[1:] == pend[0]).all(axis=1).tolist()
+        pc, act, done, bar = warp.pc, warp.active, warp.done, warp.at_barrier
+        depth = len(warp.div_stack)
+        count = warp.block.barrier_count
+        for f, fw, fe, ok in zip(self._fols, fols, ends, same):
+            if (
+                ok
+                and fe == end
+                and fw.pc == pc
+                and fw.done == done
+                and fw.at_barrier == bar
+                and len(fw.div_stack) == depth
+                and fw.block.barrier_count == count
+                and (fw.active is act or np.array_equal(fw.active, act))
+            ):
+                fw.active = act
+            else:
+                self._split_at.append((f, fe))
+        return end
+
+    def _split(self, rr: int) -> None:
+        """Let the members queued in ``_split_at`` leave the gang.
+
+        Each leaver copies its rows into an arena of its own and will
+        resume alone from its own clock, the scan cursor ``rr`` and its
+        block queue once the gang has finished (:meth:`_leave`); the
+        remaining members' rows close ranks."""
+        leaving = {id(f): end for f, end in self._split_at}
+        self._split_at = []
+        M = self._gm
+        keep = [0]
+        for g, f in enumerate(self._fols, 1):
+            if id(f) in leaving:
+                f._leave(self, g, leaving[id(f)], rr)
+                self._leavers.append(f)
+            else:
+                keep.append(g)
+        self._vwhy["gang_splits"] += len(leaving)
+        self._fols = [self._fols[g - 1] for g in keep[1:]]
+        self._gm = M2 = len(keep)
+        nw = len(self._warps)
+        rows = (np.arange(nw)[:, None] * M + np.array(keep)).ravel()
+        n = nw * M2
+        self._a_regs[:, :n] = self._a_regs[:, rows]
+        self._a_preds[:, :n] = self._a_preds[:, rows]
+        self._a_pend[:n] = self._a_pend[rows]
+        self._a_tid[:n] = self._a_tid[rows]
+        self._a_cta[:n] = self._a_cta[rows]
+        self._a_rows = {}
+        for j, w in enumerate(self._warps):
+            w._fol = tuple(f._warps[j] for f in self._fols)
+            for row, mw in enumerate((w, *w._fol), j * M2):
+                self._bind(mw, row)
+        glanes = self._glanes[keep]
+        if M2 == 1:
+            # A gang of one: back to the lone SM's counters.
+            for q, extra in enumerate(glanes[0].tolist()):
+                self._lanes_acc[q] += extra
+            glanes = None
+        self._glanes = glanes
+
+    def _leave(self, lead: "FastSMExecutor", g: int, now: float, rr: int):
+        """Leave ``lead``'s gang as member ``g`` at clock ``now`` and scan
+        cursor ``rr``: take this member's arena rows, the gang's issue
+        and lane counts, stalls and idle cycles so far, and a step set
+        of its own, then wait in ``_resume`` to run alone."""
+        M = lead._gm
+        self._gm = 1
+        self._fols = []
+        self._glanes = None
+        self._split_at = []
+        self._max_resident = lead._max_resident
+        self._arena_alloc(self._max_resident)
+        nw = len(self._warps)
+        hi = nw * M
+        self._a_regs[:, :nw] = lead._a_regs[:, g:hi:M]
+        self._a_preds[:, :nw] = lead._a_preds[:, g:hi:M]
+        self._a_pend[:nw] = lead._a_pend[g:hi:M]
+        self._a_tid[:nw] = lead._a_tid[g:hi:M]
+        self._a_cta[:nw] = lead._a_cta[g:hi:M]
+        for j, w in enumerate(self._warps):
+            self._bind(w, j)
+        self._acquire()
+        self._cnt[:] = lead._cnt
+        self._lanes_acc[:] = (
+            np.array(lead._lanes_acc, dtype=np.int64) + lead._glanes[g]
+        ).tolist()
+        stats, gstats = self.stats, lead.stats
+        stats.scoreboard_stalls += gstats.scoreboard_stalls - lead._gbase[0]
+        stats.idle_cycles += gstats.idle_cycles - lead._gbase[1]
+        self._resume = (now, rr)
+
+    def _finish(self, now: float) -> None:
+        """End the run at ``now``: every member still in the gang ends
+        here too, with the gang's issue and lane counts, stalls and idle
+        cycles."""
+        stats = self.stats
+        c = np.array(self._cnt, dtype=np.int64)
+        ln = np.array(self._lanes_acc, dtype=np.int64)
+        glanes = self._glanes
+        for g, f in enumerate(self._fols, 1):
+            fstats = f.stats
+            fstats.scoreboard_stalls += stats.scoreboard_stalls - self._gbase[0]
+            fstats.idle_cycles += stats.idle_cycles - self._gbase[1]
+            fstats.sm_cycles.append(now)
+            f._fold_counts(c, ln + glanes[g])
+            f.end_cycle = now
         stats.sm_cycles.append(now)
-        self._flush_counts()
-        # Flushed counters are zero again: the set is reusable.  A run
-        # that raised never gets here, so a half-counted set is dropped.
+        self._fold_counts(c, ln if glanes is None else ln + glanes[0])
+        self.end_cycle = now
+        # Zeroed counters make the set reusable.  A run that raised
+        # never gets here, so a half-counted set is dropped.
+        self._cnt[:] = self._lanes_acc[:] = [0] * len(self._cnt)
         self._program.release(self._set)
         self._flush_vec()
-        return now
 
     # -- stats ------------------------------------------------------------
 
@@ -2282,8 +2676,9 @@ class FastSMExecutor(SMExecutor):
             why[name] = 0
         self._vd = self._vw = self._vi = self._vf = 0
 
-    def _flush_counts(self) -> None:
-        """Fold the per-pc codegen counters into :class:`KernelStats`.
+    def _fold_counts(self, c: np.ndarray, ln: np.ndarray) -> None:
+        """Fold per-pc issue counts ``c`` and lane counts ``ln`` of the
+        compiled paths into :class:`KernelStats`.
 
         Dynamic counts are order-independent integer sums, so batching
         them per pc leaves ``by_op``/``by_class`` and the instruction
@@ -2297,12 +2692,9 @@ class FastSMExecutor(SMExecutor):
         program's pcs (counts stay far below 2**53, so the float64
         per-op sums are exact).
         """
-        program = self._program
-        cnt, lanes = self._cnt, self._lanes_acc
-        c = np.array(cnt, dtype=np.int64)
         if not c.any():
             return
-        ln = np.array(lanes, dtype=np.int64)
+        program = self._program
         stats = self.stats
         stats.warp_instructions += int(c.sum())
         stats.thread_instructions += int(ln.sum())
@@ -2320,4 +2712,3 @@ class FastSMExecutor(SMExecutor):
             prof.issue_count += c
             prof.lanes += ln
             prof.issue_cycles += c * program.flush_cost
-        cnt[:] = lanes[:] = [0] * len(cnt)

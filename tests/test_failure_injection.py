@@ -93,6 +93,81 @@ class TestKernelFaults:
         assert dev.memcpy_dtoh(dst, 32).sum() == 32
 
 
+class TestGangMemberFault:
+    """A compiled launch runs SMs holding equal block counts as one gang:
+    a fault in one member (block 2 of a grid-4 launch reads past the
+    heap) must surface as the typed error, and leave nothing of the
+    gang behind for the next launch of the kernel."""
+
+    HEAP = 1 << 14
+    GRID, BLOCK = 4, 64
+
+    @staticmethod
+    def _kernel():
+        b = KernelBuilder("gang_oob", params=("dst", "src", "skew"))
+        cta = b.sreg("ctaid")
+        i = b.imad("i", cta, b.sreg("ntid"), b.sreg("tid"))
+        p = b.pred()
+        b.setp("eq", p, cta, 2)
+        skew = b.selp(b.reg("skew"), b.param("skew"), 0, p)
+        a = b.iadd("sa", b.imad("s", i, 4, b.param("src")), skew)
+        y = b.mul(b.reg("y"), b.ld_global(b.reg("x"), a), 2.0)
+        b.add(y, y, 1.0)
+        b.st_global(b.imad("a", i, 4, b.param("dst")), y)
+        return b.build()
+
+    def _setup(self, fastpath):
+        dev = Device(heap_bytes=self.HEAP, fastpath=fastpath)
+        n = self.GRID * self.BLOCK
+        dst, src = dev.malloc(4 * n), dev.malloc(4 * n)
+        dev.memcpy_htod(src, np.arange(n, dtype=np.float32))
+        params = {"dst": dst, "src": src, "skew": 0}
+        return dev, params, n
+
+    @pytest.mark.parametrize("fastpath", (False, True))
+    def test_launch_raises_the_members_fault(self, fastpath):
+        dev, params, _ = self._setup(fastpath)
+        lk = compile_kernel(self._kernel())
+        with pytest.raises(AccessViolation):
+            dev.launch(lk, self.GRID, self.BLOCK, dict(params, skew=self.HEAP))
+
+    def test_stream_fault_is_sticky_and_next_launch_exact(self):
+        from repro.cudasim.fastpath import reset_vec_counters, vec_counters
+
+        dev, params, n = self._setup(True)
+        lk = compile_kernel(self._kernel())
+        dev.launch(lk, self.GRID, self.BLOCK, params)  # warm: sets pooled
+        bad = dev.stream("faulting")
+        bad.launch_async(lk, self.GRID, self.BLOCK, dict(params, skew=self.HEAP))
+        for _ in range(2):  # sticky: every later synchronize re-raises
+            with pytest.raises(StreamError) as info:
+                bad.synchronize()
+            assert any(
+                isinstance(e, AccessViolation) for e in _causes(info.value)
+            )
+        # Same kernel on a fresh stream, against the interpreter.
+        reset_vec_counters()
+        good = dev.stream("fresh")
+        result = good.launch_async(lk, self.GRID, self.BLOCK, params).result()
+        good.close()
+        assert vec_counters()["gang_members"] == self.GRID
+        ref_dev, ref_params, _ = self._setup(False)
+        ref = ref_dev.launch(
+            compile_kernel(self._kernel()), self.GRID, self.BLOCK, ref_params
+        )
+        assert result.cycles == ref.cycles
+        assert result.stats.as_dict() == ref.stats.as_dict()
+        assert [s.as_dict() for s in result.sm_stats] == [
+            s.as_dict() for s in ref.sm_stats
+        ]
+        assert np.array_equal(
+            dev.memcpy_dtoh(params["dst"], n),
+            ref_dev.memcpy_dtoh(ref_params["dst"], n),
+        )
+        with contextlib.suppress(StreamError):
+            bad.close()
+
+
 def _causes(exc):
     """``exc`` and its ``__cause__`` chain."""
     out = []

@@ -17,6 +17,8 @@ no scheduling decision.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.cudasim import (
+    SM_ENGINES,
     BlockPool,
     Device,
     KernelBuilder,
@@ -55,8 +58,8 @@ from repro.cudasim.isa import Imm, Instr, Op
 from repro.cudasim.kernel_cache import CompileOptions, KernelCache
 from repro.gravit import GpuConfig, ParticleSystem, PooledSimulation, uniform_sphere
 from repro.gravit.gpu_barneshut import bh_forces_gpu
-from repro.gravit.gpu_driver import GpuForceBackend
-from repro.gravit.gpu_kernels import build_force_kernel
+from repro.gravit.gpu_driver import GpuForceBackend, _step_params
+from repro.gravit.gpu_kernels import POSMASS_FIELDS, build_force_kernel
 from repro.gravit.spawn import uniform_cube
 from repro.core.layouts import LAYOUT_KINDS, make_layout
 
@@ -229,7 +232,9 @@ class TestDifferentialProfile:
     @pytest.mark.parametrize("case", ("paper", "bank_conflict"))
     def test_profiling_changes_no_scheduling_decision(self, case):
         """A profiled v2 launch makes exactly the dispatches, fallbacks
-        and aborts of an unprofiled one: one scheduler for both."""
+        and aborts of an unprofiled one: one scheduler for both.  Only
+        the gang counters differ: a profiled launch runs its SMs one at
+        a time, an unprofiled one as a gang (both launches use 2 SMs)."""
         counts = []
         for profiled in (False, True):
             if profiled:
@@ -251,6 +256,12 @@ class TestDifferentialProfile:
             counts.append(vec_counters())
             profiler.disable()
         assert counts[0]["dispatches"] > 0
+        gang = ("gang_members", "gang_splits")
+        assert [counts[0][k] for k in gang] == [2, 0]
+        assert [counts[1][k] for k in gang] == [0, 0]
+        for c in counts:
+            for k in gang:
+                del c[k]
         assert counts[1] == counts[0]
 
 
@@ -747,6 +758,276 @@ class TestStaticLoads:
             dev.launch(
                 lk, grid=2, block=TILE, params={"dst": dev.malloc(4 * 128)}
             )
+
+
+# -- gangs -----------------------------------------------------------------
+#
+# A compiled launch runs the SMs holding the same number of blocks as one
+# gang: one scheduler pass over member-interleaved arena rows, with every
+# data-dependent outcome compared against the leader's.  Each case is
+# bit-identical to the interpreter per SM (memory image, KernelStats
+# including sm_cycles, end cycles), with two warps per block.
+
+#: Block size of the gang cases: two warps, so v2 dispatches cross-warp.
+GANG_BLOCK = 64
+
+#: A 3-SM G80: grids 3, 6 and 5 give each SM one block, two blocks, or
+#: uneven counts (2, 2, 1 — a gang of two and a lone SM).
+GANG_PROPS = replace(G8800GTX, num_sms=3)
+
+
+def _gang_observables(dev, result, out, out_words):
+    return (
+        dev.memcpy_dtoh(out, out_words).tobytes(),
+        dev.gmem.words.tobytes(),
+        result.cycles,
+        result.stats.as_dict(),
+        [s.as_dict() for s in result.sm_stats],
+    )
+
+
+def _assert_per_sm_identical(outs):
+    """Two :func:`_gang_observables` tuples agree, per SM included."""
+    _assert_identical(outs[0][:4], outs[1][:4])
+    assert outs[1][4] == outs[0][4], "per-SM kernel stats differ"
+
+
+def _gang_forces(kind, unroll, grid, mode, props=GANG_PROPS):
+    """The paper's force kernel over one slice of ``GANG_BLOCK`` bodies
+    (``nslices=1`` keeps the interpreter affordable at any grid)."""
+    cfg = GpuConfig(layout_kind=kind, block_size=GANG_BLOCK, unroll=unroll)
+    dev = Device(
+        props=props, fastpath=mode, cache=KernelCache(), heap_bytes=1 << 22
+    )
+    backend = GpuForceBackend(cfg, device=dev)
+    lk = backend.compile()
+    n = grid * GANG_BLOCK
+    layout = make_layout(kind, n)
+    buf, out = dev.malloc(layout.size_bytes), dev.malloc(16 * n)
+    dev.memcpy_htod(buf, uniform_cube(n, seed=7).pack(layout))
+    params = _step_params(buf, layout, backend._plan, POSMASS_FIELDS)
+    params.update(out=out, nslices=1, eps=cfg.eps)
+    result = dev.launch(lk, grid=grid, block=GANG_BLOCK, params=params)
+    return _gang_observables(dev, result, out, 4 * n)
+
+
+def _gang_modes(
+    kernel, grid, out_words, params=None, toolchain=Toolchain.CUDA_1_0
+):
+    """Launch ``kernel`` on 16 SMs in both modes; assert the per-SM
+    observables match and return the compiled run's vec counters.
+    ``params(dev)`` adds launch values besides ``dst``."""
+    outs = []
+    for mode in MODES:
+        reset_vec_counters()
+        dev = Device(
+            toolchain=toolchain,
+            fastpath=mode,
+            cache=KernelCache(),
+            heap_bytes=1 << 20,
+        )
+        dst = dev.malloc(4 * out_words)
+        values = {"dst": dst, **(params(dev) if params else {})}
+        result = dev.launch(
+            compile_kernel(kernel), grid=grid, block=GANG_BLOCK,
+            params=values,
+        )
+        outs.append(_gang_observables(dev, result, dst, out_words))
+    _assert_per_sm_identical(outs)
+    return vec_counters()
+
+
+def _branch_kernel(cmp):
+    """Block 2 alone goes the other way at a forward branch: under
+    ``eq`` it runs the ``if`` body and the leader skips it, under ``ne``
+    the other way round."""
+    b = KernelBuilder(f"k_gang_branch_{cmp}", params=("dst",))
+    tid, cta = b.sreg("tid"), b.sreg("ctaid")
+    i = b.imad("i", cta, b.sreg("ntid"), tid)
+    x = b.i2f(b.reg("x"), i)
+    b.add(x, x, 1.0)
+    p = b.pred()
+    b.setp(cmp, p, cta, 2)
+    with b.if_(p):
+        b.mul(x, x, 3.0)
+        b.add(x, x, 0.5)
+    b.mul(x, x, 0.5)
+    b.add(x, x, 2.0)
+    b.st_global(b.imad("a", i, 4, b.param("dst")), x)
+    return b.build()
+
+
+def _misaligned_kernel():
+    """Block 2 reads its source one word off alignment, so its load
+    coalesces into other transactions: more of them under CUDA 1.0,
+    which charges their replays to the issue; one larger one under
+    CUDA 1.1, which changes only when the data arrives."""
+    b = KernelBuilder("k_gang_misaligned", params=("dst", "src"))
+    tid, cta = b.sreg("tid"), b.sreg("ctaid")
+    i = b.imad("i", cta, b.sreg("ntid"), tid)
+    p = b.pred()
+    b.setp("eq", p, cta, 2)
+    skew = b.selp(b.reg("skew"), 4, 0, p)
+    a = b.iadd("sa", b.imad("s", i, 4, b.param("src")), skew)
+    x = b.ld_global(b.reg("x"), a)
+    y = b.add(b.reg("y"), x, 1.0)
+    b.mul(y, y, 1.5)
+    b.add(y, y, x)
+    b.st_global(b.imad("a", i, 4, b.param("dst")), y)
+    return b.build()
+
+
+def _lanes_kernel():
+    """Predicated steps whose active lanes depend on the block (``laneid
+    < 4·ctaid + 3``), after warp 1's uncoalesced load staggers the
+    warps, so they run in run events, leftover events and the fused
+    driver: every member counts its own lanes, and nothing splits."""
+    b = KernelBuilder("k_gang_lanes", params=("dst",))
+    tid, cta = b.sreg("tid"), b.sreg("ctaid")
+    i = b.imad("i", cta, b.sreg("ntid"), tid)
+    o = b.imad("o", i, 4, b.param("dst"))
+    stride = b.imad("st", b.shr(b.reg("wid"), tid, 5), 16, 1)
+    a = b.imad("a", b.imul("j", i, stride), 4, b.param("dst"))
+    y = b.add(b.reg("y"), b.ld_global(b.reg("x"), a), 1.0)
+    p = b.pred()
+    lim = b.iadd("lim", b.imul("c4", cta, 4), 3)
+    b.setp("lt", p, b.sreg("laneid"), lim)
+    x = b.i2f(b.reg("v"), tid)
+    for _ in range(3):
+        b.emit(Instr(Op.ADD, dsts=(x,), srcs=(x, Imm(1.5)), pred=p))
+        b.emit(Instr(
+            Op.MUL, dsts=(x,), srcs=(x, Imm(0.5)), pred=p, pred_neg=True
+        ))
+    b.add(y, y, x)
+    b.st_global(o, y)
+    return b.build()
+
+
+class TestGangs:
+    """Congruent SMs run as one gang: interpreter ≡ ganged v2 per SM,
+    and a member whose data sends it another way leaves exactly."""
+
+    @pytest.mark.parametrize("grid", (3, 6, 5))
+    @pytest.mark.parametrize("unroll", (None, "full"))
+    @pytest.mark.parametrize("kind", LAYOUT_KINDS)
+    def test_layouts_unrolls_and_grids(self, kind, unroll, grid):
+        outs = []
+        for mode in MODES:
+            reset_vec_counters()
+            outs.append(_gang_forces(kind, unroll, grid, mode))
+        _assert_per_sm_identical(outs)
+        # Grid 5 leaves SM 2 with one block: a gang of two and a lone SM.
+        assert vec_counters()["gang_members"] == (2 if grid == 5 else 3)
+
+    def test_uneven_grid_over_sixteen_sms(self):
+        """Grid 35 over the G80's 16 SMs: SMs 0–2 hold three blocks and
+        run as one gang, SMs 3–15 hold two and run as another."""
+        outs = []
+        for mode in MODES:
+            reset_vec_counters()
+            outs.append(_gang_forces("soaoas", "full", 35, mode, G8800GTX))
+        _assert_per_sm_identical(outs)
+        got = vec_counters()
+        assert got["gang_members"] == 16 and got["gang_splits"] == 0
+
+    @pytest.mark.parametrize("cmp", ("eq", "ne"))
+    def test_branch_taken_on_one_sm_splits(self, cmp):
+        """Block 2's member leaves at the branch the leader takes the
+        other way, whichever of them the replay's assumption holds for."""
+        got = _gang_modes(_branch_kernel(cmp), grid=4, out_words=256)
+        assert got["gang_members"] == 4 and got["gang_splits"] == 1
+
+    def test_trip_counts_split_every_member(self):
+        """Per-block trip counts: the leader leaves its loop first, so
+        every follower leaves at that back-edge and finishes alone."""
+        b = KernelBuilder("k_gang_trips", params=("dst",))
+        tid, cta = b.sreg("tid"), b.sreg("ctaid")
+        i = b.imad("i", cta, b.sreg("ntid"), tid)
+        trips = b.iadd("trips", b.imul("t3", cta, 3), 2)
+        acc = b.mov(b.reg("acc"), 1.0)
+        with b.loop(0, trips):
+            b.add(acc, acc, 1.0)
+            b.mul(acc, acc, 0.5)
+        b.st_global(b.imad("a", i, 4, b.param("dst")), acc)
+        got = _gang_modes(b.build(), grid=4, out_words=256)
+        assert got["gang_members"] == 4 and got["gang_splits"] == 3
+
+    @pytest.mark.parametrize(
+        "toolchain", (Toolchain.CUDA_1_0, Toolchain.CUDA_1_1)
+    )
+    def test_misaligned_load_splits_its_member(self, toolchain):
+        """One block's global load coalesces differently: that member
+        leaves at the load, by its issue cost (CUDA 1.0) or by the ready
+        time of its destination alone (CUDA 1.1)."""
+        got = _gang_modes(
+            _misaligned_kernel(), grid=4, out_words=256,
+            params=lambda dev: {"src": dev.malloc(4 * 260)},
+            toolchain=toolchain,
+        )
+        assert got["gang_members"] == 4 and got["gang_splits"] == 1
+
+    def test_predicated_lanes_per_member(self):
+        """Lane counts of predicated steps differ per member while the
+        schedule does not: the gang holds, and each SM's
+        ``thread_instructions`` is its own (pinned per SM above)."""
+        got = _gang_modes(_lanes_kernel(), grid=4, out_words=17 * 256)
+        assert got["gang_members"] == 4 and got["gang_splits"] == 0
+        assert got["row_events"] > 0 and got["fallbacks"] > 0
+
+    def test_gang_counters_flush_to_telemetry(self):
+        """``gang_members`` and ``gang_splits`` reach the registry like
+        every other dispatch counter."""
+        telemetry.enable()
+        got = _gang_modes(_branch_kernel("eq"), grid=4, out_words=256)
+        snap = telemetry.snapshot()
+        for name in ("gang_members", "gang_splits"):
+            series = snap[f"cudasim.fastpath.vec.{name}"]["series"]
+            assert sum(s["value"] for s in series) == got[name] > 0
+
+    def test_bh_traversal(self):
+        """Data-dependent traversal loops: the gang splits early."""
+        outs = []
+        for mode in MODES:
+            reset_vec_counters()
+            dev = Device(fastpath=mode, cache=KernelCache())
+            forces, result = bh_forces_gpu(
+                uniform_sphere(128, seed=11), block_size=GANG_BLOCK,
+                device=dev,
+            )
+            outs.append(
+                (
+                    forces.tobytes(),
+                    dev.gmem.words.tobytes(),
+                    result.cycles,
+                    result.stats.as_dict(),
+                    [s.as_dict() for s in result.sm_stats],
+                )
+            )
+        _assert_per_sm_identical(outs)
+        got = vec_counters()
+        assert got["gang_members"] == 2 and got["gang_splits"] > 0
+
+    def test_serial_matches_process_engine(self):
+        """The process engine simulates each SM alone in a worker; the
+        serial engine runs them as one gang."""
+        outs = []
+        for engine in SM_ENGINES:
+            reset_vec_counters()
+            dev = Device(
+                props=GANG_PROPS, sm_engine=engine, fastpath=2,
+                cache=KernelCache(), heap_bytes=1 << 20,
+            )
+            dst = dev.malloc(4 * 17 * 3 * GANG_BLOCK)
+            result = dev.launch(
+                compile_kernel(_lanes_kernel()), grid=3, block=GANG_BLOCK,
+                params={"dst": dst},
+            )
+            outs.append(
+                _gang_observables(dev, result, dst, 17 * 3 * GANG_BLOCK)
+            )
+            if engine == "serial":
+                assert vec_counters()["gang_members"] == 3
+        _assert_per_sm_identical(outs)
 
 
 def _bank_conflict_kernel():

@@ -187,10 +187,18 @@ class TestLaunchInstrumentation:
         assert snap["cudasim.occupancy"]["series"][0]["value"] == pytest.approx(
             result.occupancy.occupancy(result.device)
         )
-        # Per-launch and per-SM spans were emitted.
+        # Per-launch and per-SM spans were emitted: a compiled launch
+        # runs congruent SMs as one gang, whose span lists its members,
+        # so every SM of the launch is in exactly one span.
         names = [r.name for r in telemetry.spans()]
         assert "cudasim.launch" in names
-        assert names.count("cudasim.sm") == len(result.sm_stats)
+        sms = [
+            sm
+            for r in telemetry.spans()
+            if r.name == "cudasim.sm"
+            for sm in r.attrs["sms"]
+        ]
+        assert sorted(sms) == list(range(len(result.sm_stats)))
 
     def test_kernel_stats_as_dict_is_json_safe(self):
         result = _launch()
