@@ -53,7 +53,6 @@ BENCHMARKS = {
     "exec": ("exec_benchmark", "BENCH_exec.json", [], ["--repeats", "1"]),
     "multigpu": ("multigpu_benchmark", "BENCH_multigpu.json", [], []),
     "outofcore": ("outofcore_benchmark", "BENCH_outofcore.json", [], []),
-    "sweep": ("sweep_benchmark", "BENCH_sweep.json", [], ["--repeats", "1"]),
     "service": (
         "service_benchmark",
         "BENCH_service.json",

@@ -50,7 +50,6 @@ from .errors import (
     StaleGraphError,
     StreamError,
 )
-from .executor import SM_ENGINES
 from .cfg import BasicBlock, FUSIBLE_OPS, fusible_run_ends, split_blocks
 from .fastpath import (
     FASTPATH_ENV,
@@ -74,7 +73,7 @@ from .kernel_cache import (
     set_default_cache,
 )
 from .device_group import DeviceGroup
-from .envflags import env_bool, env_choice, env_float, env_mapped
+from .envflags import env_float, env_mapped
 from .graph import GraphOp, LaunchGraph, ReplayResult
 from .launch import (
     DEFAULT_EVENT_TIMEOUT,
@@ -164,8 +163,6 @@ __all__ = [
     "fastpath_enabled",
     "fastpath_mode",
     "vec_counters",
-    "env_bool",
-    "env_choice",
     "env_float",
     "env_mapped",
     "EVENT_TIMEOUT_ENV",
@@ -178,7 +175,6 @@ __all__ = [
     "GraphValidationError",
     "StaleGraphError",
     "Event",
-    "SM_ENGINES",
     "lower",
     "allocate",
     "occupancy",

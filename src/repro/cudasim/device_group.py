@@ -62,7 +62,6 @@ class DeviceGroup:
         props: DeviceProperties = G8800GTX,
         toolchain: Toolchain = Toolchain.CUDA_1_0,
         heap_bytes: int = DEFAULT_HEAP_BYTES,
-        sm_engine: str | None = None,
         cache: KernelCache | None | object = _UNSET,
         fastpath: bool | int | None = None,
         peer_access: bool = True,
@@ -77,7 +76,6 @@ class DeviceGroup:
                 props=props,
                 toolchain=toolchain,
                 heap_bytes=heap_bytes,
-                sm_engine=sm_engine,
                 cache=shared_cache,
                 fastpath=fastpath,
                 name=f"dev{i}",

@@ -27,10 +27,6 @@ kernel numerics match a float32 host reference.
 
 from __future__ import annotations
 
-import atexit
-import concurrent.futures
-import os
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
@@ -54,7 +50,6 @@ __all__ = [
     "WarpState",
     "SMExecutor",
     "SMRun",
-    "SM_ENGINES",
     "run_sms",
 ]
 
@@ -937,31 +932,19 @@ class SMExecutor:
         return dev.alu_issue_cycles * degree
 
 
-# ----------------------------------------------------------- multi-SM engine
+# ----------------------------------------------------------- multi-SM runner
 #
 # Between launches the SMs of the model are fully independent: each
 # executes its own round-robin share of the grid against the launch-time
 # memory image, and race-free kernels (every kernel in this repository)
-# write disjoint output ranges.  That makes per-SM simulation
-# embarrassingly parallel, so :func:`run_sms` can farm the SMs out to a
-# ``concurrent.futures`` pool — or, in compiled mode, interleave the
-# congruent SMs of a launch as one gang in this process.  Results are
-# merged in SM-index order, so every engine produces bit-identical
-# memory and identical :class:`KernelStats` for race-free kernels (the
-# serial engine remains the default and the reference).
-
-#: Available engines: ``serial`` (reference, in-process loop) and
-#: ``process`` (true multi-core; the heap's live segments are shipped to
-#: workers and their stores replayed back).
-SM_ENGINES = ("serial", "process")
-
-#: Environment override for the default engine of new ``Device``s.
-ENGINE_ENV = "REPRO_SM_ENGINE"
+# write disjoint output ranges.  :func:`run_sms` simulates them in this
+# process — one SM at a time, or, in compiled mode, the congruent SMs of
+# a launch as one gang — and returns their results in SM-index order.
 
 
 @dataclass
 class SMRun:
-    """Outcome of one SM's simulation under any engine."""
+    """Outcome of one SM's simulation."""
 
     sm_index: int
     end_cycle: float
@@ -970,29 +953,7 @@ class SMRun:
     profile: object | None = None
 
 
-class _WriteLogMemory(GlobalMemory):
-    """Worker-side heap that records kernel stores for replay in the parent."""
-
-    def __init__(self, size_bytes: int) -> None:
-        super().__init__(size_bytes)
-        self.store_log: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def scatter(self, byte_addrs: np.ndarray, values: np.ndarray) -> None:
-        super().scatter(byte_addrs, values)
-        self.store_log.append(
-            (np.array(byte_addrs, dtype=np.int64), np.array(values))
-        )
-
-
-def _heap_segments(gmem: GlobalMemory) -> list[tuple[int, np.ndarray]]:
-    """Live allocations as (addr, words) pairs — the part worth shipping."""
-    return [
-        (addr, gmem.words[addr // 4 : (addr + nbytes) // 4].copy())
-        for addr, nbytes in gmem.allocations()
-    ]
-
-
-def _run_sm_serial(
+def _run_group(
     device: DeviceProperties,
     policy: CoalescingPolicy,
     gmem: GlobalMemory,
@@ -1006,9 +967,9 @@ def _run_sm_serial(
     fastpath: bool | int = False,
     profile_spec=None,
 ) -> list[SMRun]:
-    """Simulate ``group``'s ``(sm_index, block_ids)`` assignments in this
-    process: one SM, or (compiled mode) several holding the same number
-    of blocks as one gang.  Returns one :class:`SMRun` per member."""
+    """Simulate ``group``'s ``(sm_index, block_ids)`` assignments: one SM,
+    or (compiled mode) several holding the same number of blocks as one
+    gang.  Returns one :class:`SMRun` per member."""
     (sm_index, block_ids), gang = group[0], group[1:]
     stats = KernelStats()
     profile = None
@@ -1067,50 +1028,6 @@ def _gangs(assignments: list[tuple[int, list[int]]]) -> list[list]:
     return list(groups.values())
 
 
-def _run_sm_task(payload: tuple):
-    """Process-pool task: rebuild the heap, simulate one SM, return stores."""
-    (device, policy, size_bytes, segments, lk, params, block_dim, grid_dim,
-     block_ids, resident, sm_index, fastpath, profile_spec) = payload
-    gmem = _WriteLogMemory(size_bytes)
-    for addr, words in segments:
-        gmem.write(addr, words)
-    (run,) = _run_sm_serial(
-        device, policy, gmem, lk, params, block_dim, grid_dim,
-        [(sm_index, block_ids)], resident, fastpath=fastpath,
-        profile_spec=profile_spec,
-    )
-    return run, gmem.store_log
-
-
-_process_pool: concurrent.futures.ProcessPoolExecutor | None = None
-_process_pool_lock = threading.Lock()
-
-
-def _get_process_pool() -> concurrent.futures.ProcessPoolExecutor:
-    global _process_pool
-    with _process_pool_lock:
-        if _process_pool is None:
-            # "spawn" rather than "fork": stream worker threads may be
-            # live when the pool is first created, and forking a threaded
-            # process can inherit held locks.
-            import multiprocessing
-
-            _process_pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=os.cpu_count() or 1,
-                mp_context=multiprocessing.get_context("spawn"),
-            )
-            atexit.register(_shutdown_process_pool)
-        return _process_pool
-
-
-def _shutdown_process_pool() -> None:
-    global _process_pool
-    with _process_pool_lock:
-        if _process_pool is not None:
-            _process_pool.shutdown(wait=False, cancel_futures=True)
-            _process_pool = None
-
-
 def run_sms(
     device: DeviceProperties,
     policy: CoalescingPolicy,
@@ -1121,61 +1038,34 @@ def run_sms(
     grid_dim: int,
     assignments: list[tuple[int, list[int]]],
     resident: int,
-    engine: str = "serial",
     trace=None,
     fastpath: bool | int = False,
     profile=None,
 ) -> list[SMRun]:
     """Simulate every (sm_index, block_ids) assignment; results in SM order.
 
-    Under the serial engine in compiled mode, the assignments holding
-    the same number of blocks run as one gang (see :func:`_gangs` and
+    In compiled mode the assignments holding the same number of blocks
+    run as one gang (see :func:`_gangs` and
     :class:`repro.cudasim.fastpath.FastSMExecutor`), unless a ``trace``
-    hook or the profiler is on: both observe one SM in program order.
-    A non-``None`` ``trace`` hook forces the serial engine: the hook
-    observes accesses in program order and is not generally picklable.
-    Under ``process``, worker stores are replayed into ``gmem`` in SM
-    order, so race-free kernels end with a bit-identical heap.
-    ``fastpath`` is a mode — ``0``/``False`` interpreter, ``2``/``True``
-    the compiled :class:`repro.cudasim.fastpath.FastSMExecutor`; every
-    engine × fastpath-mode combination produces identical results.
-    ``profile`` is an optional picklable :class:`~repro.cudasim.profiler.ProfileSpec`;
-    it travels in the payload (not via the profiler's module global) so
-    ``process`` workers collect the same counters as the serial engine.
+    hook or the profiler is on: both observe one SM in program order, so
+    each SM then runs alone.  ``fastpath`` is a mode — ``0``/``False``
+    interpreter, ``2``/``True`` the compiled
+    :class:`repro.cudasim.fastpath.FastSMExecutor`; both modes, ganged
+    or not, produce identical results.  ``profile`` is an optional
+    :class:`~repro.cudasim.profiler.ProfileSpec` for per-SM counters.
     """
-    if engine not in SM_ENGINES:
-        raise ValueError(f"unknown SM engine {engine!r}; choose from {SM_ENGINES}")
-    if trace is not None or len(assignments) <= 1:
-        engine = "serial"
-
-    if engine == "serial":
-        if fastpath and trace is None and profile is None:
-            groups = _gangs(assignments)
-        else:
-            groups = [[assignment] for assignment in assignments]
-        runs = [
-            run
-            for group in groups
-            for run in _run_sm_serial(
-                device, policy, gmem, lk, params, block_dim, grid_dim,
-                group, resident, trace=trace, fastpath=fastpath,
-                profile_spec=profile,
-            )
-        ]
-        runs.sort(key=lambda run: run.sm_index)
-        return runs
-
-    # engine == "process"
-    size_bytes = gmem.size_bytes
-    segments = _heap_segments(gmem)
-    payloads = [
-        (device, policy, size_bytes, segments, lk, params, block_dim,
-         grid_dim, block_ids, resident, sm, fastpath, profile)
-        for sm, block_ids in assignments
+    if fastpath and trace is None and profile is None:
+        groups = _gangs(assignments)
+    else:
+        groups = [[assignment] for assignment in assignments]
+    runs = [
+        run
+        for group in groups
+        for run in _run_group(
+            device, policy, gmem, lk, params, block_dim, grid_dim,
+            group, resident, trace=trace, fastpath=fastpath,
+            profile_spec=profile,
+        )
     ]
-    pool = _get_process_pool()
-    results = sorted(pool.map(_run_sm_task, payloads), key=lambda t: t[0].sm_index)
-    for run, store_log in results:
-        for addrs, values in store_log:
-            gmem.scatter(addrs, values)
-    return [run for run, _ in results]
+    runs.sort(key=lambda run: run.sm_index)
+    return runs

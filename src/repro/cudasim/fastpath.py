@@ -115,8 +115,8 @@ attributes every gap to the stall reason the interpreter's scan would
 decision.
 
 Gangs extend the argument across SMs.  The SMs of a launch that hold
-the same number of blocks (:func:`repro.cudasim.executor.run_sms`,
-serial engine, from launch geometry alone) start *congruent*: the same
+the same number of blocks (:func:`repro.cudasim.executor.run_sms`
+groups them from launch geometry alone) start *congruent*: the same
 warps at the same pcs with the same clocks, differing only in block ids
 and data.  One :class:`FastSMExecutor` drives them as a gang: one scan,
 one wake list and one replay plan, computed from the leader's warps,
@@ -146,12 +146,11 @@ the same in every member:
 Scan stalls, idle cycles and the per-pc issue counts are the gang's:
 they are counted once and handed to each member as it leaves or the
 gang ends.  Members interleave their global stores instruction by
-instruction instead of running one SM after another; under the
-race-free contract the process engine already relies on — the SMs of a
-launch write disjoint ranges and never read each other's writes — that
-order is invisible.  A trace hook or the profiler observes one SM's
-accesses in program order, so those launches run their SMs one at a
-time.
+instruction instead of running one SM after another.  Every kernel in
+this repository is race-free — the SMs of a launch write disjoint
+ranges and never read each other's writes — so that order is
+invisible.  A trace hook or the profiler observes one SM's accesses in
+program order, so those launches run their SMs one at a time.
 
 The reference interpreter stays available behind
 ``REPRO_EXEC_FASTPATH=0`` or ``Device(fastpath=False)``; ``=2`` (the
@@ -944,7 +943,7 @@ FALLBACK_REASONS = (
 )
 
 #: Process-local dispatch telemetry for the cross-warp scheduler.  The
-#: executor benchmark reads these directly (serial engine, in-process);
+#: executor benchmark reads these directly;
 #: when the telemetry layer is enabled each SM run also flushes its
 #: deltas to the registry as ``cudasim.fastpath.vec.*`` counters.
 _VEC_COUNTERS = {

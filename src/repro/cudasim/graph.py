@@ -42,7 +42,7 @@ path's worker threads evolve them (copies advance by PCIe time, launches
 by simulated cycles, waits jump to the waited event's re-fired cycle),
 so replays are bit-identical to op-by-op execution — memory image,
 cycles, :class:`KernelStats` and profiler output — for every layout ×
-toolchain × SM engine × fastpath mode.  A replay requires its streams
+toolchain × fastpath mode.  A replay requires its streams
 idle (no in-flight FIFO entries) and raises :class:`StaleGraphError`
 when ``FASTPATH_GENERATION`` changed since ``instantiate()`` — the
 captured :class:`LoweredKernel` handles would otherwise launch stale

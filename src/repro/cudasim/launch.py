@@ -33,9 +33,9 @@ import numpy as np
 from ..core.coalescing import CoalescingPolicy, policy_for
 from ..telemetry import runtime as _telemetry
 from .device import DeviceProperties, G8800GTX, Toolchain
-from .envflags import env_choice, env_float
+from .envflags import env_float
 from .errors import LaunchError
-from .executor import ENGINE_ENV, SM_ENGINES, run_sms
+from .executor import run_sms
 from .fastpath import fastpath_mode
 from .ir import Kernel
 from .kernel_cache import CompileOptions, KernelCache, default_cache
@@ -155,11 +155,6 @@ class LaunchResult:
 class Device:
     """A simulated GPU + driver of a given CUDA toolchain revision.
 
-    ``sm_engine`` selects how cycle simulation distributes SMs:
-    ``"serial"`` (the historical loop) or ``"process"`` (a
-    ``concurrent.futures`` process pool; see
-    :func:`repro.cudasim.executor.run_sms`).
-    Defaults to the ``REPRO_SM_ENGINE`` environment variable, else serial.
     ``cache`` is the kernel-compilation cache :meth:`compile` consults
     (default: the process-wide cache; pass ``None`` to disable).
     ``fastpath`` selects the execution mode of
@@ -179,7 +174,6 @@ class Device:
         props: DeviceProperties = G8800GTX,
         toolchain: Toolchain = Toolchain.CUDA_1_0,
         heap_bytes: int = DEFAULT_HEAP_BYTES,
-        sm_engine: str | None = None,
         cache: KernelCache | None | object = _UNSET,
         fastpath: bool | int | None = None,
         name: str | None = None,
@@ -200,12 +194,6 @@ class Device:
         self.event_timeout = float(event_timeout)
         self.policy: CoalescingPolicy = policy_for(toolchain)
         self.gmem = GlobalMemory(min(heap_bytes, props.global_mem_bytes))
-        engine = sm_engine or env_choice(ENGINE_ENV, SM_ENGINES, "serial")
-        if engine not in SM_ENGINES:
-            raise LaunchError(
-                f"unknown SM engine {engine!r}; choose from {SM_ENGINES}"
-            )
-        self.sm_engine = engine
         self.fastpath_mode = fastpath_mode(fastpath)
         self._cache = cache
         self._streams: list = []
@@ -292,11 +280,10 @@ class Device:
         ``max_resident_blocks`` overrides the occupancy calculator (for
         what-if experiments); ``trace`` is an optional
         :class:`repro.cudasim.trace.TraceRecorder`-style hook invoked on
-        every global access (forces the serial engine); ``stream`` tags
-        the telemetry span with the issuing stream's name.  Launch time
-        is ``max`` over the SMs' finish cycles.  SMs are simulated by the
-        device's ``sm_engine`` — results are merged in SM order, so all
-        engines produce identical stats and heap contents.
+        every global access (each SM then runs alone, in program order);
+        ``stream`` tags the telemetry span with the issuing stream's
+        name.  Launch time is ``max`` over the SMs' finish cycles.  SMs
+        are simulated by :func:`run_sms` and merged in SM order.
         """
         if grid <= 0:
             raise LaunchError(f"grid must be positive, got {grid}")
@@ -334,8 +321,7 @@ class Device:
             with self._launch_lock:
                 runs = run_sms(
                     self.props, self.policy, self.gmem, lk, values,
-                    block, grid, assignments, resident,
-                    engine=self.sm_engine, trace=trace,
+                    block, grid, assignments, resident, trace=trace,
                     fastpath=self.fastpath_mode, profile=profile_spec,
                 )
             for run in runs:

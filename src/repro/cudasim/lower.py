@@ -53,8 +53,9 @@ class LoweredKernel:
     #: Launch-invariant executor state
     #: (:class:`repro.cudasim.executor.KernelPlan`), built by the first SM
     #: run and shared by every later one.  The kernel must not be mutated
-    #: once it has run.  Never pickled (it holds ``exec``-built code) and
-    #: never compared.
+    #: once it has run.  Never compared, and never pickled: the kernel
+    #: cache's disk layer pickles the kernel, and the plan holds
+    #: ``exec``-built code that the next process rebuilds on first run.
     exec_plan: object = field(
         default=None, init=False, repr=False, compare=False
     )

@@ -7,7 +7,7 @@ Layout of the package:
   ``cudasim/profiler.py`` module; the import path
   ``repro.cudasim.profiler.KernelStats`` is unchanged).
 * :mod:`~repro.cudasim.profiler.counters` — the opt-in
-  hardware-counter containers: picklable :class:`ProfileSpec`, per-SM
+  hardware-counter containers: :class:`ProfileSpec`, per-SM
   :class:`SMProfile`, merged :class:`KernelProfile`.
 * :mod:`~repro.cudasim.profiler.runtime` — the process-global session
   (``enable``/``disable``/``spec``), telemetry's zero-overhead pattern.

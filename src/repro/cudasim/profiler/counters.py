@@ -8,8 +8,7 @@ Two levels, mirroring the executor's SM/launch split:
   cycles, global-memory transactions split coalesced vs uncoalesced,
   bytes binned into named address *regions* (the ``MemoryLayout`` field
   spans), replay and bank-conflict counts, and the cycle-accurate
-  stall-reason breakdown of every idle gap.  It is a plain picklable
-  object so the ``process`` SM engine can ship it back from workers.
+  stall-reason breakdown of every idle gap.
 * :class:`KernelProfile` — the launch-level merge, attributed back to IR
   instructions and basic blocks (via :mod:`repro.cudasim.cfg`) so a
   report can name the hot op, not just the hot kernel.
@@ -71,11 +70,10 @@ FLOPS_PER_OP = {
 
 @dataclass(frozen=True)
 class ProfileSpec:
-    """Picklable per-launch profiling configuration.
+    """Per-launch profiling configuration.
 
-    Shipped through :func:`repro.cudasim.executor.run_sms` to every SM —
-    including ``process``-engine workers, where the enabling session's
-    module global is not visible.
+    Passed through :func:`repro.cudasim.executor.run_sms` to every SM, so
+    the executor never reads the enabling session's module global.
     """
 
     #: Named byte ranges ``(name, lo, hi)`` for memory-traffic binning;
@@ -106,7 +104,7 @@ def regions_for_layout(layout, base_addr: int, prefix: str = "") -> tuple:
 class SMProfile:
     """Raw profiling counters of one SM's simulation (see module doc).
 
-    Allocated by :func:`repro.cudasim.executor._run_sm_serial` when a
+    Allocated by :func:`repro.cudasim.executor._run_group` when a
     :class:`ProfileSpec` is supplied; every executor hook is guarded by
     ``if self.profile is not None`` so a disabled profiler costs one
     predictable branch (the telemetry tracer's zero-overhead pattern).
@@ -409,7 +407,7 @@ class KernelProfile:
 
     def as_dict(self) -> dict:
         """Full JSON-safe dump, including per-SM blocks (parity tests
-        compare this across engines and executors)."""
+        compare this across execution modes)."""
         return {
             "kernel": self.kernel_name,
             "grid": self.grid,

@@ -16,7 +16,7 @@ is *memory-bound*: the bandwidth ceiling caps it below peak issue.  To
 the right it is *compute-bound*.  All quantities come from profiler
 counters — flops from per-pc active-lane counts, bytes from the memory
 pipeline's transaction stats (global + texture fills) — so the
-classification is deterministic and engine-independent.
+classification is deterministic and the same in both execution modes.
 """
 
 from __future__ import annotations

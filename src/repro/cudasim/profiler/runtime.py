@@ -5,9 +5,9 @@ slot, ``enable()`` installs a :class:`ProfilerSession`, ``disable()``
 clears it, and the single hot-path hook (``Device.launch`` reading
 :func:`spec`) is one global read returning ``None`` when profiling is
 off.  The executor itself never touches this module — it receives a
-picklable :class:`~repro.cudasim.profiler.counters.ProfileSpec` through
-``run_sms`` so the ``process`` SM engine profiles identically to
-``serial``/``thread`` even though workers cannot see this global.
+:class:`~repro.cudasim.profiler.counters.ProfileSpec` through
+``run_sms``, so the launch that reads the spec decides what every SM
+counts.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class ProfilerSession:
         self.last_profile: KernelProfile | None = None
 
     def spec(self) -> ProfileSpec:
-        """The picklable per-launch configuration shipped to the SMs."""
+        """The per-launch configuration passed to the SMs."""
         return ProfileSpec(
             regions=self.regions, max_gap_events=self.max_gap_events
         )

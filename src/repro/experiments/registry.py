@@ -15,7 +15,6 @@ import sys
 import time
 from typing import Callable
 
-from ..cudasim.executor import SM_ENGINES
 from ..telemetry import runtime as _telemetry
 from ..telemetry.manifest import append_manifest, build_manifest
 from .report import ExperimentResult
@@ -241,13 +240,6 @@ def main(argv: list[str] | None = None) -> int:
         "manifests then carry the metrics snapshot",
     )
     runp.add_argument(
-        "--engine",
-        choices=SM_ENGINES,
-        default=None,
-        help="SM engine for cycle simulation (default: REPRO_SM_ENGINE "
-        "env var, else serial)",
-    )
-    runp.add_argument(
         "--profile",
         action="store_true",
         help="enable the gravit-prof profiler for the run and print a "
@@ -273,10 +265,6 @@ def main(argv: list[str] | None = None) -> int:
         from ..cudasim import profiler as _profiler
 
         _profiler.enable()
-    if args.engine:
-        from ..cudasim.executor import ENGINE_ENV
-
-        os.environ[ENGINE_ENV] = args.engine
     if args.no_fastpath:
         from ..cudasim.fastpath import FASTPATH_ENV
 

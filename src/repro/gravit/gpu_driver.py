@@ -715,8 +715,8 @@ class OutOfCoreSimulation(_EpochDriver):
     Column tiles launch in increasing order with the in-core kernel's
     instruction sequence, so every float32 operation happens in the same
     order on the same values: results are **bit-identical** to
-    :class:`GpuSimulation` for every layout × toolchain × engine ×
-    fastpath combination (the differential suite in
+    :class:`GpuSimulation` for every layout × toolchain × fastpath
+    combination (the differential suite in
     ``tests/test_outofcore.py`` is the gate).
 
     ``tile_rows`` (default ``4 · block_size``, rounded up to a block
@@ -1056,8 +1056,8 @@ class ShardedGpuSimulation(_EpochDriver):
     the thread index (``row_offset=True`` kernel variants), so the
     per-particle float instruction sequence is *unchanged* — state and
     forces are bit-identical to a single-device :class:`GpuSimulation`
-    for every layout, toolchain, SM engine and fastpath setting (pinned
-    by the tests).
+    for every layout, toolchain and fastpath setting (pinned by the
+    tests).
 
     How many bytes the broadcast moves per row is a layout property
     (:meth:`MemoryLayout.row_regions`): interleaved layouts (aos/aoas)
@@ -1073,7 +1073,6 @@ class ShardedGpuSimulation(_EpochDriver):
         group: DeviceGroup | None = None,
         num_devices: int = 2,
         device_props: DeviceProperties = G8800GTX,
-        sm_engine: str | None = None,
         fastpath: bool | int | None = None,
         peer_access: bool = True,
         use_graph: bool = False,
@@ -1085,7 +1084,6 @@ class ShardedGpuSimulation(_EpochDriver):
             num_devices,
             props=device_props,
             toolchain=cfg.toolchain,
-            sm_engine=sm_engine,
             fastpath=fastpath,
             peer_access=peer_access,
         )

@@ -7,8 +7,8 @@ each with its own kwarg sprawl for the same underlying knobs.  This
 module collapses them behind:
 
 * :class:`SimulationConfig` — a frozen dataclass naming *every* host-side
-  choice: memory layout, compiler options, toolchain, SM engine,
-  fastpath, device count, heap size, pool knobs.  Equal configurations
+  choice: memory layout, compiler options, toolchain, fastpath,
+  device count, heap size, pool knobs.  Equal configurations
   compare and hash equal, and :attr:`SimulationConfig.kernel_key` is a
   stable digest of exactly the fields that determine the compiled force
   kernel's content-addressed cache entry — the service counts a job
@@ -29,7 +29,6 @@ from typing import Union
 
 from ..cudasim.device import DeviceProperties, G8800GTX, Toolchain
 from ..cudasim.device_group import DeviceGroup
-from ..cudasim.executor import SM_ENGINES
 from ..cudasim.kernel_cache import Unroll
 from ..cudasim.launch import DEFAULT_HEAP_BYTES, Device
 from .gpu_driver import (
@@ -49,14 +48,13 @@ class SimulationConfig:
     """Every host-side knob of one simulation, in one frozen value.
 
     The kernel-shaping subspace (``layout`` … ``g``) mirrors
-    :class:`~repro.gravit.gpu_driver.GpuConfig`; the execution subspace
-    (``engine``, ``fastpath``) selects *how* the device simulates without
-    changing any result bit; the topology subspace (``devices``,
-    ``peer_access``, ``device_props``, ``heap_bytes``) sizes the
-    hardware; ``pool_records_per_block`` switches on the dynamic
-    block-pool backing.  ``unroll`` is normalized through
-    :meth:`~repro.cudasim.kernel_cache.Unroll.coerce` so equal
-    configurations hash equal.
+    :class:`~repro.gravit.gpu_driver.GpuConfig`; ``fastpath`` selects
+    *how* the device simulates without changing any result bit; the
+    topology subspace (``devices``, ``peer_access``, ``device_props``,
+    ``heap_bytes``) sizes the hardware; ``pool_records_per_block``
+    switches on the dynamic block-pool backing.  ``unroll`` is
+    normalized through :meth:`~repro.cudasim.kernel_cache.Unroll.coerce`
+    so equal configurations hash equal.
     """
 
     layout: str = "soaoas"
@@ -66,7 +64,6 @@ class SimulationConfig:
     toolchain: Toolchain = Toolchain.CUDA_1_0
     eps: float = 1e-2
     g: float = 1.0
-    engine: str | None = None  #: SM engine (serial/thread/process); None = env
     fastpath: bool | int | None = None  #: exec mode 0|2; None = env default
     devices: int = 1
     peer_access: bool = True
@@ -88,10 +85,6 @@ class SimulationConfig:
         object.__setattr__(self, "unroll", Unroll.coerce(self.unroll))
         if self.devices < 1:
             raise ValueError(f"devices must be >= 1, got {self.devices}")
-        if self.engine is not None and self.engine not in SM_ENGINES:
-            raise ValueError(
-                f"unknown SM engine {self.engine!r}; choose from {SM_ENGINES}"
-            )
         if self.pool_records_per_block is not None:
             if self.pool_records_per_block < 1:
                 raise ValueError("pool_records_per_block must be >= 1")
@@ -144,7 +137,7 @@ class SimulationConfig:
 
         Two configs share a ``kernel_key`` iff their force kernels land
         on the same content-addressed cache entry (layout × block size ×
-        compile options × toolchain).  Engine/fastpath/topology knobs are
+        compile options × toolchain).  Fastpath and topology knobs are
         excluded — they never change what gets compiled.
         """
         token = (
@@ -189,7 +182,6 @@ class SimulationConfig:
             props=self.device_props,
             toolchain=self.toolchain,
             heap_bytes=self.heap_bytes,
-            sm_engine=self.engine,
             fastpath=self.fastpath,
             name=name,
         )
@@ -201,7 +193,6 @@ class SimulationConfig:
             props=self.device_props,
             toolchain=self.toolchain,
             heap_bytes=self.heap_bytes,
-            sm_engine=self.engine,
             fastpath=self.fastpath,
             peer_access=self.peer_access,
         )

@@ -47,7 +47,7 @@ class SimulationService:
 
     ``group`` supplies the hardware; when omitted one is built from
     ``hardware`` (a :class:`SimulationConfig` whose topology knobs —
-    device properties, toolchain, heap, engine, fastpath — size the
+    device properties, toolchain, heap, fastpath — size the
     members) with ``devices`` cards.  Scheduling knobs:
 
     ``max_queue_depth``

@@ -365,27 +365,29 @@ class TestParticlePools:
         for f in ("px", "py", "pz", "vx", "vy", "vz"):
             assert np.array_equal(getattr(pooled, f), getattr(expect, f)), f
 
-    @pytest.mark.parametrize("engine", ["serial", "process"])
-    def test_engines_bit_identical_on_pool_state(self, engine):
-        """Particle state after pooled steps is bit-identical across SM
-        engines (including a mid-run compaction)."""
-        system = uniform_sphere(20, seed=13)
-        cfg = GpuConfig(block_size=32, layout_kind="soaoas")
-        dev = Device(sm_engine=engine, heap_bytes=1 << 22)
-        pool = BlockPool(dev, "soaoas", 16)
-        handles = system.spawn_into(pool)
-        with PooledSimulation(pool, dev, cfg) as psim:
-            psim.step(1e-3)
-            psim.remove(handles[::4])
-            psim.compact()
-            psim.step(1e-3)
-            state = psim.writeback()
-        key = tuple(np.concatenate(
-            [state.px, state.vy, state.mass]
-        ).tobytes())
-        if not hasattr(TestParticlePools, "_engine_key"):
-            TestParticlePools._engine_key = key
-        assert key == TestParticlePools._engine_key
+    def test_pool_state_bit_identical_across_fastpath_modes(self):
+        """Particle state and cycles after pooled steps, with a mid-run
+        compaction, are bit-identical under the interpreter and the
+        compiled fast path."""
+
+        def run(fastpath):
+            system = uniform_sphere(20, seed=13)
+            cfg = GpuConfig(block_size=32, layout_kind="soaoas")
+            dev = Device(fastpath=fastpath, heap_bytes=1 << 22)
+            pool = BlockPool(dev, "soaoas", 16)
+            handles = system.spawn_into(pool)
+            with PooledSimulation(pool, dev, cfg) as psim:
+                cycles = [psim.step(1e-3)]
+                psim.remove(handles[::4])
+                psim.compact()
+                cycles.append(psim.step(1e-3))
+                return cycles, psim.writeback()
+
+        ref_cycles, ref = run(0)
+        cycles, state = run(2)
+        assert cycles == ref_cycles
+        for f in ("px", "py", "pz", "vx", "vy", "vz", "mass"):
+            assert np.array_equal(getattr(state, f), getattr(ref, f)), f
 
     def test_pooled_sim_rejects_foreign_device(self):
         pool = BlockPool(GlobalMemory(1 << 18), "soaoas", 16)

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.cudasim import (
-    SM_ENGINES,
     BlockPool,
     Device,
     KernelBuilder,
@@ -812,15 +811,18 @@ def _gang_forces(kind, unroll, grid, mode, props=GANG_PROPS):
 
 
 def _gang_modes(
-    kernel, grid, out_words, params=None, toolchain=Toolchain.CUDA_1_0
+    kernel, grid, out_words, params=None, toolchain=Toolchain.CUDA_1_0,
+    props=G8800GTX,
 ):
-    """Launch ``kernel`` on 16 SMs in both modes; assert the per-SM
-    observables match and return the compiled run's vec counters.
-    ``params(dev)`` adds launch values besides ``dst``."""
+    """Launch ``kernel`` on ``props`` (default: the G80's 16 SMs) in both
+    modes; assert the per-SM observables match and return the compiled
+    run's vec counters.  ``params(dev)`` adds launch values besides
+    ``dst``."""
     outs = []
     for mode in MODES:
         reset_vec_counters()
         dev = Device(
+            props=props,
             toolchain=toolchain,
             fastpath=mode,
             cache=KernelCache(),
@@ -898,6 +900,8 @@ def _lanes_kernel():
         b.emit(Instr(
             Op.MUL, dsts=(x,), srcs=(x, Imm(0.5)), pred=p, pred_neg=True
         ))
+    # Unpaired, so each SM's thread_instructions depends on its lanes.
+    b.emit(Instr(Op.ADD, dsts=(x,), srcs=(x, Imm(0.25)), pred=p))
     b.add(y, y, x)
     b.st_global(o, y)
     return b.build()
@@ -966,12 +970,19 @@ class TestGangs:
         )
         assert got["gang_members"] == 4 and got["gang_splits"] == 1
 
-    def test_predicated_lanes_per_member(self):
+    @pytest.mark.parametrize(
+        "props, grid", ((G8800GTX, 4), (GANG_PROPS, 3)),
+        ids=("g80-grid4", "3sm-grid3"),
+    )
+    def test_predicated_lanes_per_member(self, props, grid):
         """Lane counts of predicated steps differ per member while the
         schedule does not: the gang holds, and each SM's
         ``thread_instructions`` is its own (pinned per SM above)."""
-        got = _gang_modes(_lanes_kernel(), grid=4, out_words=17 * 256)
-        assert got["gang_members"] == 4 and got["gang_splits"] == 0
+        got = _gang_modes(
+            _lanes_kernel(), grid=grid, out_words=17 * GANG_BLOCK * grid,
+            props=props,
+        )
+        assert got["gang_members"] == grid and got["gang_splits"] == 0
         assert got["row_events"] > 0 and got["fallbacks"] > 0
 
     def test_gang_counters_flush_to_telemetry(self):
@@ -1006,28 +1017,6 @@ class TestGangs:
         _assert_per_sm_identical(outs)
         got = vec_counters()
         assert got["gang_members"] == 2 and got["gang_splits"] > 0
-
-    def test_serial_matches_process_engine(self):
-        """The process engine simulates each SM alone in a worker; the
-        serial engine runs them as one gang."""
-        outs = []
-        for engine in SM_ENGINES:
-            reset_vec_counters()
-            dev = Device(
-                props=GANG_PROPS, sm_engine=engine, fastpath=2,
-                cache=KernelCache(), heap_bytes=1 << 20,
-            )
-            dst = dev.malloc(4 * 17 * 3 * GANG_BLOCK)
-            result = dev.launch(
-                compile_kernel(_lanes_kernel()), grid=3, block=GANG_BLOCK,
-                params={"dst": dst},
-            )
-            outs.append(
-                _gang_observables(dev, result, dst, 17 * 3 * GANG_BLOCK)
-            )
-            if engine == "serial":
-                assert vec_counters()["gang_members"] == 3
-        _assert_per_sm_identical(outs)
 
 
 def _bank_conflict_kernel():
@@ -1202,13 +1191,6 @@ class TestCodegenCache:
         monkeypatch.setenv(FASTPATH_ENV, " off ")
         assert fastpath_enabled() is False
 
-    def test_sm_engine_env_rejected_loudly(self, monkeypatch):
-        from repro.cudasim.executor import ENGINE_ENV
-
-        monkeypatch.setenv(ENGINE_ENV, "processes")  # typo of "process"
-        with pytest.raises(ValueError, match=ENGINE_ENV):
-            Device(cache=KernelCache())
-
 
 # -- per-kernel executor plan ----------------------------------------------
 
@@ -1303,7 +1285,7 @@ class TestKernelPlan:
         assert calls == {"prepare": 1, "program": 1, "steps": 1}
 
     def test_plan_is_not_pickled(self):
-        """The process engine ships kernels to workers; the plan holds
+        """The kernel cache's disk layer pickles kernels; the plan holds
         exec-built code and stays behind."""
         import pickle
 

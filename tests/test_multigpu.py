@@ -3,8 +3,8 @@
 The load-bearing contract: :class:`ShardedGpuSimulation` must produce
 *bit-identical* state and forces to the single-device
 :class:`GpuSimulation` for every layout × device count × fastpath
-setting × SM engine — row sharding only adds an integer offset to the
-thread index, never a float operation.  Alongside it, the
+setting — row sharding only adds an integer offset to the thread index,
+never a float operation.  Alongside it, the
 :class:`DeviceGroup` topology units (shared kernel cache, peer-copy
 semantics and cost) and the :meth:`MemoryLayout.row_regions` geometry
 the broadcast ships.
@@ -74,15 +74,10 @@ class TestBitIdentity:
         assert np.array_equal(ref_forces, forces)
 
     @pytest.mark.parametrize("fastpath", (True, False))
-    @pytest.mark.parametrize("engine", ("serial", "process"))
-    def test_fastpath_and_engine(self, system, fastpath, engine):
+    def test_fastpath_modes(self, system, fastpath):
         cfg = GpuConfig(layout_kind="soaoas", block_size=BLOCK)
-        ref_state, ref_forces = _run_single(
-            system, cfg, fastpath=fastpath, sm_engine=engine
-        )
-        state, forces, _ = _run_sharded(
-            system, cfg, 2, fastpath=fastpath, sm_engine=engine
-        )
+        ref_state, ref_forces = _run_single(system, cfg, fastpath=fastpath)
+        state, forces, _ = _run_sharded(system, cfg, 2, fastpath=fastpath)
         _assert_state_equal(ref_state, state)
         assert np.array_equal(ref_forces, forces)
 

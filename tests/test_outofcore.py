@@ -2,7 +2,7 @@
 
 The load-bearing contract: :class:`OutOfCoreSimulation` must produce
 *bit-identical* state and forces to the in-core :class:`GpuSimulation`
-for every layout × toolchain × SM engine × fastpath setting — tiling
+for every layout × toolchain × fastpath setting — tiling
 only changes which buffer a float is loaded from, never the value or
 the order of any float operation.  Partial force accumulators
 round-trip through the force buffer bit-exactly because every ``mad``
@@ -87,14 +87,11 @@ class TestBitIdentity:
         assert np.array_equal(ref_forces, forces)
 
     @pytest.mark.parametrize("fastpath", (True, False))
-    @pytest.mark.parametrize("engine", ("serial", "process"))
-    def test_fastpath_and_engine(self, system, fastpath, engine):
+    def test_fastpath_modes(self, system, fastpath):
         cfg = GpuConfig(layout_kind="soaoas", block_size=BLOCK)
-        ref_state, ref_forces = _run_single(
-            system, cfg, fastpath=fastpath, sm_engine=engine
-        )
+        ref_state, ref_forces = _run_single(system, cfg, fastpath=fastpath)
         state, forces, _ = _run_ooc(
-            system, cfg, tile_rows=32, fastpath=fastpath, sm_engine=engine
+            system, cfg, tile_rows=32, fastpath=fastpath
         )
         _assert_state_equal(ref_state, state)
         assert np.array_equal(ref_forces, forces)

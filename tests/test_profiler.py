@@ -8,9 +8,7 @@ The profiler's contract has three legs, each pinned here:
 * **counter identity** — the compiled fast path and the reference
   interpreter must produce *identical* profiler counters (stall
   attribution included), for every layout, unroll factor, and a
-  divergent Barnes-Hut kernel; likewise the serial/thread/process SM
-  engines (the satellite audit of KernelStats double-counting rides on
-  the same comparison);
+  divergent Barnes-Hut kernel;
 * **documents** — the ``repro.profile/v1`` JSON document validates,
   round-trips, and diffs to zero against a same-config rerun.
 """
@@ -59,7 +57,6 @@ def _forces_run(
     cfg: GpuConfig,
     *,
     fastpath: bool = True,
-    engine: str = "serial",
     profile: bool = True,
 ):
     """One forces_cycle on a fresh device; returns everything observable."""
@@ -72,7 +69,6 @@ def _forces_run(
     dev = Device(
         toolchain=cfg.toolchain,
         fastpath=fastpath,
-        sm_engine=engine,
         cache=KernelCache(),
     )
     backend = GpuForceBackend(cfg, device=dev)
@@ -139,16 +135,6 @@ class TestFastpathCounterParity:
         assert interp_profile == fast_profile
         # The traversal actually diverges, so the counters mean something.
         assert interp_profile["divergent_branches"] > 0
-
-
-class TestEngineCounterParity:
-    """serial/process SM engines: identical stats AND profiler counters."""
-
-    def test_serial_vs_process(self):
-        cfg = GpuConfig(layout_kind="aos", block_size=BLOCK)
-        serial = _forces_run(cfg, engine="serial")
-        process = _forces_run(cfg, engine="process")
-        assert serial == process
 
 
 class TestZeroPerturbation:
@@ -219,7 +205,7 @@ class TestProfileContent:
 
     def test_issue_counts_match_kernel_stats(self):
         """Profiler issue counters re-derive KernelStats' instruction
-        totals — the double-counting audit for the merged engines."""
+        totals — the double-counting audit for the merged SMs."""
         cfg = GpuConfig(layout_kind="aos", block_size=BLOCK)
         profiler.enable()
         profiler.reset()

@@ -12,8 +12,8 @@ Covers the four contracts the job service makes:
   priority/deadline ordering within a tenant, bounded-queue
   backpressure, least-loaded placement with a service-wide warm count.
 * **Service == direct** — a job run through the service is bit-identical
-  to driving the simulation yourself, for every layout, fastpath
-  setting, and SM engine.
+  to driving the simulation yourself, for every layout and fastpath
+  setting.
 """
 
 from __future__ import annotations
@@ -137,8 +137,6 @@ class TestSimulationConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="devices"):
             SimulationConfig(devices=0)
-        with pytest.raises(ValueError, match="engine"):
-            SimulationConfig(engine="quantum")
         with pytest.raises(ValueError, match="single-device"):
             SimulationConfig(devices=2, pool_records_per_block=16)
 
@@ -147,8 +145,7 @@ class TestSimulationConfig:
         assert base.kernel_key == SimulationConfig().kernel_key
         assert base.kernel_key != base.replace(layout="aos").kernel_key
         assert base.kernel_key != base.replace(block_size=64).kernel_key
-        # Engine/fastpath/topology never change what gets compiled.
-        assert base.kernel_key == base.replace(engine="process").kernel_key
+        # Fastpath and topology never change what gets compiled.
         assert base.kernel_key == base.replace(fastpath=False).kernel_key
         assert base.kernel_key == base.replace(devices=4).kernel_key
 
@@ -456,18 +453,6 @@ class TestServiceRuns:
             np.array_equal(getattr(res.state, f), getattr(state, f))
             for f in FIELDS
         )
-        assert np.array_equal(res.forces, direct.download_forces())
-        direct.close()
-
-    @pytest.mark.parametrize("engine", ("serial", "process"))
-    def test_bit_identical_across_sm_engines(self, system, engine):
-        cfg = HW.replace(engine=engine)
-        with SimulationService(devices=2, hardware=cfg) as svc:
-            res = svc.submit("eng", system, cfg, steps=1).result(
-                timeout=120.0
-            )
-        direct = Simulation.create(cfg, system.copy())
-        direct.run(1, 0.01)
         assert np.array_equal(res.forces, direct.download_forces())
         direct.close()
 
