@@ -86,19 +86,23 @@ keyed by the warps' pc and entry-wake configuration.  Every simulated
 time is a dyadic rational, so float64 sums are exact in any
 association order and the plan's offsets from dispatch time hold for
 any dispatch clock.  Shared loads are scheduled at their
-conflict-free cost.  A load is *static* when its base register was
-last written inside the window by a constant ``mov`` and the address is
-aligned and in bounds: every active lane then reads the same words, a
-broadcast that costs exactly that, and the window holds no stores, so
-it is as state-invisible as an ALU op and needs no check.  Within each
-segment between validated events, complete row groups (all warps at
-one pc; static loads also at one address, each row reading its own
-block) fold into stacked steps, and each maximal run of them becomes
-one *run event*: its steps execute back to back (a static load as one
-read of a stacked view of the rows' shared memory), then one
-precomputed ``(warps, k)`` offset array writes every scoreboard mark
+conflict-free cost.  A load is *static* when its base register holds a
+constant the window itself set up — a ``mov`` of an integer,
+optionally advanced by unpredicated ``iadd`` steps of integers, as a
+rolled loop walks its tile — and the address is aligned and in bounds:
+every active lane then reads the same words, a broadcast that costs
+exactly that, and the window holds no stores, so it is as
+state-invisible as an ALU op and needs no check.  Within each segment
+between validated events, range groups (the rows at one pc, per
+maximal range of at least two consecutive rows; static loads also at
+one address, each row reading its own block) fold into stacked steps
+over their rows, and the groups of one row range become one *run
+event*: its steps execute back to back over those rows (a static load
+as one read of a stacked view of the rows' shared memory), then one
+precomputed ``(rows, k)`` offset array writes every scoreboard mark
 the run leaves behind and its issue and lane counts are added at
-once.  The other loads are validated, and so are branches, scheduled
+once.  So resident blocks that run out of phase fold block by block.
+The other loads are validated, and so are branches, scheduled
 under a static direction assumption (backward/unconditional taken,
 forward predicated fall-through): at dispatch each such event is
 either proven by a cheap vectorized check (whole-warp broadcast load,
@@ -181,8 +185,10 @@ from .kernel_cache import KernelCache, default_cache
 from .lower import LoweredKernel
 from .memory import SharedMemory
 
-#: Sort key for segment folding: the event's pc.
-_EV_PC = itemgetter(2)
+#: Sort key for segment folding: the event's pc, then its row.
+_EV_PC_ROW = itemgetter(2, 1)
+#: An event's issue offset.
+_EV_T = itemgetter(3)
 
 __all__ = [
     "FASTPATH_ENV",
@@ -220,7 +226,8 @@ FASTPATH_ENV = "REPRO_EXEC_FASTPATH"
 #: into replay runs; programs carry the per-pc register writes.
 #: Generation 8: predicated steps return their lane mask, so a gang
 #: counts each member's lanes.
-FASTPATH_GENERATION = 8
+#: Generation 9: replay runs over row ranges; ``iadd`` carries constants.
+FASTPATH_GENERATION = 9
 
 #: Spelling → mode for :data:`FASTPATH_ENV`.  The boolean aliases keep
 #: their historical meaning: any "true" spelling selects the compiled
@@ -323,8 +330,8 @@ class FastProgram:
     #: (:func:`repro.cudasim.cfg.replay_schedulable`): fusible ALU work
     #: plus the shared loads and validated branches.
     vok: list
-    #: Per-pc ``(register slots written, constant)`` for the replay's
-    #: static-load analysis (see :func:`_reg_writes`).
+    #: Per-pc ``(register slots written, constant, source slot)`` for the
+    #: replay's static-load analysis (see :func:`_reg_writes`).
     regw: list
     param_names: tuple[str, ...] = ()
     fused_pcs: int = field(default=0)
@@ -734,13 +741,17 @@ def _mem_costs(lk: LoweredKernel, dev: DeviceProperties) -> list:
 
 
 def _reg_writes(lk: LoweredKernel) -> list:
-    """Per-pc ``(register slots written, constant)``.
+    """Per-pc ``(register slots written, constant, source slot)``.
 
-    ``constant`` is set for an unpredicated ``mov reg, imm`` whose
-    immediate is an integer of magnitude at most ``2**24`` (so exact in
-    float32): it leaves every active lane holding that value, an exact
-    address base.  The replay tracks these writers to prove shared
-    loads static; every other register write invalidates what it
+    ``constant`` is set for two unpredicated writers whose immediate is
+    an integer of magnitude at most ``2**24`` (so exact in float32):
+    ``mov reg, imm`` (source slot ``-1``) leaves every active lane
+    holding ``imm``; ``iadd reg, src, imm`` (source slot ``src``) leaves
+    ``src``'s value plus ``imm``, the tile-cursor advance of a rolled
+    loop.  The replay tracks these writers per row to prove shared
+    loads static: a ``mov`` sets a constant, an ``iadd`` carries one
+    when ``src`` holds a tracked constant and the sum stays within
+    ``2**24``, and every other register write invalidates what it
     overwrites.
     """
     out: list = []
@@ -751,16 +762,23 @@ def _reg_writes(lk: LoweredKernel) -> list:
                 lk.reg_map[d.name] for d in ins.dsts if not d.is_predicate
             )
         const = None
-        if (
-            ins.op is Op.MOV
-            and ins.pred is None
-            and slots
-            and isinstance(ins.srcs[0], Imm)
-        ):
-            v = float(ins.srcs[0].value)
-            if v.is_integer() and abs(v) <= 2**24:
+        src = -1
+        imm = ins.srcs[-1] if ins.srcs else None
+        if ins.pred is None and slots and isinstance(imm, Imm):
+            v = float(imm.value)
+            exact = v.is_integer() and abs(v) <= 2**24
+            s0 = ins.srcs[0]
+            if exact and ins.op is Op.MOV:
                 const = v
-        out.append((slots, const))
+            elif (
+                exact
+                and ins.op is Op.IADD
+                and isinstance(s0, Reg)
+                and not s0.is_predicate
+            ):
+                const = v
+                src = lk.reg_map[s0.name]
+        out.append((slots, const, src))
     return out
 
 
@@ -994,70 +1012,94 @@ def _vread(reads: tuple, R: list, S: np.ndarray, act) -> None:
 
 
 class _Run:
-    """Run event of a replay plan: a maximal sequence of full row groups
-    between validated events, executed as back-to-back stacked steps.
+    """Run event of a replay plan: the range groups of one row range
+    ``rows = (a, b)`` that a segment folds together (see
+    :meth:`FastSMExecutor._vreplay`), executed as back-to-back stacked
+    steps over the bucket's rows ``a`` to ``b − 1``.
 
     ``pcs`` are the steps in plan order: fusible ALU steps and static
-    shared loads.  ``seq`` executes them as ``(ALU pcs, reads)`` chunks,
-    each stretch of ALU steps followed by the static loads issued after
-    it as ``(dst slot, word index)`` reads (see :func:`_vread`);
-    ``shared`` says whether there are any.  ``cols``/``offs`` hold the
-    final scoreboard mark of every register slot the run writes, loads
-    included, as ``(W, k)`` per-row offsets from dispatch time (``None``
-    when it marks nothing) — a later write of a slot overrides an
-    earlier one, exactly as issuing the steps one by one would.
-    ``plain`` are the unpredicated pcs, whose lane count is the
-    dispatch's; ``times`` gives each ALU step, in ``seq`` order, the
-    ``(W, 1)`` issue offsets a CLOCK step reads (``None`` for every
-    other step).  ``simple`` runs need neither.  ``conf`` lists the
-    ``(pc, conflicts)`` a profiled dispatch adds for multi-word loads:
-    an L-word broadcast serializes L-fold, ``W × (L − 1)`` per group.
+    shared loads.  ``loads`` gives each step's ``(dst slot, word
+    index)`` reads (``None`` for an ALU step) and ``issue`` the steps'
+    ``(steps, b − a)`` issue offsets from dispatch time.  The executable
+    form is derived from these by :meth:`build` on first execution:
+    plans are memoized, and the part of a window scheduled past a loop's
+    real trip count never runs (about half of all runs in a Fig. 12
+    sweep).  ``seq`` stays ``None`` until then.
+
+    ``seq`` executes the steps as ``(ALU pcs, reads)`` chunks, each
+    stretch of ALU steps followed by the static loads issued after it
+    as ``(dst slot, word index)`` reads (see :func:`_vread`); ``shared``
+    says whether there are any.  ``cols``/``offs`` hold the final
+    scoreboard mark of every register slot the run writes, loads
+    included, as ``(b − a, k)`` per-row offsets from dispatch time
+    (``None`` when it marks nothing) — a later write of a slot overrides
+    an earlier one, exactly as issuing the steps one by one would.
+    ``plain`` are the unpredicated pcs, whose lane count is the range's;
+    ``times`` gives each ALU step, in ``seq`` order, the ``(b − a, 1)``
+    issue offsets a CLOCK step reads (``None`` for every other step).
+    ``simple`` runs need neither.  ``conf`` lists the ``(pc,
+    conflicts)`` a profiled dispatch adds for multi-word loads: an
+    L-word broadcast serializes L-fold, ``(b − a) × (L − 1)`` per group.
     """
 
     __slots__ = (
-        "pcs", "seq", "shared", "plain", "cols", "offs", "times", "simple",
-        "conf",
+        "rows", "pcs", "loads", "issue", "seq", "shared", "plain", "cols",
+        "offs", "times", "simple", "conf",
     )
 
-    def __init__(self, prog: FastProgram, groups: list[tuple]) -> None:
-        self.pcs = tuple(e[2] for e in groups)
-        marks: dict[int, np.ndarray] = {}
+    def __init__(self, groups: list[tuple], a: int, b: int) -> None:
+        self.rows = (a, b)
+        self.loads = tuple(g[0] for g in groups)
+        self.pcs = tuple(g[1] for g in groups)
+        self.issue = np.array([g[2] for g in groups], dtype=_F64)
+        self.seq = None
+
+    def build(self, prog: FastProgram) -> None:
+        """Derive the executable form.  ``seq`` is set last, so an SM
+        run on another thread sees either no form or a complete one."""
+        issue = self.issue
+        marks: dict[int, tuple] = {}  # slot -> (step index, latency)
         seq: list[tuple] = []
         steps: list[int] = []
         reads: list[tuple] = []
         times: list = []
         conf: list[tuple] = []
-        for _, load, q, tvec in groups:
+        for i, (load, q) in enumerate(zip(self.loads, self.pcs)):
             if load is None:
                 if reads:
                     seq.append((tuple(steps), tuple(reads)))
                     steps, reads = [], []
                 steps.append(q)
-                times.append(tvec[:, None] if q in prog.clock_pcs else None)
+                times.append(
+                    issue[i][:, None] if q in prog.clock_pcs else None
+                )
                 lat = prog.lats[q]
                 if lat is not None:
-                    marks[prog.writes[q]] = tvec + lat
+                    marks[prog.writes[q]] = (i, lat)
                 continue
-            done = tvec + prog.mem[q][1]
+            done = (i, prog.mem[q][1])
             for d, _ in load:
                 marks[d] = done
             reads.extend(load)
             if len(load) > 1:
-                conf.append((q, len(tvec) * (len(load) - 1)))
+                conf.append((q, issue.shape[1] * (len(load) - 1)))
         seq.append((tuple(steps), tuple(reads)))
-        self.seq = tuple(seq)
         self.shared = any(r for _, r in seq)
         self.conf = tuple(conf)
         self.cols = self.offs = None
         if marks:
             slots = sorted(marks)
+            idx, lat = zip(*map(marks.get, slots))
             self.cols = np.array(slots, dtype=np.intp)
-            self.offs = np.stack([marks[r] for r in slots], axis=1)
+            self.offs = np.ascontiguousarray(
+                (issue[list(idx)] + np.array(lat)[:, None]).T
+            )
         self.plain = tuple(q for q in self.pcs if q not in prog.pred_pcs)
         self.times = tuple(times)
         self.simple = len(self.plain) == len(self.pcs) and not any(
             t is not None for t in self.times
         )
+        self.seq = tuple(seq)
 
 
 class FastSMExecutor(SMExecutor):
@@ -1258,13 +1300,14 @@ class FastSMExecutor(SMExecutor):
         schedulable shared loads: those have a constant result latency,
         so dependent wakes stay static, and their issue cost is the
         conflict-free one.  A load is *static* when its base register
-        was last written inside the window, in its own row, by a
-        constant ``mov`` (see :func:`_reg_writes`) and the resulting
-        address is aligned and in bounds: every active lane then reads
-        the same words, a broadcast whose cost is exactly the assumed
-        one, so it folds like an ALU op and can never abort.  Whether a
-        load is static depends only on the window's instructions, so it
-        is part of the memoized plan.  Every other load is validated by
+        holds, in its own row, a constant tracked from a ``mov`` inside
+        the window through any unpredicated ``iadd`` of an integer after
+        it (see :func:`_reg_writes`) and the resulting address is
+        aligned and in bounds: every active lane then reads the same
+        words, a broadcast whose cost is exactly the assumed one, so it
+        folds like an ALU op and can never abort.  Whether a load is
+        static depends only on the window's instructions, so it is part
+        of the memoized plan.  Every other load is validated by
         the dispatcher as it executes, aborting the window mid-schedule
         on the first mismatch (still exact, because events run in
         schedule order).
@@ -1313,9 +1356,10 @@ class FastSMExecutor(SMExecutor):
         Returns ``None`` when the window is too small to be worth
         dispatching, else ``(plan, kvec, pvec, qlo, qhi, cut, rr_pos,
         stalls, idle, cols, thr2, nivec, total, gaps)``: the execution
-        plan (run events of stacked steps and static loads, per-row
-        leftover events, validated loads and branch validations, in
-        schedule order), per-row instruction
+        plan (run events of stacked steps and static loads over row
+        ranges, per-row leftover events, validated loads and branch
+        validations, in schedule order up to the reordering of disjoint
+        rows inside a segment), per-row instruction
         counts, per-row final pcs, per-row visited pc ranges, the
         port-free cut offset, the ring cursor at the cut, closed-form
         stall/idle charges, the pre-window threshold arrays, per-row
@@ -1410,9 +1454,15 @@ class FastSMExecutor(SMExecutor):
                     tgt, _pi, _ng, taken, c = bra[q]
                     ev.append((3, pos, q, t, c, stalls, idle, ngaps))
                     nxt = tgt if taken else q + 1
-            slots, cv = regw[q]
+            slots, cv, src = regw[q]
             if slots:
                 cs = cst[pos]
+                if cv is not None and src >= 0:
+                    # iadd: carries a constant only from a tracked one.
+                    base = cs.get(src)
+                    cv = None if base is None else base + cv
+                    if cv is not None and abs(cv) > 2**24:
+                        cv = None
                 if cv is not None:
                     cs[slots[0]] = cv
                 elif cs:
@@ -1519,40 +1569,55 @@ class FastSMExecutor(SMExecutor):
         # frozen, and each event keeps its own scheduled time.  Per-row
         # order is preserved because a segment contains no back-edge,
         # so each row's pcs strictly increase and sorting by pc keeps
-        # them in program order.  So sort each segment by pc and fold
-        # every complete group (all W rows at one pc, static loads also
-        # at one word index, each row reading its own block) into one
-        # stacked step; leftovers stay scalar.  Consecutive groups then
-        # merge into one run event (below).  Folds never cross a
+        # them in program order.  So sort each segment by pc, then row,
+        # and fold every *range group* — a maximal range of at least two
+        # consecutive rows at one pc, static loads also at one word index
+        # (each row reading its own block) — into one stacked step over
+        # those rows; rows left alone stay scalar leftovers.  Groups over
+        # one range merge into one run event (see :class:`_Run`): the
+        # next group of a range joins its range's run unless some item
+        # placed after that run touches one of its rows.  Moving a group
+        # up past items on other rows only reorders events of disjoint
+        # rows inside one segment, which commute.  Folds never cross a
         # validated event: everything before it in the plan is also
         # before it in schedule time, which is what makes a mid-window
         # abort exact.
         plan: list[tuple] = []
-        all_rows = (1 << W) - 1
         seg: list[tuple] = []
 
         def flush_seg() -> None:
-            seg.sort(key=_EV_PC)
+            # Open runs by row range, pairwise disjoint: an item on rows
+            # [a, b) closes every open run it overlaps.
+            live: dict[tuple, list] = {}
+            seg.sort(key=_EV_PC_ROW)
             ns = len(seg)
             j = 0
             while j < ns:
-                q = seg[j][2]
-                reads = seg[j][5] if seg[j][0] == 4 else None
-                jj = j
-                rows_seen = 0
-                same = True
-                while jj < ns and seg[jj][2] == q:
-                    rows_seen |= 1 << seg[jj][1]
-                    if reads is not None and seg[jj][5] != reads:
-                        same = False
+                e = seg[j]
+                q, a = e[2], e[1]
+                reads = e[5] if e[0] == 4 else None
+                b = a + 1
+                jj = j + 1
+                while jj < ns:
+                    f = seg[jj]
+                    if f[2] != q or f[1] != b or (
+                        reads is not None and f[5] != reads
+                    ):
+                        break
+                    b += 1
                     jj += 1
-                if jj - j == W and rows_seen == all_rows and same:
-                    tvec = np.empty(W, dtype=_F64)
-                    for e2 in seg[j:jj]:
-                        tvec[e2[1]] = e2[3]
-                    plan.append((2, reads, q, tvec))
+                groups = live.pop((a, b), None)
+                if live:
+                    for rng in [r for r in live if r[0] < b and a < r[1]]:
+                        del live[rng]
+                if b - a < 2:
+                    plan.append(e)
                 else:
-                    plan.extend(seg[j:jj])
+                    if groups is None:
+                        groups = []
+                        plan.append((2, a, b, groups))
+                    live[a, b] = groups
+                    groups.append((reads, q, tuple(map(_EV_T, seg[j:jj]))))
                 j = jj
             seg.clear()
 
@@ -1570,19 +1635,22 @@ class FastSMExecutor(SMExecutor):
                 flush_seg()
                 plan.append(e)
         flush_seg()
-        # Second pass: walk the folded plan once to attach snapshots.
+        # Second pass: walk the folded plan once to attach snapshots and
+        # build the run events.
         plan2: list[tuple] = []
         for e in plan:
             kind = e[0]
             if kind == 2:
-                q = e[2]
-                c = costs[q] if e[1] is None else mem[q][0]
-                tv = e[3]
-                for m in range(W):
-                    kr[m] += 1
-                    lr[m] = tv[m] + c
+                # Every group covers every row of the range, so the last
+                # one is each row's last event of the run.
+                _, a, b, groups = e
+                reads, q, tv = groups[-1]
+                c = costs[q] if reads is None else mem[q][0]
+                for m in range(a, b):
+                    kr[m] += len(groups)
+                    lr[m] = tv[m - a] + c
                     pr[m] = q + 1
-                plan2.append(e)
+                plan2.append((2, _Run(groups, a, b)))
             elif kind == 0 or kind == 4:
                 m = e[1]
                 kr[m] += 1
@@ -1602,20 +1670,6 @@ class FastSMExecutor(SMExecutor):
                 plan2.append(
                     e + ((tuple(kr), tuple(lr), tuple(pr)),)
                 )
-        # Merge each maximal run of consecutive groups into one run
-        # event (see :class:`_Run`).
-        plan = []
-        groups: list[tuple] = []
-        for e in plan2:
-            if e[0] == 2:
-                groups.append(e)
-                continue
-            if groups:
-                plan.append((2, _Run(prog, groups)))
-                groups = []
-            plan.append(e)
-        if groups:
-            plan.append((2, _Run(prog, groups)))
         regs = sorted(set().union(*(th.keys() for th in threc)))
         if regs:
             cols = np.array(regs, dtype=np.intp)
@@ -1629,7 +1683,7 @@ class FastSMExecutor(SMExecutor):
         else:
             cols = thr2 = None
         return (
-            tuple(plan),
+            tuple(plan2),
             tuple(k),
             tuple(p),
             tuple(qlo),
@@ -1658,8 +1712,9 @@ class FastSMExecutor(SMExecutor):
         The bucket is every countable warp — at *any* pc — and the
         schedule comes from :meth:`_vreplay` keyed by the bucket's exact
         entry pcs and wake pattern, so staggered, reordered and mixed-pc
-        groups vectorize.  Aligned stretches, static shared loads
-        included, run as stacked numpy steps; everything else replays
+        groups vectorize.  Aligned stretches of the whole bucket or of a
+        range of its rows, static shared loads included, run as stacked
+        numpy steps over those rows; everything else replays
         scalar in schedule order, validated loads inline or through the
         interpreter's own ``_issue`` at their scheduled times.  Stall
         and idle charges come from the replay's closed forms; with the
@@ -1700,7 +1755,7 @@ class FastSMExecutor(SMExecutor):
         (plan, kvec, pvec, qlovec, qhivec, cut, rr_pos, stalls, idle,
          cols, thr2, nivec, total, gaps) = meta
         hi2 = hi + 1
-        R, P, pend, tid, cta, pend3 = self._vrows(lo, hi2)
+        _, _, pend, _, _, pend3 = self._vrows(lo, hi2)
         # Every member's scoreboard equals the leader's (its rows are
         # member 0 of each warp), so the leader's rows decide.
         if cols is not None and not (pend3[:, 0, cols] <= now + thr2).all():
@@ -1737,7 +1792,6 @@ class FastSMExecutor(SMExecutor):
             wp = warps[lo + m]
             while wp.div_stack and wp.pc == wp.div_stack[-1][0]:
                 self._rejoin(wp)
-        nl = 0
         allfull = True
         acts = []
         nas = []
@@ -1752,7 +1806,6 @@ class FastSMExecutor(SMExecutor):
                 wp._fp_na = na
             acts.append(act)
             nas.append(na)
-            nl += na
             if na != WARP:
                 allfull = False
         vsteps = self._vsteps
@@ -1765,6 +1818,11 @@ class FastSMExecutor(SMExecutor):
             act2 = np.repeat(np.vstack(acts), M, axis=0)
         else:
             act2 = np.vstack(acts)
+        # Per row range of the plan's runs, from its first run on: its
+        # views, mask, row and lane counts and whether it is full; and
+        # its stacked shared view, from its first static load on.
+        ranges: dict[tuple, tuple] = {}
+        shared: dict[tuple, np.ndarray] = {}
         # Each warp's own views (all of its members), for its leftover
         # events.
         rows = [self._vrows(j, j + 1) for j in range(lo, hi2)]
@@ -1775,35 +1833,56 @@ class FastSMExecutor(SMExecutor):
         writes = prog.writes
         cnt = self._cnt
         lanes_acc = self._lanes_acc
-        S = None  # stacked shared view, built by the first static load
         nev = nld = 0  # per-row leftover events, validated loads
         abort = None
         for e in plan:
             kind = e[0]
             if kind == 2:
-                # Run event: its steps back to back, then all of its
-                # scoreboard marks and issue/lane counts at once.
+                # Run event: its steps back to back over its row range,
+                # then all of its scoreboard marks and issue/lane counts
+                # at once.
                 run = e[1]
-                if run.shared and S is None:
-                    S = self._vshared(warps, lo, hi2)
+                if run.seq is None:
+                    run.build(prog)
+                rng = ranges.get(run.rows)
+                if rng is None:
+                    a, b = run.rows
+                    nlr = sum(nas[a:b])
+                    full = nlr == WARP * (b - a)
+                    rng = ranges[run.rows] = (
+                        self._vrows(lo + a, lo + b),
+                        True if full else act2[a * M : b * M],
+                        b - a, nlr, full,
+                    )
+                (Rr, Pr, pendr, tidr, ctar, pend3r), actr, nr, nlr, full = rng
+                S = None
+                if run.shared:
+                    S = shared.get(run.rows)
+                    if S is None:
+                        a, b = run.rows
+                        S = shared[run.rows] = self._vshared(
+                            warps, lo + a, lo + b
+                        )
                 if run.simple:
                     for qs, reads in run.seq:
                         for q in qs:
-                            vsteps[q](R, P, tid, cta, act2)
+                            vsteps[q](Rr, Pr, tidr, ctar, actr)
                         if reads:
-                            _vread(reads, R, S, act2)
+                            _vread(reads, Rr, S, actr)
                 else:
-                    self._vrun_special(run, R, P, tid, cta, act2, now, S)
+                    self._vrun_special(
+                        run, Rr, Pr, tidr, ctar, actr, now, S
+                    )
                 if run.cols is not None:
                     if gang:
-                        pend3[:, :, run.cols] = (now + run.offs)[:, None]
+                        pend3r[:, :, run.cols] = (now + run.offs)[:, None]
                     else:
-                        pend[:, run.cols] = now + run.offs
+                        pendr[:, run.cols] = now + run.offs
                 for q in run.pcs:
-                    cnt[q] += W
+                    cnt[q] += nr
                 for q in run.plain:
-                    lanes_acc[q] += nl
-                if not allfull:
+                    lanes_acc[q] += nlr
+                if not full:
                     self._vwhy["masked_runs"] += M
                 if prof is not None:
                     for q, extra in run.conf:

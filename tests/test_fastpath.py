@@ -275,8 +275,11 @@ class TestDifferentialProfile:
 # unprofiled and profiled, profiles included.
 
 
-def _run_kernel_modes(kernel, grid, block, out_words, params=None):
-    """Launch ``kernel`` under each fastpath mode; return observables.
+def _run_kernel_modes(
+    kernel, grid, block, out_words, params=None, props=G8800GTX
+):
+    """Launch ``kernel`` on ``props`` under each fastpath mode; return
+    observables.
 
     ``params`` are launch values besides the ``dst`` output pointer.
     With the profiler enabled the launches' profiles must match too."""
@@ -284,6 +287,7 @@ def _run_kernel_modes(kernel, grid, block, out_words, params=None):
     profiles = []
     for mode in MODES:
         dev = Device(
+            props=props,
             toolchain=Toolchain.CUDA_1_0,
             fastpath=mode,
             cache=KernelCache(),
@@ -312,13 +316,35 @@ def _run_kernel_modes(kernel, grid, block, out_words, params=None):
     return outs
 
 
-def _run_seam(kernel, grid, block, out_words):
+def _run_seam(kernel, grid, block, out_words, **kw):
     """:func:`_run_kernel_modes` unprofiled, then profiled (the profiler
     is disabled again by the autouse fixture)."""
     for profiled in (False, True):
         if profiled:
             profiler.enable()
-        _run_kernel_modes(kernel, grid, block, out_words)
+        _run_kernel_modes(kernel, grid, block, out_words, **kw)
+
+
+def _replay_plans(
+    kernel, grid, block, out_words, params=None, props=G8800GTX
+):
+    """Launch ``kernel`` once on the compiled path; return the replay
+    plans its program memoized (``_vreplay`` results, ``None`` left
+    out)."""
+    dev = Device(
+        props=props, fastpath=2, cache=KernelCache(), heap_bytes=1 << 20
+    )
+    lk = compile_kernel(kernel)
+    dev.launch(
+        lk, grid=grid, block=block,
+        params={"dst": dev.malloc(4 * out_words), **(params or {})},
+    )
+    return [
+        meta
+        for program in lk.exec_plan.programs.values()
+        for meta in program.vmeta.values()
+        if meta is not None
+    ]
 
 
 class TestVectorFallbacks:
@@ -681,16 +707,9 @@ class TestStaticLoads:
         every group and read per row, fully or partially active."""
         kernel = _stagger_kernel(active)
         _run_seam(kernel, grid=1, block=TILE, out_words=17 * TILE)
-        dev = Device(fastpath=2, cache=KernelCache(), heap_bytes=1 << 20)
-        lk = compile_kernel(kernel)
-        dev.launch(
-            lk, grid=1, block=TILE, params={"dst": dev.malloc(4 * 17 * TILE)}
-        )
         kinds = [
             e[0]
-            for program in lk.exec_plan.programs.values()
-            for meta in program.vmeta.values()
-            if meta is not None
+            for meta in _replay_plans(kernel, 1, TILE, 17 * TILE)
             for e in meta[0]
         ]
         assert 4 in kinds, "no static load was left out of a group"
@@ -699,6 +718,19 @@ class TestStaticLoads:
     def _rewritten(b, tid):
         s0 = b.mov(b.reg("s0"), 0)
         return b.iadd(s0, s0, 16)
+
+    def test_iadd_advanced_base_is_static(self):
+        """An unpredicated ``iadd`` of an integer immediate carries its
+        source's constant, as the tile cursor of a rolled loop does: the
+        loads at the advanced base are static."""
+        reset_vec_counters()
+        _run_seam(
+            _tile_kernel("k_advanced", self._rewritten, width=4, loads=4),
+            grid=2, block=TILE, out_words=2 * TILE,
+        )
+        got = vec_counters()
+        assert got["row_loads"] == 0
+        assert got["dispatches"] > 0
 
     @staticmethod
     def _predicated(b, tid):
@@ -709,20 +741,35 @@ class TestStaticLoads:
         return s0
 
     @staticmethod
+    def _predicated_iadd(b, tid):
+        s0 = b.mov(b.reg("s0"), 0)
+        p = b.pred()
+        b.setp("lt", p, b.sreg("laneid"), 16)
+        b.emit(Instr(Op.IADD, dsts=(s0,), srcs=(s0, Imm(16)), pred=p))
+        return s0
+
+    @staticmethod
+    def _register_iadd(b, tid):
+        s0 = b.mov(b.reg("s0"), 0)
+        return b.iadd(s0, s0, b.mov(b.reg("s1"), 16))
+
+    @staticmethod
     def _lane_dependent(b, tid):
         return b.shl(b.reg("s0"), b.sreg("laneid"), 2)
 
     @pytest.mark.parametrize(
         "base, width",
         [
-            ("_rewritten", 4),
             ("_predicated", 4),
+            ("_predicated_iadd", 4),
+            ("_register_iadd", 4),
             ("_lane_dependent", 1),
         ],
     )
     def test_loads_that_stay_validated(self, base, width):
-        """A base rewritten after its constant by a non-``mov``, set by a
-        predicated ``mov``, or different per lane is not static."""
+        """A base set by a predicated ``mov``, advanced by a predicated
+        ``iadd`` or by an ``iadd`` of a register, or different per lane
+        is not static."""
         reset_vec_counters()
         _run_seam(
             _tile_kernel(
@@ -733,6 +780,16 @@ class TestStaticLoads:
         )
         assert vec_counters()["row_loads"] > 0
 
+    @staticmethod
+    def _walk_out(b, tid):
+        """Walk the tile with an ``iadd``-advanced cursor, one load per
+        step, one step past its last word; return the cursor."""
+        s0 = b.mov(b.reg("s0"), 0)
+        with b.loop(0, TILE + 1):
+            b.ld_shared(b.reg("w"), s0)
+            b.iadd(s0, s0, 4)
+        return s0
+
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize(
         "addr, width, error",
@@ -741,14 +798,18 @@ class TestStaticLoads:
             (-4, 1, AccessViolation),
             (4 * TILE, 1, AccessViolation),
             (4 * (TILE - 2), 4, AccessViolation),
+            ("walk", 1, AccessViolation),
         ],
     )
     def test_bad_constant_base_raises(self, mode, addr, width, error):
         """A constant base that is misaligned or out of bounds is not
-        static: the load runs through ``_issue`` and faults."""
+        static: the load runs through ``_issue`` and faults.  ``walk``
+        leaves the tile through a cursor that ``iadd`` advances from a
+        constant (:meth:`_walk_out`)."""
         kernel = _tile_kernel(
             f"k_bad{addr}_{width}",
-            lambda b, tid: b.mov(b.reg("s0"), addr),
+            self._walk_out if addr == "walk"
+            else lambda b, tid: b.mov(b.reg("s0"), addr),
             width=width, loads=1,
         )
         dev = Device(fastpath=mode, cache=KernelCache(), heap_bytes=1 << 20)
@@ -757,6 +818,150 @@ class TestStaticLoads:
             dev.launch(
                 lk, grid=2, block=TILE, params={"dst": dev.malloc(4 * 128)}
             )
+
+
+def _drift_kernel(name, active=None, clock=False):
+    """Resident blocks of two warps drift out of phase, each block's
+    warps in step.  Slot ``s = ctaid >> shift`` (the block's place on
+    its SM) fetches global memory at a ``16s + 1``-word stride, which
+    coalesces for slot 0 only, and meets at a barrier; a last, coalesced
+    load, issued by every block within one memory latency, opens one
+    replay window before any block's stretch.  The stretch is a rolled
+    loop over the shared tile whose cursor ``iadd`` advances: per
+    iteration, two static loads into one register, each feeding an
+    accumulator step, so blocks a whole iteration apart read other words
+    at one pc.  With ``active`` it runs inside ``if laneid < active``;
+    with ``clock`` a CLOCK read joins it."""
+    b = KernelBuilder(name, params=("dst", "shift"))
+    tid, cta = b.sreg("tid"), b.sreg("ctaid")
+    i = b.imad("i", cta, b.sreg("ntid"), tid)
+    o = b.imad("o", i, 4, b.param("dst"))
+    v = b.i2f(b.reg("v"), i)
+    b.mad(v, v, 0.75, 1.0)
+    b.st_shared(b.shl("sa", tid, 2), v)
+    b.bar_sync()
+    slot = b.shr(b.reg("slot"), cta, b.param("shift"))
+    stride = b.imad("st", slot, 16, 1)
+    a = b.imad("a", b.imul("j", i, stride), 4, b.param("dst"))
+    y = b.add(b.reg("y"), b.ld_global(b.reg("g"), a), 1.0)
+    b.bar_sync()
+    b.add(y, y, b.ld_global(b.reg("z"), o))
+    x = b.mov(b.reg("x"), -1.0)
+    acc = b.mov(b.reg("acc"), 0.5)
+
+    def body():
+        s0 = b.mov(b.reg("s0"), 0)
+        with b.loop(0, 6):
+            for k in range(2):
+                b.ld_shared(x, s0, offset=4 * k)
+                b.mad(acc, acc, 0.5, x)
+                if clock and not k:
+                    b.add(y, y, b.clock(b.reg("c")))
+            b.iadd(s0, s0, 16)
+
+    if active is None:
+        body()
+    else:
+        p = b.pred()
+        b.setp("lt", p, b.sreg("laneid"), active)
+        with b.if_(p):
+            body()
+    b.add(acc, acc, x)
+    b.add(acc, acc, y)
+    b.st_global(o, acc)
+    return b.build(shared_words=TILE)
+
+
+#: A 1-SM G80: grid 3 puts three blocks on it, slots 0-2 by ``ctaid``.
+ONE_SM = replace(G8800GTX, num_sms=1)
+#: A 2-SM G80: grid 6 puts three blocks on each SM, slots 0-2 by
+#: ``ctaid >> 1``, so both SMs run as one gang.
+DRIFT_GANG = replace(G8800GTX, num_sms=2)
+
+
+class TestRangeRuns:
+    """Rows of out-of-phase blocks fold into runs over row ranges: each
+    range's rows at one pc (static loads also at one word) form a
+    stacked step over just those rows, with the range's views, masks,
+    scoreboard rows, issues and lanes.  Each case is bit-identical to
+    the interpreter, profiled and not."""
+
+    @pytest.mark.parametrize(
+        "props, grid, shift, kw",
+        [
+            (ONE_SM, 3, 0, {}),
+            (DRIFT_GANG, 6, 1, {}),
+            (ONE_SM, 3, 0, {"active": 20}),
+            (ONE_SM, 3, 0, {"clock": True}),
+        ],
+        ids=("one-sm", "gang", "active", "clock"),
+    )
+    def test_out_of_phase_blocks(self, props, grid, shift, kw):
+        kernel = _drift_kernel(f"k_drift{grid}{''.join(kw)}", **kw)
+        out_words = 33 * TILE * grid
+        params = {"shift": shift}
+        reset_vec_counters()
+        plans = _replay_plans(
+            kernel, grid, TILE, out_words, params=params, props=props
+        )
+        got = vec_counters()
+        assert got["gang_members"] == (2 if props is DRIFT_GANG else 0)
+        assert got["gang_splits"] == 0
+        assert any(
+            e[0] == 2 and e[1].rows != (0, len(meta[1]))
+            for meta in plans
+            for e in meta[0]
+        ), "no run over a strict sub-range of its rows"
+        _run_seam(kernel, grid, TILE, out_words, params=params, props=props)
+
+    def test_concurrent_launches_build_shared_runs(self):
+        """More threads than cores launch one lowered drift kernel at
+        once, under a tiny switch interval: they share its memoized
+        plans, whose runs each build their executable form on first
+        execution, so every result must equal the interpreter's."""
+        import sys
+        import threading
+
+        lk = compile_kernel(_drift_kernel("k_drift_threads"), cache=None)
+        out_words = 33 * TILE * 3
+
+        def launch(mode):
+            dev = Device(
+                props=ONE_SM, fastpath=mode, cache=KernelCache(),
+                heap_bytes=1 << 20,
+            )
+            dst = dev.malloc(4 * out_words)
+            result = dev.launch(
+                lk, grid=3, block=TILE, params={"dst": dst, "shift": 0}
+            )
+            return (
+                dev.memcpy_dtoh(dst, out_words).tobytes(),
+                dev.gmem.words.tobytes(),
+                result.cycles,
+                result.stats.as_dict(),
+            )
+
+        want = launch(0)
+        got: list = [None] * 6
+
+        def work(k):
+            got[k] = launch(2)
+
+        threads = [
+            threading.Thread(target=work, args=(k,)) for k in range(len(got))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for have in got:
+            _assert_identical(want, have)
 
 
 # -- gangs -----------------------------------------------------------------
