@@ -30,6 +30,7 @@ one 64 B transaction, × 8 B → one 128 B, × 16 B → two 128 B.
 from __future__ import annotations
 
 import abc
+import functools
 
 import numpy as np
 
@@ -37,8 +38,8 @@ from ..cudasim.device import Toolchain
 from .access import HALFWARP, HalfWarpAccess
 from .transactions import (
     MemoryTransaction,
+    access_segments,
     cover_with_segments,
-    segment_of,
     touched_segments,
 )
 
@@ -121,6 +122,54 @@ class CoalescingPolicy(abc.ABC):
             self._coalesced_transactions(base, access.size_bytes) is not None
         )
 
+    def halfwarp_transactions(
+        self, addresses: np.ndarray, active: np.ndarray, size_bytes: int
+    ) -> tuple[list, np.ndarray]:
+        """:meth:`transactions` of many half-warps at once.
+
+        Row ``h`` of the ``(H, 16)`` int64 ``addresses`` and boolean
+        ``active`` arrays is one half-warp of ``size_bytes`` accesses.
+        Returns each row's transactions as a sequence equal to
+        ``transactions(HalfWarpAccess(addresses[h], size_bytes,
+        active[h]))``, and each row's :meth:`is_coalesced` as a boolean
+        array.  One vectorized pass finds the rows whose active lanes are
+        sequential from a ``16 * size_bytes``-aligned base — the paper's
+        Sec. II rule, which every policy shares — and gives them their
+        canned one or two transactions; rows without an active lane get
+        none, and only the rest go through :meth:`transactions`.
+        """
+        lane_bytes = _LANE_BYTES.get(size_bytes)
+        if lane_bytes is None:
+            raise ValueError(f"access width {size_bytes} not in (4, 8, 16)")
+        # Lane k's implied lane-0 base; a row is sequential when every
+        # active lane implies the same one.
+        implied = addresses - lane_bytes
+        if active.all():
+            base = implied[:, 0]
+            live = np.ones(len(base), dtype=bool)
+            seq = (implied == base[:, None]).all(axis=1)
+        else:
+            first = active.argmax(axis=1)
+            base = implied[np.arange(len(first)), first]
+            live = active.any(axis=1)
+            seq = live & ((implied == base[:, None]) | ~active).all(axis=1)
+        coalesced = seq & (base % (HALFWARP * size_bytes) == 0)
+        out = []
+        for h, (c, b, on) in enumerate(
+            zip(coalesced.tolist(), base.tolist(), live.tolist())
+        ):
+            if c:
+                out.append(_canned(b, size_bytes))
+            elif on:
+                out.append(
+                    self.transactions(
+                        HalfWarpAccess(addresses[h], size_bytes, active[h])
+                    )
+                )
+            else:
+                out.append(())
+        return out, coalesced
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
 
@@ -141,11 +190,8 @@ class StrictHalfWarpPolicy(CoalescingPolicy):
                 return txs
         # Uncoalesced: one minimum-size transaction per active thread, no
         # deduplication — the documented 16-fold slowdown of CC 1.0.
-        out: list[MemoryTransaction] = []
-        for addr in access.active_addresses:
-            for seg in touched_segments([int(addr)], access.size_bytes, 32):
-                out.append(MemoryTransaction(seg, 32))
-        return out
+        segs = access_segments(access.active_addresses, access.size_bytes, 32)
+        return [MemoryTransaction(seg, 32) for seg in segs.tolist()]
 
 
 class DriverMergedPolicy(CoalescingPolicy):
@@ -200,6 +246,19 @@ class SegmentBasedPolicy(CoalescingPolicy):
         # 128-byte region; feeding it the deduplicated 32B segment bases
         # reproduces "min number of 32/64/128B transactions".
         return cover_with_segments(segs32, 32)
+
+
+#: Byte offset of each half-warp lane's element, per access width.
+_LANE_BYTES = {
+    size: np.arange(HALFWARP, dtype=np.int64) * size for size in (4, 8, 16)
+}
+
+
+@functools.lru_cache(maxsize=1024)
+def _canned(base: int, size_bytes: int) -> tuple[MemoryTransaction, ...]:
+    """The coalesced transactions of an aligned sequential half-warp at
+    ``base``, shared (they are immutable) by every access that hits it."""
+    return tuple(CoalescingPolicy._coalesced_transactions(base, size_bytes))
 
 
 #: Singleton policy registry.

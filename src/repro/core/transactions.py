@@ -17,6 +17,7 @@ __all__ = [
     "TRANSACTION_SIZES",
     "MemoryTransaction",
     "segment_of",
+    "access_segments",
     "touched_segments",
     "cover_with_segments",
     "total_bytes",
@@ -59,27 +60,41 @@ def segment_of(addr: int, segment_size: int) -> int:
     return (int(addr) // segment_size) * segment_size
 
 
-def touched_segments(
-    addresses: Iterable[int], access_size: int, segment_size: int
-) -> list[int]:
-    """Sorted unique bases of segments touched by per-thread accesses.
+def access_segments(
+    addresses: np.ndarray, access_size: int, segment_size: int
+) -> np.ndarray:
+    """Bases of the segments each per-thread access touches, access by
+    access in order, one entry per (access, segment) pair — not
+    deduplicated (CC 1.0 issues one transaction per entry).
 
-    An access that straddles a segment boundary touches two segments; with
-    naturally aligned accesses (enforced by the simulator for 8/16-byte
-    vectors) this only happens for the packed 28-byte AoS layout's 4-byte
-    reads, which never straddle because 4 divides 32 — but the code stays
-    general for robustness.
+    An access that straddles a segment boundary touches every segment it
+    spans; with naturally aligned accesses (enforced by the simulator for
+    8/16-byte vectors) this only happens for the packed 28-byte AoS
+    layout's 4-byte reads, which never straddle because 4 divides 32 —
+    but the code stays general for robustness.
     """
     if segment_size not in TRANSACTION_SIZES:
         raise ValueError(f"segment size {segment_size} not in {TRANSACTION_SIZES}")
-    bases: set[int] = set()
-    for a in np.asarray(list(addresses), dtype=np.int64):
-        first = segment_of(int(a), segment_size)
-        last = segment_of(int(a) + access_size - 1, segment_size)
-        bases.add(first)
-        if last != first:
-            bases.update(range(first + segment_size, last + 1, segment_size))
-    return sorted(bases)
+    first = addresses // segment_size * segment_size
+    last = (addresses + (access_size - 1)) // segment_size * segment_size
+    spans = (last - first) // segment_size + 1
+    if not (spans > 1).any():
+        return first
+    # Each straddling access expands into its consecutive segments.
+    starts = np.cumsum(spans) - spans
+    step = np.arange(int(spans.sum())) - np.repeat(starts, spans)
+    return np.repeat(first, spans) + step * segment_size
+
+
+def touched_segments(
+    addresses: Iterable[int], access_size: int, segment_size: int
+) -> list[int]:
+    """Sorted unique bases of segments touched by per-thread accesses
+    (see :func:`access_segments`)."""
+    if not isinstance(addresses, np.ndarray):
+        addresses = list(addresses)
+    addrs = np.asarray(addresses, dtype=np.int64).ravel()
+    return np.unique(access_segments(addrs, access_size, segment_size)).tolist()
 
 
 def cover_with_segments(

@@ -33,11 +33,16 @@ from typing import Callable
 
 import numpy as np
 
-from ..core.access import HALFWARP, HalfWarpAccess
+from ..core.access import HALFWARP
 from ..core.coalescing import CoalescingPolicy
 from ..telemetry import runtime as _telemetry
 from .device import DeviceProperties
-from .errors import DeadlockError, ExecutionError
+from .errors import (
+    AccessViolation,
+    DeadlockError,
+    ExecutionError,
+    MisalignedAccess,
+)
 from .isa import Imm, Instr, IssueClass, Op, Param, Reg, Special, SReg
 from .lower import LoweredKernel
 from .memory import GlobalMemory, SharedMemory
@@ -46,6 +51,7 @@ from .profiler import KernelStats
 from .texture import TextureCache
 
 __all__ = [
+    "STACKED_OPS",
     "BlockState",
     "WarpState",
     "SMExecutor",
@@ -95,6 +101,14 @@ _CMPS: dict[str, Callable] = {
     "eq": np.equal,
     "ne": np.not_equal,
 }
+
+
+#: Ops :meth:`SMExecutor._issue` hands to :meth:`SMExecutor._issue_stacked`,
+#: which serves one warp or the same warp of every member of a fast-path
+#: gang in one call: global and shared accesses and barriers.
+STACKED_OPS = frozenset(
+    {Op.LD_GLOBAL, Op.ST_GLOBAL, Op.LD_SHARED, Op.ST_SHARED, Op.BAR_SYNC}
+)
 
 
 @dataclass
@@ -389,24 +403,6 @@ class SMExecutor:
             arr = np.broadcast_to(np.asarray(value, dtype=_F64), (WARP,))
             warp.regs[dst][mask] = arr[mask]
 
-    def _store_values(
-        self, warp: WarpState, p: _Prep, lanes: int, idx: np.ndarray
-    ) -> np.ndarray:
-        """Lane-selected store operands as a ``(lanes, idx.size)`` matrix.
-
-        Scalar operands fill their row directly (equivalent to broadcasting
-        across the warp and then indexing); vector operands are indexed
-        once, without materializing the full-warp broadcast per lane.
-        """
-        vals = np.empty((lanes, idx.size), dtype=_F64)
-        for k in range(lanes):
-            v = self._value(warp, p.src_kinds[1 + k], p.srcs[1 + k])
-            if isinstance(v, np.ndarray) and v.ndim:
-                vals[k] = v[idx]
-            else:
-                vals[k] = v
-        return vals
-
     # ------------------------------------------------------------ readiness
 
     def _wake_time(self, warp: WarpState) -> float | None:
@@ -584,6 +580,11 @@ class SMExecutor:
         pc = warp.pc
         p = self._prepped[pc]
         op = p.op
+        if op in STACKED_OPS:
+            return self._issue_stacked(
+                (self,), (warp,), warp.regs[:, None], warp.preds[:, None],
+                p, now,
+            )[0]
         dev = self.device
 
         mask = warp.active.copy()
@@ -663,15 +664,8 @@ class SMExecutor:
             issue = dev.alu_issue_cycles
         elif op is Op.EXIT:
             advance_pc = self._exit(warp, p, now)
-        elif op is Op.BAR_SYNC:
-            self._barrier(warp, now)
-            advance_pc = True
-        elif op in (Op.LD_GLOBAL, Op.ST_GLOBAL):
-            issue = self._global_access(warp, p, mask, now)
         elif op is Op.LD_TEX:
             issue = self._tex_access(warp, p, mask, now)
-        elif op in (Op.LD_SHARED, Op.ST_SHARED):
-            issue = self._shared_access(warp, p, mask, now, dev)
         else:  # pragma: no cover - defensive
             raise ExecutionError(f"unimplemented op {op!r}")
 
@@ -683,6 +677,55 @@ class SMExecutor:
             prof.note_issue(pc, active_lanes, issue)
         warp.next_issue = now + issue
         return now + issue
+
+    def _issue_stacked(
+        self, ms: tuple, ws: tuple, R, P, p: _Prep, now: float
+    ) -> list[float]:
+        """Issue ``p`` — a global or shared access or a barrier — for warp
+        ``ws[g]`` of each member executor ``ms[g]``, every warp at ``p``'s
+        pc with no reconvergence pending there; returns each member's
+        new clock.
+
+        ``R[slot]``/``P[slot]`` are the warps' stacked ``(M, 32)``
+        register/predicate rows.  The interpreter passes one warp's own
+        rows (``M = 1``), and a :mod:`~repro.cudasim.fastpath` gang its
+        members' adjacent arena rows (their blocks, admitted together,
+        share one shared-memory stack), so the lane masks, addresses and
+        the access itself are computed once for every member, while each
+        member's counts, memory pipeline, scoreboard, barrier and profile
+        stay its own.  The access rules live in :meth:`_global_access`
+        and :meth:`_shared_access` alone.
+        """
+        op = p.op
+        if len(ws) == 1:
+            mask = ws[0].active[None]
+        else:
+            mask = np.array([w.active for w in ws])
+        if p.pred is not None:
+            pv = P[p.pred]
+            mask = mask & ((~pv) if p.pred_neg else pv)
+        lanes = mask.sum(axis=1).tolist()
+        for m, n in zip(ms, lanes):
+            m.stats.count(op, p.issue_class, n)
+        if op is Op.BAR_SYNC:
+            issue = [self.device.alu_issue_cycles] * len(ws)
+            for m, w in zip(ms, ws):
+                m._barrier(w, now)
+        elif op is Op.LD_GLOBAL or op is Op.ST_GLOBAL:
+            issue = self._global_access(ms, ws, R, P, p, mask, lanes, now)
+        else:
+            issue = self._shared_access(ms, ws, R, P, p, mask, lanes, now)
+        ends = []
+        for m, w, n, c in zip(ms, ws, lanes, issue):
+            pc = w.pc
+            w.pc = pc + 1
+            if w.pc >= len(m._prepped):
+                m._retire(w, now)
+            if m.profile is not None:
+                m.profile.note_issue(pc, n, c)
+            w.next_issue = now + c
+            ends.append(now + c)
+        return ends
 
     # ------------------------------------------------------------- helpers
 
@@ -790,73 +833,158 @@ class SMExecutor:
                 w.at_barrier = False
                 w.next_issue = max(w.next_issue, now + self.device.barrier_cycles)
 
-    def _addresses(self, warp: WarpState, p: _Prep) -> np.ndarray:
-        base = self._value(warp, p.src_kinds[0], p.srcs[0])
-        a = np.asarray(base, dtype=_F64)
-        if a.ndim == 0:
-            a = np.broadcast_to(a, (WARP,))
-        return np.asarray(a, dtype=np.int64) + p.offset
+    def _operand(self, ws: tuple, R, P, k: int, p: _Prep):
+        """Source operand ``k`` of ``p`` for the stacked warps ``ws``: an
+        ``(M, 32)`` array, or a scalar when it is the same in every lane
+        of every member (an immediate or a launch parameter)."""
+        kind, src = p.src_kinds[k], p.srcs[k]
+        if kind == "reg":
+            return R[src]
+        if kind == "pred":
+            return P[src]
+        if kind in ("imm", "param"):
+            return self._value(ws[0], kind, src)
+        # Special registers: %ctaid differs per member.
+        return np.array(
+            [np.broadcast_to(self._value(w, kind, src), (WARP,)) for w in ws]
+        )
+
+    def _stacked_addresses(self, ws: tuple, R, P, p: _Prep) -> np.ndarray:
+        """Per-lane byte addresses of memory instruction ``p`` as an
+        ``(M, 32)`` int64 stack."""
+        base = np.asarray(self._operand(ws, R, P, 0, p), dtype=_F64)
+        if base.ndim == 0:
+            base = np.broadcast_to(base, (len(ws), WARP))
+        return base.astype(np.int64) + p.offset
+
+    def _move(
+        self, mem, ws: tuple, R, P, p: _Prep, addrs: np.ndarray, mask, n: int,
+        *rows,
+    ) -> None:
+        """The data movement of memory instruction ``p`` over its ``n``
+        stacked active lanes: one gather from ``mem`` into the
+        destination rows, or one scatter of the store operands (a
+        ``(width, n)`` matrix, lanes in member-major order as
+        ``addrs[mask]``; scalar operands fill their row directly).
+        ``rows`` passes shared memory the stack row of each lane.  The
+        gather or scatter checks alignment and bounds before it touches
+        anything, so a fault leaves no trace."""
+        full = n == addrs.size
+        sel = addrs.ravel() if full else addrs[mask]
+        if p.op is Op.LD_GLOBAL or p.op is Op.LD_SHARED:
+            data = mem.gather(sel, len(p.dsts), *rows)
+            for k, dst in enumerate(p.dsts):
+                if full:
+                    R[dst][...] = data[k].reshape(addrs.shape)
+                else:
+                    R[dst][mask] = data[k]
+            return
+        vals = np.empty((len(p.srcs) - 1, n), dtype=_F64)
+        for k in range(len(vals)):
+            v = self._operand(ws, R, P, 1 + k, p)
+            if isinstance(v, np.ndarray) and v.ndim:
+                vals[k] = v.ravel() if full else v[mask]
+            else:
+                vals[k] = v
+        mem.scatter(sel, vals, *rows)
+
+    @staticmethod
+    def _one_at_a_time(
+        access: str, ms: tuple, ws: tuple, R, P, p: _Prep, mask: np.ndarray,
+        lanes: list, now: float,
+    ) -> list[float]:
+        """Run the stacked ``access`` (a method name) member by member,
+        each through its own executor and rows, in member order; returns
+        the members' issue costs.  A member that faults raises after the
+        earlier members' accesses, as if each had issued alone."""
+        return [
+            c
+            for g in range(len(ws))
+            for c in getattr(ms[g], access)(
+                ms[g : g + 1], ws[g : g + 1], [r[g : g + 1] for r in R],
+                [q[g : g + 1] for q in P], p, mask[g : g + 1],
+                lanes[g : g + 1], now,
+            )
+        ]
 
     def _global_access(
-        self, warp: WarpState, p: _Prep, mask: np.ndarray, now: float
-    ) -> float:
+        self, ms: tuple, ws: tuple, R, P, p: _Prep, mask: np.ndarray,
+        lanes: list, now: float,
+    ) -> list[float]:
+        """One global load or store for the stacked warps (see
+        :meth:`_issue_stacked`; ``lanes`` counts each member's active
+        lanes in ``mask``); returns each member's issue cost.
+
+        One pass computes the ``(M, 32)`` addresses and one checked
+        gather or scatter serves every member's active lanes (if a lane
+        would fault, the members run one at a time instead).  A stacked
+        store writes the members' lanes in member order, which a
+        race-free launch cannot tell from one member at a time.
+        :meth:`CoalescingPolicy.halfwarp_transactions` converts all 2M
+        half-warps in one pass; each member with an active lane then
+        queues its transactions on its own memory pipeline and marks its
+        own destinations, and a member with none makes no request.
+        """
         dev = self.device
+        M = len(ws)
         is_load = p.op is Op.LD_GLOBAL
-        lanes = len(p.dsts) if is_load else len(p.srcs) - 1
-        addrs = self._addresses(warp, p)
-        if not mask.any():
-            return dev.alu_issue_cycles
-        # Functional effect.
-        if is_load and mask.all():
-            data = self.gmem.gather(addrs, lanes)
-            for k, dst in enumerate(p.dsts):
-                warp.regs[dst][:] = data[k]
-        elif is_load:
-            idx = mask.nonzero()[0]
-            data = self.gmem.gather(addrs[idx], lanes)
-            for k, dst in enumerate(p.dsts):
-                warp.regs[dst][idx] = data[k]
-        else:
-            idx = mask.nonzero()[0]
-            self.gmem.scatter(addrs[idx], self._store_values(warp, p, lanes, idx))
-        if self.trace is not None:
-            self.trace(
-                pc=warp.pc,
-                block=warp.block.block_id,
-                warp=warp.warp_in_block,
-                is_load=is_load,
-                width=4 * lanes,
-                addresses=addrs,
-                active=mask,
-            )
-        # Timing: coalesce per half-warp, queue the transactions.
-        prof = self.profile
-        txs = []
-        per_half = []
-        width = 4 * lanes
-        for h in (0, 1):
-            sel = slice(h * HALFWARP, (h + 1) * HALFWARP)
-            acc = HalfWarpAccess(addrs[sel], width, mask[sel])
-            half_txs = self.policy.transactions(acc)
-            per_half.append(half_txs)
-            txs.extend(half_txs)
-            if prof is not None and half_txs:
-                prof.note_global(
-                    warp.pc, half_txs, self.policy.is_coalesced(acc)
-                )
-        ready = self.pipeline.request(txs, now, width, is_load)
-        if is_load:
-            for dst in p.dsts:
-                self._mark(warp, dst, ready)
+        addrs = self._stacked_addresses(ws, R, P, p)
+        n = sum(lanes)
+        if not n:
+            return [dev.alu_issue_cycles] * M
+        try:
+            self._move(self.gmem, ws, R, P, p, addrs, mask, n)
+        except (MisalignedAccess, AccessViolation):
+            if M == 1:
+                raise
+            return self._one_at_a_time("_global_access", ms, ws, R, P, p,
+                                       mask, lanes, now)
+        nbytes = 4 * (len(p.dsts) if is_load else len(p.srcs) - 1)
+        if self.trace is not None:  # traced launches run gangs of one
+            for m, w, on, a, act in zip(ms, ws, lanes, addrs, mask):
+                if on:
+                    m.trace(
+                        pc=w.pc,
+                        block=w.block.block_id,
+                        warp=w.warp_in_block,
+                        is_load=is_load,
+                        width=nbytes,
+                        addresses=a,
+                        active=act,
+                    )
+        # Timing: coalesce per half-warp, queue each member's transactions.
+        halves, coalesced = self.policy.halfwarp_transactions(
+            addrs.reshape(2 * M, HALFWARP), mask.reshape(2 * M, HALFWARP),
+            nbytes,
+        )
+        charges = self.policy.charges_replays
+        issue = []
+        for g, (m, w, on) in enumerate(zip(ms, ws, lanes)):
+            if not on:
+                issue.append(dev.alu_issue_cycles)
+                continue
+            h0, h1 = halves[2 * g], halves[2 * g + 1]
+            prof = m.profile
             if prof is not None:
-                prof.mem_latency[warp.pc] += ready - now
-                self._prof_mark_mem(warp, p.dsts, ready)
-        replays = 0
-        if self.policy.charges_replays:
-            replays = sum(max(0, len(h) - 1) for h in per_half)
-            if prof is not None and replays:
-                prof.replays[warp.pc] += replays
-        return dev.alu_issue_cycles + replays * dev.memory.replay_issue_cycles
+                for h, half_txs in ((2 * g, h0), (2 * g + 1, h1)):
+                    if half_txs:
+                        prof.note_global(w.pc, half_txs, bool(coalesced[h]))
+            ready = m.pipeline.request([*h0, *h1], now, nbytes, is_load)
+            if is_load:
+                for dst in p.dsts:
+                    m._mark(w, dst, ready)
+                if prof is not None:
+                    prof.mem_latency[w.pc] += ready - now
+                    m._prof_mark_mem(w, p.dsts, ready)
+            replays = 0
+            if charges:
+                replays = max(0, len(h0) - 1) + max(0, len(h1) - 1)
+                if prof is not None and replays:
+                    prof.replays[w.pc] += replays
+            issue.append(
+                dev.alu_issue_cycles + replays * dev.memory.replay_issue_cycles
+            )
+        return issue
 
     def _tex_access(
         self, warp: WarpState, p: _Prep, mask: np.ndarray, now: float
@@ -864,7 +992,9 @@ class SMExecutor:
         """Read-only fetch through the per-SM texture cache."""
         dev = self.device
         lanes = len(p.dsts)
-        addrs = self._addresses(warp, p)
+        addrs = self._stacked_addresses(
+            (warp,), warp.regs[:, None], warp.preds[:, None], p
+        )[0]
         if not mask.any():
             return dev.alu_issue_cycles
         if mask.all():
@@ -898,38 +1028,56 @@ class SMExecutor:
         return dev.alu_issue_cycles
 
     def _shared_access(
-        self,
-        warp: WarpState,
-        p: _Prep,
-        mask: np.ndarray,
-        now: float,
-        dev: DeviceProperties,
-    ) -> float:
+        self, ms: tuple, ws: tuple, R, P, p: _Prep, mask: np.ndarray,
+        lanes: list, now: float,
+    ) -> list[float]:
+        """One shared load or store for the stacked warps (see
+        :meth:`_issue_stacked`); returns each member's issue cost.
+
+        As in :meth:`_global_access`, one pass computes the addresses and
+        one checked gather or scatter serves every member's active lanes:
+        a gang's blocks at one resident slot are rows of one stack (see
+        :class:`~repro.cudasim.memory.SharedMemory`), and each lane reads
+        or writes its member's row.  If a lane would fault, the members
+        run one at a time.  The bank-conflict degree that sets each
+        member's cost is computed once per distinct address pattern."""
+        dev = self.device
+        M = len(ws)
         is_load = p.op is Op.LD_SHARED
-        lanes = len(p.dsts) if is_load else len(p.srcs) - 1
-        addrs = self._addresses(warp, p)
-        if not mask.any():
-            return dev.alu_issue_cycles
-        shared = warp.block.shared
-        if is_load and mask.all():
-            # Fully-active load: skip the lane-select copies.
-            data = shared.gather(addrs, lanes)
-            for k, dst in enumerate(p.dsts):
-                warp.regs[dst][:] = data[k]
-                self._mark(warp, dst, now + dev.alu_result_latency)
-        elif is_load:
-            idx = mask.nonzero()[0]
-            data = shared.gather(addrs[idx], lanes)
-            for k, dst in enumerate(p.dsts):
-                warp.regs[dst][idx] = data[k]
-                self._mark(warp, dst, now + dev.alu_result_latency)
-        else:
-            idx = mask.nonzero()[0]
-            shared.scatter(addrs[idx], self._store_values(warp, p, lanes, idx))
-        degree = shared.conflict_degree(addrs, lanes, mask)
-        if self.profile is not None and degree > 1:
-            self.profile.bank_conflicts[warp.pc] += degree - 1
-        return dev.alu_issue_cycles * degree
+        width = len(p.dsts) if is_load else len(p.srcs) - 1
+        addrs = self._stacked_addresses(ws, R, P, p)
+        n = sum(lanes)
+        if not n:
+            return [dev.alu_issue_cycles] * M
+        shared = ws[0].block.shared
+        rows = ()
+        if M > 1:
+            rows = (np.repeat([w.block.shared.row for w in ws], lanes),)
+        try:
+            self._move(shared, ws, R, P, p, addrs, mask, n, *rows)
+        except (MisalignedAccess, AccessViolation):
+            if M == 1:
+                raise
+            return self._one_at_a_time("_shared_access", ms, ws, R, P, p,
+                                       mask, lanes, now)
+        ready = now + dev.alu_result_latency
+        degrees: dict[bytes, int] = {}
+        issue = []
+        for m, w, on, a, act in zip(ms, ws, lanes, addrs, mask):
+            if not on:
+                issue.append(dev.alu_issue_cycles)
+                continue
+            if is_load:
+                for dst in p.dsts:
+                    m._mark(w, dst, ready)
+            key = a.tobytes() + act.tobytes()
+            degree = degrees.get(key)
+            if degree is None:
+                degree = degrees[key] = shared.conflict_degree(a, width, act)
+            if m.profile is not None and degree > 1:
+                m.profile.bank_conflicts[w.pc] += degree - 1
+            issue.append(dev.alu_issue_cycles * degree)
+        return issue
 
 
 # ----------------------------------------------------------- multi-SM runner

@@ -132,11 +132,22 @@ the same in every member:
 * fusible steps and static shared loads depend on no data but their
   own rows, so one call over all members' rows gives each member what
   its own call would, and their scoreboard marks are the same;
-* every data-dependent outcome runs per member, through the member's
-  own executor (its stats, memory pipeline, texture cache and blocks):
-  ``_issue`` for global and texture accesses, stores, barriers and
-  exits, validated shared loads and branches; so do the lane counts of
-  predicated steps, which feed only ``thread_instructions``;
+* a global or shared access (validated shared loads included) or a
+  barrier is one *stacked request* over the warp's adjacent member
+  rows (:meth:`~repro.cudasim.executor.SMExecutor._issue_stacked`,
+  the interpreter's own access rules run on ``M × 32`` lanes): one pass
+  computes every member's lane masks and addresses, one gather or
+  scatter moves every member's data (the members' blocks at one
+  resident slot keep their shared memory as rows of one stack), and
+  one vectorized pass classifies all 2M half-warps' coalescing; each
+  member then makes its own memory pipeline request, counts,
+  scoreboard marks and barrier arrival, and a member with no active
+  lane makes no request;
+* the other data-dependent outcomes run per member, through the
+  member's own executor (its stats, texture cache and blocks):
+  ``_issue`` for texture fetches, exits, branches and any pc with a
+  reconvergence pending; so do the lane counts of predicated steps,
+  which feed only ``thread_instructions``;
 * after each of those, every member's outcome — clock, pc, active mask,
   divergence depth, scoreboard, barrier and done state — is compared
   with the leader's.  Equal outcomes keep the gang congruent.  A member
@@ -150,11 +161,15 @@ the same in every member:
 Scan stalls, idle cycles and the per-pc issue counts are the gang's:
 they are counted once and handed to each member as it leaves or the
 gang ends.  Members interleave their global stores instruction by
-instruction instead of running one SM after another.  Every kernel in
-this repository is race-free — the SMs of a launch write disjoint
-ranges and never read each other's writes — so that order is
-invisible.  A trace hook or the profiler observes one SM's accesses in
-program order, so those launches run their SMs one at a time.
+instruction, all of them in one scatter, instead of running one SM
+after another.  Every kernel in this repository is race-free — the SMs
+of a launch write disjoint ranges and never read each other's writes —
+so that order is invisible.  A stacked access checks every active
+lane's alignment and bounds before it moves anything; if one would
+fault, the members issue it one at a time, so the same typed error
+comes from the same member as in a lone run.  A trace hook or the
+profiler observes one SM's accesses in program order, so those
+launches run their SMs one at a time.
 
 The reference interpreter stays available behind
 ``REPRO_EXEC_FASTPATH=0`` or ``Device(fastpath=False)``; ``=2`` (the
@@ -179,7 +194,7 @@ from .cfg import FUSIBLE_OPS, fusible_run_ends, replay_schedulable
 from .device import DeviceProperties
 from .envflags import env_mapped
 from .errors import DeadlockError, ExecutionError
-from .executor import WARP, BlockState, SMExecutor, WarpState
+from .executor import STACKED_OPS, WARP, BlockState, SMExecutor, WarpState
 from .isa import ISSUE_CLASS, SFU_OPS, Imm, Op, Param, Reg, Special, SReg
 from .kernel_cache import KernelCache, default_cache
 from .lower import LoweredKernel
@@ -977,6 +992,7 @@ _VEC_COUNTERS = {
     "row_loads": 0,  # per-row validated shared loads, inline or _issue
     "gang_members": 0,  # SM runs that ran in a gang of two or more
     "gang_splits": 0,  # members that left a gang before it finished
+    "gang_stacked": 0,  # member issues served by one stacked request
 }
 
 
@@ -2313,10 +2329,15 @@ class FastSMExecutor(SMExecutor):
         wake: list[float] = []
 
         def activate() -> None:
-            # A gang admits blocks in lockstep: one per member.
+            # A gang admits blocks in lockstep: one per member, their
+            # shared memories rows of one stack.
             while queue and len(resident) < max_resident:
-                for mb in (self, *self._fols):
-                    mb._admit(now)
+                gang = (self, *self._fols)
+                shared = SharedMemory.stacked(
+                    self.lk.shared_words, self.device, len(gang)
+                )
+                for mb, sh in zip(gang, shared):
+                    mb._admit(now, sh)
 
         def rebuild() -> None:
             nonlocal warps, spans, wake
@@ -2535,12 +2556,10 @@ class FastSMExecutor(SMExecutor):
 
     # -- gangs ------------------------------------------------------------
 
-    def _admit(self, now: float) -> None:
-        """Make this member's next queued block resident at ``now``."""
-        blk = BlockState(
-            block_id=self._queue.popleft(),
-            shared=SharedMemory(self.lk.shared_words, self.device),
-        )
+    def _admit(self, now: float, shared: SharedMemory) -> None:
+        """Make this member's next queued block resident at ``now``, with
+        shared memory ``shared``."""
+        blk = BlockState(block_id=self._queue.popleft(), shared=shared)
         n_warps = self.block_dim // WARP
         for w in range(n_warps):
             ws = WarpState(blk, w, self.lk.reg_count, self.lk.pred_count)
@@ -2597,9 +2616,17 @@ class FastSMExecutor(SMExecutor):
         return self._gang_issue(warp, now)
 
     def _gang_issue(self, warp: WarpState, now: float) -> float:
-        """The interpreter's ``_issue`` for ``warp`` in every member, each
-        through its own executor (stats, memory pipeline, texture cache,
-        block); returns the leader's clock.
+        """The interpreter's issue of ``warp``'s instruction in every
+        member, each with its own stats, memory pipeline, texture cache
+        and block; returns the leader's clock.
+
+        A global or shared access or a barrier is one stacked request
+        (:meth:`SMExecutor._issue_stacked` over the warp's adjacent arena
+        rows, ``M × 32`` lanes): one pass computes every member's lane
+        masks, addresses, data movement and coalescing, and each member
+        then makes its own pipeline request, counts and scoreboard marks.
+        Branches, exits, texture fetches and a pc with a reconvergence
+        pending run ``_issue`` per member.
 
         Global and texture costs, bank conflicts, branch directions,
         exits and barriers are data: each follower's outcome — clock,
@@ -2608,9 +2635,20 @@ class FastSMExecutor(SMExecutor):
         queued in ``_split_at`` with its own clock, to leave the gang
         (:meth:`_split`).  Equal masks are rebound to the leader's
         object, as the congruent steps assume."""
-        end = self._issue(warp, now)
         fols = warp._fol
-        ends = [f._issue(fw, now) for f, fw in zip(self._fols, fols)]
+        p = self._prepped[warp.pc]
+        if p.op in STACKED_OPS and not (
+            warp.div_stack and warp.pc == warp.div_stack[-1][0]
+        ):
+            j = warp._row
+            R, P = self._vrows(j, j + 1)[:2]
+            end, *ends = self._issue_stacked(
+                (self, *self._fols), (warp, *fols), R, P, p, now
+            )
+            self._vwhy["gang_stacked"] += self._gm
+        else:
+            end = self._issue(warp, now)
+            ends = [f._issue(fw, now) for f, fw in zip(self._fols, fols)]
         M = self._gm
         j = warp._row * M
         pend = self._a_pend[j : j + M]

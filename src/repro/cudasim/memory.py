@@ -195,28 +195,68 @@ class GlobalMemory:
 
 
 class SharedMemory:
-    """One block's shared memory."""
+    """One block's shared memory.
 
-    def __init__(self, words: int, device: DeviceProperties) -> None:
+    Its words are row ``row`` of ``stack``, a ``(blocks, words)`` array:
+    a one-row array of its own, unless the blocks' shared memories were
+    allocated together by :meth:`stacked` (the same resident slot of
+    every SM of a fast-path gang).  Then one :meth:`gather` or
+    :meth:`scatter` on any of them can serve all of them, each address
+    reading or writing the stack row ``rows`` gives it.
+    """
+
+    def __init__(
+        self,
+        words: int,
+        device: DeviceProperties,
+        stack: np.ndarray | None = None,
+        row: int = 0,
+    ) -> None:
         self.device = device
         self.size_bytes = 4 * words
-        self.words = np.zeros(max(words, 1), dtype=np.float64)
+        if stack is None:
+            stack = np.zeros((1, max(words, 1)), dtype=np.float64)
+        self.stack = stack
+        self.row = row
+        self.words = stack[row]
 
-    def gather(self, byte_addrs: np.ndarray, lanes: int) -> np.ndarray:
+    @classmethod
+    def stacked(
+        cls, words: int, device: DeviceProperties, count: int
+    ) -> list["SharedMemory"]:
+        """``count`` blocks' shared memories, the rows of one stack."""
+        stack = np.zeros((count, max(words, 1)), dtype=np.float64)
+        return [cls(words, device, stack, row) for row in range(count)]
+
+    def gather(
+        self, byte_addrs: np.ndarray, lanes: int, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Vector gather: ``(lanes, len(byte_addrs))``, from this block's
+        words or, given ``rows``, from each address's row of the stack."""
         addrs = np.asarray(byte_addrs, dtype=np.int64)
         self._check(addrs, lanes)
         word = addrs // 4
-        if lanes == 1:
-            return self.words[word][None, :]
-        return self.words[word[None, :] + _LANE_OFFSETS[:lanes, None]]
+        if lanes > 1:
+            word = word[None, :] + _LANE_OFFSETS[:lanes, None]
+        out = self.words[word] if rows is None else self.stack[rows, word]
+        return out[None, :] if lanes == 1 else out
 
-    def scatter(self, byte_addrs: np.ndarray, values: np.ndarray) -> None:
+    def scatter(
+        self, byte_addrs: np.ndarray, values: np.ndarray,
+        rows: np.ndarray | None = None,
+    ) -> None:
+        """Vector scatter of ``(lanes, n)`` values, to this block's words
+        or, given ``rows``, to each address's row of the stack."""
         addrs = np.asarray(byte_addrs, dtype=np.int64)
         lanes = values.shape[0]
         self._check(addrs, lanes)
         word = addrs // 4
         for k in range(lanes):
-            self.words[word + k] = np.asarray(values[k], dtype=np.float32)
+            value = np.asarray(values[k], dtype=np.float32)
+            if rows is None:
+                self.words[word + k] = value
+            else:
+                self.stack[rows, word + k] = value
 
     def _check(self, addrs: np.ndarray, lanes: int) -> None:
         width = 4 * lanes

@@ -12,13 +12,26 @@ from repro.core.access import (
     halfwarp_access,
     warp_accesses,
 )
+from repro.core.coalescing import StrictHalfWarpPolicy
 from repro.core.transactions import (
     MemoryTransaction,
+    access_segments,
     cover_with_segments,
     segment_of,
     total_bytes,
     touched_segments,
 )
+
+
+def _loop_segments(addresses, access_size, segment_size):
+    """The per-address loop ``access_segments`` vectorizes: each access's
+    touched segments, in access order."""
+    out = []
+    for a in addresses:
+        first = segment_of(int(a), segment_size)
+        last = segment_of(int(a) + access_size - 1, segment_size)
+        out.extend(range(first, last + 1, segment_size))
+    return out
 
 
 class TestHalfWarpAccess:
@@ -120,6 +133,44 @@ class TestTransactions:
     def test_touched_segments_straddle(self):
         # A 16-byte access at 24 straddles two 32-byte segments.
         assert touched_segments([24], 16, 32) == [0, 32]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        addrs=st.lists(st.integers(0, 4000).map(lambda a: a * 4), max_size=16),
+        size=st.sampled_from([4, 8, 16, 28]),
+        segment=st.sampled_from([32, 64, 128]),
+    )
+    def test_segments_match_the_per_address_loop(self, addrs, size, segment):
+        """Vectorized segments equal the per-address loop, straddling
+        accesses and the empty list included: in order per access, and
+        sorted and deduplicated for ``touched_segments``."""
+        want = _loop_segments(addrs, size, segment)
+        got = access_segments(np.array(addrs, dtype=np.int64), size, segment)
+        assert got.tolist() == want
+        assert touched_segments(addrs, size, segment) == sorted(set(want))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        addrs=st.lists(st.integers(0, 4000), min_size=16, max_size=16),
+        active=st.lists(st.booleans(), min_size=16, max_size=16),
+        size=st.sampled_from([4, 8, 16]),
+    )
+    def test_strict_uncoalesced_matches_per_thread_loop(self, addrs, active, size):
+        """CC 1.0's uncoalesced path issues one 32-byte transaction per
+        touched segment of each active thread, in lane order."""
+        acc = HalfWarpAccess(np.array(addrs) * 4, size, np.array(active))
+        txs = StrictHalfWarpPolicy().transactions(acc)
+        if StrictHalfWarpPolicy().is_coalesced(acc):
+            return
+        want = [
+            MemoryTransaction(seg, 32)
+            for seg in _loop_segments(acc.active_addresses, size, 32)
+        ]
+        assert txs == want
+
+    def test_segments_reject_bad_segment_size(self):
+        with pytest.raises(ValueError):
+            access_segments(np.zeros(1, np.int64), 4, 48)
 
     def test_cover_with_segments_single(self):
         txs = cover_with_segments([0, 4, 8, 12], 4)

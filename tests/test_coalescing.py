@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core import make_layout
 from repro.core.access import HalfWarpAccess, warp_accesses
@@ -203,3 +204,84 @@ class TestPaperTransactionCounts:
         assert moved("soaoas") == 2 * 4 * 128
         assert moved("soaoas") < moved("unopt") / 5
         assert moved("soa") < moved("unopt") / 5
+
+
+#: Half-warp address patterns the classifier property test draws.
+_PATTERNS = ("sequential", "misaligned", "strided", "broadcast", "random")
+
+
+@st.composite
+def _halfwarp_rows(draw):
+    """``(addresses, active, size)``: up to six half-warps of one access
+    width, each with its own address pattern and lane mask."""
+    size = draw(st.sampled_from([4, 8, 16]))
+    lanes = np.arange(16, dtype=np.int64)
+    rows, masks = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        pattern = draw(st.sampled_from(_PATTERNS))
+        base = draw(st.integers(0, 32)) * 16 * size
+        if pattern == "sequential":
+            addrs = base + lanes * size
+        elif pattern == "misaligned":
+            skew = draw(st.sampled_from([4, size, 8 * size]))
+            addrs = base + skew + lanes * size
+        elif pattern == "strided":
+            addrs = base + lanes * size * draw(st.integers(2, 9))
+        elif pattern == "broadcast":
+            addrs = np.full(16, base + draw(st.integers(0, 15)) * size)
+        else:
+            addrs = np.array(draw(st.lists(
+                st.integers(0, 4096), min_size=16, max_size=16
+            ))) * 4
+        mask = draw(st.sampled_from(("full", "empty", "prefix", "random")))
+        if mask == "full":
+            active = np.ones(16, dtype=bool)
+        elif mask == "empty":
+            active = np.zeros(16, dtype=bool)
+        elif mask == "prefix":
+            active = lanes < draw(st.integers(1, 15))
+        else:
+            active = draw(hnp.arrays(bool, 16))
+        rows.append(addrs)
+        masks.append(active)
+    return np.array(rows, dtype=np.int64), np.array(masks), size
+
+
+class TestHalfWarpClassifier:
+    """``halfwarp_transactions`` — the vectorized pass plus its
+    ``transactions`` fallback — equals ``transactions`` half-warp by
+    half-warp, for every policy."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=_halfwarp_rows())
+    def test_equals_per_halfwarp_transactions(self, case):
+        addresses, active, size = case
+        for policy in POLICIES.values():
+            out, coalesced = policy.halfwarp_transactions(
+                addresses, active, size
+            )
+            assert len(out) == len(coalesced) == len(addresses)
+            for h, (addrs, mask) in enumerate(zip(addresses, active)):
+                acc = HalfWarpAccess(addrs, size, mask)
+                assert list(out[h]) == policy.transactions(acc), (policy, h)
+                assert bool(coalesced[h]) == policy.is_coalesced(acc)
+
+    def test_coalesced_rows_share_canned_transactions(self):
+        """Aligned sequential rows take the same canned transactions;
+        a row one element off its base, or with no active lane, does
+        not coalesce."""
+        base = np.arange(16) * 16 + 256
+        rows = np.array([base, base, base + 16, base])
+        active = np.ones((4, 16), dtype=bool)
+        active[3] = False
+        out, coalesced = STRICT.halfwarp_transactions(rows, active, 16)
+        assert coalesced.tolist() == [True, True, False, False]
+        assert out[0] is out[1]
+        assert [(t.address, t.size) for t in out[0]] == [(256, 128), (384, 128)]
+        assert len(out[2]) == 16 and list(out[3]) == []
+
+    def test_bad_width_rejected(self):
+        with pytest.raises(ValueError):
+            STRICT.halfwarp_transactions(
+                np.zeros((1, 16), np.int64), np.ones((1, 16), bool), 12
+            )

@@ -131,6 +131,37 @@ class TestGangMemberFault:
         with pytest.raises(AccessViolation):
             dev.launch(lk, self.GRID, self.BLOCK, dict(params, skew=self.HEAP))
 
+    @staticmethod
+    def _two_fault_kernel(heap):
+        """Lane 5 of block 1 reads past the heap and lane 5 of block 3
+        two bytes off alignment: one stacked load, two faulting members."""
+        b = KernelBuilder("gang_two_faults", params=("dst", "src"))
+        cta, lane = b.sreg("ctaid"), b.sreg("laneid")
+        i = b.imad("i", cta, b.sreg("ntid"), b.sreg("tid"))
+        oob, odd, five = b.pred(), b.pred(), b.pred()
+        b.setp("eq", oob, cta, 1)
+        b.setp("eq", odd, cta, 3)
+        b.setp("eq", five, lane, 5)
+        skew = b.selp(b.reg("skew"), heap, 0, oob)
+        b.selp(skew, 2, skew, odd)
+        b.selp(skew, skew, 0, five)
+        a = b.iadd("sa", b.imad("s", i, 4, b.param("src")), skew)
+        y = b.mul(b.reg("y"), b.ld_global(b.reg("x"), a), 2.0)
+        b.st_global(b.imad("a", i, 4, b.param("dst")), y)
+        return b.build()
+
+    @pytest.mark.parametrize("fastpath", (False, True))
+    def test_first_faulting_member_raises(self, fastpath):
+        """The interpreter runs SM 1 before SM 3, so it raises SM 1's
+        AccessViolation; the gang's stacked load must raise the same,
+        not SM 3's MisalignedAccess, and leave the heap as it was."""
+        dev, params, _ = self._setup(fastpath)
+        lk = compile_kernel(self._two_fault_kernel(self.HEAP))
+        before = dev.gmem.heap_stats()
+        with pytest.raises(AccessViolation):
+            dev.launch(lk, self.GRID, self.BLOCK, params)
+        assert dev.gmem.heap_stats() == before
+
     def test_stream_fault_is_sticky_and_next_launch_exact(self):
         from repro.cudasim.fastpath import reset_vec_counters, vec_counters
 

@@ -233,7 +233,8 @@ class TestDifferentialProfile:
         """A profiled v2 launch makes exactly the dispatches, fallbacks
         and aborts of an unprofiled one: one scheduler for both.  Only
         the gang counters differ: a profiled launch runs its SMs one at
-        a time, an unprofiled one as a gang (both launches use 2 SMs)."""
+        a time, an unprofiled one as a gang (both launches use 2 SMs)
+        whose memory accesses and barriers are stacked requests."""
         counts = []
         for profiled in (False, True):
             if profiled:
@@ -258,6 +259,9 @@ class TestDifferentialProfile:
         gang = ("gang_members", "gang_splits")
         assert [counts[0][k] for k in gang] == [2, 0]
         assert [counts[1][k] for k in gang] == [0, 0]
+        assert counts[0]["gang_stacked"] > 0
+        assert counts[1]["gang_stacked"] == 0
+        gang += ("gang_stacked",)
         for c in counts:
             for k in gang:
                 del c[k]
@@ -1017,12 +1021,12 @@ def _gang_forces(kind, unroll, grid, mode, props=GANG_PROPS):
 
 def _gang_modes(
     kernel, grid, out_words, params=None, toolchain=Toolchain.CUDA_1_0,
-    props=G8800GTX,
+    props=G8800GTX, per_sm=None,
 ):
     """Launch ``kernel`` on ``props`` (default: the G80's 16 SMs) in both
     modes; assert the per-SM observables match and return the compiled
     run's vec counters.  ``params(dev)`` adds launch values besides
-    ``dst``."""
+    ``dst``; a ``per_sm`` list receives the per-SM stats dicts."""
     outs = []
     for mode in MODES:
         reset_vec_counters()
@@ -1041,6 +1045,8 @@ def _gang_modes(
         )
         outs.append(_gang_observables(dev, result, dst, out_words))
     _assert_per_sm_identical(outs)
+    if per_sm is not None:
+        per_sm.extend(outs[1][4])
     return vec_counters()
 
 
@@ -1110,6 +1116,177 @@ def _lanes_kernel():
     b.add(y, y, x)
     b.st_global(o, y)
     return b.build()
+
+
+def _conflict_stride_kernel():
+    """Block 2 stores its shared row at a two-word stride, the others at
+    one word: its store alone costs a two-way bank conflict, with the
+    same lanes, transactions and scoreboard as the leader's."""
+    b = KernelBuilder("k_gang_conflict", params=("dst",))
+    tid, cta = b.sreg("tid"), b.sreg("ctaid")
+    i = b.imad("i", cta, b.sreg("ntid"), tid)
+    p = b.pred()
+    b.setp("eq", p, cta, 2)
+    stride = b.selp(b.reg("stride"), 8, 4, p)
+    b.st_shared(b.imul("sa", tid, stride), b.i2f(b.reg("x"), i))
+    b.bar_sync()
+    y = b.ld_shared(b.reg("y"), b.shl("sb", tid, 2))
+    b.add(y, y, 1.0)
+    b.st_global(b.imad("a", i, 4, b.param("dst")), y)
+    return b.build(shared_words=2 * GANG_BLOCK)
+
+
+def _predicated_access_kernel():
+    """Global and shared accesses predicated on ``laneid`` limits that
+    depend on the block, their inactive lanes out of bounds or
+    misaligned.  Loads keep ``3·ctaid + 2`` lanes, all in half-warp 0;
+    stores ``5·ctaid − 3``, so block 0 has none.  Every member with an
+    active lane issues one coalesced transaction per access and no bank
+    conflict, and stores mark no register, so the gang holds while each
+    SM counts its own lanes and memory traffic."""
+    b = KernelBuilder("k_gang_predicated", params=("dst", "src"))
+    tid, cta, lane = b.sreg("tid"), b.sreg("ctaid"), b.sreg("laneid")
+    i = b.imad("i", cta, b.sreg("ntid"), tid)
+    few, some = b.pred(), b.pred()
+    b.setp("lt", few, lane, b.imad("lf", cta, 3, 2))
+    b.setp("lt", some, lane, b.imad("ls", cta, 5, -3))
+    ga = b.selp(b.reg("ga"), b.imad("g", i, 4, b.param("src")), 1 << 30, few)
+    x = b.mov(b.reg("x"), -1.0)
+    b.emit(Instr(Op.LD_GLOBAL, dsts=(x,), srcs=(ga,), pred=few))
+    sa = b.selp(b.reg("sa"), b.shl("s", tid, 2), 1 << 20, some)
+    b.emit(Instr(Op.ST_SHARED, srcs=(sa, x), pred=some))
+    b.bar_sync()
+    la = b.selp(b.reg("la"), b.shl("l", tid, 2), 2, few)
+    y = b.mov(b.reg("y"), 0.5)
+    b.emit(Instr(Op.LD_SHARED, dsts=(y,), srcs=(la,), pred=few))
+    b.add(y, y, x)
+    o = b.imad("o", i, 4, b.param("dst"))
+    oa = b.selp(b.reg("oa"), o, 2, some)
+    b.emit(Instr(Op.ST_GLOBAL, srcs=(oa, y), pred=some))
+    b.st_global(o, y, offset=4 * 4 * GANG_BLOCK)
+    return b.build(shared_words=GANG_BLOCK)
+
+
+#: Words of the read-only source of the generated gang kernels.
+_GEN_SRC_WORDS = 2048
+#: Bytes one block's lanes of one generated global store may span.
+_GEN_SLAB = 2304
+#: Largest grid the generator launches.
+_GEN_GRID = 6
+
+
+def _gen_src(dev):
+    src = dev.malloc(4 * _GEN_SRC_WORDS)
+    dev.memcpy_htod(src, np.arange(_GEN_SRC_WORDS, dtype=np.float32))
+    return {"src": src}
+
+
+@st.composite
+def _gang_memory_kernels(draw):
+    """``(kernel, props, grid, toolchain, out_words)``: a straight-line
+    kernel of block-dependent memory accesses, launched at a grid that
+    forms a gang (two warps per block).
+
+    It draws global loads and stores at ``%ctaid``-dependent offsets,
+    misaligned on some blocks; shared stores and loads at
+    ``%ctaid``-dependent strides on either side of ``bar.sync``; and
+    predicates ``laneid < a·ctaid + c`` on any of them, whose inactive
+    lanes point out of bounds or off alignment.  Each block stores into
+    its own slab of every global store region, so the SMs' writes are
+    disjoint, and every loaded register is stored at the end."""
+    props, grid = draw(st.sampled_from(
+        ((G8800GTX, 2), (G8800GTX, 4), (GANG_PROPS, 3), (GANG_PROPS, _GEN_GRID))
+    ))
+    toolchain = draw(st.sampled_from(list(Toolchain)))
+    b = KernelBuilder("k_gang_mem", params=("dst", "src"))
+    tid, cta, lane = b.sreg("tid"), b.sreg("ctaid"), b.sreg("laneid")
+    i = b.imad("i", cta, b.sreg("ntid"), tid)
+    codd = b.reg("codd")
+    b.emit(Instr(Op.AND, dsts=(codd,), srcs=(cta, Imm(1))))
+    odd = b.pred()
+    b.setp("ne", odd, codd, 0)
+    pool = [b.i2f(b.reg("v"), i)]
+    regions = 0
+
+    def guard(addr, k):
+        """``(predicate, address)``: maybe a block-dependent lane limit,
+        with the inactive lanes' address replaced by a faulting one."""
+        if not draw(st.booleans()):
+            return None, addr
+        p = b.pred()
+        lim = b.imad(
+            f"lim{k}", cta, draw(st.sampled_from((0, 3, 7, 16))),
+            draw(st.sampled_from((-4, 0, 5, 16, 32))),
+        )
+        b.setp("lt", p, lane, lim)
+        bad = draw(st.sampled_from((1 << 28, 2)))
+        return p, b.selp(b.reg(f"g{k}"), addr, bad, p)
+
+    def loaded(p, width, k):
+        dsts = tuple(b.reg(f"x{k}_{j}") for j in range(width))
+        if p is not None:  # inactive lanes keep a defined value
+            for d in dsts:
+                b.mov(d, -1.0)
+        pool.extend(dsts)
+        return dsts
+
+    def per_block(even, odd_value, name):
+        return b.selp(b.reg(name), odd_value, even, odd)
+
+    for k in range(draw(st.integers(2, 6))):
+        kind = draw(st.sampled_from(("load", "store", "shared")))
+        width = draw(st.sampled_from((1, 2, 4)))
+        if kind == "load":
+            # Element tid·stride + ctaid·K, one further on odd blocks.
+            e = b.imad(
+                f"e{k}", tid, draw(st.sampled_from((1, 2))),
+                b.imul(f"c{k}", cta, draw(st.sampled_from((0, 1, 16, 17)))),
+            )
+            if draw(st.booleans()):
+                b.iadd(e, e, codd)
+            p, addr = guard(b.imad(f"a{k}", e, 4 * width, b.param("src")), k)
+            dsts = loaded(p, width, k)
+            b.emit(Instr(Op.LD_GLOBAL, dsts=dsts, srcs=(addr,), pred=p))
+        elif kind == "store":
+            e = b.imul(f"e{k}", tid, draw(st.sampled_from((1, 2))))
+            if draw(st.booleans()):
+                b.iadd(e, e, codd)
+            slab = b.imad(f"o{k}", cta, _GEN_SLAB, regions * _GEN_GRID * _GEN_SLAB)
+            regions += 1
+            addr = b.iadd(f"a{k}", b.imad(f"b{k}", e, 4 * width, slab), b.param("dst"))
+            p, addr = guard(addr, k)
+            srcs = tuple(draw(st.sampled_from(pool)) for _ in range(width))
+            b.emit(Instr(Op.ST_GLOBAL, srcs=(addr, *srcs), pred=p))
+        else:
+            width = min(width, 2)
+            strides = (1, 2, 16, 17)
+            stride = per_block(
+                4 * draw(st.sampled_from(strides)),
+                4 * draw(st.sampled_from(strides)), f"ss{k}",
+            )
+            p, addr = guard(b.imul(f"sa{k}", tid, stride), k)
+            srcs = tuple(draw(st.sampled_from(pool)) for _ in range(width))
+            b.emit(Instr(Op.ST_SHARED, srcs=(addr, *srcs), pred=p))
+            b.bar_sync()
+            t = tid
+            if draw(st.booleans()):  # read the neighbour's words
+                t = b.reg(f"t{k}")
+                b.emit(Instr(Op.XOR, dsts=(t,), srcs=(tid, Imm(1))))
+            stride = per_block(
+                4 * draw(st.sampled_from(strides)),
+                4 * draw(st.sampled_from(strides)), f"ls{k}",
+            )
+            p, addr = guard(b.imul(f"la{k}", t, stride), f"l{k}")
+            dsts = loaded(p, width, f"l{k}")
+            b.emit(Instr(Op.LD_SHARED, dsts=dsts, srcs=(addr,), pred=p))
+    out = b.imad("out", i, 4, b.param("dst"))
+    base = regions * _GEN_GRID * _GEN_SLAB
+    column = 4 * _GEN_GRID * GANG_BLOCK
+    for k, reg in enumerate(pool):
+        b.st_global(out, reg, offset=base + k * column)
+    out_words = (base + len(pool) * column) // 4
+    kernel = b.build(shared_words=17 * GANG_BLOCK + 8)
+    return kernel, props, grid, toolchain, out_words
 
 
 class TestGangs:
@@ -1190,13 +1367,65 @@ class TestGangs:
         assert got["gang_members"] == grid and got["gang_splits"] == 0
         assert got["row_events"] > 0 and got["fallbacks"] > 0
 
+    def test_bank_conflict_alone_splits_its_member(self):
+        """Block 2's shared store differs from the leader's only in its
+        bank-conflict degree: that member leaves at the store."""
+        got = _gang_modes(_conflict_stride_kernel(), grid=4, out_words=256)
+        assert got["gang_members"] == 4 and got["gang_splits"] == 1
+        assert got["gang_stacked"] > 0
+
+    def test_predicated_accesses_hold_the_gang(self):
+        """Predicated global and shared accesses whose lane masks differ
+        per member, one member with no lane at all: the gang holds, and
+        each SM's lane counts and memory traffic are its own (pinned per
+        SM against the interpreter)."""
+        per_sm = []
+        got = _gang_modes(
+            _predicated_access_kernel(), grid=4, out_words=8 * GANG_BLOCK,
+            params=lambda dev: {"src": dev.malloc(4 * 4 * GANG_BLOCK)},
+            per_sm=per_sm,
+        )
+        assert got["gang_members"] == 4 and got["gang_splits"] == 0
+        assert got["gang_stacked"] > 0
+        busy = [s for s in per_sm if s["blocks_executed"]]
+        assert len({s["thread_instructions"] for s in busy}) == 4
+        assert len({s["memory"]["requests"] for s in busy}) == 2
+
+    def test_generated_memory_kernels(self):
+        """Generated kernels of block-dependent global and shared
+        accesses agree per SM with the interpreter, ganged; across the
+        derandomized draws some members leave and stacked requests serve
+        the rest."""
+        reached = dict.fromkeys(("gang_splits", "gang_stacked"), 0)
+
+        @settings(
+            max_examples=120,
+            derandomize=True,
+            deadline=None,
+            database=None,
+            suppress_health_check=[HealthCheck.too_slow],
+        )
+        @given(case=_gang_memory_kernels())
+        def agree(case):
+            kernel, props, grid, toolchain, out_words = case
+            got = _gang_modes(
+                kernel, grid, out_words, params=_gen_src,
+                toolchain=toolchain, props=props,
+            )
+            assert got["gang_members"] == (grid if props is G8800GTX else 3)
+            for name in reached:
+                reached[name] += got[name]
+
+        agree()
+        assert all(reached.values()), reached
+
     def test_gang_counters_flush_to_telemetry(self):
-        """``gang_members`` and ``gang_splits`` reach the registry like
-        every other dispatch counter."""
+        """``gang_members``, ``gang_splits`` and ``gang_stacked`` reach
+        the registry like every other dispatch counter."""
         telemetry.enable()
         got = _gang_modes(_branch_kernel("eq"), grid=4, out_words=256)
         snap = telemetry.snapshot()
-        for name in ("gang_members", "gang_splits"):
+        for name in ("gang_members", "gang_splits", "gang_stacked"):
             series = snap[f"cudasim.fastpath.vec.{name}"]["series"]
             assert sum(s["value"] for s in series) == got[name] > 0
 

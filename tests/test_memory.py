@@ -111,6 +111,22 @@ class TestSharedMemory:
         sm.scatter(np.array([0]), np.array([[1.0 + 1e-9]]))
         assert sm.gather(np.array([0]), 1)[0, 0] == np.float32(1.0 + 1e-9)
 
+    def test_stacked_blocks_share_one_access(self):
+        """Blocks allocated together are rows of one stack: one scatter
+        or gather with per-address rows serves each its own words, and
+        each block's own view sees only its row."""
+        a, b, c = SharedMemory.stacked(8, G8800GTX, 3)
+        addrs, rows = np.array([0, 0, 8, 12]), np.array([0, 2, 2, 1])
+        a.scatter(addrs, np.array([[1.0, 2.0, 3.0, 4.0], [5, 6, 7, 8]]), rows)
+        assert a.words[:2].tolist() == [1.0, 5.0]
+        assert b.words[3:5].tolist() == [4.0, 8.0]
+        assert c.words[[0, 1, 2, 3]].tolist() == [2.0, 6.0, 3.0, 7.0]
+        got = c.gather(addrs, 2, rows)
+        assert got.tolist() == [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]
+        assert b.gather(np.array([12]), 1)[0, 0] == 4.0
+        with pytest.raises(AccessViolation):
+            a.gather(np.array([28]), 2, np.array([1]))
+
 
 class TestBankConflicts:
     def _degree(self, word_addrs, lanes=1, active=None):
