@@ -47,7 +47,6 @@ from .errors import (
     MisalignedAccess,
     OutOfMemoryError,
     RegisterAllocationError,
-    StaleGraphError,
     StreamError,
 )
 from .cfg import BasicBlock, FUSIBLE_OPS, fusible_run_ends, split_blocks
@@ -173,7 +172,6 @@ __all__ = [
     "GraphError",
     "GraphCaptureError",
     "GraphValidationError",
-    "StaleGraphError",
     "Event",
     "lower",
     "allocate",

@@ -92,12 +92,6 @@ class GraphValidationError(GraphError):
     peer copy leaving the captured device set)."""
 
 
-class StaleGraphError(GraphError):
-    """A captured launch no longer matches the device's compiled world
-    (``FASTPATH_GENERATION`` changed since ``instantiate()``); drop the
-    graph and re-capture."""
-
-
 class ExecutionError(CudaSimError):
     """Fault raised while executing kernel instructions."""
 

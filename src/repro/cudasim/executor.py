@@ -278,12 +278,12 @@ class KernelPlan:
     """Launch-invariant executor state of one lowered kernel.
 
     Everything an SM run derives from the kernel alone — the pre-resolved
-    instructions and, per device × toolchain, the fast path's
+    instructions and, per device timing, the fast path's
     compiled program — is built on the kernel's first SM run and shared,
     read-only, by every later run on any SM, launch or thread.  Lives on
     :attr:`LoweredKernel.exec_plan`.  Threads racing on a first build
     may each build an entry; any of them serves, since entries are pure
-    functions of the kernel.
+    functions of the kernel and their key.
     """
 
     __slots__ = ("prepped", "programs")
@@ -291,8 +291,9 @@ class KernelPlan:
     def __init__(self) -> None:
         #: Ops left unprepared (see :func:`_prepare`) → per-pc ``_Prep``.
         self.prepped: dict = {}
-        #: ``(DeviceProperties, toolchain)`` → FastProgram,
-        #: filled by :class:`repro.cudasim.fastpath.FastSMExecutor`.
+        #: ``DeviceProperties`` → FastProgram, filled by
+        #: :class:`repro.cudasim.fastpath.FastSMExecutor`; the only
+        #: copy of each program.
         self.programs: dict = {}
 
 

@@ -18,11 +18,11 @@ overhead without perturbing a single simulated cycle:
    immediates, is a ``(pc, template, args)`` bind table kept by value on
    the :class:`FastProgram`, so the module's size is set by the number
    of shapes, not of pcs (a fully unrolled kernel compiles as fast as a
-   rolled one).  Programs are cached in the content-addressed
-   :class:`~repro.cudasim.kernel_cache.KernelCache` keyed by the lowered
-   IR hash × device timing × toolchain × fastpath generation, and looked
-   up once per kernel (the kernel's
-   :class:`~repro.cudasim.executor.KernelPlan` keeps the result).  SM
+   rolled one).  A program is built once per kernel and device timing
+   and lives on the kernel's
+   :class:`~repro.cudasim.executor.KernelPlan`, keyed by
+   :class:`~repro.cudasim.device.DeviceProperties`: it reads nothing
+   else, so every toolchain and every device of a group shares it.  SM
    runs borrow bound step sets (:class:`StepSet`) from the program
    and return them, rebinding only the launch values.
 3. :class:`FastSMExecutor` replaces the O(warps) round-robin rescan with
@@ -180,7 +180,6 @@ across both modes for every layout × coalescing policy.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import deque
 from operator import itemgetter
@@ -196,7 +195,6 @@ from .envflags import env_mapped
 from .errors import DeadlockError, ExecutionError
 from .executor import STACKED_OPS, WARP, BlockState, SMExecutor, WarpState
 from .isa import ISSUE_CLASS, SFU_OPS, Imm, Op, Param, Reg, Special, SReg
-from .kernel_cache import KernelCache, default_cache
 from .lower import LoweredKernel
 from .memory import SharedMemory
 
@@ -207,12 +205,10 @@ _EV_T = itemgetter(3)
 
 __all__ = [
     "FASTPATH_ENV",
-    "FASTPATH_GENERATION",
     "FASTPATH_MODES",
     "FastProgram",
     "fastpath_enabled",
     "fastpath_mode",
-    "program_key",
     "compile_fastpath",
     "vec_counters",
     "reset_vec_counters",
@@ -224,25 +220,6 @@ __all__ = [
 #: default when unset) the compiled path (parsed strictly by
 #: :func:`env_mapped`: any other value, ``1`` included, is rejected).
 FASTPATH_ENV = "REPRO_EXEC_FASTPATH"
-
-#: Bump when generated code changes observable behavior, so cached
-#: programs from an older codegen can never be returned.  Generation 2:
-#: cross-warp vectorized templates (``make_vsteps``) and the per-pc
-#: cost/latency/write metadata the warp-group scheduler consumes.
-#: Generation 3: factories return ``(steps, bind)`` and take launch
-#: values through ``bind``, so bound families outlive one launch.
-#: Generation 4: factories return ``(templates, bind)`` and the per-pc
-#: bindings are a table on the program; vector steps are data-only.
-#: Generation 5: one cross-warp scheduler (the replay, whose plans
-#: record their idle gaps); shared-load pcs flush their vector issue
-#: cost.  Generation 6: one template family — single warps run the
-#: vector templates on their arena row, and the per-warp family is gone.
-#: Generation 7: static shared loads (constant broadcast addresses) fold
-#: into replay runs; programs carry the per-pc register writes.
-#: Generation 8: predicated steps return their lane mask, so a gang
-#: counts each member's lanes.
-#: Generation 9: replay runs over row ranges; ``iadd`` carries constants.
-FASTPATH_GENERATION = 9
 
 #: Spelling → mode for :data:`FASTPATH_ENV`.  The boolean aliases keep
 #: their historical meaning: any "true" spelling selects the compiled
@@ -834,53 +811,6 @@ def _bra_costs(lk: LoweredKernel, dev: DeviceProperties) -> list:
     return out
 
 
-def program_key(
-    lk: LoweredKernel, dev: DeviceProperties, toolchain=None
-) -> str:
-    """Cache key: lowered-IR hash × device timing × toolchain ×
-    generation."""
-    h = hashlib.sha256()
-    h.update(b"fastpath:")
-    h.update(str(FASTPATH_GENERATION).encode())
-    h.update(str(getattr(toolchain, "value", toolchain)).encode())
-    h.update(
-        f"|{dev.alu_issue_cycles}|{dev.sfu_issue_cycles}"
-        f"|{dev.alu_result_latency}|{dev.sfu_result_latency}".encode()
-    )
-    h.update(f"|{lk.reg_count}|{lk.pred_count}|{lk.shared_words}".encode())
-    for ins in lk.instructions:
-        h.update(ins.op.name.encode())
-        for d in ins.dsts:
-            key = (
-                f"P{lk.pred_map[d.name]}"
-                if d.is_predicate
-                else f"R{lk.reg_map[d.name]}"
-            )
-            h.update(key.encode())
-        for s in ins.srcs:
-            if isinstance(s, Reg):
-                tok = (
-                    f"P{lk.pred_map[s.name]}"
-                    if s.is_predicate
-                    else f"R{lk.reg_map[s.name]}"
-                )
-            elif isinstance(s, Imm):
-                tok = f"I{s.value!r}"
-            elif isinstance(s, Param):
-                tok = f"p{s.name}"
-            else:
-                tok = f"s{s.special.value}"
-            h.update(tok.encode())
-        pred = (
-            f"{'!' if ins.pred_neg else ''}{lk.pred_map[ins.pred.name]}"
-            if ins.pred is not None
-            else ""
-        )
-        tgt = lk.targets[ins.target] if ins.op is Op.BRA else ""
-        h.update(f"|{ins.offset}|{ins.cmp}|{tgt}|{pred};".encode())
-    return h.hexdigest()
-
-
 def _build_program(lk: LoweredKernel, dev: DeviceProperties) -> FastProgram:
     source, vtable = generate_program(lk)
     namespace: dict = {}
@@ -932,34 +862,17 @@ def _build_program(lk: LoweredKernel, dev: DeviceProperties) -> FastProgram:
     )
 
 
-def compile_fastpath(
-    lk: LoweredKernel,
-    dev: DeviceProperties,
-    toolchain=None,
-    cache: KernelCache | None = None,
-) -> FastProgram:
-    """Compile (or fetch) the fastpath program for one lowered kernel.
+def compile_fastpath(lk: LoweredKernel, dev: DeviceProperties) -> FastProgram:
+    """Compile the fastpath program for one lowered kernel.
 
-    Programs are memoized in ``cache`` (default: the process-wide kernel
-    cache) and counted on the telemetry registry as
-    ``cudasim.fastpath.hits`` / ``.misses``; a miss is wrapped in a
-    ``cudasim.fastpath.compile`` span.
+    Every call builds; the caller keeps the result on the kernel's
+    :class:`~repro.cudasim.executor.KernelPlan`.  A build is counted on
+    the telemetry registry as ``cudasim.fastpath.misses`` and wrapped in
+    a ``cudasim.fastpath.compile`` span.
     """
-    cache = cache if cache is not None else default_cache()
-    key = program_key(lk, dev, toolchain)
-    missed = False
-
-    def build() -> FastProgram:
-        nonlocal missed
-        missed = True
-        with _telemetry.span("cudasim.fastpath.compile", kernel=lk.name):
-            return _build_program(lk, dev)
-
-    program = cache.get_or_build(key, build)
-    if missed:
-        _telemetry.inc("cudasim.fastpath.misses", kernel=lk.name)
-    else:
-        _telemetry.inc("cudasim.fastpath.hits", kernel=lk.name)
+    with _telemetry.span("cudasim.fastpath.compile", kernel=lk.name):
+        program = _build_program(lk, dev)
+    _telemetry.inc("cudasim.fastpath.misses", kernel=lk.name)
     return program
 
 
@@ -1146,16 +1059,13 @@ class FastSMExecutor(SMExecutor):
 
     def __init__(self, *args, gang=(), **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        toolchain = type(self.policy).__name__
-        # The program is looked up once per kernel × device × toolchain
-        # (hashing the IR for the kernel-cache key costs as much as a
-        # small SM run); its bound step sets are recycled, and acquired
-        # by a run, so a gang's followers hold none.
-        key = (self.device, toolchain)
-        program = self.plan.programs.get(key)
+        # One program per kernel × device timing; its bound step sets
+        # are recycled, and acquired by a run, so a gang's followers
+        # hold none.
+        program = self.plan.programs.get(self.device)
         if program is None:
-            program = self.plan.programs[key] = compile_fastpath(
-                self.lk, self.device, toolchain=toolchain
+            program = self.plan.programs[self.device] = compile_fastpath(
+                self.lk, self.device
             )
         self._program = program
         self._ends = program.ends

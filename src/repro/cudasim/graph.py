@@ -43,10 +43,10 @@ by simulated cycles, waits jump to the waited event's re-fired cycle),
 so replays are bit-identical to op-by-op execution — memory image,
 cycles, :class:`KernelStats` and profiler output — for every layout ×
 toolchain × fastpath mode.  A replay requires its streams
-idle (no in-flight FIFO entries) and raises :class:`StaleGraphError`
-when ``FASTPATH_GENERATION`` changed since ``instantiate()`` — the
-captured :class:`LoweredKernel` handles would otherwise launch stale
-codegen.
+idle (no in-flight FIFO entries).  A replayed launch goes through
+``Device.launch`` like any other, so it runs the program built from the
+captured :class:`LoweredKernel` in this process; nothing a graph holds
+can go stale.
 
 **Rebinding**: ops captured with ``tag=`` accept new parameters at
 replay — a new host array (or a ``{"ptr": ..., "data": ...}`` mapping,
@@ -68,12 +68,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..telemetry import runtime as _telemetry
-from . import fastpath as _fastpath
 from .errors import (
     GraphCaptureError,
     GraphError,
     GraphValidationError,
-    StaleGraphError,
     StreamError,
 )
 from .stream import Event, Stream
@@ -209,7 +207,6 @@ class LaunchGraph:
         self._recorded: dict[int, int] = {}  # id(event) -> op index
         self._by_tag: dict[str, GraphOp] = {}
         self._program: list | None = None
-        self._generation: int | None = None
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -390,7 +387,6 @@ class LaunchGraph:
                         f"{self.name!r}"
                     )
                 self._by_tag[op.tag] = op
-        self._generation = _fastpath.FASTPATH_GENERATION
         self._program = [self._freeze(op) for op in self.ops]
         self.state = "ready"
         return self
@@ -529,12 +525,6 @@ class LaunchGraph:
             raise GraphError(
                 f"graph {self.name!r} is {self.state}; instantiate() it "
                 "before replay()"
-            )
-        if self._generation != _fastpath.FASTPATH_GENERATION:
-            raise StaleGraphError(
-                f"graph {self.name!r} was instantiated under fastpath "
-                f"generation {self._generation}, device is now at "
-                f"{_fastpath.FASTPATH_GENERATION}; re-capture the graph"
             )
         for s in self.streams:
             if s._closed:

@@ -202,10 +202,16 @@ class CacheStats:
 class KernelCache:
     """Bounded LRU map from compile keys to :class:`LoweredKernel`.
 
+    It holds compiled kernels only, so its hits and misses count
+    compilations; the fast path's programs live on each kernel's
+    :class:`~repro.cudasim.executor.KernelPlan` and are never cached
+    here or on disk.
+
     ``persist_dir`` enables the on-disk layer: every stored entry is also
     pickled to ``<persist_dir>/<key>.lk`` and missing in-memory entries
-    are re-read from there (a *disk hit* still counts as a hit).  Corrupt
-    or unreadable files fall back to recompilation.
+    are re-read from there (a *disk hit* still counts as a hit).  A file
+    that cannot be read or unpickled — truncated, corrupt, or written by
+    a newer Python or another build — is a miss and is recompiled.
     """
 
     def __init__(
@@ -264,26 +270,6 @@ class KernelCache:
         _telemetry.inc("cudasim.kernel_cache.misses", kernel=kernel.name)
         return lk
 
-    def get_or_build(self, key: str, build: Callable[[], object]):
-        """Memoize an arbitrary compiled artifact under a caller-made key.
-
-        The generic sibling of :meth:`get_or_compile` used by the
-        executor fastpath for its codegen'd programs.  Entries share the
-        LRU budget and hit/miss counters but never touch the disk layer:
-        ``exec``-built module objects are not picklable.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return entry
-        entry = build()
-        with self._lock:
-            self.stats.misses += 1
-            self._put_locked(key, entry, spill=False)
-        return entry
-
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
@@ -309,7 +295,7 @@ class KernelCache:
         try:
             with open(self._disk_path(key), "rb") as fh:
                 return pickle.load(fh)
-        except (OSError, pickle.PickleError, EOFError, AttributeError):
+        except Exception:  # unpickling can raise nearly anything
             return None
 
     def _store_disk(self, key: str, lk) -> None:

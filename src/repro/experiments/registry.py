@@ -300,8 +300,8 @@ def main(argv: list[str] | None = None) -> int:
 
         cs = default_cache().stats
         print(
-            f"kernel cache: {cs.hits} hits / {cs.misses} misses "
-            f"({100 * cs.hit_rate:.0f}% hit rate)",
+            f"kernel cache: {cs.hits} hits / {cs.misses} misses of "
+            f"compiled kernels ({100 * cs.hit_rate:.0f}% hit rate)",
             file=human,
         )
     if args.profile:

@@ -28,6 +28,7 @@ from repro import telemetry
 from repro.cudasim import (
     BlockPool,
     Device,
+    DeviceGroup,
     KernelBuilder,
     compile_kernel,
     profiler,
@@ -49,7 +50,6 @@ from repro.cudasim.fastpath import (
     fastpath_enabled,
     fastpath_mode,
     generate_program,
-    program_key,
     reset_vec_counters,
     vec_counters,
 )
@@ -1522,20 +1522,46 @@ class TestCfg:
 
 
 class TestCodegenCache:
-    def test_program_key_stable_and_toolchain_sensitive(self):
-        lk, _ = _lowered()
-        k1 = program_key(lk, G8800GTX, Toolchain.CUDA_1_0)
-        k2 = program_key(lk, G8800GTX, Toolchain.CUDA_1_0)
-        k3 = program_key(lk, G8800GTX, Toolchain.CUDA_2_2)
-        assert k1 == k2
-        assert k1 != k3
+    def test_one_program_per_kernel(self, monkeypatch):
+        """A program depends on the kernel and the device timing only:
+        launches on both toolchains and on two members of a device group
+        share one, compiled once, and the second member's launch of the
+        same geometry finds every replay plan already built."""
+        import repro.cudasim.fastpath as fastpath_mod
 
-    def test_compile_fastpath_memoizes(self):
-        lk, _ = _lowered()
-        cache = KernelCache()
-        p1 = compile_fastpath(lk, G8800GTX, Toolchain.CUDA_1_0, cache=cache)
-        p2 = compile_fastpath(lk, G8800GTX, Toolchain.CUDA_1_0, cache=cache)
-        assert p1 is p2
+        builds = []
+
+        def counted(*args):
+            builds.append(args)
+            return compile_fastpath(*args)
+
+        monkeypatch.setattr(fastpath_mod, "compile_fastpath", counted)
+        kernel = _rebind_kernel()
+        lk = compile_kernel(kernel, cache=None)
+        group = DeviceGroup(2, cache=None, heap_bytes=1 << 20, fastpath=2)
+        devices = [
+            Device(
+                toolchain=toolchain, cache=None, heap_bytes=1 << 20,
+                fastpath=2,
+            )
+            for toolchain in (Toolchain.CUDA_1_0, Toolchain.CUDA_2_2)
+        ] + list(group)
+        plans = []
+        for dev in devices:
+            reference = Device(
+                toolchain=dev.toolchain, fastpath=0, cache=None,
+                heap_bytes=1 << 20,
+            )
+            _assert_identical(
+                _rebind_on(reference, compile_kernel(kernel, cache=None)),
+                _rebind_on(dev, lk),
+            )
+            (program,) = lk.exec_plan.programs.values()
+            plans.append(len(program.vmeta))
+        assert len(builds) == 1
+        assert list(lk.exec_plan.programs) == [G8800GTX]
+        assert plans[2] > 0
+        assert plans[3] == plans[2]
 
     def test_codegen_templates_deduplicate(self):
         """Unrolled kernels repeat instruction shapes: every fusible pc
@@ -1646,6 +1672,10 @@ def _rebind_kernel():
 
 def _rebind_launch(lk, mode, grid, block, scale, bias):
     dev = Device(fastpath=mode, cache=KernelCache(), heap_bytes=1 << 20)
+    return _rebind_on(dev, lk, grid, block, scale, bias)
+
+
+def _rebind_on(dev, lk, grid=3, block=64, scale=2.0, bias=1.0):
     words = grid * block
     dst = dev.malloc(4 * words)
     result = dev.launch(
@@ -1658,16 +1688,6 @@ def _rebind_launch(lk, mode, grid, block, scale, bias):
         result.cycles,
         result.stats.as_dict(),
     )
-
-
-@pytest.fixture
-def _fresh_default_cache():
-    """Fast-path programs live in the process-default kernel cache."""
-    from repro.cudasim.kernel_cache import set_default_cache
-
-    previous = set_default_cache(KernelCache())
-    yield
-    set_default_cache(previous)
 
 
 class TestKernelPlan:
@@ -1688,7 +1708,7 @@ class TestKernelPlan:
             _assert_identical(reference, _rebind_launch(shared, mode, *launch))
         assert shared.exec_plan is not None
 
-    def test_state_built_once(self, monkeypatch, _fresh_default_cache):
+    def test_state_built_once(self, monkeypatch):
         import repro.cudasim.executor as executor_mod
         import repro.cudasim.fastpath as fastpath_mod
 
@@ -1767,9 +1787,7 @@ class TestKernelPlan:
         for want, have in zip(expected, got):
             _assert_identical(want, have)
 
-    def test_concurrent_compiles_keep_programs_apart(
-        self, _fresh_default_cache
-    ):
+    def test_concurrent_compiles_keep_programs_apart(self):
         """Two threads compile and launch *different* kernels at once:
         each program's bind tables must stay with that program, so every
         result still equals its interpreter reference."""

@@ -22,10 +22,8 @@ from repro.cudasim import (
     GraphValidationError,
     KernelBuilder,
     LaunchGraph,
-    StaleGraphError,
     StreamError,
 )
-from repro.cudasim import fastpath as _fastpath
 from repro.gravit import GpuConfig, plummer
 from repro.gravit.gpu_driver import (
     GpuSimulation,
@@ -323,20 +321,6 @@ class TestReplay:
             "kernel": {"x": nbx, "y": nby},
         })
         assert np.array_equal(dev.memcpy_dtoh(nby, N), 2 * y)
-        s.close()
-
-    def test_fastpath_generation_bump_invalidates(self, dev, rig, monkeypatch):
-        """Edge case: a FASTPATH_GENERATION bump means the captured
-        LoweredKernel handles reference stale codegen — replay must
-        refuse with StaleGraphError, not silently launch."""
-        graph, s = capture_scale(dev, rig)
-        graph.replay()
-        monkeypatch.setattr(
-            _fastpath, "FASTPATH_GENERATION",
-            _fastpath.FASTPATH_GENERATION + 1,
-        )
-        with pytest.raises(StaleGraphError, match="re-capture"):
-            graph.replay()
         s.close()
 
     def test_replay_requires_idle_streams(self, dev, rig):

@@ -158,11 +158,22 @@ class TestCacheBehavior:
         assert second.stats.disk_hits == 1 and second.stats.misses == 0
         assert lk.reg_count >= 1
 
-    def test_corrupt_disk_entry_falls_back_to_compile(self, tmp_path):
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"not a pickle",
+            b"\x80\x09",  # a protocol a newer Python wrote
+            b"cno_such_module_for_repro\nThing\n.",  # a missing module
+        ],
+        ids=["garbage", "future-protocol", "missing-module"],
+    )
+    def test_corrupt_disk_entry_falls_back_to_compile(
+        self, tmp_path, payload
+    ):
         k = make_kernel()
         cache = KernelCache(persist_dir=str(tmp_path))
         key = cache.key(k, CompileOptions(), None)
-        (tmp_path / f"{key}.lk").write_bytes(b"not a pickle")
+        (tmp_path / f"{key}.lk").write_bytes(payload)
         lk = cache.get_or_compile(k, CompileOptions(), lower_kernel)
         assert cache.stats.misses == 1
         assert lk.reg_count >= 1
