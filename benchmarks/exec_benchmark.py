@@ -15,7 +15,7 @@ is timed under the compiled mode only — the interpreter needs minutes
 per repeat there, which is exactly the affordability problem the
 vectorized executor solves.  The compiled runs also report scheduler
 shape: warps per vector dispatch, the fraction of warp-stretches that
-fell back to the per-warp path, and the per-row leftover events and
+fell back to the per-warp path, and the steps of one-row runs and the
 validated shared loads per vectorized warp-instruction.
 
 Every mode is bit-identical to the interpreter by construction
@@ -61,9 +61,9 @@ def _best_of(fn, repeats: int) -> float:
 def _vec_shape(counters: dict) -> dict:
     """Scheduler shape of the vectorized executor from its counters.
 
-    The row fractions are per vectorized warp-instruction: per-row
-    leftover events and per-row validated shared loads, the work the
-    replay's run events leave to scalar per-warp execution."""
+    The row fractions are per vectorized warp-instruction: steps of
+    one-row runs and per-row validated shared loads, the work the
+    replay's plan runs one warp row at a time."""
     dispatches = counters.get("dispatches", 0)
     warps = counters.get("warps", 0)
     fallbacks = counters.get("fallbacks", 0)

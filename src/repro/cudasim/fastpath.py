@@ -37,11 +37,11 @@ overhead without perturbing a single simulated cycle:
    counts are written by the caller.  Warps sitting at the same pc of
    the same basic block are *batched*: the cross-warp scheduler runs one
    step over all of their rows, and writes the marks and counts once per
-   run of steps.  What it leaves over — the replay's leftover events and
-   the straight-line stretches of a warp that is the only one ready,
-   run by a fused driver inlined in :meth:`FastSMExecutor._run` that
+   run of steps, a row alone at its pc being a run of one row.  The
+   straight-line stretches of a warp that is the only one ready run
+   through a fused driver inlined in :meth:`FastSMExecutor._run` that
    replays the interpreter's exact stall/idle accounting while other
-   warps sleep — runs the same templates on the warp's one arena row.
+   warps sleep, with the same templates on the warp's one arena row.
    Divergence, barriers and per-warp-divergent scoreboard timing fall
    back to that per-warp path; :func:`vec_counters` counts every
    fallback and abort by reason.
@@ -94,22 +94,26 @@ every active lane then reads the same words, a broadcast that costs
 exactly that, and the window holds no stores, so it is as
 state-invisible as an ALU op and needs no check.  Within each segment
 between validated events, range groups (the rows at one pc, per
-maximal range of at least two consecutive rows; static loads also at
-one address, each row reading its own block) fold into stacked steps
-over their rows, and the groups of one row range become one *run
-event*: its steps execute back to back over those rows (a static load
-as one read of a stacked view of the rows' shared memory), then one
-precomputed ``(rows, k)`` offset array writes every scoreboard mark
-the run leaves behind and its issue and lane counts are added at
-once.  So resident blocks that run out of phase fold block by block.
+maximal range of consecutive rows, a lone row included; static loads
+also at one address, each row reading its own block) fold into
+stacked steps over their rows, and the groups of one row range become
+one *run event*: its steps execute back to back over those rows (a
+static load as one read of a stacked view of the rows' shared
+memory), then one precomputed ``(rows, k)`` offset array writes every
+scoreboard mark the run leaves behind and its issue and lane counts
+are added at once.  So resident blocks that run out of phase fold
+block by block.  A plan holds run events and validated events only.
 The other loads are validated, and so are branches, scheduled
 under a static direction assumption (backward/unconditional taken,
 forward predicated fall-through): at dispatch each such event is
 either proven by a cheap vectorized check (whole-warp broadcast load,
 uniform predicate) or executed through the real ``_issue``, and any
 deviation — cost, direction, or a mask rebind from divergence —
-aborts the window via a per-event snapshot that restores warp clocks,
-pcs and the exact stall/idle attribution of the prefix.  Mixed
+aborts the window.  Every validated event carries the replay's state
+as of its issue, and one routine (:meth:`FastSMExecutor._vend`) ends
+every window from such a state, at an abort or at the plan's cut: it
+restores warp clocks, pcs and the exact stall/idle attribution of the
+prefix.  Mixed
 resident blocks whose divergence stacks reach into the window's
 visited pc range fall back before dispatch.  The plan also
 records each idle advance of its schedule with the rows that can win
@@ -182,7 +186,6 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from operator import itemgetter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -197,11 +200,6 @@ from .executor import STACKED_OPS, WARP, BlockState, SMExecutor, WarpState
 from .isa import ISSUE_CLASS, SFU_OPS, Imm, Op, Param, Reg, Special, SReg
 from .lower import LoweredKernel
 from .memory import SharedMemory
-
-#: Sort key for segment folding: the event's pc, then its row.
-_EV_PC_ROW = itemgetter(2, 1)
-#: An event's issue offset.
-_EV_T = itemgetter(3)
 
 __all__ = [
     "FASTPATH_ENV",
@@ -900,8 +898,8 @@ _VEC_COUNTERS = {
     **dict.fromkeys(FALLBACK_REASONS, 0),
     "abort_cost": 0,  # replay aborted: shared-load cost mismatch
     "abort_branch": 0,  # replay aborted: branch direction or divergence
-    "masked_runs": 0,  # run events executed under a partial lane mask
-    "row_events": 0,  # per-row leftover events the dispatches ran
+    "masked_runs": 0,  # multi-row run events under a partial lane mask
+    "row_events": 0,  # steps of one-row runs the dispatches ran
     "row_loads": 0,  # per-row validated shared loads, inline or _issue
     "gang_members": 0,  # SM runs that ran in a gang of two or more
     "gang_splits": 0,  # members that left a gang before it finished
@@ -927,11 +925,10 @@ def reset_vec_counters() -> None:
 
 
 def _vread(reads: tuple, R: list, S: np.ndarray, act) -> None:
-    """Static shared loads of a stack of rows (a run's group, or one
-    row's leftover): each ``(dst slot, word)`` writes ``S[word]`` — the
-    ``(rows, 1)`` column of each row's own block word in a stacked
-    shared view (see :meth:`FastSMExecutor._vshared`) — across the rows'
-    active lanes."""
+    """Static shared loads of a run's rows: each ``(dst slot, word)``
+    writes ``S[word]`` — the ``(rows, 1)`` column of each row's own
+    block word in a stacked shared view (see
+    :meth:`FastSMExecutor._vshared`) — across the rows' active lanes."""
     if act is True:
         for d, w in reads:
             R[d][...] = S[w]
@@ -944,7 +941,9 @@ class _Run:
     """Run event of a replay plan: the range groups of one row range
     ``rows = (a, b)`` that a segment folds together (see
     :meth:`FastSMExecutor._vreplay`), executed as back-to-back stacked
-    steps over the bucket's rows ``a`` to ``b − 1``.
+    steps over the bucket's rows ``a`` to ``b − 1``.  A row alone at its
+    pc forms a *one-row* run (``b = a + 1``), whose steps the dispatcher
+    counts as per-row work (``row_events``).
 
     ``pcs`` are the steps in plan order: fusible ALU steps and static
     shared loads.  ``loads`` gives each step's ``(dst slot, word
@@ -1280,18 +1279,21 @@ class FastSMExecutor(SMExecutor):
         dispatcher reads).
 
         Returns ``None`` when the window is too small to be worth
-        dispatching, else ``(plan, kvec, pvec, qlo, qhi, cut, rr_pos,
-        stalls, idle, cols, thr2, nivec, total, gaps)``: the execution
-        plan (run events of stacked steps and static loads over row
-        ranges, per-row leftover events, validated loads and branch
+        dispatching, else ``(plan, qlo, qhi, cut, rr_pos, cols, thr2,
+        gaps, state)``: the execution plan (run events of stacked steps
+        and static loads over row ranges, validated loads and branch
         validations, in schedule order up to the reordering of disjoint
-        rows inside a segment), per-row instruction
-        counts, per-row final pcs, per-row visited pc ranges, the
-        port-free cut offset, the ring cursor at the cut, closed-form
-        stall/idle charges, the pre-window threshold arrays, per-row
-        next-issue offsets, the issue total and the idle-advance
-        records (``None`` when there are none).  All offsets are exact dyadic rationals, so the float
-        arithmetic is association-free.
+        rows inside a segment), per-row visited pc ranges, the port-free
+        cut offset, the ring cursor at the cut, the pre-window threshold
+        arrays, the idle-advance records (``None`` when there are none)
+        and the window's end state.  A *state* is ``(stalls, idle,
+        ngaps, k, ni, p)``: the stall and idle charges and idle-advance
+        count so far, and per row its issue count, next-issue offset and
+        next pc (the last two meaningful only for rows that issued).
+        Every validated event carries the state as of its own issue, so
+        the dispatcher ends a window after any event or at the cut
+        through one routine (:meth:`_vend`).  All offsets are exact
+        dyadic rationals, so the float arithmetic is association-free.
         """
         prog = self._program
         W = len(dkey)
@@ -1314,7 +1316,10 @@ class FastSMExecutor(SMExecutor):
         wrow: list[dict] = [{} for _ in range(W)]  # in-window completions
         threc: list[dict] = [{} for _ in range(W)]  # pre-window first reads
         cst: list[dict] = [{} for _ in range(W)]  # in-window constant regs
-        ev: list[tuple] = []  # events in schedule order
+        plan: list[tuple] = []
+        # Fusible events since the last validated one: ``(pc, row, t,
+        # reads)``, ``reads`` ``None`` for an ALU op.
+        seg: list[tuple] = []
         gaps: list[float] = []  # idle-advance records, packed
         ngaps = 0
         stalls = 0
@@ -1327,6 +1332,58 @@ class FastSMExecutor(SMExecutor):
                 # wake, which every scan time strictly exceeds when the
                 # row was already ready, so the first reach cuts.
                 fin[m] = True
+
+        # The plan folds the schedule as it is made.  Within a *segment*
+        # — a maximal run of fusible events (ALU ops and static shared
+        # loads) between validated events (other loads, branches) —
+        # execution order across rows is state-invisible: registers are
+        # warp-private, the window has no stores so shared memory is
+        # frozen, and each event keeps its own scheduled time.  Per-row
+        # order is preserved because a segment contains no back-edge,
+        # so each row's pcs strictly increase and sorting by pc keeps
+        # them in program order.  So sort each segment by pc, then row,
+        # and fold every *range group* — a maximal range of consecutive
+        # rows at one pc, static loads also at one word index (each row
+        # reading its own block) — into one stacked step over those
+        # rows.  Groups over one range merge into one run event (see
+        # :class:`_Run`): the next group of a range joins its range's
+        # run unless some item placed after that run touches one of its
+        # rows.  Moving a group up past items on other rows only
+        # reorders events of disjoint rows inside one segment, which
+        # commute.  Folds never cross a validated event: everything
+        # before it in the plan is also before it in schedule time,
+        # which is what makes a mid-window abort exact.
+        def flush_seg() -> None:
+            # Open runs' groups by row range, pairwise disjoint: an item
+            # on rows [a, b) closes every open run it overlaps.
+            live: dict[tuple, list] = {}
+            first = len(plan)
+            seg.sort()  # by pc, then row: the pair is unique
+            ns = len(seg)
+            j = 0
+            while j < ns:
+                q, a, _, reads = seg[j]
+                b = a + 1
+                jj = j + 1
+                while jj < ns:
+                    f = seg[jj]
+                    if f[0] != q or f[1] != b or f[3] != reads:
+                        break
+                    b += 1
+                    jj += 1
+                groups = live.pop((a, b), None)
+                if live:
+                    for rng in [r for r in live if r[0] < b and a < r[1]]:
+                        del live[rng]
+                if groups is None:
+                    groups = []
+                    plan.append((groups, a, b))
+                live[a, b] = groups
+                groups.append((reads, q, tuple(f[2] for f in seg[j:jj])))
+                j = jj
+            # The segment's runs are complete.
+            plan[first:] = [(2, _Run(*r)) for r in plan[first:]]
+            seg.clear()
 
         def issue(pos: int, t: float) -> float:
             """Issue row ``pos``'s next instruction at ``t``; return cost."""
@@ -1341,8 +1398,9 @@ class FastSMExecutor(SMExecutor):
                 for r in deps[q]:
                     if r not in wr and r not in th:
                         th[r] = t
+            kind = 0  # fusible; 1 validated load, 3 validated branch
             if c is not None:
-                ev.append((0, pos, q, t, c))
+                seg.append((q, pos, t, None))
                 w = dst[q]
                 if w >= 0:
                     wr[w] = t + lats[q]
@@ -1354,9 +1412,7 @@ class FastSMExecutor(SMExecutor):
                     # Shared load: constant latency, conflict-free cost.
                     # A static one (see the docstring) is a fusible
                     # event with its ``(dst slot, word)`` reads; any
-                    # other is validated, so the prefix of committed
-                    # charges and gaps rides along for the dispatcher's
-                    # mid-window abort.
+                    # other is validated.
                     base = cst[pos].get(aslot)
                     addr = -1 if base is None else int(base) + off
                     if (
@@ -1366,19 +1422,18 @@ class FastSMExecutor(SMExecutor):
                     ):
                         w0 = addr >> 2
                         reads = tuple(zip(dsts, range(w0, w0 + len(dsts))))
-                        ev.append((4, pos, q, t, c, reads))
+                        seg.append((q, pos, t, reads))
                     else:
-                        ev.append((1, pos, q, t, c, stalls, idle, ngaps))
+                        kind = 1
                     done = t + lat
                     for w in dsts:
                         wr[w] = done
                     nxt = q + 1
                 else:
                     # Branch under a direction assumption; validated by
-                    # the dispatcher, so it carries the charge and gap
-                    # prefix for an exact abort on mismatch.
+                    # the dispatcher.
                     tgt, _pi, _ng, taken, c = bra[q]
-                    ev.append((3, pos, q, t, c, stalls, idle, ngaps))
+                    kind = 3
                     nxt = tgt if taken else q + 1
             slots, cv, src = regw[q]
             if slots:
@@ -1403,6 +1458,14 @@ class FastSMExecutor(SMExecutor):
             p[pos] = nxt
             end = t + c
             ni[pos] = end
+            if kind:
+                # A validated event closes the segment before it, and
+                # carries the state as of its issue for an exact abort.
+                flush_seg()
+                plan.append((
+                    kind, pos, q, t, c,
+                    (stalls, idle, ngaps, tuple(k), tuple(ni), tuple(p)),
+                ))
             if (
                 costs[nxt] is not None
                 or mem[nxt] is not None
@@ -1487,115 +1550,7 @@ class FastSMExecutor(SMExecutor):
         rr_pos = cur
         if total < 2:
             return None  # nothing beyond the forced first issue
-        # Fold the schedule into an execution plan.  Within a *segment*
-        # — a maximal run of fusible events (ALU ops and static shared
-        # loads) between validated events (other loads, branches) —
-        # execution order across rows is state-invisible: registers are
-        # warp-private, the window has no stores so shared memory is
-        # frozen, and each event keeps its own scheduled time.  Per-row
-        # order is preserved because a segment contains no back-edge,
-        # so each row's pcs strictly increase and sorting by pc keeps
-        # them in program order.  So sort each segment by pc, then row,
-        # and fold every *range group* — a maximal range of at least two
-        # consecutive rows at one pc, static loads also at one word index
-        # (each row reading its own block) — into one stacked step over
-        # those rows; rows left alone stay scalar leftovers.  Groups over
-        # one range merge into one run event (see :class:`_Run`): the
-        # next group of a range joins its range's run unless some item
-        # placed after that run touches one of its rows.  Moving a group
-        # up past items on other rows only reorders events of disjoint
-        # rows inside one segment, which commute.  Folds never cross a
-        # validated event: everything before it in the plan is also
-        # before it in schedule time, which is what makes a mid-window
-        # abort exact.
-        plan: list[tuple] = []
-        seg: list[tuple] = []
-
-        def flush_seg() -> None:
-            # Open runs by row range, pairwise disjoint: an item on rows
-            # [a, b) closes every open run it overlaps.
-            live: dict[tuple, list] = {}
-            seg.sort(key=_EV_PC_ROW)
-            ns = len(seg)
-            j = 0
-            while j < ns:
-                e = seg[j]
-                q, a = e[2], e[1]
-                reads = e[5] if e[0] == 4 else None
-                b = a + 1
-                jj = j + 1
-                while jj < ns:
-                    f = seg[jj]
-                    if f[2] != q or f[1] != b or (
-                        reads is not None and f[5] != reads
-                    ):
-                        break
-                    b += 1
-                    jj += 1
-                groups = live.pop((a, b), None)
-                if live:
-                    for rng in [r for r in live if r[0] < b and a < r[1]]:
-                        del live[rng]
-                if b - a < 2:
-                    plan.append(e)
-                else:
-                    if groups is None:
-                        groups = []
-                        plan.append((2, a, b, groups))
-                    live[a, b] = groups
-                    groups.append((reads, q, tuple(map(_EV_T, seg[j:jj]))))
-                j = jj
-            seg.clear()
-
-        # Per-row abort snapshots: every validated event carries the
-        # per-row (issue count, next-issue offset, next pc) state as of
-        # its own completion, so an abort rebuilds rows in O(W) instead
-        # of replaying the plan prefix.
-        kr = [0] * W
-        lr = list(dkey)
-        pr = list(pcs)
-        for e in ev:
-            if e[0] == 0 or e[0] == 4:
-                seg.append(e)
-            else:
-                flush_seg()
-                plan.append(e)
         flush_seg()
-        # Second pass: walk the folded plan once to attach snapshots and
-        # build the run events.
-        plan2: list[tuple] = []
-        for e in plan:
-            kind = e[0]
-            if kind == 2:
-                # Every group covers every row of the range, so the last
-                # one is each row's last event of the run.
-                _, a, b, groups = e
-                reads, q, tv = groups[-1]
-                c = costs[q] if reads is None else mem[q][0]
-                for m in range(a, b):
-                    kr[m] += len(groups)
-                    lr[m] = tv[m - a] + c
-                    pr[m] = q + 1
-                plan2.append((2, _Run(groups, a, b)))
-            elif kind == 0 or kind == 4:
-                m = e[1]
-                kr[m] += 1
-                lr[m] = e[3] + e[4]
-                pr[m] = e[2] + 1
-                plan2.append(e)
-            else:
-                m = e[1]
-                q = e[2]
-                kr[m] += 1
-                lr[m] = e[3] + e[4]
-                if kind == 3:
-                    tgt, _pi, _ng, taken, _c = bra[q]
-                    pr[m] = tgt if taken else q + 1
-                else:
-                    pr[m] = q + 1
-                plan2.append(
-                    e + ((tuple(kr), tuple(lr), tuple(pr)),)
-                )
         regs = sorted(set().union(*(th.keys() for th in threc)))
         if regs:
             cols = np.array(regs, dtype=np.intp)
@@ -1609,20 +1564,15 @@ class FastSMExecutor(SMExecutor):
         else:
             cols = thr2 = None
         return (
-            tuple(plan2),
-            tuple(k),
-            tuple(p),
+            tuple(plan),
             tuple(qlo),
             tuple(qhi),
             cut,
             rr_pos,
-            stalls,
-            idle,
             cols,
             thr2,
-            tuple(ni),
-            total,
             np.array(gaps, dtype=_F64) if gaps else None,
+            (stalls, idle, ngaps, tuple(k), tuple(ni), tuple(p)),
         )
 
     def _vdispatch_replay(
@@ -1638,15 +1588,14 @@ class FastSMExecutor(SMExecutor):
         The bucket is every countable warp — at *any* pc — and the
         schedule comes from :meth:`_vreplay` keyed by the bucket's exact
         entry pcs and wake pattern, so staggered, reordered and mixed-pc
-        groups vectorize.  Aligned stretches of the whole bucket or of a
-        range of its rows, static shared loads included, run as stacked
-        numpy steps over those rows; everything else replays
-        scalar in schedule order, validated loads inline or through the
-        interpreter's own ``_issue`` at their scheduled times.  Stall
-        and idle charges come from the replay's closed forms; with the
-        profiler on, so do the idle gaps, and the inlined paths add the
-        counters ``_issue`` would.  Every decision is the same with the
-        profiler on or off.
+        groups vectorize.  Run events, static shared loads included,
+        execute as stacked numpy steps over their row ranges (one row or
+        more); validated loads and branches replay in schedule order,
+        inline or through the interpreter's own ``_issue`` at their
+        scheduled times.  Stall and idle charges come from the replay's
+        closed forms; with the profiler on, so do the idle gaps, and the
+        inlined paths add the counters ``_issue`` would.  Every decision
+        is the same with the profiler on or off.
         """
         prog = self._program
         n = len(warps)
@@ -1678,10 +1627,10 @@ class FastSMExecutor(SMExecutor):
             meta = vrmeta[key] = self._vreplay(pcs, k0, dkey)
         if meta is None:
             return self._vfallback("fallback_no_plan")
-        (plan, kvec, pvec, qlovec, qhivec, cut, rr_pos, stalls, idle,
-         cols, thr2, nivec, total, gaps) = meta
+        plan, qlovec, qhivec, cut, rr_pos, cols, thr2, gaps, state = meta
+        kvec = state[3]
         hi2 = hi + 1
-        _, _, pend, _, _, pend3 = self._vrows(lo, hi2)
+        pend3 = self._vrows(lo, hi2)[5]
         # Every member's scoreboard equals the leader's (its rows are
         # member 0 of each warp), so the leader's rows decide.
         if cols is not None and not (pend3[:, 0, cols] <= now + thr2).all():
@@ -1749,18 +1698,15 @@ class FastSMExecutor(SMExecutor):
         # its stacked shared view, from its first static load on.
         ranges: dict[tuple, tuple] = {}
         shared: dict[tuple, np.ndarray] = {}
-        # Each warp's own views (all of its members), for its leftover
-        # events.
-        rows = [self._vrows(j, j + 1) for j in range(lo, hi2)]
+        # Each warp's predicate rows (all of its members), for branches.
+        preds = [self._vrows(j, j + 1)[1] for j in range(lo, hi2)]
         issue_one = self._issue_at
         mem = prog.mem
         bra = prog.bra
-        lats = prog.lats
-        writes = prog.writes
         cnt = self._cnt
         lanes_acc = self._lanes_acc
-        nev = nld = 0  # per-row leftover events, validated loads
-        abort = None
+        why = self._vwhy
+        nev = nld = 0  # steps of one-row runs, validated loads
         for e in plan:
             kind = e[0]
             if kind == 2:
@@ -1808,101 +1754,49 @@ class FastSMExecutor(SMExecutor):
                     cnt[q] += nr
                 for q in run.plain:
                     lanes_acc[q] += nlr
-                if not full:
-                    self._vwhy["masked_runs"] += M
+                if nr == 1:
+                    nev += len(run.pcs)
+                elif not full:
+                    why["masked_runs"] += M
                 if prof is not None:
                     for q, extra in run.conf:
                         prof.bank_conflicts[q] += extra
-            elif kind == 0:
-                # Leftover event: one row's step at its issue time, then
-                # the bookkeeping a run event does for its rows.
-                nev += 1
-                m = e[1]
-                q = e[2]
-                t = now + e[3]
-                na = nas[m]
-                R1, P1, _, tid1, cta1, _ = rows[m]
-                got = vsteps[q](
-                    R1, P1, tid1, cta1, True if na == WARP else acts[m], t
-                )
-                w = writes[q]
-                if w >= 0:
-                    if gang:
-                        pend3[m, :, w] = t + lats[q]
-                    else:
-                        pend[m, w] = t + lats[q]
-                cnt[q] += 1
-                if got is None:
-                    lanes_acc[q] += na
-                else:
-                    self._pred_lanes(q, got)
-            elif kind == 4:
-                # Static load left out of a group: the same read for its
-                # one row, from its own block.
-                nev += 1
-                m = e[1]
-                q = e[2]
-                reads = e[5]
-                na = nas[m]
-                _vread(
-                    reads,
-                    rows[m][0],
-                    self._vshared(warps, lo + m, lo + m + 1),
-                    True if na == WARP else acts[m],
-                )
-                tl = now + e[3] + mem[q][1]
-                for d, _ in reads:
-                    pend3[m, :, d] = tl
-                cnt[q] += 1
-                lanes_acc[q] += na
-                if prof is not None and len(reads) > 1:
-                    prof.bank_conflicts[q] += len(reads) - 1
-            elif kind == 3:
-                m = e[1]
-                q = e[2]
+                continue
+            m = e[1]
+            q = e[2]
+            wp = warps[lo + m]
+            t = now + e[3]
+            if kind == 3:
                 tgt, pi, neg, taken, _c = bra[q]
                 if pi < 0:
                     # Unconditional: the interpreter always jumps.
                     cnt[q] += 1
                     lanes_acc[q] += nas[m]
                     continue
-                wp = warps[lo + m]
-                ok = False
                 if nas[m] == WARP:
                     # Fully active warp: the assumption holds iff the
-                    # predicate is uniform in the assumed direction, in
-                    # every member's row.
-                    prow = rows[m][1][pi]
-                    if neg:
-                        ok = (not prow.any()) if taken else prow.all()
-                    else:
-                        ok = prow.all() if taken else (not prow.any())
-                if ok:
-                    cnt[q] += 1
-                    lanes_acc[q] += nas[m]
-                    continue
+                    # predicate is uniform in the assumed direction in
+                    # every member's row: all false when a negated guard
+                    # is taken or a plain one falls through, else all
+                    # true.
+                    prow = preds[m][pi]
+                    if (not prow.any()) if neg == taken else prow.all():
+                        cnt[q] += 1
+                        lanes_acc[q] += WARP
+                        continue
                 # Partial mask or assumption miss: run the real branch.
                 # It may still match (uniform over a partial mask) —
                 # anything else ends the window exactly here with the
                 # real outcome already applied.
-                t = now + e[3]
                 end = issue_one(wp, q, t)
-                if (
+                miss = (
                     end != t + e[4]
                     or wp.pc != (tgt if taken else q + 1)
                     or wp.active is not acts[m]
-                ):
-                    abort = (end, e, "abort_branch", M)
-                    break
-                if self._split_at:
-                    abort = (end, e, "abort_branch", len(self._split_at))
-                    break
+                )
+                reason = "abort_branch"
             else:
                 nld += 1
-                m = e[1]
-                wp = warps[lo + m]
-                t = now + e[3]
-                q = e[2]
                 # Inlined execution of the dominant shared-load shape —
                 # register base, fully active warp, whole-warp broadcast
                 # address, aligned and in bounds.  Broadcast degree is
@@ -1944,130 +1838,105 @@ class FastSMExecutor(SMExecutor):
                             prof.bank_conflicts[q] += nw - 1
                         continue
                 end = issue_one(wp, q, t)
-                if end != t + e[4]:
-                    abort = (end, e, "abort_cost", M)
-                    break
-                if self._split_at:
-                    abort = (end, e, "abort_cost", len(self._split_at))
-                    break
-        why = self._vwhy
+                miss = end != t + e[4]
+                reason = "abort_cost"
+            # A miss aborts every member's window; a matching leader
+            # whose followers differ ends it for the leavers' sake.
+            if miss:
+                why[reason] += M
+            elif self._split_at:
+                why[reason] += len(self._split_at)
+            else:
+                continue
+            break
+        else:
+            e = None
         why["row_events"] += nev * M
         why["row_loads"] += nld * M
-        if abort is not None:
-            end, rr = self._vabort(warps, wake, lo, W, now, *abort, recs)
-            if self._split_at:
-                self._split(rr)
-            return end, rr
-        stats = self.stats
-        stats.scoreboard_stalls += stalls
-        stats.idle_cycles += idle
-        if recs:
-            for rec in recs:
-                prof.gap(*rec)
-        deps = prog.deps
-        for m in range(W):
-            if not kvec[m]:
-                continue
-            j = lo + m
-            wp = warps[j]
-            wp.pc = pc = pvec[m]
-            t = now + nivec[m]
-            wp.next_issue = t
-            for fw in wp._fol:
-                fw.pc = pc
-                fw.next_issue = t
-            pending = wp.pending
-            wk = t
-            for r in deps[wp.pc]:
-                v = pending[r]
-                if v > wk:
-                    wk = v
-            wake[j] = wk
-        self._vd += M
-        self._vw += W * M
-        self._vi += total * M
-        rr = lo + rr_pos if rr_pos < W else hi2 % n
-        return now + cut, rr
+        if e is None:
+            return self._vend(
+                warps, wake, lo, now, recs, state, rr_pos, now + cut
+            )
+        res = self._vend(
+            warps, wake, lo, now, recs, e[5], e[1] + 1, end, e[1]
+        )
+        if self._split_at:
+            self._split(res[1])
+        return res
 
-    def _vabort(
+    def _vend(
         self,
         warps: list[WarpState],
         wake: list[float],
         lo: int,
-        W: int,
         now: float,
-        end: float,
-        e: tuple,
-        reason: str,
-        nabort: int,
         recs: list | None,
+        state: tuple,
+        pos: int,
+        end: float,
+        m_ab: int = -1,
     ) -> tuple[float, int]:
-        """Exact mid-window abort on a validation mismatch (``reason``:
-        ``abort_cost`` or ``abort_branch``, counted ``nabort`` times:
-        once per gang member, or per leaving member when the leader's
-        outcome matched the plan; ``recs``: the classified gaps of a
-        profiled dispatch).
+        """End a dispatch window of the rows from ``lo`` at replay state
+        ``state`` (see :meth:`_vreplay`), either at the plan's cut or
+        right after a validated event; resume the main loop at ``end``
+        with the ring cursor at row ``pos``.  ``recs`` are the
+        classified gaps of a profiled dispatch.
 
-        A scheduled load hit a bank conflict (its real issue cost
-        exceeds the replay's conflict-free assumption) or a scheduled
-        branch went the other way or diverged — every later scheduled
-        event is invalid.  The executed prefix — the mismatching event
-        included — is exactly what the interpreter would have done (no
-        earlier decision depended on the outcome), so charge the
-        prefix's stall and idle accrual and emit its gaps, rebuild
-        pc/next-issue/wake for every row from the event's precomputed
-        snapshot (the aborted row keeps the pc ``_issue`` just applied —
-        the real branch outcome), and resume the main loop at the
-        event's real end with the cursor just past the aborting warp.
-
-        The same reconstruction ends a gang's window when some members'
-        outcome at a validated event differs from the leader's (see
+        A committed window ends at the cut with the plan's end state.  An
+        aborted one ends at the event whose real outcome differs from
+        the plan's — a scheduled load hit a bank conflict (its real issue
+        cost exceeds the replay's conflict-free assumption), or a
+        scheduled branch went the other way or diverged — so every later
+        scheduled event is invalid.  The executed prefix, the
+        mismatching event included, is exactly what the interpreter
+        would have done (no earlier decision depended on the outcome),
+        so the event's own state ends the window: its row ``m_ab`` keeps
+        the pc and next issue ``_issue`` just gave it (the real branch
+        outcome), at the real end, and the cursor lands just past it.
+        The same ends a gang's window when some members' outcome at a
+        validated event differs from the leader's (see
         :meth:`_gang_issue`): it is exact after *any* event, matched or
         not, so every member leaves the window in the interpreter's
         state, each aborting row keeping its own ``_issue`` result.
+
+        Either way the state's stall and idle charges are added, its
+        gaps are emitted, and every row that issued is placed at its
+        next pc and next-issue time, with its wake from the scoreboard.
         """
-        prog = self._program
+        stalls, idle, ngaps, ks, nis, pcs = state
         stats = self.stats
-        stats.scoreboard_stalls += e[5]
-        stats.idle_cycles += e[6]
+        stats.scoreboard_stalls += stalls
+        stats.idle_cycles += idle
         if recs:
-            for rec in recs[: e[7]]:
+            for rec in recs[:ngaps]:
                 self.profile.gap(*rec)
-        kpart, last, lastpc = e[8]
-        m_ab = e[1]
-        deps = prog.deps
-        ntot = 0
+        deps = self._program.deps
+        W = len(ks)
         for m in range(W):
-            km = kpart[m]
-            if not km:
+            if not ks[m]:
                 continue
-            ntot += km
             j = lo + m
             wp = warps[j]
-            if m != m_ab:
-                wp.pc = pc = lastpc[m]
-                t = now + last[m]
+            if m == m_ab:
+                t = end  # _issue set every member's pc and next_issue
+            else:
+                wp.pc = pc = pcs[m]
+                t = now + nis[m]
                 wp.next_issue = t
                 for fw in wp._fol:
                     fw.pc = pc
                     fw.next_issue = t
-            else:
-                t = end  # _issue set every member's next_issue
             pending = wp.pending
-            wk = t
             for r in deps[wp.pc]:
                 v = pending[r]
-                if v > wk:
-                    wk = v
-            wake[j] = wk
+                if v > t:
+                    t = v
+            wake[j] = t
         M = self._gm
         self._vd += M
         self._vw += W * M
-        self._vi += ntot * M
-        self._vwhy[reason] += nabort
-        pos = m_ab + 1
-        n = len(warps)
-        rr = lo + pos if pos < W else (lo + W) % n
+        self._vi += sum(ks) * M
+        rr = lo + pos if pos < W else (lo + W) % len(warps)
         return end, rr
 
     def _vgaps(

@@ -48,7 +48,6 @@ class TransferPipeline:
         compute_stream: "Stream",
         staging: StagingBuffer,
         stats: XferStats | None = None,
-        event_timeout: float | None = None,
     ) -> None:
         if copy_stream is compute_stream:
             raise ValueError(
@@ -59,19 +58,9 @@ class TransferPipeline:
         self.compute_stream = compute_stream
         self.staging = staging
         self.stats = stats if stats is not None else XferStats()
-        #: Wall-clock guard on the pipeline's cross-stream waits; None
-        #: defers to each stream's device default (Device(event_timeout=)
-        #: / REPRO_EVENT_TIMEOUT).
-        self.event_timeout = event_timeout
         self._tick = 0
         self._consumed: dict[int, "Event"] = {}
         self._prev_d: "Event | None" = None
-
-    def _wait(self, stream: "Stream", event: "Event") -> None:
-        if self.event_timeout is None:
-            stream.wait_event(event)  # device-default timeout
-        else:
-            stream.wait_event(event, timeout=self.event_timeout)
 
     def mark(self) -> None:
         """Reset the exposure reference to the compute stream's *now*.
@@ -101,7 +90,7 @@ class TransferPipeline:
 
         gate = self._consumed.get(slot_index)
         if gate is not None:
-            self._wait(self.copy_stream, gate)
+            self.copy_stream.wait_event(gate)
         ev_a = self.copy_stream.record_event()
         nbytes = upload(slot)
         ev_b = self.copy_stream.record_event()
@@ -109,7 +98,7 @@ class TransferPipeline:
         if self._prev_d is None:
             self._prev_d = self.compute_stream.record_event()
         prev_d = self._prev_d
-        self._wait(self.compute_stream, ev_b)
+        self.compute_stream.wait_event(ev_b)
         ev_c = self.compute_stream.record_event()
         compute(slot)
         ev_d = self.compute_stream.record_event()

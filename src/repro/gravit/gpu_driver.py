@@ -325,22 +325,6 @@ class GpuForceBackend:
         forces = records[: system.n, :3].astype(np.float64) * cfg.g
         return forces, result
 
-    def forces_for_mode(
-        self,
-        system: ParticleSystem,
-        mode: ExecutionMode | str = ExecutionMode.FUNCTIONAL,
-    ) -> np.ndarray:
-        """Dispatch on :class:`ExecutionMode` (strings accepted)."""
-        mode = ExecutionMode.coerce(mode)
-        if mode is ExecutionMode.FUNCTIONAL:
-            return self.forces(system)
-        if mode is ExecutionMode.CYCLE:
-            return self.forces_cycle(system)[0]
-        raise ValueError(
-            "hybrid mode predicts wall time, not forces; use "
-            "predict_seconds(n)"
-        )
-
     # -- hybrid mode --------------------------------------------------------------
 
     def calibrate(

@@ -208,6 +208,97 @@ def _causes(exc):
     return out
 
 
+class TestReplayWindowFault:
+    """A validated shared load faults in the middle of a replay window:
+    warp 1 of each block reads past its block's shared tile.  Both modes
+    raise the typed error, the compiled one from inside the replay
+    dispatch; a stream keeps the fault, the heap is left as it was, and
+    the next valid launch of the kernel is exact."""
+
+    GRID, BLOCK, TILE = 2, 64, 64
+    #: Byte offset that puts warp 1's words past the tile.
+    OOB = 4 * 32
+
+    @classmethod
+    def _kernel(cls):
+        """Each thread fills its word of the shared tile; after the
+        barrier an ALU chain runs into a load at byte ``4·tid + off``,
+        lane-dependent, so the replay validates it."""
+        b = KernelBuilder("replay_oob", params=("dst", "off"))
+        tid = b.sreg("tid")
+        i = b.imad("i", b.sreg("ctaid"), b.sreg("ntid"), tid)
+        v = b.i2f(b.reg("v"), i)
+        b.st_shared(b.shl("fa", tid, 2), v)
+        b.bar_sync()
+        y = b.mul(b.reg("y"), v, 1.5)
+        b.add(y, y, 2.0)
+        a = b.iadd("sa", b.shl("s4", tid, 2), b.param("off"))
+        b.add(y, y, b.ld_shared(b.reg("x"), a))
+        b.st_global(b.imad("a", i, 4, b.param("dst")), y)
+        return b.build(shared_words=cls.TILE)
+
+    def _setup(self, fastpath):
+        dev = Device(heap_bytes=1 << 14, fastpath=fastpath)
+        params = {"dst": dev.malloc(4 * self.GRID * self.BLOCK), "off": 0}
+        return dev, params
+
+    @pytest.mark.parametrize("fastpath", (0, 2))
+    def test_launch_raises_from_the_window(self, fastpath, monkeypatch):
+        from repro.cudasim.fastpath import FastSMExecutor
+
+        seen = []
+        dispatch = FastSMExecutor._vdispatch_replay
+
+        def probe(self, *args):
+            try:
+                return dispatch(self, *args)
+            except AccessViolation as exc:
+                seen.append(exc)
+                raise
+
+        monkeypatch.setattr(FastSMExecutor, "_vdispatch_replay", probe)
+        dev, params = self._setup(fastpath)
+        lk = compile_kernel(self._kernel())
+        before = dev.gmem.heap_stats()
+        with pytest.raises(AccessViolation) as info:
+            dev.launch(lk, self.GRID, self.BLOCK, dict(params, off=self.OOB))
+        assert dev.gmem.heap_stats() == before
+        assert seen == ([info.value] if fastpath else [])
+
+    @pytest.mark.parametrize("fastpath", (0, 2))
+    def test_stream_fault_is_sticky_and_next_launch_exact(self, fastpath):
+        from repro.cudasim.fastpath import reset_vec_counters, vec_counters
+
+        dev, params = self._setup(fastpath)
+        lk = compile_kernel(self._kernel())
+        before = dev.gmem.heap_stats()
+        bad = dev.stream("faulting")
+        bad.launch_async(lk, self.GRID, self.BLOCK, dict(params, off=self.OOB))
+        for _ in range(2):  # sticky: every later synchronize re-raises
+            with pytest.raises(StreamError) as info:
+                bad.synchronize()
+            assert any(
+                isinstance(e, AccessViolation) for e in _causes(info.value)
+            )
+        assert dev.gmem.heap_stats() == before
+        reset_vec_counters()
+        result = dev.launch(lk, self.GRID, self.BLOCK, params)
+        if fastpath:  # the valid loads run in a replay window too
+            assert vec_counters()["row_loads"] > 0
+        ref_dev, ref_params = self._setup(0)
+        ref = ref_dev.launch(
+            compile_kernel(self._kernel()), self.GRID, self.BLOCK, ref_params
+        )
+        assert result.cycles == ref.cycles
+        assert result.stats.as_dict() == ref.stats.as_dict()
+        assert [s.as_dict() for s in result.sm_stats] == [
+            s.as_dict() for s in ref.sm_stats
+        ]
+        assert dev.gmem.words.tobytes() == ref_dev.gmem.words.tobytes()
+        with contextlib.suppress(StreamError):
+            bad.close()
+
+
 class TestCrossStreamFaults:
     def test_sharded_step_reports_the_shard_fault(self, monkeypatch):
         """A kernel fault on shard 1 of an op-by-op sharded step is the

@@ -56,7 +56,7 @@ from repro.cudasim.fastpath import (
 from repro.cudasim.isa import Imm, Instr, Op
 from repro.cudasim.kernel_cache import CompileOptions, KernelCache
 from repro.gravit import GpuConfig, ParticleSystem, PooledSimulation, uniform_sphere
-from repro.gravit.gpu_barneshut import bh_forces_gpu
+from repro.gravit.gpu_barneshut import bh_forces_gpu, build_bh_kernel
 from repro.gravit.gpu_driver import GpuForceBackend, _step_params
 from repro.gravit.gpu_kernels import POSMASS_FIELDS, build_force_kernel
 from repro.gravit.spawn import uniform_cube
@@ -172,6 +172,7 @@ class TestDifferentialDivergent:
         prof = dumps[0][1]
         assert prof["divergent_branches"] > 0 and prof["reconvergences"] > 0
         assert dumps[1] == dumps[0]
+        assert _walk_plans(compile_kernel(build_bh_kernel(2 * BLOCK)))
 
 
 class TestDifferentialPooled:
@@ -317,6 +318,7 @@ def _run_kernel_modes(
     assert len(profiles) in (0, len(MODES))
     for prof in profiles[1:]:
         assert prof == profiles[0], "kernel profiles differ"
+    _walk_plans(lk)
     return outs
 
 
@@ -333,8 +335,7 @@ def _replay_plans(
     kernel, grid, block, out_words, params=None, props=G8800GTX
 ):
     """Launch ``kernel`` once on the compiled path; return the replay
-    plans its program memoized (``_vreplay`` results, ``None`` left
-    out)."""
+    plans its program memoized, each checked by :func:`_walk_plans`."""
     dev = Device(
         props=props, fastpath=2, cache=KernelCache(), heap_bytes=1 << 20
     )
@@ -343,12 +344,65 @@ def _replay_plans(
         lk, grid=grid, block=block,
         params={"dst": dev.malloc(4 * out_words), **(params or {})},
     )
-    return [
-        meta
-        for program in lk.exec_plan.programs.values()
-        for meta in program.vmeta.values()
-        if meta is not None
-    ]
+    plans = _walk_plans(lk)
+    assert plans, "no replay plan was memoized"
+    return plans
+
+
+def _assert_state(state, kr, lr, pr):
+    """A replay state's per-row issue counts equal ``kr``; its next-issue
+    offsets and next pcs equal ``lr`` and ``pr`` for the rows that
+    issued."""
+    ks, nis, ps = state[3:]
+    assert ks == tuple(kr)
+    for m, km in enumerate(kr):
+        if km:
+            assert (nis[m], ps[m]) == (lr[m], pr[m]), m
+
+
+def _walk_plans(lk):
+    """Every replay plan memoized on ``lk``'s programs (``_vreplay``
+    results, ``None`` left out), each checked against a reference walk
+    of its prefix: items are runs and validated loads and branches
+    only, every validated event's state is what walking the plan up to
+    it gives, and at the end each row's run groups and validated events
+    add up to its issue count."""
+    plans = []
+    for program in lk.exec_plan.programs.values():
+        for (pcs, _, dkey), meta in program.vmeta.items():
+            if meta is None:
+                continue
+            plan, state = meta[0], meta[-1]
+            kr = [0] * len(dkey)
+            lr = list(dkey)
+            pr = list(pcs)
+            for e in plan:
+                assert e[0] in (1, 2, 3), e[0]
+                if e[0] == 2:
+                    # Every group covers every row of the range, so the
+                    # last one is each row's last event of the run.
+                    run = e[1]
+                    a, b = run.rows
+                    q = run.pcs[-1]
+                    c = (program.costs[q] if run.loads[-1] is None
+                         else program.mem[q][0])
+                    for m in range(a, b):
+                        kr[m] += len(run.pcs)
+                        lr[m] = run.issue[-1][m - a] + c
+                        pr[m] = q + 1
+                    continue
+                m, q = e[1], e[2]
+                kr[m] += 1
+                lr[m] = e[3] + e[4]
+                if e[0] == 3:
+                    tgt, _, _, taken, _ = program.bra[q]
+                    pr[m] = tgt if taken else q + 1
+                else:
+                    pr[m] = q + 1
+                _assert_state(e[5], kr, lr, pr)
+            _assert_state(state, kr, lr, pr)
+            plans.append(meta)
+    return plans
 
 
 class TestVectorFallbacks:
@@ -456,8 +510,8 @@ class TestVectorFallbacks:
     def test_clock_in_leftover_events(self):
         """Global loads wake a block's two warps at different cycles, so
         validated shared loads split the replay window between their
-        CLOCK reads: each read is a leftover event and must see its own
-        issue time, not the dispatch's.  The loads' base is uniform but
+        CLOCK reads: each read is a one-row run's step and must see its
+        own issue time, not the dispatch's.  The loads' base is uniform but
         not written by a constant ``mov``, so they stay validated."""
         reset_vec_counters()
         _run_seam(
@@ -708,15 +762,17 @@ class TestStaticLoads:
     def test_static_loads_left_out_of_groups(self, active):
         """Warp 1's uncoalesced global load wakes it long after warp 0,
         which runs through its static loads alone: they are left out of
-        every group and read per row, fully or partially active."""
+        every multi-row group, and a one-row run reads them, fully or
+        partially active."""
         kernel = _stagger_kernel(active)
         _run_seam(kernel, grid=1, block=TILE, out_words=17 * TILE)
-        kinds = [
-            e[0]
+        assert any(
+            e[0] == 2
+            and e[1].rows[1] - e[1].rows[0] == 1
+            and any(reads is not None for reads in e[1].loads)
             for meta in _replay_plans(kernel, 1, TILE, 17 * TILE)
             for e in meta[0]
-        ]
-        assert 4 in kinds, "no static load was left out of a group"
+        ), "no one-row run holds a static load"
 
     @staticmethod
     def _rewritten(b, tid):
@@ -912,10 +968,11 @@ class TestRangeRuns:
         assert got["gang_members"] == (2 if props is DRIFT_GANG else 0)
         assert got["gang_splits"] == 0
         assert any(
-            e[0] == 2 and e[1].rows != (0, len(meta[1]))
+            e[0] == 2
+            and 2 <= e[1].rows[1] - e[1].rows[0] < len(meta[-1][3])
             for meta in plans
             for e in meta[0]
-        ), "no run over a strict sub-range of its rows"
+        ), "no run over a strict sub-range of two or more rows"
         _run_seam(kernel, grid, TILE, out_words, params=params, props=props)
 
     def test_concurrent_launches_build_shared_runs(self):
@@ -1093,7 +1150,7 @@ def _misaligned_kernel():
 def _lanes_kernel():
     """Predicated steps whose active lanes depend on the block (``laneid
     < 4·ctaid + 3``), after warp 1's uncoalesced load staggers the
-    warps, so they run in run events, leftover events and the fused
+    warps, so they run in multi-row and one-row runs and the fused
     driver: every member counts its own lanes, and nothing splits."""
     b = KernelBuilder("k_gang_lanes", params=("dst",))
     tid, cta = b.sreg("tid"), b.sreg("ctaid")
@@ -2074,3 +2131,27 @@ class TestGeneratedKernels:
             out_words=outputs * 3 * 128,
             params={"pf": pf, "pi": 2**24 + 3},
         )
+
+
+class TestReplayPlans:
+    """Every memoized replay plan holds only run events and validated
+    loads and branches, and passes the reference prefix walk of
+    :func:`_walk_plans`: the state each validated event carries for an
+    abort, and the plan's end state, are what walking the plan gives.
+    :func:`_run_kernel_modes` and :func:`_replay_plans` walk the plans
+    of every kernel they launch (the seams, the stagger and drift
+    kernels, the generated chains), and the Barnes-Hut profile test
+    walks the divergent tree walk's."""
+
+    @pytest.mark.parametrize("unroll", (None, "full"))
+    @pytest.mark.parametrize("kind", LAYOUT_KINDS)
+    def test_paper_kernel_calibration(self, kind, unroll):
+        """The force kernel of every layout, rolled and fully unrolled,
+        in a one-SM calibration: six resident blocks, loop back-edges,
+        out-of-phase blocks on the uncoalesced layouts."""
+        backend = GpuForceBackend(
+            GpuConfig(layout_kind=kind, block_size=2 * BLOCK, unroll=unroll),
+            device=Device(fastpath=2, cache=KernelCache()),
+        )
+        backend.calibrate((1, 2))
+        assert _walk_plans(backend.compile())

@@ -409,20 +409,6 @@ class TestEventTimeoutConfiguration:
         with pytest.raises(StreamError, match="never"):
             s.synchronize()
 
-    def test_transfer_pipeline_plumbs_timeout(self):
-        from repro.cudasim.xfer import StagingBuffer, TransferPipeline
-
-        d = Device(heap_bytes=1 << 20)
-        staging = StagingBuffer(d, 256, slots=2)
-        copy, compute = d.stream("c0"), d.stream("c1")
-        pipe = TransferPipeline(copy, compute, staging,
-                                event_timeout=0.05)
-        stuck = Event("never-fired")
-        pipe._wait(compute, stuck)
-        with pytest.raises(StreamError, match="after 0.05s"):
-            compute.synchronize()
-        copy.close()
-
 
 class TestPeerCopy:
     def test_peer_copy_moves_data(self, dev):
