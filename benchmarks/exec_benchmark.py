@@ -4,7 +4,7 @@ Times the paper's two simulation-heavy sweeps — the Fig. 10 layout ×
 toolchain grid (which also powers Fig. 11's derived speedups) and the
 unroll-factor sweep — under both execution modes of
 :mod:`repro.cudasim.fastpath`: the reference interpreter
-(``REPRO_EXEC_FASTPATH=0``) and the compiled path (``2``, reported as
+(``REPRO_EXEC_FASTPATH=0``) and the compiled path (``1``, reported as
 ``fastpath_v2``).  Each mode gets one warm-up pass so
 the kernel-compilation and fastpath-codegen caches are hot and the
 numbers measure cycle simulation, not compilation; the reported time is
@@ -46,7 +46,7 @@ PAPER_N = 2048
 PAPER_UNROLL = 16
 
 #: Execution modes: env value -> report key suffix.
-MODES = (("0", "interpreter"), ("2", "fastpath_v2"))
+MODES = (("0", "interpreter"), ("1", "fastpath_v2"))
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -111,7 +111,7 @@ def bench_sweeps(repeats: int) -> dict:
         sweep()  # warm the compile + codegen caches
         fastpath.reset_vec_counters()
         out[f"{name}_{suffix}_s"] = _best_of(sweep, repeats)
-        if env == "2":
+        if env == "1":
             for key, val in _vec_shape(fastpath.vec_counters()).items():
                 out[f"{name}_{key}"] = val
 

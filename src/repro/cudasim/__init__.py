@@ -57,7 +57,6 @@ from .fastpath import (
     FastSMExecutor,
     compile_fastpath,
     fastpath_enabled,
-    fastpath_mode,
     vec_counters,
 )
 from .ir import IfStmt, Kernel, KernelBuilder, LoopStmt, RawStmt, Seq
@@ -160,7 +159,6 @@ __all__ = [
     "FastSMExecutor",
     "compile_fastpath",
     "fastpath_enabled",
-    "fastpath_mode",
     "vec_counters",
     "env_float",
     "env_mapped",

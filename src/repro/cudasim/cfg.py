@@ -145,7 +145,7 @@ def replay_schedulable(instr: Instr) -> bool:
     """True when the v2 replay scheduler may issue ``instr`` inside a
     cross-warp vector window.
 
-    The vectorized executor (``REPRO_EXEC_FASTPATH=2``) schedules whole
+    The compiled fast path's vectorized executor schedules whole
     multi-block stretches ahead of time and *validates* its assumptions
     at dispatch, so the window rule is looser than the per-warp
     ``FUSIBLE_OPS`` split: besides warp-private ALU work it admits

@@ -63,7 +63,7 @@ class DeviceGroup:
         toolchain: Toolchain = Toolchain.CUDA_1_0,
         heap_bytes: int = DEFAULT_HEAP_BYTES,
         cache: KernelCache | None | object = _UNSET,
-        fastpath: bool | int | None = None,
+        fastpath: bool | None = None,
         peer_access: bool = True,
         event_timeout: float | None = None,
     ) -> None:

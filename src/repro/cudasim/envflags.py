@@ -6,21 +6,43 @@ to let ``REPRO_EXEC_FASTPATH=off`` silently *enable* the fast path, so
 every flag now goes through one of two strict parsers:
 
 * :func:`env_mapped` — for flags whose spellings map onto a small value
-  domain (``REPRO_EXEC_FASTPATH=0|2`` with boolean aliases): the value
-  must be a key of the mapping, rejected loudly otherwise;
+  domain (``REPRO_EXEC_FASTPATH``'s boolean spellings): the value must
+  be a key of the mapping, rejected loudly otherwise;
 * :func:`env_float` — for numeric flags (``REPRO_EVENT_TIMEOUT``): the
   value must parse as a float other than NaN.
 
 Rejecting beats guessing: a typo in a CI environment block should fail
-the job, not quietly run the wrong configuration.
+the job, not quietly run the wrong configuration.  A command-line
+option that stands for a flag sets it through :func:`env_override`, so
+the setting ends with the command.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Mapping
+from contextlib import contextmanager
+from typing import Iterator, Mapping
 
-__all__ = ["env_float", "env_mapped"]
+__all__ = ["env_float", "env_mapped", "env_override"]
+
+
+@contextmanager
+def env_override(name: str, value: str | None) -> Iterator[None]:
+    """Set environment flag ``name`` to ``value`` for the ``with`` body,
+    then restore its previous value, or its absence.  ``None`` changes
+    nothing."""
+    if value is None:
+        yield
+        return
+    saved = os.environ.get(name)
+    os.environ[name] = value
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = saved
 
 
 def env_float(name: str, default: float) -> float:

@@ -1113,12 +1113,14 @@ def _run_group(
     group: list[tuple[int, list[int]]],
     resident: int,
     trace=None,
-    fastpath: bool | int = False,
+    fastpath: bool | None = False,
     profile_spec=None,
 ) -> list[SMRun]:
     """Simulate ``group``'s ``(sm_index, block_ids)`` assignments: one SM,
-    or (compiled mode) several holding the same number of blocks as one
+    or (compiled path) several holding the same number of blocks as one
     gang.  Returns one :class:`SMRun` per member."""
+    from .fastpath import FastSMExecutor, fastpath_enabled
+
     (sm_index, block_ids), gang = group[0], group[1:]
     stats = KernelStats()
     profile = None
@@ -1126,11 +1128,9 @@ def _run_group(
         from .profiler import SMProfile
 
         profile = SMProfile(len(lk.instructions), sm_index, profile_spec)
-    # ``fastpath`` is a mode: 0/False = interpreter, 2/True = compiled.
     extra = {}
-    if fastpath:
-        from .fastpath import FastSMExecutor as executor_cls
-
+    if fastpath_enabled(fastpath):
+        executor_cls = FastSMExecutor
         extra["gang"] = gang
     else:
         executor_cls = SMExecutor
@@ -1188,21 +1188,26 @@ def run_sms(
     assignments: list[tuple[int, list[int]]],
     resident: int,
     trace=None,
-    fastpath: bool | int = False,
+    fastpath: bool | None = False,
     profile=None,
 ) -> list[SMRun]:
     """Simulate every (sm_index, block_ids) assignment; results in SM order.
 
-    In compiled mode the assignments holding the same number of blocks
-    run as one gang (see :func:`_gangs` and
-    :class:`repro.cudasim.fastpath.FastSMExecutor`), unless a ``trace``
-    hook or the profiler is on: both observe one SM in program order, so
-    each SM then runs alone.  ``fastpath`` is a mode — ``0``/``False``
-    interpreter, ``2``/``True`` the compiled
-    :class:`repro.cudasim.fastpath.FastSMExecutor`; both modes, ganged
-    or not, produce identical results.  ``profile`` is an optional
-    :class:`~repro.cudasim.profiler.ProfileSpec` for per-SM counters.
+    ``fastpath`` picks the executor: ``False`` the interpreter, ``True``
+    the compiled :class:`repro.cudasim.fastpath.FastSMExecutor`, and
+    ``None`` the ``REPRO_EXEC_FASTPATH`` environment variable (see
+    :func:`repro.cudasim.fastpath.fastpath_enabled`; any other type
+    raises :class:`TypeError`).  On the compiled path the assignments
+    holding the same number of blocks run as one gang (see
+    :func:`_gangs`), unless a ``trace`` hook or the profiler is on: both
+    observe one SM in program order, so each SM then runs alone.  Both
+    executors, ganged or not, produce identical results.  ``profile`` is
+    an optional :class:`~repro.cudasim.profiler.ProfileSpec` for per-SM
+    counters.
     """
+    from .fastpath import fastpath_enabled
+
+    fastpath = fastpath_enabled(fastpath)
     if fastpath and trace is None and profile is None:
         groups = _gangs(assignments)
     else:

@@ -15,16 +15,17 @@ overhead without perturbing a single simulated cycle:
    handler *template* per distinct in-block instruction shape — float32
    rounding preserved op for op — and ``exec``s it into a module.  Which
    template each pc instantiates, with which register slots and
-   immediates, is a ``(pc, template, args)`` bind table kept by value on
-   the :class:`FastProgram`, so the module's size is set by the number
-   of shapes, not of pcs (a fully unrolled kernel compiles as fast as a
-   rolled one).  A program is built once per kernel and device timing
-   and lives on the kernel's
+   immediates, is a ``(pc, template, args)`` bind table applied once to
+   build the :class:`FastProgram`'s steps, so the module's size is set
+   by the number of shapes, not of pcs (a fully unrolled kernel compiles
+   as fast as a rolled one).  A program is built once per kernel and
+   device timing, steps included, and lives on the kernel's
    :class:`~repro.cudasim.executor.KernelPlan`, keyed by
    :class:`~repro.cudasim.device.DeviceProperties`: it reads nothing
-   else, so every toolchain and every device of a group shares it.  SM
-   runs borrow bound step sets (:class:`StepSet`) from the program
-   and return them, rebinding only the launch values.
+   else, so every toolchain and every device of a group shares it.  Like
+   a compiled CUDA kernel it is never rebound: each SM run passes its
+   launch's values (block and grid dimensions, kernel parameters) to
+   every step as one argument ``L``, cast once per run.
 3. :class:`FastSMExecutor` replaces the O(warps) round-robin rescan with
    a cached wake-time list (invalidated on scoreboard writes and barrier
    release) and keeps all resident warps' register files, predicates and
@@ -175,11 +176,12 @@ comes from the same member as in a lone run.  A trace hook or the
 profiler observes one SM's accesses in program order, so those
 launches run their SMs one at a time.
 
-The reference interpreter stays available behind
-``REPRO_EXEC_FASTPATH=0`` or ``Device(fastpath=False)``; ``=2`` (the
+The switch between the two is a boolean: the reference interpreter
+stays available behind ``REPRO_EXEC_FASTPATH=0`` or
+``Device(fastpath=False)``, and ``=1`` or ``fastpath=True`` (the
 default) selects this module.  ``tests/test_fastpath.py`` pins heap
 bytes, :class:`KernelStats`, :class:`KernelProfile` and end cycles
-across both modes for every layout × coalescing policy.
+across both for every layout × coalescing policy.
 """
 
 from __future__ import annotations
@@ -187,7 +189,6 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -206,7 +207,6 @@ __all__ = [
     "FASTPATH_MODES",
     "FastProgram",
     "fastpath_enabled",
-    "fastpath_mode",
     "compile_fastpath",
     "vec_counters",
     "reset_vec_counters",
@@ -214,17 +214,15 @@ __all__ = [
 ]
 
 #: Environment switch: ``0``/``false``/``no``/``off`` forces the
-#: reference interpreter, ``2`` (also ``true``/``yes``/``on``, and the
-#: default when unset) the compiled path (parsed strictly by
-#: :func:`env_mapped`: any other value, ``1`` included, is rejected).
+#: reference interpreter, ``1``/``true``/``yes``/``on`` (the default when
+#: unset) the compiled path.  Parsed strictly by :func:`env_mapped`: any
+#: other value is rejected.
 FASTPATH_ENV = "REPRO_EXEC_FASTPATH"
 
-#: Spelling → mode for :data:`FASTPATH_ENV`.  The boolean aliases keep
-#: their historical meaning: any "true" spelling selects the compiled
-#: path, any "false" spelling the interpreter.
+#: Spelling → switch for :data:`FASTPATH_ENV`.
 FASTPATH_MODES = {
-    "0": 0, "false": 0, "no": 0, "off": 0,
-    "2": 2, "true": 2, "yes": 2, "on": 2,
+    "0": False, "false": False, "no": False, "off": False,
+    "1": True, "true": True, "yes": True, "on": True,
 }
 
 _F64 = np.float64
@@ -241,56 +239,47 @@ _CMP_UFUNCS = {
 }
 
 
-def fastpath_mode(override: bool | int | None = None) -> int:
-    """Resolve the fastpath switch: ``0`` interpreter, ``2`` compiled.
+def fastpath_enabled(override: bool | None = None) -> bool:
+    """Resolve the fastpath switch: ``True`` compiled, ``False``
+    interpreter.
 
-    ``override`` takes an explicit mode (``0``/``2``) or a boolean
-    (``True`` → mode 2; ``False`` → interpreter) and wins over the
-    environment.  The environment value is parsed strictly through
-    :data:`FASTPATH_MODES` so ``=off`` can never silently *enable* the
-    fast path and a typo fails loudly; unset defaults to mode 2.
+    An explicit ``override`` wins over the environment.  ``None`` reads
+    :data:`FASTPATH_ENV` strictly through :data:`FASTPATH_MODES`, so
+    ``=off`` can never silently *enable* the fast path and a typo fails
+    loudly; unset means ``True``.  Any other type raises
+    :class:`TypeError`.
     """
-    if override is not None:
-        if isinstance(override, bool):
-            return 2 if override else 0
-        mode = int(override)
-        if mode not in (0, 2):
-            raise ValueError(
-                f"fastpath mode must be 0 (interpreter) or 2 (compiled); "
-                f"got {override!r}"
-            )
-        return mode
-    return env_mapped(FASTPATH_ENV, FASTPATH_MODES, default=2)
+    if override is None:
+        return env_mapped(FASTPATH_ENV, FASTPATH_MODES, default=True)
+    if not isinstance(override, bool):
+        raise TypeError(
+            f"fastpath must be True, False or None; got {override!r}"
+        )
+    return override
 
 
-def fastpath_enabled(override: bool | int | None = None) -> bool:
-    """Boolean view of :func:`fastpath_mode`: is any compiled path on?"""
-    return fastpath_mode(override) > 0
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FastProgram:
-    """One lowered kernel compiled for the fast path.
+    """One lowered kernel compiled for the fast path: an immutable value
+    shared by every SM, launch, device and thread that runs the kernel.
 
-    ``make_vsteps()`` (the ``exec``'d module's factory) returns the
-    data-only step templates, which operate on stacks of arena rows
-    (``(warps, lanes)``), plus a ``bind(block_dim, grid_dim, params)``
-    function that sets the launch values the steps read; ``vtable`` says
-    which template each fusible pc instantiates with which slots and
-    immediates.  SM runs get bound step sets through :meth:`acquire`.
-    ``deps``/``ends`` and the ``flush_*`` arrays are shared, read-only
-    metadata used by the fused driver and the stat flush.  The static
-    per-pc timing every caller of a step applies itself is ``costs``
-    (issue cycles), ``lats`` (result latency, ``None`` when the op
-    writes no scoreboard entry) and ``writes`` (destination register
-    slot, ``-1`` when none).
+    ``steps`` holds one data-only step per fusible pc (``None``
+    elsewhere), called as ``s(R, P, tid, cta, act, L, t=None)`` on a
+    stack of arena rows (``(warps, lanes)``); ``L`` is the launch's
+    :meth:`launch_values`.  ``deps``/``ends`` and the ``flush_*`` arrays
+    are metadata used by the fused driver and the stat flush.  The
+    static per-pc timing every caller of a step applies itself is
+    ``costs`` (issue cycles), ``lats`` (result latency, ``None`` when
+    the op writes no scoreboard entry) and ``writes`` (destination
+    register slot, ``-1`` when none).
     """
 
     n: int
-    source: str
-    make_vsteps: Callable
-    #: Bind table: ``(pc, template index, factory args)`` rows.
-    vtable: tuple
+    steps: tuple
+    #: ``(source, operand context)`` of each ``L[k]`` the steps read:
+    #: ``source`` is a kernel parameter's name, :attr:`Special.NTID` or
+    #: :attr:`Special.NCTAID`, the context a :data:`_SCALAR_CASTS` key.
+    launch: tuple
     deps: list  # per-pc tuple of blocking register slots (may be empty)
     ends: list[int]  # per-pc fusible-run end (cfg.fusible_run_ends)
     # Stat flush: the kernel's distinct ops (first-appearance order),
@@ -323,8 +312,6 @@ class FastProgram:
     #: Per-pc ``(register slots written, constant, source slot)`` for the
     #: replay's static-load analysis (see :func:`_reg_writes`).
     regw: list
-    param_names: tuple[str, ...] = ()
-    fused_pcs: int = field(default=0)
     #: Fusible pcs whose step needs more than the stack: CLOCK steps
     #: take the per-row issue moments, predicated steps return their
     #: lane mask (the caller counts its active lanes).
@@ -334,45 +321,14 @@ class FastProgram:
     #: are pure functions of the program, so the cache lives here and
     #: is shared by every SM executor and launch of this program.
     vmeta: dict = field(default_factory=dict)
-    #: Bound step sets no SM run holds (see :meth:`acquire`).
-    idle: list = field(default_factory=list, repr=False)
 
-    def acquire(self, block_dim: int, grid_dim: int, params) -> "StepSet":
-        """A step set bound to one launch's values, for one SM run.
-
-        Sets are built once and recycled through :meth:`release`, so a
-        kernel pays the closure-building cost once per concurrently
-        running SM rather than once per SM run.
-        """
-        try:
-            steps = self.idle.pop()
-        except IndexError:
-            steps = StepSet(self)
-        steps.bind(block_dim, grid_dim, params)
-        return steps
-
-    def release(self, steps: "StepSet") -> None:
-        """Return a set whose counters the run has flushed to zero."""
-        self.idle.append(steps)
-
-
-class StepSet:
-    """One instance of a program's step templates (one step per fusible
-    pc, ``None`` elsewhere) plus the per-pc issue and lane accumulators
-    their callers write.  An SM run holds its set exclusively between
-    :meth:`FastProgram.acquire` and :meth:`FastProgram.release`, so
-    concurrent runs never share counters or launch values."""
-
-    __slots__ = ("cnt", "lanes", "vsteps", "bind")
-
-    def __init__(self, program: FastProgram) -> None:
-        n = program.n
-        self.cnt = [0] * n
-        self.lanes = [0] * n
-        templates, self.bind = program.make_vsteps()
-        self.vsteps = [None] * n
-        for pc, index, args in program.vtable:
-            self.vsteps[pc] = templates[index](*args)
+    def launch_values(self, block_dim: int, grid_dim: int, params) -> tuple:
+        """The steps' ``L`` for one launch: each value of :attr:`launch`,
+        cast to its operand context."""
+        values = {**params, Special.NTID: block_dim, Special.NCTAID: grid_dim}
+        return tuple(
+            _SCALAR_CASTS[ctx](values[src]) for src, ctx in self.launch
+        )
 
 
 # --------------------------------------------------------------- codegen
@@ -404,14 +360,12 @@ class _Args:
 #: Conversions of a scalar operand (immediate, kernel parameter, block or
 #: grid dimension) per operand context — the interpreter's ``_f32`` /
 #: ``_i64`` / ``asarray(x, float64)``.  Immediates are converted once at
-#: codegen, launch values once per :meth:`StepSet.bind`.
+#: codegen, launch values once per SM run
+#: (:meth:`FastProgram.launch_values`).
 _SCALAR_CASTS = {
-    "f32": ("A({}, _F32)", lambda v: np.asarray(v, dtype=np.float32)),
-    "i64": (
-        "A(A({}, _F64), _I64)",
-        lambda v: np.asarray(np.asarray(v, dtype=_F64), dtype=np.int64),
-    ),
-    "f64": ("A({}, _F64)", lambda v: np.asarray(v, dtype=_F64)),
+    "f32": lambda v: np.asarray(v, dtype=np.float32),
+    "i64": lambda v: np.asarray(np.asarray(v, dtype=_F64), dtype=np.int64),
+    "f64": lambda v: np.asarray(v, dtype=_F64),
 }
 
 #: Numpy ufunc per vector-template op, computed in float32 (``f32``) or
@@ -447,32 +401,27 @@ def _voperand(
             return f"P[{args.add(lk.pred_map[s.name])}]"
         return f"R[{args.add(lk.reg_map[s.name])}]"
     if isinstance(s, Imm):
-        return args.add(_SCALAR_CASTS[ctx][1](s.value))
+        return args.add(_SCALAR_CASTS[ctx](s.value))
     if isinstance(s, Param):
-        return _launch_local(scalars, f"params[{s.name!r}]", ctx)
+        return _launch_value(scalars, s.name, ctx)
     if isinstance(s, SReg):
         sp = s.special
         if sp is Special.TID:
             return "tid"
         if sp is Special.CTAID:
             return "cta"
-        if sp is Special.NTID:
-            return _launch_local(scalars, "block_dim", ctx)
-        if sp is Special.NCTAID:
-            return _launch_local(scalars, "grid_dim", ctx)
+        if sp is Special.NTID or sp is Special.NCTAID:
+            return _launch_value(scalars, sp, ctx)
         if sp is Special.LANEID:
             return "_lane"
     raise ExecutionError(f"cannot codegen operand {s!r}")
 
 
-def _launch_local(scalars: dict, source: str, ctx: str) -> str:
-    """Factory local holding launch value ``source`` converted to ``ctx``
-    (assigned by ``bind``; see :func:`_emit_factory`)."""
-    key = (source, ctx)
-    local = scalars.get(key)
-    if local is None:
-        local = scalars[key] = f"_s{len(scalars)}"
-    return local
+def _launch_value(scalars: dict, source, ctx: str) -> str:
+    """Step operand reading launch value ``source`` converted to ``ctx``:
+    ``L[k]``, ``k`` the index of ``(source, ctx)`` in ``scalars`` (which
+    becomes :attr:`FastProgram.launch`)."""
+    return f"L[{scalars.setdefault((source, ctx), len(scalars))}]"
 
 
 def _emit_vstep(ins, lk: LoweredKernel, scalars: dict) -> tuple[str, _Args]:
@@ -554,18 +503,20 @@ def _emit_vstep(ins, lk: LoweredKernel, scalars: dict) -> tuple[str, _Args]:
 
 
 
-def _emit_factory(lk: LoweredKernel) -> tuple[list[str], tuple, int]:
+def _emit_factory(lk: LoweredKernel) -> tuple[list[str], tuple, int, tuple]:
     """Emit the template factory ``make_vsteps``.
 
     The factory defines the templates — one ``def`` per distinct
-    instruction shape — and a ``bind(block_dim, grid_dim, params)`` that
-    sets the launch values the steps read; it returns ``(templates,
-    bind)``.  Which template each pc uses, with which slots and
-    immediates, is *data*: the returned table of ``(pc, template index,
-    args)`` rows, which :class:`StepSet` applies.  The module therefore
-    grows with the number of shapes, not of pcs.
+    instruction shape — and returns them.  Which template each pc uses,
+    with which slots and immediates, is *data*: the returned table of
+    ``(pc, template index, args)`` rows, which :func:`_build_steps`
+    applies.  The module therefore grows with the number of shapes, not
+    of pcs.  Launch values are no part of either: the steps read them
+    from their argument ``L``, laid out by the returned ``(source,
+    context)`` tuple (:attr:`FastProgram.launch`).
 
-    Returns the source lines, the table and the template count.
+    Returns the source lines, the table, the template count and the
+    launch layout.
     """
     scalars: dict = {}
     templates: dict[str, tuple[str, list[str]]] = {}
@@ -579,59 +530,55 @@ def _emit_factory(lk: LoweredKernel) -> tuple[list[str], tuple, int]:
             entry = (len(templates), list(args.names))
             templates[body] = entry
         table.append((pc, entry[0], tuple(args.values)))
-    # Launch values (block/grid dims, kernel parameters) are factory
-    # locals that ``bind`` rebinds, so one bound step set serves any
-    # number of launches: the steps read them as closure cells, exactly
-    # as fast as constants baked in at factory time.
-    assigns = [
-        (local, _SCALAR_CASTS[ctx][0].format(source))
-        for (source, ctx), local in scalars.items()
-    ]
     lines = [
         "",
         "",
         "def make_vsteps():",
-        "    A = np.asarray",
         "    _F32 = np.float32",
         "    _F64 = np.float64",
         "    _I64 = np.int64",
-        "    _F1 = A(1.0, _F32)",
+        "    _F1 = np.asarray(1.0, _F32)",
         f"    _lane = np.arange({WARP}, dtype=_I64)",
     ]
-    launch_locals = [local for local, _ in assigns]
-    if launch_locals:
-        lines.append(f"    {' = '.join(launch_locals)} = None")
-    lines += ["", "    def bind(block_dim, grid_dim, params):"]
-    if launch_locals:
-        lines.append(f"        nonlocal {', '.join(launch_locals)}")
-    else:
-        lines.append("        pass")
-    lines.extend(f"        {local} = {value}" for local, value in assigns)
     names = []
     for tmpl_body, (index, argnames) in templates.items():
         name = f"_V{index}"
         names.append(name)
         lines.append("")
         lines.append(f"    def {name}({', '.join(argnames)}):")
-        lines.append("        def s(R, P, tid, cta, act, t=None):")
+        lines.append("        def s(R, P, tid, cta, act, L, t=None):")
         lines.extend(f"            {ln}" for ln in tmpl_body.splitlines())
         lines.append("        return s")
     lines.append("")
-    lines.append(f"    return ({''.join(f'{n}, ' for n in names)}), bind")
-    return lines, tuple(table), len(templates)
+    lines.append(f"    return ({''.join(f'{n}, ' for n in names)})")
+    return lines, tuple(table), len(templates), tuple(scalars)
 
 
-def generate_program(lk: LoweredKernel) -> tuple[str, tuple]:
-    """Source of the program module for ``lk`` plus its bind table (see
-    :func:`_emit_factory`)."""
-    lines, table, n_tmpl = _emit_factory(lk)
+def generate_program(lk: LoweredKernel) -> tuple[str, tuple, tuple]:
+    """Source of the program module for ``lk``, its bind table and its
+    launch layout (see :func:`_emit_factory`)."""
+    lines, table, n_tmpl, launch = _emit_factory(lk)
     head = [
         f"# codegen: fastpath for kernel {lk.name!r} "
         f"({len(table)}/{len(lk.instructions)} pcs fused, "
         f"{n_tmpl} step shapes) -- generated, do not edit",
         "import numpy as np",
     ]
-    return "\n".join(head + lines) + "\n", table
+    return "\n".join(head + lines) + "\n", table, launch
+
+
+def _build_steps(lk: LoweredKernel) -> tuple[tuple, tuple]:
+    """Generate and ``exec`` ``lk``'s program module, then instantiate
+    one step per fusible pc (``None`` elsewhere).  Returns the steps and
+    their launch layout (:attr:`FastProgram.launch`)."""
+    source, table, launch = generate_program(lk)
+    namespace: dict = {}
+    exec(compile(source, f"<fastpath:{lk.name}>", "exec"), namespace)
+    templates = namespace["make_vsteps"]()
+    steps: list = [None] * len(lk.instructions)
+    for pc, index, args in table:
+        steps[pc] = templates[index](*args)
+    return tuple(steps), launch
 
 
 def _need_tuples(lk: LoweredKernel) -> list[tuple[int, ...]]:
@@ -810,9 +757,7 @@ def _bra_costs(lk: LoweredKernel, dev: DeviceProperties) -> list:
 
 
 def _build_program(lk: LoweredKernel, dev: DeviceProperties) -> FastProgram:
-    source, vtable = generate_program(lk)
-    namespace: dict = {}
-    exec(compile(source, f"<fastpath:{lk.name}>", "exec"), namespace)
+    steps, launch = _build_steps(lk)
     ends = fusible_run_ends(lk)
     costs, lats, writes = _step_costs(lk, dev)
     mem = _mem_costs(lk, dev)
@@ -827,9 +772,8 @@ def _build_program(lk: LoweredKernel, dev: DeviceProperties) -> FastProgram:
     alu_i, sfu_i = float(dev.alu_issue_cycles), float(dev.sfu_issue_cycles)
     return FastProgram(
         n=len(lk.instructions),
-        source=source,
-        make_vsteps=namespace["make_vsteps"],
-        vtable=vtable,
+        steps=steps,
+        launch=launch,
         deps=_need_tuples(lk),
         ends=ends,
         flush_ops=flush_ops,
@@ -841,8 +785,6 @@ def _build_program(lk: LoweredKernel, dev: DeviceProperties) -> FastProgram:
             ],
             dtype=_F64,
         ),
-        param_names=tuple(lk.kernel.params),
-        fused_pcs=len(vtable),
         clock_pcs=frozenset(
             pc for pc, ins in enumerate(lk.instructions) if ins.op is Op.CLOCK
         ),
@@ -1034,8 +976,11 @@ class FastSMExecutor(SMExecutor):
     """SM executor running straight-line stretches through codegen.
 
     Drop-in replacement for :class:`SMExecutor` selected by
-    ``run_sms(..., fastpath=2)``; produces bit-identical memory,
+    ``run_sms(..., fastpath=True)``; produces bit-identical memory,
     stats and cycle counts (pinned by ``tests/test_fastpath.py``).
+    It runs its kernel's one :class:`FastProgram`, whose steps every
+    run shares; a run owns only its per-pc issue and lane counts and
+    its launch values ``L``.
 
     The executor keeps every resident warp's register file, predicate
     file and scoreboard stacked in one per-SM arena and dispatches warp
@@ -1058,15 +1003,14 @@ class FastSMExecutor(SMExecutor):
 
     def __init__(self, *args, gang=(), **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # One program per kernel × device timing; its bound step sets
-        # are recycled, and acquired by a run, so a gang's followers
-        # hold none.
+        # One program per kernel × device timing, shared by every run.
         program = self.plan.programs.get(self.device)
         if program is None:
             program = self.plan.programs[self.device] = compile_fastpath(
                 self.lk, self.device
             )
         self._program = program
+        self._vsteps = program.steps
         self._ends = program.ends
         # Replay plans, shared by every SM and launch of the program.
         self._vrmeta = program.vmeta  # (pcs, k0, dkey) -> replay
@@ -1705,6 +1649,7 @@ class FastSMExecutor(SMExecutor):
         bra = prog.bra
         cnt = self._cnt
         lanes_acc = self._lanes_acc
+        L = self._L
         why = self._vwhy
         nev = nld = 0  # steps of one-row runs, validated loads
         for e in plan:
@@ -1738,7 +1683,7 @@ class FastSMExecutor(SMExecutor):
                 if run.simple:
                     for qs, reads in run.seq:
                         for q in qs:
-                            vsteps[q](Rr, Pr, tidr, ctar, actr)
+                            vsteps[q](Rr, Pr, tidr, ctar, actr, L)
                         if reads:
                             _vread(reads, Rr, S, actr)
                 else:
@@ -1990,6 +1935,7 @@ class FastSMExecutor(SMExecutor):
         step's lanes are the dispatch's); static loads read ``S`` as in
         a simple run."""
         vsteps = self._vsteps
+        L = self._L
         M = self._gm
         times = iter(run.times)
         for qs, reads in run.seq:
@@ -1997,7 +1943,7 @@ class FastSMExecutor(SMExecutor):
                 tq = next(times)
                 if tq is not None:
                     tq = now + (tq if M == 1 else np.repeat(tq, M, axis=0))
-                got = vsteps[q](R, P, tid, cta, act, tq)
+                got = vsteps[q](R, P, tid, cta, act, L, tq)
                 if got is not None:
                     self._pred_lanes(q, got)
             if reads:
@@ -2061,20 +2007,16 @@ class FastSMExecutor(SMExecutor):
             self._glanes = np.zeros((self._gm, self._program.n), np.int64)
             self._vwhy["gang_members"] += self._gm
         self._arena_alloc(max_resident)
-        self._acquire()
+        prog = self._program
+        self._cnt = [0] * prog.n  # per-pc issue counts
+        self._lanes_acc = [0] * prog.n  # per-pc active-lane counts
+        self._L = prog.launch_values(
+            self.block_dim, self.grid_dim, self.params
+        )
         end = self._loop(0.0, 0)
         for f in self._leavers:
             f._loop(*f._resume)
         return end
-
-    def _acquire(self) -> None:
-        """Take a step set bound to this launch (see
-        :meth:`FastProgram.acquire`)."""
-        steps = self._program.acquire(self.block_dim, self.grid_dim, self.params)
-        self._set = steps
-        self._cnt = steps.cnt
-        self._lanes_acc = steps.lanes
-        self._vsteps = steps.vsteps
 
     def _loop(self, now: float, rr: int) -> float:
         """The scheduler loop from clock ``now`` and scan cursor ``rr``
@@ -2092,6 +2034,7 @@ class FastSMExecutor(SMExecutor):
         writes = prog.writes
         cnt = self._cnt
         lanes_acc = self._lanes_acc
+        L = self._L
         ends = self._ends
         n_prog = prog.n
         vok = self._vok
@@ -2204,7 +2147,7 @@ class FastSMExecutor(SMExecutor):
                     pc = pc0
                     end = ends[pc]
                     while True:
-                        got = vsteps[pc](R1, P1, tid1, cta1, act, now)
+                        got = vsteps[pc](R1, P1, tid1, cta1, act, L, now)
                         w = writes[pc]
                         if w >= 0:
                             if pend1 is None:
@@ -2494,9 +2437,10 @@ class FastSMExecutor(SMExecutor):
 
     def _leave(self, lead: "FastSMExecutor", g: int, now: float, rr: int):
         """Leave ``lead``'s gang as member ``g`` at clock ``now`` and scan
-        cursor ``rr``: take this member's arena rows, the gang's issue
-        and lane counts, stalls and idle cycles so far, and a step set
-        of its own, then wait in ``_resume`` to run alone."""
+        cursor ``rr``: take this member's arena rows, copies of the
+        gang's issue and lane counts, its stalls and idle cycles so far,
+        and the leader's launch values, then wait in ``_resume`` to run
+        alone."""
         M = lead._gm
         self._gm = 1
         self._fols = []
@@ -2513,11 +2457,11 @@ class FastSMExecutor(SMExecutor):
         self._a_cta[:nw] = lead._a_cta[g:hi:M]
         for j, w in enumerate(self._warps):
             self._bind(w, j)
-        self._acquire()
-        self._cnt[:] = lead._cnt
-        self._lanes_acc[:] = (
+        self._cnt = list(lead._cnt)
+        self._lanes_acc = (
             np.array(lead._lanes_acc, dtype=np.int64) + lead._glanes[g]
         ).tolist()
+        self._L = lead._L
         stats, gstats = self.stats, lead.stats
         stats.scoreboard_stalls += gstats.scoreboard_stalls - lead._gbase[0]
         stats.idle_cycles += gstats.idle_cycles - lead._gbase[1]
@@ -2541,10 +2485,6 @@ class FastSMExecutor(SMExecutor):
         stats.sm_cycles.append(now)
         self._fold_counts(c, ln if glanes is None else ln + glanes[0])
         self.end_cycle = now
-        # Zeroed counters make the set reusable.  A run that raised
-        # never gets here, so a half-counted set is dropped.
-        self._cnt[:] = self._lanes_acc[:] = [0] * len(self._cnt)
-        self._program.release(self._set)
         self._flush_vec()
 
     # -- stats ------------------------------------------------------------

@@ -42,7 +42,7 @@ path's worker threads evolve them (copies advance by PCIe time, launches
 by simulated cycles, waits jump to the waited event's re-fired cycle),
 so replays are bit-identical to op-by-op execution — memory image,
 cycles, :class:`KernelStats` and profiler output — for every layout ×
-toolchain × fastpath mode.  A replay requires its streams
+toolchain × fastpath setting.  A replay requires its streams
 idle (no in-flight FIFO entries).  A replayed launch goes through
 ``Device.launch`` like any other, so it runs the program built from the
 captured :class:`LoweredKernel` in this process; nothing a graph holds

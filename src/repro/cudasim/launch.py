@@ -36,7 +36,7 @@ from .device import DeviceProperties, G8800GTX, Toolchain
 from .envflags import env_float
 from .errors import LaunchError
 from .executor import run_sms
-from .fastpath import fastpath_mode
+from .fastpath import fastpath_enabled
 from .ir import Kernel
 from .kernel_cache import CompileOptions, KernelCache, default_cache
 from .lower import LoweredKernel, lower
@@ -157,13 +157,12 @@ class Device:
 
     ``cache`` is the kernel-compilation cache :meth:`compile` consults
     (default: the process-wide cache; pass ``None`` to disable).
-    ``fastpath`` selects the execution mode of
+    ``fastpath`` switches the compiled path of
     :mod:`repro.cudasim.fastpath` (bit-identical to the reference
-    interpreter): ``0``/``False`` interpreter, ``2``/``True`` compiled;
-    any other value raises :class:`ValueError`.  It defaults to the
-    ``REPRO_EXEC_FASTPATH`` environment variable, else mode 2; the
-    resolved mode is exposed as :attr:`fastpath_mode` (``fastpath`` is
-    a read-only boolean view of it).
+    interpreter) on (``True``) or off (``False``, the interpreter);
+    ``None`` resolves the ``REPRO_EXEC_FASTPATH`` environment variable,
+    on when unset, and any other type raises :class:`TypeError`.  The
+    resolved boolean is :attr:`fastpath`.
     ``name`` labels this device in telemetry spans and Chrome-trace
     tracks (:class:`~repro.cudasim.device_group.DeviceGroup` names its
     members ``dev0``, ``dev1``, …).
@@ -175,7 +174,7 @@ class Device:
         toolchain: Toolchain = Toolchain.CUDA_1_0,
         heap_bytes: int = DEFAULT_HEAP_BYTES,
         cache: KernelCache | None | object = _UNSET,
-        fastpath: bool | int | None = None,
+        fastpath: bool | None = None,
         name: str | None = None,
         event_timeout: float | None = None,
     ) -> None:
@@ -194,15 +193,10 @@ class Device:
         self.event_timeout = float(event_timeout)
         self.policy: CoalescingPolicy = policy_for(toolchain)
         self.gmem = GlobalMemory(min(heap_bytes, props.global_mem_bytes))
-        self.fastpath_mode = fastpath_mode(fastpath)
+        self.fastpath = fastpath_enabled(fastpath)
         self._cache = cache
         self._streams: list = []
         self._launch_lock = threading.Lock()
-
-    @property
-    def fastpath(self) -> bool:
-        """Whether any compiled fast path is active (mode > 0)."""
-        return self.fastpath_mode > 0
 
     # -- compilation ---------------------------------------------------------
 
@@ -322,7 +316,7 @@ class Device:
                 runs = run_sms(
                     self.props, self.policy, self.gmem, lk, values,
                     block, grid, assignments, resident, trace=trace,
-                    fastpath=self.fastpath_mode, profile=profile_spec,
+                    fastpath=self.fastpath, profile=profile_spec,
                 )
             for run in runs:
                 end = max(end, run.end_cycle)

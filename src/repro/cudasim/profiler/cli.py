@@ -17,9 +17,10 @@ reports zero deltas.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
+from ..envflags import env_override
+from ..fastpath import FASTPATH_ENV
 from . import runtime as _session
 from .report import (
     PROFILE_SCHEMA,
@@ -92,25 +93,23 @@ def run_force(
 
 
 def _cmd_run(args) -> int:
-    if args.no_fastpath:
-        from ..fastpath import FASTPATH_ENV
-
-        os.environ[FASTPATH_ENV] = "0"
     _session.disable()
     _session.enable(max_gap_events=args.max_gap_events)
-    if args.kernel == "membench":
-        _measurement, profile = run_membench(
-            args.layout,
-            args.toolchain,
-            args.n,
-            args.block,
-            args.grid,
-            args.records_per_thread,
-        )
-    else:
-        _measurement, profile = run_force(
-            args.layout, args.toolchain, args.n, args.block, args.unroll
-        )
+    # --no-fastpath pins the interpreter for this command only.
+    with env_override(FASTPATH_ENV, "0" if args.no_fastpath else None):
+        if args.kernel == "membench":
+            _measurement, profile = run_membench(
+                args.layout,
+                args.toolchain,
+                args.n,
+                args.block,
+                args.grid,
+                args.records_per_thread,
+            )
+        else:
+            _measurement, profile = run_force(
+                args.layout, args.toolchain, args.n, args.block, args.unroll
+            )
     if profile is None:
         print("error: launch produced no profile", file=sys.stderr)
         return 1

@@ -62,8 +62,11 @@ __all__ = ["Stream", "Event", "PCIE_BYTES_PER_S"]
 #: (wait forever) on :meth:`Stream.wait_event`.
 _UNSET = object()
 
-#: Modeled host↔device bandwidth (PCIe x16 gen1, the 8800 GTX's bus) used
-#: to place async copies on the simulated timeline.
+#: Modeled host↔device bandwidth (PCIe x16 gen1, the 8800 GTX's bus),
+#: which places async copies on the simulated timeline and prices the
+#: transfers of ``GpuForceBackend.predict_seconds``.  PCIe 1.1 x16 peaks
+#: at 4 GB/s; 2009-era pinned-memory transfers sustained ~3 GB/s
+#: (measured values in the bandwidthTest SDK sample of the period).
 PCIE_BYTES_PER_S = 3.0e9
 
 _stream_counter = itertools.count()

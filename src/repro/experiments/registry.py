@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Callable
@@ -249,8 +248,9 @@ def main(argv: list[str] | None = None) -> int:
         "--no-fastpath",
         action="store_true",
         help="pin the reference cycle interpreter instead of the "
-        "compiled fast path (sets REPRO_EXEC_FASTPATH=0); results are "
-        "bit-identical either way, only wall-clock time changes",
+        "compiled fast path (REPRO_EXEC_FASTPATH=0 for this command); "
+        "results are bit-identical either way, only wall-clock time "
+        "changes",
     )
     args = parser.parse_args(argv)
 
@@ -265,36 +265,40 @@ def main(argv: list[str] | None = None) -> int:
         from ..cudasim import profiler as _profiler
 
         _profiler.enable()
-    if args.no_fastpath:
-        from ..cudasim.fastpath import FASTPATH_ENV
-
-        os.environ[FASTPATH_ENV] = "0"
     # With --json, stdout is reserved for the machine-readable records.
     human = sys.stderr if args.json else sys.stdout
 
     names = list(EXPERIMENTS) if args.names == ["all"] else args.names
     status = 0
-    for name in names:
-        t0 = time.perf_counter()
-        try:
-            result = run_experiment(name, quick=args.quick)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        elapsed = time.perf_counter() - t0
-        print(result.summary(), file=human)
-        print(f"({elapsed:.1f}s)\n", file=human)
-        if args.dat:
-            for path in result.save_dat(args.dat):
-                print(f"wrote {path}", file=human)
-        if args.json:
-            manifest = _experiment_manifest(result, elapsed, quick=args.quick)
-            print(json.dumps(manifest, default=repr))
-            append_manifest(args.json, manifest)
-            print(
-                f"appended {result.experiment_id} manifest to {args.json}",
-                file=human,
-            )
+    # --no-fastpath pins the interpreter for this command only.
+    from ..cudasim.envflags import env_override
+    from ..cudasim.fastpath import FASTPATH_ENV
+
+    with env_override(FASTPATH_ENV, "0" if args.no_fastpath else None):
+        for name in names:
+            t0 = time.perf_counter()
+            try:
+                result = run_experiment(name, quick=args.quick)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+            elapsed = time.perf_counter() - t0
+            print(result.summary(), file=human)
+            print(f"({elapsed:.1f}s)\n", file=human)
+            if args.dat:
+                for path in result.save_dat(args.dat):
+                    print(f"wrote {path}", file=human)
+            if args.json:
+                manifest = _experiment_manifest(
+                    result, elapsed, quick=args.quick
+                )
+                print(json.dumps(manifest, default=repr))
+                append_manifest(args.json, manifest)
+                print(
+                    f"appended {result.experiment_id} manifest to "
+                    f"{args.json}",
+                    file=human,
+                )
     if args.telemetry:
         from ..cudasim.kernel_cache import default_cache
 

@@ -41,7 +41,7 @@ from ..cudasim.launch import Device, LaunchResult
 from ..cudasim.lower import LoweredKernel
 from ..cudasim.memory import DevicePtr
 from ..cudasim.occupancy import occupancy
-from ..cudasim.stream import Event, Stream
+from ..cudasim.stream import PCIE_BYTES_PER_S, Event, Stream
 from ..cudasim.xfer import StagingBuffer, TilePlan, TransferPipeline, XferStats
 from .forces_cpu import direct_forces_f32_tiled
 from .gpu_kernels import (
@@ -147,11 +147,6 @@ class ExecutionMode(enum.Enum):
                 f"unknown execution mode {value!r}; expected one of "
                 f"{[m.value for m in cls]}"
             ) from None
-
-#: Effective host↔device bandwidth.  PCIe 1.1 x16 peaks at 4 GB/s; 2009-era
-#: pinned-memory transfers sustained ~3 GB/s (measured values in the
-#: bandwidthTest SDK sample of the period).
-PCIE_BYTES_PER_S = 3.0e9
 
 
 @dataclass(frozen=True)
@@ -1057,7 +1052,7 @@ class ShardedGpuSimulation(_EpochDriver):
         group: DeviceGroup | None = None,
         num_devices: int = 2,
         device_props: DeviceProperties = G8800GTX,
-        fastpath: bool | int | None = None,
+        fastpath: bool | None = None,
         peer_access: bool = True,
         use_graph: bool = False,
     ) -> None:

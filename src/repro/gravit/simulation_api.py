@@ -29,6 +29,7 @@ from typing import Union
 
 from ..cudasim.device import DeviceProperties, G8800GTX, Toolchain
 from ..cudasim.device_group import DeviceGroup
+from ..cudasim.fastpath import fastpath_enabled
 from ..cudasim.kernel_cache import Unroll
 from ..cudasim.launch import DEFAULT_HEAP_BYTES, Device
 from .gpu_driver import (
@@ -64,7 +65,7 @@ class SimulationConfig:
     toolchain: Toolchain = Toolchain.CUDA_1_0
     eps: float = 1e-2
     g: float = 1.0
-    fastpath: bool | int | None = None  #: exec mode 0|2; None = env default
+    fastpath: bool | None = None  #: compiled path on/off; None = env default
     devices: int = 1
     peer_access: bool = True
     device_props: DeviceProperties = field(repr=False, default=G8800GTX)
@@ -83,6 +84,8 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "unroll", Unroll.coerce(self.unroll))
+        if self.fastpath is not None:
+            fastpath_enabled(self.fastpath)  # a bool, or TypeError
         if self.devices < 1:
             raise ValueError(f"devices must be >= 1, got {self.devices}")
         if self.pool_records_per_block is not None:

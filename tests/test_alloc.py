@@ -383,8 +383,8 @@ class TestParticlePools:
                 cycles.append(psim.step(1e-3))
                 return cycles, psim.writeback()
 
-        ref_cycles, ref = run(0)
-        cycles, state = run(2)
+        ref_cycles, ref = run(False)
+        cycles, state = run(True)
         assert cycles == ref_cycles
         for f in ("px", "py", "pz", "vx", "vy", "vz", "mass"):
             assert np.array_equal(getattr(state, f), getattr(ref, f)), f

@@ -242,7 +242,9 @@ class TestReplayWindowFault:
         params = {"dst": dev.malloc(4 * self.GRID * self.BLOCK), "off": 0}
         return dev, params
 
-    @pytest.mark.parametrize("fastpath", (0, 2))
+    # Ids 0 and 2: the names these cases have had since the switch was
+    # an integer.
+    @pytest.mark.parametrize("fastpath", (False, True), ids=("0", "2"))
     def test_launch_raises_from_the_window(self, fastpath, monkeypatch):
         from repro.cudasim.fastpath import FastSMExecutor
 
@@ -265,7 +267,9 @@ class TestReplayWindowFault:
         assert dev.gmem.heap_stats() == before
         assert seen == ([info.value] if fastpath else [])
 
-    @pytest.mark.parametrize("fastpath", (0, 2))
+    # Ids 0 and 2: the names these cases have had since the switch was
+    # an integer.
+    @pytest.mark.parametrize("fastpath", (False, True), ids=("0", "2"))
     def test_stream_fault_is_sticky_and_next_launch_exact(self, fastpath):
         from repro.cudasim.fastpath import reset_vec_counters, vec_counters
 
@@ -285,7 +289,7 @@ class TestReplayWindowFault:
         result = dev.launch(lk, self.GRID, self.BLOCK, params)
         if fastpath:  # the valid loads run in a replay window too
             assert vec_counters()["row_loads"] > 0
-        ref_dev, ref_params = self._setup(0)
+        ref_dev, ref_params = self._setup(False)
         ref = ref_dev.launch(
             compile_kernel(self._kernel()), self.GRID, self.BLOCK, ref_params
         )

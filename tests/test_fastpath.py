@@ -1,6 +1,6 @@
 """Fastpath vs interpreter: bit-identity, CFG splitting, codegen cache.
 
-The compiled fast path (:mod:`repro.cudasim.fastpath`, ``fastpath=2``)
+The compiled fast path (:mod:`repro.cudasim.fastpath`, ``fastpath=True``)
 must be an exact stand-in for the reference interpreter: same memory
 image, same :class:`KernelStats`, same cycle counts — for every
 layout, coalescing policy, unroll factor, a divergent Barnes-Hut
@@ -48,7 +48,6 @@ from repro.cudasim.fastpath import (
     FastSMExecutor,
     compile_fastpath,
     fastpath_enabled,
-    fastpath_mode,
     generate_program,
     reset_vec_counters,
     vec_counters,
@@ -75,11 +74,13 @@ def _clean_telemetry():
 N = 64
 BLOCK = 32
 
-#: Interpreter, compiled fast path.
-MODES = (0, 2)
+#: Interpreter, compiled fast path.  Their test ids, ``0`` and ``2``,
+#: are the names these cases have had since the switch was an integer.
+MODES = (False, True)
+MODE_IDS = ("0", "2")
 
 
-def _forces_run(cfg: GpuConfig, fastpath: int):
+def _forces_run(cfg: GpuConfig, fastpath: bool):
     """One forces_cycle on a fresh device; returns everything observable."""
     system = uniform_cube(N, seed=7)
     dev = Device(
@@ -120,14 +121,14 @@ class TestDifferentialForces:
         cfg = GpuConfig(
             layout_kind=kind, block_size=BLOCK, toolchain=toolchain
         )
-        _assert_identical(_forces_run(cfg, 0), _forces_run(cfg, 2))
+        _assert_identical(_forces_run(cfg, False), _forces_run(cfg, True))
 
     @pytest.mark.parametrize("unroll", [2, 16, BLOCK])
     def test_unroll_bit_identical(self, unroll):
         cfg = GpuConfig(
             layout_kind="soaoas", block_size=BLOCK, unroll=unroll, licm=True
         )
-        _assert_identical(_forces_run(cfg, 0), _forces_run(cfg, 2))
+        _assert_identical(_forces_run(cfg, False), _forces_run(cfg, True))
 
 
 class TestDifferentialDivergent:
@@ -241,7 +242,9 @@ class TestDifferentialProfile:
             if profiled:
                 profiler.enable()
             reset_vec_counters()
-            dev = Device(fastpath=2, cache=KernelCache(), heap_bytes=1 << 20)
+            dev = Device(
+                fastpath=True, cache=KernelCache(), heap_bytes=1 << 20
+            )
             if case == "paper":
                 cfg = GpuConfig(
                     layout_kind="soaoas", block_size=128, unroll="full"
@@ -337,7 +340,7 @@ def _replay_plans(
     """Launch ``kernel`` once on the compiled path; return the replay
     plans its program memoized, each checked by :func:`_walk_plans`."""
     dev = Device(
-        props=props, fastpath=2, cache=KernelCache(), heap_bytes=1 << 20
+        props=props, fastpath=True, cache=KernelCache(), heap_bytes=1 << 20
     )
     lk = compile_kernel(kernel)
     dev.launch(
@@ -549,7 +552,7 @@ class TestVectorFallbacks:
         )
         bh_forces_gpu(
             uniform_sphere(48, seed=11), block_size=64,
-            device=Device(fastpath=2, cache=KernelCache()),
+            device=Device(fastpath=True, cache=KernelCache()),
         )
         got = vec_counters()
         assert got["fallbacks"] > 0
@@ -563,7 +566,9 @@ class TestVectorFallbacks:
         import threading
 
         def launch():
-            dev = Device(fastpath=2, cache=KernelCache(), heap_bytes=1 << 20)
+            dev = Device(
+                fastpath=True, cache=KernelCache(), heap_bytes=1 << 20
+            )
             lk = compile_kernel(_bank_conflict_kernel())
             dev.launch(lk, grid=2, block=64, params={"dst": dev.malloc(512)})
 
@@ -850,7 +855,7 @@ class TestStaticLoads:
             b.iadd(s0, s0, 4)
         return s0
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
     @pytest.mark.parametrize(
         "addr, width, error",
         [
@@ -1002,11 +1007,11 @@ class TestRangeRuns:
                 result.stats.as_dict(),
             )
 
-        want = launch(0)
+        want = launch(False)
         got: list = [None] * 6
 
         def work(k):
-            got[k] = launch(2)
+            got[k] = launch(True)
 
         threads = [
             threading.Thread(target=work, args=(k,)) for k in range(len(got))
@@ -1595,18 +1600,18 @@ class TestCodegenCache:
         monkeypatch.setattr(fastpath_mod, "compile_fastpath", counted)
         kernel = _rebind_kernel()
         lk = compile_kernel(kernel, cache=None)
-        group = DeviceGroup(2, cache=None, heap_bytes=1 << 20, fastpath=2)
+        group = DeviceGroup(2, cache=None, heap_bytes=1 << 20, fastpath=True)
         devices = [
             Device(
                 toolchain=toolchain, cache=None, heap_bytes=1 << 20,
-                fastpath=2,
+                fastpath=True,
             )
             for toolchain in (Toolchain.CUDA_1_0, Toolchain.CUDA_2_2)
         ] + list(group)
         plans = []
         for dev in devices:
             reference = Device(
-                toolchain=dev.toolchain, fastpath=0, cache=None,
+                toolchain=dev.toolchain, fastpath=False, cache=None,
                 heap_bytes=1 << 20,
             )
             _assert_identical(
@@ -1629,7 +1634,7 @@ class TestCodegenCache:
         fused = [
             pc for pc, i in enumerate(lk.instructions) if i.op in FUSIBLE_OPS
         ]
-        source, table = generate_program(lk)
+        source, table, _ = generate_program(lk)
         assert [pc for pc, _, _ in table] == fused
         templates = {index for _, index, _ in table}
         assert len(templates) == source.count("def _V")
@@ -1650,37 +1655,57 @@ class TestCodegenCache:
         assert Device(cache=KernelCache(), fastpath=True).fastpath is True
 
     def test_env_three_state(self, monkeypatch):
+        """Unset means on, ``0`` off and ``1`` on; the integer mode
+        ``2`` is gone and rejected like any other unknown spelling."""
         monkeypatch.delenv(FASTPATH_ENV, raising=False)
-        assert fastpath_mode() == 2
+        assert fastpath_enabled() is True
         monkeypatch.setenv(FASTPATH_ENV, "0")
-        assert fastpath_mode() == 0
-        monkeypatch.setenv(FASTPATH_ENV, "2")
-        assert fastpath_mode() == 2
+        assert fastpath_enabled() is False
         monkeypatch.setenv(FASTPATH_ENV, "1")
+        assert fastpath_enabled() is True
+        monkeypatch.setenv(FASTPATH_ENV, "2")
         with pytest.raises(ValueError, match=FASTPATH_ENV):
-            fastpath_mode()
+            fastpath_enabled()
 
     def test_mode_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(FASTPATH_ENV, "2")
-        assert fastpath_mode(0) == 0
-        assert fastpath_mode(2) == 2
-        assert fastpath_mode(False) == 0
-        assert fastpath_mode(True) == 2
+        """An explicit boolean wins over the environment, even over a
+        value the environment would reject; an integer is no switch."""
+        for env in ("0", "1", "2"):
+            monkeypatch.setenv(FASTPATH_ENV, env)
+            assert fastpath_enabled(False) is False
+            assert fastpath_enabled(True) is True
         monkeypatch.delenv(FASTPATH_ENV, raising=False)
-        with pytest.raises(ValueError):
-            fastpath_mode(1)
-        with pytest.raises(ValueError):
-            fastpath_mode(3)
-        with pytest.raises(ValueError):
-            fastpath_mode(-1)
+        for value in (0, 1, 2, -1, np.True_, "on"):
+            with pytest.raises(TypeError):
+                fastpath_enabled(value)
 
-    def test_device_exposes_resolved_mode(self):
+    def test_device_exposes_resolved_mode(self, monkeypatch):
+        """Every layer that takes ``fastpath=`` takes a bool or None and
+        raises :class:`TypeError` on an int before running anything."""
+        from repro.cudasim.executor import run_sms
+        from repro.gravit import ShardedGpuSimulation, SimulationConfig
+
+        monkeypatch.setenv(FASTPATH_ENV, "0")
+        assert Device(cache=KernelCache()).fastpath is False
         for mode in MODES:
-            dev = Device(cache=KernelCache(), fastpath=mode)
-            assert dev.fastpath_mode == mode
-            assert dev.fastpath is (mode > 0)
-        with pytest.raises(ValueError):
-            Device(cache=KernelCache(), fastpath=1)
+            assert Device(cache=KernelCache(), fastpath=mode).fastpath is mode
+            group = DeviceGroup(2, cache=KernelCache(), fastpath=mode)
+            assert [dev.fastpath for dev in group] == [mode, mode]
+        system = uniform_cube(8, seed=1)
+        for bad in (0, 2):
+            with pytest.raises(TypeError):
+                Device(cache=KernelCache(), fastpath=bad)
+            with pytest.raises(TypeError):
+                DeviceGroup(2, cache=KernelCache(), fastpath=bad)
+            with pytest.raises(TypeError):
+                SimulationConfig(fastpath=bad)
+            with pytest.raises(TypeError):
+                ShardedGpuSimulation(system, fastpath=bad)
+            with pytest.raises(TypeError):
+                run_sms(
+                    G8800GTX, None, None, None, {}, 32, 1, [], 1,
+                    fastpath=bad,
+                )
 
     @pytest.mark.parametrize("value", ("off", "false", "no", "OFF", "False"))
     def test_env_false_spellings_disable(self, monkeypatch, value):
@@ -1754,18 +1779,23 @@ class TestKernelPlan:
     #: (grid, block, scale, bias) of successive launches of one kernel.
     LAUNCHES = ((3, 64, 2.0, 1.0), (5, 32, -0.5, 7.0), (2, 96, 3.0, -2.0))
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
     def test_reused_plan_rebinds_launch_values(self, mode):
         kernel = _rebind_kernel()
         shared = compile_kernel(kernel, cache=None)
         for launch in self.LAUNCHES:
             reference = _rebind_launch(
-                compile_kernel(kernel, cache=None), 0, *launch
+                compile_kernel(kernel, cache=None), False, *launch
             )
             _assert_identical(reference, _rebind_launch(shared, mode, *launch))
         assert shared.exec_plan is not None
 
     def test_state_built_once(self, monkeypatch):
+        """Steps are built once per program, with the program: not per
+        SM run, and not per SM running at once.  A warm-up launch builds
+        the plan, then threads launch the kernel at once with different
+        launch values under a tiny switch interval; every result equals
+        its interpreter reference."""
         import repro.cudasim.executor as executor_mod
         import repro.cudasim.fastpath as fastpath_mod
 
@@ -1787,13 +1817,19 @@ class TestKernelPlan:
             counted("program", fastpath_mod.compile_fastpath),
         )
         monkeypatch.setattr(
-            fastpath_mod.StepSet, "__init__",
-            counted("steps", fastpath_mod.StepSet.__init__),
+            fastpath_mod, "_build_steps",
+            counted("steps", fastpath_mod._build_steps),
         )
-        lk = compile_kernel(_rebind_kernel(), cache=None)
+        kernel = _rebind_kernel()
+        lk = compile_kernel(kernel, cache=None)
         for _ in range(3):
-            _rebind_launch(lk, 2, 8, 64, 1.0, 0.0)  # 8 SM runs per launch
+            _rebind_launch(lk, True, 8, 64, 1.0, 0.0)  # 8 SM runs each
         assert calls == {"prepare": 1, "program": 1, "steps": 1}
+        (program,) = lk.exec_plan.programs.values()
+        self._assert_concurrent_launches(kernel, lk)
+        assert calls["program"] == calls["steps"] == 1
+        assert list(lk.exec_plan.programs) == [G8800GTX]
+        assert lk.exec_plan.programs[G8800GTX] is program
 
     def test_plan_is_not_pickled(self):
         """The kernel cache's disk layer pickles kernels; the plan holds
@@ -1801,7 +1837,7 @@ class TestKernelPlan:
         import pickle
 
         lk = compile_kernel(_rebind_kernel(), cache=None)
-        _rebind_launch(lk, 2, 2, 32, 1.0, 0.0)
+        _rebind_launch(lk, True, 2, 32, 1.0, 0.0)
         assert lk.exec_plan is not None
         clone = pickle.loads(pickle.dumps(lk))
         assert clone.exec_plan is None
@@ -1812,20 +1848,27 @@ class TestKernelPlan:
         launch values at once, under a tiny switch interval: a shared
         step family would mix their parameters or lose counter updates,
         so every result must still equal its interpreter reference."""
+        kernel = _rebind_kernel()
+        self._assert_concurrent_launches(
+            kernel, compile_kernel(kernel, cache=None)
+        )
+
+    def _assert_concurrent_launches(self, kernel, lk) -> None:
+        """Launch ``lk`` (lowered from ``kernel``) from one thread per
+        case of :attr:`LAUNCHES` (twice over) at once, under a tiny
+        switch interval; each result must equal the interpreter's."""
         import sys
         import threading
 
-        kernel = _rebind_kernel()
-        lk = compile_kernel(kernel, cache=None)
         cases = self.LAUNCHES * 2
         expected = [
-            _rebind_launch(compile_kernel(kernel, cache=None), 0, *case)
+            _rebind_launch(compile_kernel(kernel, cache=None), False, *case)
             for case in cases
         ]
         got: list = [None] * len(cases)
 
         def work(k):
-            got[k] = _rebind_launch(lk, 2, *cases[k])
+            got[k] = _rebind_launch(lk, True, *cases[k])
 
         threads = [
             threading.Thread(target=work, args=(k,))
@@ -1856,8 +1899,12 @@ class TestKernelPlan:
             for bias in (1.0, -2.0)
         ]
         expected = [
-            [_rebind_launch(compile_kernel(k, cache=None), 0, 2, 64, 1.5, 0.25)
-             for k in row]
+            [
+                _rebind_launch(
+                    compile_kernel(k, cache=None), False, 2, 64, 1.5, 0.25
+                )
+                for k in row
+            ]
             for row in kernels
         ]
         got: list = [[], []]
@@ -1867,7 +1914,7 @@ class TestKernelPlan:
             start.wait()
             for k in kernels[t]:
                 lk = compile_kernel(k, cache=None)
-                got[t].append(_rebind_launch(lk, 2, 2, 64, 1.5, 0.25))
+                got[t].append(_rebind_launch(lk, True, 2, 64, 1.5, 0.25))
 
         threads = [threading.Thread(target=work, args=(t,)) for t in (0, 1)]
         interval = sys.getswitchinterval()
@@ -2151,7 +2198,7 @@ class TestReplayPlans:
         out-of-phase blocks on the uncoalesced layouts."""
         backend = GpuForceBackend(
             GpuConfig(layout_kind=kind, block_size=2 * BLOCK, unroll=unroll),
-            device=Device(fastpath=2, cache=KernelCache()),
+            device=Device(fastpath=True, cache=KernelCache()),
         )
         backend.calibrate((1, 2))
         assert _walk_plans(backend.compile())

@@ -405,7 +405,9 @@ class TestDriverBitIdentity:
             lambda g: GpuSimulation(plummer(96, seed=11), cfg, use_graph=g)
         )
 
-    @pytest.mark.parametrize("fastpath", [0, 2])
+    # Ids 0 and 2: the names these cases have had since the switch was
+    # an integer.
+    @pytest.mark.parametrize("fastpath", [False, True], ids=["0", "2"])
     def test_single_device_fastpath_modes(self, fastpath):
         cfg = GpuConfig(block_size=32)
         _run_driver_pair(

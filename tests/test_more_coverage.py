@@ -144,6 +144,41 @@ class TestCli:
         assert json.loads(captured.out.splitlines()[0])["kind"] == "experiment"
         assert "paper vs measured" in captured.err
 
+    @pytest.mark.parametrize("before", (None, "0", "on"))
+    def test_no_fastpath_is_scoped_to_the_command(self, monkeypatch, before):
+        """``--no-fastpath`` pins the interpreter while the command runs,
+        then leaves the environment as it found it: a later command
+        and a new device resolve the switch as before."""
+        import os
+
+        from repro.cudasim import fastpath_enabled
+        from repro.cudasim.fastpath import FASTPATH_ENV
+        from repro.experiments import registry
+
+        if before is None:
+            monkeypatch.delenv(FASTPATH_ENV, raising=False)
+        else:
+            monkeypatch.setenv(FASTPATH_ENV, before)
+        enabled = fastpath_enabled()
+        seen = []
+
+        class Result:
+            def summary(self):
+                return ""
+
+        def run_experiment(name, quick=False):
+            dev = Device(cache=None, heap_bytes=1 << 12)
+            seen.append((fastpath_enabled(), dev.fastpath))
+            return Result()
+
+        monkeypatch.setattr(registry, "run_experiment", run_experiment)
+        assert main(["run", "occupancy", "--no-fastpath"]) == 0
+        assert os.environ.get(FASTPATH_ENV) == before
+        assert main(["run", "occupancy"]) == 0
+        assert seen == [(False, False), (enabled, enabled)]
+        assert os.environ.get(FASTPATH_ENV) == before
+        assert fastpath_enabled() is enabled
+
 
 class TestModelVsSim:
     @pytest.fixture(scope="class")

@@ -322,6 +322,39 @@ class TestCli:
         assert main([*common, "--layout", "aos", "--json", str(b)]) == 0
         assert main(["diff", str(a), str(b)]) == 1
 
+    @pytest.mark.parametrize("before", (None, "0", "on"))
+    def test_no_fastpath_is_scoped_to_the_command(
+        self, monkeypatch, capsys, before
+    ):
+        """``--no-fastpath`` pins the interpreter while the launch runs,
+        then leaves the environment as it found it."""
+        import os
+
+        from repro.cudasim import fastpath_enabled
+        from repro.cudasim.fastpath import FASTPATH_ENV
+        from repro.cudasim.profiler import cli
+
+        if before is None:
+            monkeypatch.delenv(FASTPATH_ENV, raising=False)
+        else:
+            monkeypatch.setenv(FASTPATH_ENV, before)
+        enabled = fastpath_enabled()
+        seen = []
+
+        def run_force(*args):
+            dev = Device(cache=None, heap_bytes=1 << 12)
+            seen.append((fastpath_enabled(), dev.fastpath))
+            return {}, None  # no profile: the command reports an error
+
+        monkeypatch.setattr(cli, "run_force", run_force)
+        assert cli.main(["run", "--kernel", "force", "--no-fastpath"]) == 1
+        assert os.environ.get(FASTPATH_ENV) == before
+        assert cli.main(["run", "--kernel", "force"]) == 1
+        assert seen == [(False, False), (enabled, enabled)]
+        assert os.environ.get(FASTPATH_ENV) == before
+        assert fastpath_enabled() is enabled
+        assert "produced no profile" in capsys.readouterr().err
+
 
 class TestTelemetryIntegration:
     def test_stall_counter_track_in_chrome_trace(self, tmp_path):
