@@ -154,9 +154,12 @@ def replay_schedulable(instr: Instr) -> bool:
       real issue cost is checked against the assumption and a mismatch
       aborts the window (a predicated one can skip its destination
       marks entirely, which would make dependent wakes dynamic);
-    * ``BRA`` — scheduled under a direction assumption (backward and
-      unconditional branches taken, forward predicated ones
-      fall-through) that the dispatcher verifies per execution.
+    * ``BRA`` — *static* when it is unconditional or its predicate was
+      set in the window by a ``setp`` on known integer constants (a
+      counted loop's condition): the replay follows its real direction.
+      Any other branch is scheduled under a direction assumption
+      (backward taken, forward fall-through) that the dispatcher
+      verifies per execution.
 
     Everything else still parks the row: barriers and global-memory ops
     couple to shared SM state whose timing cannot be pre-validated, and

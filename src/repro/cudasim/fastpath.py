@@ -83,30 +83,41 @@ Python over a window of schedulable pcs
 (:func:`repro.cudasim.cfg.replay_schedulable` — fusible ALU work plus
 unpredicated shared loads and branches) for every countable warp of
 the SM, and the resulting issue plan is memoized on the shared program
-keyed by the warps' pc and entry-wake configuration.  Every simulated
+keyed by the warps' pc and entry-wake configuration and their *entry
+constants* (below).  Every simulated
 time is a dyadic rational, so float64 sums are exact in any
 association order and the plan's offsets from dispatch time hold for
 any dispatch clock.  Shared loads are scheduled at their
-conflict-free cost.  A load is *static* when its base register holds a
-constant the window itself set up — a ``mov`` of an integer,
-optionally advanced by unpredicated ``iadd`` steps of integers, as a
-rolled loop walks its tile — and the address is aligned and in bounds:
-every active lane then reads the same words, a broadcast that costs
-exactly that, and the window holds no stores, so it is as
-state-invisible as an ALU op and needs no check.  Within each segment
+conflict-free cost.  The replay tracks, per row, the integer constants
+its registers hold: set by a ``mov`` in the window, or read at
+dispatch — the loop counters and tile cursors live at the row's pc,
+when every active lane of every gang member holds the same exact
+integer — then advanced by unpredicated ``iadd`` steps of integers, as
+a rolled loop counts and walks its tile.  A load is *static* when its
+base register holds such a constant and the address is aligned and in
+bounds: every active lane then reads the same words, a broadcast that
+costs exactly that, and the window holds no stores, so it is as
+state-invisible as an ALU op and needs no check.  A branch is *static*
+when it is unconditional or its predicate comes from a ``setp`` on such
+constants and integer immediates in the window, as a counted loop's
+``setp.lt p, j, 128`` does: the replay follows its real direction, so
+the plan leaves a counted loop at its real trip count, and the branch
+only adds its issue and lane counts.  Within each segment
 between validated events, range groups (the rows at one pc, per
 maximal range of consecutive rows, a lone row included; static loads
-also at one address, each row reading its own block) fold into
+also at one address, each row reading its own block; static branches
+also going one way) fold into
 stacked steps over their rows, and the groups of one row range become
 one *run event*: its steps execute back to back over those rows (a
 static load as one read of a stacked view of the rows' shared
 memory), then one precomputed ``(rows, k)`` offset array writes every
 scoreboard mark the run leaves behind and its issue and lane counts
-are added at once.  So resident blocks that run out of phase fold
-block by block.  A plan holds run events and validated events only.
-The other loads are validated, and so are branches, scheduled
-under a static direction assumption (backward/unconditional taken,
-forward predicated fall-through): at dispatch each such event is
+are added at once.  A run can go round a loop many times.  So resident
+blocks that run out of phase fold block by block.  A plan holds run
+events and validated events only.
+The other loads and branches are validated, the branches scheduled
+under a direction assumption (backward taken, forward fall-through): at
+dispatch each such event is
 either proven by a cheap vectorized check (whole-warp broadcast load,
 uniform predicate) or executed through the real ``_issue``, and any
 deviation — cost, direction, or a mask rebind from divergence —
@@ -186,6 +197,7 @@ across both for every layout × coalescing policy.
 
 from __future__ import annotations
 
+import operator
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -236,6 +248,16 @@ _CMP_UFUNCS = {
     "ge": "greater_equal",
     "eq": "equal",
     "ne": "not_equal",
+}
+#: The same comparisons on the replay's tracked constants (Python
+#: floats compare as the float64 ufuncs do).
+_CMP_OPS = {
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+    "ge": operator.ge,
+    "eq": operator.eq,
+    "ne": operator.ne,
 }
 
 
@@ -299,27 +321,31 @@ class FastProgram:
     #: pc.
     mem: list
     #: Per-pc ``(target, pred slot, pred negated, assumed taken, issue
-    #: cycles)`` for branches the replay schedules under a direction
-    #: assumption — backward and unconditional branches assumed taken,
-    #: forward predicated branches assumed fall-through — validated at
-    #: execution time (wrong direction or divergence aborts the window
-    #: exactly).  ``None`` for every other pc.
+    #: cycles)`` for branches (see :func:`_bra_costs`): ``pred slot`` is
+    #: ``-1`` for an unconditional branch, and ``assumed taken`` is the
+    #: direction a validated branch is scheduled under.  ``None`` for
+    #: every other pc.
     bra: list
     #: Per-pc replay-window membership
     #: (:func:`repro.cudasim.cfg.replay_schedulable`): fusible ALU work
-    #: plus the shared loads and validated branches.
+    #: plus the shared loads and branches.
     vok: list
-    #: Per-pc ``(register slots written, constant, source slot)`` for the
-    #: replay's static-load analysis (see :func:`_reg_writes`).
+    #: Per-pc ``(register slots written, constant, source slot,
+    #: predicate write)`` for the replay's constant tracking (see
+    #: :func:`_reg_writes`).
     regw: list
+    #: ``{pc: register slots}`` a dispatch reads as entry constants at
+    #: a row entering there (see :func:`_entry_regs`).
+    live: dict
     #: Fusible pcs whose step needs more than the stack: CLOCK steps
     #: take the per-row issue moments, predicated steps return their
     #: lane mask (the caller counts its active lanes).
     clock_pcs: frozenset = frozenset()
     pred_pcs: frozenset = frozenset()
-    #: Scheduler-replay cache keyed by ``(pcs, k0, dkey)`` — schedules
-    #: are pure functions of the program, so the cache lives here and
-    #: is shared by every SM executor and launch of this program.
+    #: Scheduler-replay cache keyed by ``(pcs, k0, dkey, entry)`` —
+    #: schedules are pure functions of the program and the key, so the
+    #: cache lives here and is shared by every SM executor and launch of
+    #: this program.
     vmeta: dict = field(default_factory=dict)
 
     def launch_values(self, block_dim: int, grid_dim: int, params) -> tuple:
@@ -677,60 +703,192 @@ def _mem_costs(lk: LoweredKernel, dev: DeviceProperties) -> list:
     return out
 
 
+def _exact(s) -> bool:
+    """``s`` is an immediate integer of magnitude at most ``2**24``, so
+    exact in float32 and in the register file's float64."""
+    if not isinstance(s, Imm):
+        return False
+    v = float(s.value)
+    return v.is_integer() and abs(v) <= 2**24
+
+
+def _gpr(s) -> bool:
+    """``s`` is a general-purpose (non-predicate) register."""
+    return isinstance(s, Reg) and not s.is_predicate
+
+
 def _reg_writes(lk: LoweredKernel) -> list:
-    """Per-pc ``(register slots written, constant, source slot)``.
+    """Per-pc ``(register slots written, constant, source slot,
+    predicate write)``.
 
     ``constant`` is set for two unpredicated writers whose immediate is
-    an integer of magnitude at most ``2**24`` (so exact in float32):
-    ``mov reg, imm`` (source slot ``-1``) leaves every active lane
-    holding ``imm``; ``iadd reg, src, imm`` (source slot ``src``) leaves
-    ``src``'s value plus ``imm``, the tile-cursor advance of a rolled
-    loop.  The replay tracks these writers per row to prove shared
-    loads static: a ``mov`` sets a constant, an ``iadd`` carries one
-    when ``src`` holds a tracked constant and the sum stays within
-    ``2**24``, and every other register write invalidates what it
-    overwrites.
+    an exact integer (see :func:`_exact`): ``mov reg, imm`` (source
+    slot ``-1``) leaves every active lane holding ``imm``; ``iadd reg,
+    src, imm`` (source slot ``src``) leaves ``src``'s value plus
+    ``imm``, the counter step or tile-cursor advance of a rolled loop.
+    The replay tracks these writers per row: a ``mov`` sets a constant,
+    an ``iadd`` carries one when ``src`` holds a tracked constant and
+    the sum stays within ``2**24``, and every other register write
+    invalidates what it overwrites.  Tracked constants prove shared
+    loads static, and predicates known.
+
+    ``predicate write`` is ``None`` when the pc writes no predicate,
+    else ``(pred slot, test)``.  An unpredicated ``setp`` whose operands
+    are registers or exact integer immediates has ``test = (compare,
+    slot a, imm a, slot b, imm b)`` (slot ``-1`` for an immediate): when
+    its registers hold tracked constants, every active lane gets the
+    same outcome, so the row's predicate is *known*, as the ``setp.lt
+    p, j, 128`` of a counted loop is.  Any other predicate write
+    (``test = None``) makes it unknown again.
     """
     out: list = []
     for ins in lk.instructions:
         slots = ()
         if ins.op is not Op.NOP:
-            slots = tuple(
-                lk.reg_map[d.name] for d in ins.dsts if not d.is_predicate
-            )
+            slots = tuple(lk.reg_map[d.name] for d in ins.dsts if _gpr(d))
         const = None
         src = -1
         imm = ins.srcs[-1] if ins.srcs else None
-        if ins.pred is None and slots and isinstance(imm, Imm):
-            v = float(imm.value)
-            exact = v.is_integer() and abs(v) <= 2**24
-            s0 = ins.srcs[0]
-            if exact and ins.op is Op.MOV:
-                const = v
-            elif (
-                exact
-                and ins.op is Op.IADD
-                and isinstance(s0, Reg)
-                and not s0.is_predicate
+        if ins.pred is None and slots and _exact(imm):
+            if ins.op is Op.MOV:
+                const = float(imm.value)
+            elif ins.op is Op.IADD and _gpr(ins.srcs[0]):
+                const = float(imm.value)
+                src = lk.reg_map[ins.srcs[0].name]
+        pw = None
+        pdst = [d for d in ins.dsts if d.is_predicate]
+        if pdst and ins.op is not Op.NOP:
+            test = None
+            if ins.op is Op.SETP and ins.pred is None and all(
+                _gpr(s) or _exact(s) for s in ins.srcs
             ):
-                const = v
-                src = lk.reg_map[s0.name]
-        out.append((slots, const, src))
+                a, b = (
+                    (lk.reg_map[s.name], None) if _gpr(s)
+                    else (-1, float(s.value))
+                    for s in ins.srcs
+                )
+                test = (_CMP_OPS[ins.cmp], *a, *b)
+            pw = (lk.pred_map[pdst[0].name], test)
+        out.append((slots, const, src, pw))
     return out
+
+
+def _entry_regs(lk: LoweredKernel) -> dict:
+    """Per-pc register slots a dispatch reads as *entry constants*:
+    ``{pc: slots}``, for the pcs with at least one.
+
+    A register is *inductive* when every write to it is an unpredicated
+    ``mov`` of an exact integer (see :func:`_exact`) or an unpredicated
+    ``iadd`` of one to an inductive register: a loop counter or a tile
+    cursor.  This is judged by virtual register name, because the
+    allocator reuses slots (the AoS kernel's loop counter shares its
+    slot with a temporary of the tile fetch).  The ones a window can
+    read as an unpredicated shared load's base or as a static ``setp``
+    operand (see :func:`_reg_writes`), directly or through the ``iadd``
+    steps that advance them, are read at dispatch wherever they are
+    *live* — read on some path before they are overwritten — so a
+    window that starts after their ``mov`` knows them too.  Liveness is
+    one backward pass over those few registers only.
+    """
+    ins_all = lk.instructions
+    bad: set = set()  # registers a non-inductive write reaches
+    adds: dict[str, set] = {}  # register -> its iadd steps' sources
+    for ins in ins_all:
+        op = ins.op
+        if not ins.dsts or op is Op.NOP:
+            continue
+        ok = (
+            (op is Op.MOV or op is Op.IADD)
+            and ins.pred is None
+            and _exact(ins.srcs[-1])
+            and (op is Op.MOV or _gpr(ins.srcs[0]))
+        )
+        for d in ins.dsts:
+            if not ok:
+                bad.add(d.name)
+            elif op is Op.IADD:
+                adds.setdefault(d.name, set()).add(ins.srcs[0].name)
+            else:
+                adds.setdefault(d.name, set())
+    ind = adds.keys() - bad
+    while True:
+        drop = {r for r in ind if not adds[r] <= ind}
+        if not drop:
+            break
+        ind -= drop
+    cand: set = set()
+    for ins in ins_all:
+        if ins.op is Op.LD_SHARED and ins.pred is None:
+            s = ins.srcs[0]
+            if _gpr(s) and s.name in ind:
+                cand.add(s.name)
+        elif ins.op is Op.SETP and ins.pred is None and all(
+            _exact(s) or (_gpr(s) and s.name in ind) for s in ins.srcs
+        ):
+            cand.update(s.name for s in ins.srcs if _gpr(s))
+    todo = list(cand)
+    while todo:
+        new = adds[todo.pop()] - cand
+        cand |= new
+        todo.extend(new)
+    if not cand:
+        return {}
+    bit = {r: 1 << k for k, r in enumerate(sorted(cand))}
+    n = len(ins_all)
+    use = [0] * n
+    keep = [-1] * n  # bits an unpredicated write leaves unkilled
+    jump: dict[int, tuple] = {}  # successors, where not just pc + 1
+    for pc, ins in enumerate(ins_all):
+        for s in ins.srcs:
+            if type(s) is Reg:
+                use[pc] |= bit.get(s.name, 0)
+        if ins.pred is None and ins.op is not Op.NOP:
+            for d in ins.dsts:
+                keep[pc] &= ~bit.get(d.name, 0)
+        if ins.op is Op.BRA:
+            tgt = lk.targets[ins.target]
+            jump[pc] = (tgt,) if ins.pred is None else (pc + 1, tgt)
+        elif ins.op is Op.EXIT and ins.pred is None:
+            jump[pc] = ()
+    live = [0] * (n + 1)
+    changed = True
+    while changed:
+        changed = False
+        out = 0  # live after pc: live[pc + 1] unless pc jumps
+        for pc in range(n - 1, -1, -1):
+            succ = jump.get(pc)
+            if succ is not None:
+                out = 0
+                for t in succ:
+                    out |= live[t]
+            v = use[pc] | (out & keep[pc])
+            if v != live[pc]:
+                live[pc] = v
+                changed = True
+            out = v
+    slots: dict[int, tuple] = {}  # live set -> its slots
+    for v in set(live):
+        slots[v] = tuple(sorted({lk.reg_map[r] for r in bit if v & bit[r]}))
+    return {pc: slots[v] for pc, v in enumerate(live[:n]) if v}
 
 
 def _bra_costs(lk: LoweredKernel, dev: DeviceProperties) -> list:
     """Per-pc replay metadata for branches.
 
     A branch's issue cost is the constant ALU cost and it writes no
-    scoreboard entry, so the only unknown is its direction.  The replay
-    assumes backward and unconditional branches taken (loop back-edges
-    are taken on every iteration but the last) and forward predicated
-    branches fall through (guards are rarely taken on the hot path),
-    then keeps scheduling down the assumed trajectory.  The dispatcher
-    validates each branch as it executes — a uniform predicate matching
-    the assumption is free; anything else runs through ``_issue`` and
-    aborts the window exactly on a direction mismatch or divergence.
+    scoreboard entry, so the only unknown is its direction.  A branch is
+    *static* when the replay knows that direction: every unconditional
+    branch, and one on a predicate the row's window set from tracked
+    constants (see :func:`_reg_writes`), as a counted loop's ``setp`` on
+    its counter does.  The replay follows a static branch's real
+    direction, so a counted loop leaves the plan at its real trip
+    count.  Every other branch is *validated*: the replay assumes
+    backward branches taken and forward ones falling through (guards are
+    rarely taken on the hot path) and keeps scheduling down the assumed
+    trajectory; the dispatcher validates it as it executes — a uniform
+    predicate matching the assumption is free, anything else runs
+    through ``_issue`` and aborts the window exactly on a direction
+    mismatch or divergence.
     """
     alu_i = float(dev.alu_issue_cycles)
     out: list = []
@@ -799,6 +957,7 @@ def _build_program(lk: LoweredKernel, dev: DeviceProperties) -> FastProgram:
         bra=_bra_costs(lk, dev),
         vok=[replay_schedulable(ins) for ins in lk.instructions],
         regw=_reg_writes(lk),
+        live=_entry_regs(lk),
     )
 
 
@@ -887,19 +1046,21 @@ class _Run:
     pc forms a *one-row* run (``b = a + 1``), whose steps the dispatcher
     counts as per-row work (``row_events``).
 
-    ``pcs`` are the steps in plan order: fusible ALU steps and static
-    shared loads.  ``loads`` gives each step's ``(dst slot, word
-    index)`` reads (``None`` for an ALU step) and ``issue`` the steps'
-    ``(steps, b − a)`` issue offsets from dispatch time.  The executable
-    form is derived from these by :meth:`build` on first execution:
-    plans are memoized, and the part of a window scheduled past a loop's
-    real trip count never runs (about half of all runs in a Fig. 12
-    sweep).  ``seq`` stays ``None`` until then.
+    ``pcs`` are the steps in plan order: fusible ALU steps, static
+    shared loads and static branches, which may go round a loop many
+    times.  ``args`` gives each step's operand: ``None`` for an ALU
+    step, a static load's ``(dst slot, word index)`` reads, or the pc a
+    static branch goes to (its real direction).  ``issue`` gives the
+    steps' ``(steps, b − a)`` issue offsets from dispatch time.  The
+    executable form is derived from these by :meth:`build` on first
+    execution: plans are memoized, and a window aborted early never
+    runs its later events.  ``seq`` stays ``None`` until then.
 
     ``seq`` executes the steps as ``(ALU pcs, reads)`` chunks, each
     stretch of ALU steps followed by the static loads issued after it
     as ``(dst slot, word index)`` reads (see :func:`_vread`); ``shared``
-    says whether there are any.  ``cols``/``offs`` hold the final
+    says whether there are any.  A static branch runs nothing: it only
+    adds its issue and lane counts.  ``cols``/``offs`` hold the final
     scoreboard mark of every register slot the run writes, loads
     included, as ``(b − a, k)`` per-row offsets from dispatch time
     (``None`` when it marks nothing) — a later write of a slot overrides
@@ -913,13 +1074,13 @@ class _Run:
     """
 
     __slots__ = (
-        "rows", "pcs", "loads", "issue", "seq", "shared", "plain", "cols",
+        "rows", "pcs", "args", "issue", "seq", "shared", "plain", "cols",
         "offs", "times", "simple", "conf",
     )
 
     def __init__(self, groups: list[tuple], a: int, b: int) -> None:
         self.rows = (a, b)
-        self.loads = tuple(g[0] for g in groups)
+        self.args = tuple(g[0] for g in groups)
         self.pcs = tuple(g[1] for g in groups)
         self.issue = np.array([g[2] for g in groups], dtype=_F64)
         self.seq = None
@@ -934,7 +1095,9 @@ class _Run:
         reads: list[tuple] = []
         times: list = []
         conf: list[tuple] = []
-        for i, (load, q) in enumerate(zip(self.loads, self.pcs)):
+        for i, (load, q) in enumerate(zip(self.args, self.pcs)):
+            if type(load) is int:
+                continue  # a static branch only counts
             if load is None:
                 if reads:
                     seq.append((tuple(steps), tuple(reads)))
@@ -1156,7 +1319,9 @@ class FastSMExecutor(SMExecutor):
                 t = v
         return t
 
-    def _vreplay(self, pcs: tuple, k0: int, dkey: tuple) -> tuple | None:
+    def _vreplay(
+        self, pcs: tuple, k0: int, dkey: tuple, entry: tuple | None
+    ) -> tuple | None:
         """Symbolic replay of the scheduler for one warp bucket.
 
         Simulates the interpreter's round-robin scan/issue/idle loop for
@@ -1168,27 +1333,31 @@ class FastSMExecutor(SMExecutor):
         stagger, any mix of pcs, and any interleaving of ALU work with
         schedulable shared loads: those have a constant result latency,
         so dependent wakes stay static, and their issue cost is the
-        conflict-free one.  A load is *static* when its base register
-        holds, in its own row, a constant tracked from a ``mov`` inside
-        the window through any unpredicated ``iadd`` of an integer after
-        it (see :func:`_reg_writes`) and the resulting address is
-        aligned and in bounds: every active lane then reads the same
-        words, a broadcast whose cost is exactly the assumed one, so it
-        folds like an ALU op and can never abort.  Whether a load is
-        static depends only on the window's instructions, so it is part
-        of the memoized plan.  Every other load is validated by
-        the dispatcher as it executes, aborting the window mid-schedule
-        on the first mismatch (still exact, because events run in
-        schedule order).
+        conflict-free one.
 
-        Branches are scheduled under a direction assumption (see
-        :func:`_bra_costs`): the replay follows each row's assumed pc
-        trajectory — through loop back-edges — and the dispatcher
-        validates every branch as it executes, so a window can span
-        whole loop bodies and many iterations.  A wrong assumption
-        aborts the window at that branch with the real outcome applied,
-        which is exactly how the schedule ends on a loop's final
-        iteration.
+        Each row tracks the integer constants its registers hold (see
+        :func:`_reg_writes`): set by a ``mov`` in the window, or given
+        at dispatch as the row's *entry constants* (``entry``: per row,
+        the values of the registers :func:`_entry_regs` lists at its
+        entry pc, ``None`` where unknown; ``entry`` is ``None`` when no
+        value is known), then carried through unpredicated ``iadd``
+        steps of integers.  A load is *static* when its base register
+        holds such a constant and the resulting address is aligned and
+        in bounds: every active lane then reads the same words, a
+        broadcast whose cost is exactly the assumed one, so it folds
+        like an ALU op and can never abort.  A branch is *static* when
+        it is unconditional or its predicate was set in the window by a
+        ``setp`` on constants and immediates: the replay follows its
+        real direction, and it folds like an ALU op too, so a counted
+        loop ends the row's trajectory at its real trip count.  Whether
+        a load or branch is static depends only on the window's
+        instructions and the key, so it is part of the memoized plan.
+        Every other load and branch is validated by the dispatcher as it
+        executes, aborting the window mid-schedule on the first mismatch
+        (still exact, because events run in schedule order); a
+        validated branch is scheduled under a direction assumption (see
+        :func:`_bra_costs`), and a wrong one aborts the window at that
+        branch with the real outcome applied.
 
         A row *parks* when it reaches an instruction the replay cannot
         schedule — barrier, global/texture access, store,
@@ -1250,19 +1419,26 @@ class FastSMExecutor(SMExecutor):
         regw = prog.regw
         sbytes = 4 * self.lk.shared_words
         k = [0] * W
-        p = list(pcs)  # per-row current pc along the assumed trajectory
+        p = list(pcs)  # per-row current pc along the planned trajectory
         qlo = list(pcs)  # per-row visited pc range (issue points)
         qhi = list(pcs)
         wake_v = list(dkey)
         fin = [False] * W
         b = list(dkey)  # wake lower bound, parked rows only
         ni = [-1.0] * W  # last issue + cost (next_issue), -1 = never issued
+        bk = [0] * W  # back-edges taken
         wrow: list[dict] = [{} for _ in range(W)]  # in-window completions
         threc: list[dict] = [{} for _ in range(W)]  # pre-window first reads
-        cst: list[dict] = [{} for _ in range(W)]  # in-window constant regs
+        cst: list[dict] = [{} for _ in range(W)]  # constant regs
+        pst: list[dict] = [{} for _ in range(W)]  # known predicates
+        if entry is not None:
+            for m, vals in enumerate(entry):
+                for r, v in zip(prog.live.get(pcs[m], ()), vals):
+                    if v is not None:
+                        cst[m][r] = v
         plan: list[tuple] = []
-        # Fusible events since the last validated one: ``(pc, row, t,
-        # reads)``, ``reads`` ``None`` for an ALU op.
+        # Fusible events since the last validated one: ``(back-edges,
+        # pc, row, t, arg)``, ``arg`` as in :class:`_Run`.
         seg: list[tuple] = []
         gaps: list[float] = []  # idle-advance records, packed
         ngaps = 0
@@ -1278,40 +1454,41 @@ class FastSMExecutor(SMExecutor):
                 fin[m] = True
 
         # The plan folds the schedule as it is made.  Within a *segment*
-        # — a maximal run of fusible events (ALU ops and static shared
-        # loads) between validated events (other loads, branches) —
-        # execution order across rows is state-invisible: registers are
-        # warp-private, the window has no stores so shared memory is
-        # frozen, and each event keeps its own scheduled time.  Per-row
-        # order is preserved because a segment contains no back-edge,
-        # so each row's pcs strictly increase and sorting by pc keeps
-        # them in program order.  So sort each segment by pc, then row,
-        # and fold every *range group* — a maximal range of consecutive
-        # rows at one pc, static loads also at one word index (each row
-        # reading its own block) — into one stacked step over those
-        # rows.  Groups over one range merge into one run event (see
-        # :class:`_Run`): the next group of a range joins its range's
-        # run unless some item placed after that run touches one of its
-        # rows.  Moving a group up past items on other rows only
-        # reorders events of disjoint rows inside one segment, which
-        # commute.  Folds never cross a validated event: everything
-        # before it in the plan is also before it in schedule time,
-        # which is what makes a mid-window abort exact.
+        # — a maximal run of fusible events (ALU ops, static shared
+        # loads and static branches) between validated events (other
+        # loads and branches) — execution order across rows is
+        # state-invisible: registers are warp-private, the window has no
+        # stores so shared memory is frozen, a static branch changes no
+        # state, and each event keeps its own scheduled time.  A row's
+        # pcs strictly increase between the back-edges it takes, so
+        # sorting a segment by (back-edges taken, pc, row) keeps each
+        # row in program order.  Each *range group* — a maximal range of
+        # consecutive rows at one such (back-edges, pc), static loads
+        # also at one word index (each row reading its own block) and
+        # static branches also going one way — folds into one stacked
+        # step over those rows.  Groups over one range merge into one
+        # run event (see :class:`_Run`): the next group of a range joins
+        # its range's run unless some item placed after that run touches
+        # one of its rows.  Moving a group up past items on other rows
+        # only reorders events of disjoint rows inside one segment,
+        # which commute.  Folds never cross a validated event:
+        # everything before it in the plan is also before it in schedule
+        # time, which is what makes a mid-window abort exact.
         def flush_seg() -> None:
             # Open runs' groups by row range, pairwise disjoint: an item
             # on rows [a, b) closes every open run it overlaps.
             live: dict[tuple, list] = {}
             first = len(plan)
-            seg.sort()  # by pc, then row: the pair is unique
+            seg.sort()  # (back-edges, pc, row) is unique
             ns = len(seg)
             j = 0
             while j < ns:
-                q, a, _, reads = seg[j]
+                n_b, q, a, _, arg = seg[j]
                 b = a + 1
                 jj = j + 1
                 while jj < ns:
                     f = seg[jj]
-                    if f[0] != q or f[1] != b or f[3] != reads:
+                    if f[1] != q or f[2] != b or f[0] != n_b or f[4] != arg:
                         break
                     b += 1
                     jj += 1
@@ -1323,7 +1500,7 @@ class FastSMExecutor(SMExecutor):
                     groups = []
                     plan.append((groups, a, b))
                 live[a, b] = groups
-                groups.append((reads, q, tuple(f[2] for f in seg[j:jj])))
+                groups.append((arg, q, tuple(f[3] for f in seg[j:jj])))
                 j = jj
             # The segment's runs are complete.
             plan[first:] = [(2, _Run(*r)) for r in plan[first:]]
@@ -1344,7 +1521,7 @@ class FastSMExecutor(SMExecutor):
                         th[r] = t
             kind = 0  # fusible; 1 validated load, 3 validated branch
             if c is not None:
-                seg.append((q, pos, t, None))
+                seg.append((bk[pos], q, pos, t, None))
                 w = dst[q]
                 if w >= 0:
                     wr[w] = t + lats[q]
@@ -1366,7 +1543,7 @@ class FastSMExecutor(SMExecutor):
                     ):
                         w0 = addr >> 2
                         reads = tuple(zip(dsts, range(w0, w0 + len(dsts))))
-                        seg.append((q, pos, t, reads))
+                        seg.append((bk[pos], q, pos, t, reads))
                     else:
                         kind = 1
                     done = t + lat
@@ -1374,12 +1551,22 @@ class FastSMExecutor(SMExecutor):
                         wr[w] = done
                     nxt = q + 1
                 else:
-                    # Branch under a direction assumption; validated by
-                    # the dispatcher.
-                    tgt, _pi, _ng, taken, c = bra[q]
-                    kind = 3
+                    # Branch: static when unconditional or its predicate
+                    # is known, and then a fusible event going its real
+                    # way; else validated under a direction assumption.
+                    tgt, pi, neg, taken, c = bra[q]
+                    if pi >= 0:
+                        known = pst[pos].get(pi)
+                        if known is None:
+                            kind = 3
+                        else:
+                            taken = known != neg
                     nxt = tgt if taken else q + 1
-            slots, cv, src = regw[q]
+                    if not kind:
+                        seg.append((bk[pos], q, pos, t, nxt))
+                    if nxt <= q:
+                        bk[pos] += 1
+            slots, cv, src, pw = regw[q]
             if slots:
                 cs = cst[pos]
                 if cv is not None and src >= 0:
@@ -1393,6 +1580,24 @@ class FastSMExecutor(SMExecutor):
                 elif cs:
                     for r in slots:
                         cs.pop(r, None)
+            if pw is not None:
+                # Predicate write: known from a static setp on tracked
+                # constants, unknown after any other.
+                pslot, test = pw
+                known = None
+                if test is not None:
+                    cmp, sa, va, sb, vb = test
+                    cs = cst[pos]
+                    if sa >= 0:
+                        va = cs.get(sa)
+                    if sb >= 0:
+                        vb = cs.get(sb)
+                    if va is not None and vb is not None:
+                        known = cmp(va, vb)
+                if known is None:
+                    pst[pos].pop(pslot, None)
+                else:
+                    pst[pos][pslot] = known
             k[pos] += 1
             total += 1
             if q < qlo[pos]:
@@ -1433,9 +1638,10 @@ class FastSMExecutor(SMExecutor):
 
         # The main loop already scanned up to and picked row k0 (its
         # stalls are charged there), so the first issue is uncharged.
-        # The event cap bounds the schedule when assumed-taken
-        # back-edges never park (the plan past the real trip count is
-        # simply never executed — the final iteration's branch aborts).
+        # The event cap bounds the schedule of long loops, and of
+        # validated back-edges assumed taken (the plan past such a
+        # loop's real trip count is never executed — its final
+        # iteration's branch aborts).
         t = issue(k0, 0.0)
         cur = k0 + 1  # ring position of the next scan start
         while total < 24576:
@@ -1532,9 +1738,11 @@ class FastSMExecutor(SMExecutor):
         The bucket is every countable warp — at *any* pc — and the
         schedule comes from :meth:`_vreplay` keyed by the bucket's exact
         entry pcs and wake pattern, so staggered, reordered and mixed-pc
-        groups vectorize.  Run events, static shared loads included,
-        execute as stacked numpy steps over their row ranges (one row or
-        more); validated loads and branches replay in schedule order,
+        groups vectorize, and by its entry constants (:meth:`_ventry`),
+        read only when some row's pc has a live inductive register.  Run
+        events, static shared loads and branches included, execute as
+        stacked numpy steps over their row ranges (one row or more);
+        validated loads and branches replay in schedule order,
         inline or through the interpreter's own ``_issue`` at their
         scheduled times.  Stall and idle charges come from the replay's
         closed forms; with the profiler on, so do the idle gaps, and the
@@ -1562,13 +1770,17 @@ class FastSMExecutor(SMExecutor):
         # ``now`` schedules identically to 0 (scans never happen
         # earlier), so clamping collapses the cache key space.
         dkey = tuple(max(0.0, wake[lo + m] - now) for m in range(W))
-        key = (pcs, k0, dkey)
+        entry = None
+        live = prog.live
+        if live and not live.keys().isdisjoint(pcs):
+            entry = self._ventry(warps, lo, pcs)
+        key = (pcs, k0, dkey, entry)
         vrmeta = self._vrmeta
         meta = vrmeta.get(key, False)
         if meta is False:
             if len(vrmeta) >= 65536:
                 vrmeta.clear()
-            meta = vrmeta[key] = self._vreplay(pcs, k0, dkey)
+            meta = vrmeta[key] = self._vreplay(*key)
         if meta is None:
             return self._vfallback("fallback_no_plan")
         plan, qlovec, qhivec, cut, rr_pos, cols, thr2, gaps, state = meta
@@ -1713,11 +1925,6 @@ class FastSMExecutor(SMExecutor):
             t = now + e[3]
             if kind == 3:
                 tgt, pi, neg, taken, _c = bra[q]
-                if pi < 0:
-                    # Unconditional: the interpreter always jumps.
-                    cnt[q] += 1
-                    lanes_acc[q] += nas[m]
-                    continue
                 if nas[m] == WARP:
                     # Fully active warp: the assumption holds iff the
                     # predicate is uniform in the assumed direction in
@@ -1808,6 +2015,52 @@ class FastSMExecutor(SMExecutor):
         if self._split_at:
             self._split(res[1])
         return res
+
+    def _ventry(
+        self, warps: list[WarpState], lo: int, pcs: tuple
+    ) -> tuple | None:
+        """The entry constants of the bucket of rows from ``lo`` at
+        ``pcs`` (see :meth:`_vreplay`): per row, the value of each
+        register :attr:`FastProgram.live` lists at its pc when it is an
+        exact integer of magnitude at most ``2**24`` held by every
+        active lane of every gang member, else ``None``.  A row with
+        lanes rejoining at its pc gives none, since the window runs it
+        under the wider mask.  ``None`` when no value is known."""
+        live = self._program.live
+        M = self._gm
+        W = len(pcs)
+        cols = sorted({r for q in pcs for r in live.get(q, ())})
+        # (regs, warps, every member's lanes): a warp's members are
+        # adjacent rows, and their masks are the warp's.
+        A = self._a_regs[cols, lo * M : (lo + W) * M].reshape(
+            len(cols), W, M * WARP
+        )
+        rows = warps[lo : lo + W]
+        if all(w.active is w._fp_act and w._fp_na == WARP for w in rows):
+            least, most = A.min(axis=2), A.max(axis=2)
+        else:
+            act = np.tile(np.vstack([w.active for w in rows]), M)
+            least = np.where(act, A, _INF).min(axis=2)
+            most = np.where(act, A, -_INF).max(axis=2)
+        ok = (
+            (least == most)
+            & (least == np.trunc(least))
+            & (np.abs(least) <= 2**24)
+        )
+        vals = dict(zip(cols, np.where(ok, least, _NAN).tolist()))
+        out = []
+        for m, q in enumerate(pcs):
+            stack = rows[m].div_stack
+            if stack and stack[-1][0] == q:
+                out.append(())
+            else:
+                out.append(tuple(
+                    None if vals[r][m] != vals[r][m] else vals[r][m]
+                    for r in live.get(q, ())
+                ))
+        if all(v is None for row in out for v in row):
+            return None
+        return tuple(out)
 
     def _vend(
         self,

@@ -93,10 +93,11 @@ def run_force(
 
 
 def _cmd_run(args) -> int:
-    _session.disable()
-    _session.enable(max_gap_events=args.max_gap_events)
-    # --no-fastpath pins the interpreter for this command only.
-    with env_override(FASTPATH_ENV, "0" if args.no_fastpath else None):
+    # A fresh profiler session, and --no-fastpath pinning the
+    # interpreter, hold for this command only.
+    with _session.fresh_session(
+        max_gap_events=args.max_gap_events
+    ), env_override(FASTPATH_ENV, "0" if args.no_fastpath else None):
         if args.kernel == "membench":
             _measurement, profile = run_membench(
                 args.layout,

@@ -12,6 +12,9 @@ counts.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 from .counters import KernelProfile, ProfileSpec
 
 __all__ = [
@@ -19,6 +22,7 @@ __all__ = [
     "enable",
     "disable",
     "enabled",
+    "fresh_session",
     "get",
     "reset",
     "spec",
@@ -79,6 +83,19 @@ def enabled() -> bool:
 
 def get() -> ProfilerSession | None:
     return _ACTIVE
+
+
+@contextmanager
+def fresh_session(max_gap_events: int = 4096) -> Iterator[ProfilerSession]:
+    """A new session for the ``with`` body only: whatever was active
+    before it (a session, or none) is active again afterwards."""
+    global _ACTIVE
+    saved = _ACTIVE
+    _ACTIVE = ProfilerSession(max_gap_events=max_gap_events)
+    try:
+        yield _ACTIVE
+    finally:
+        _ACTIVE = saved
 
 
 def reset() -> ProfilerSession | None:

@@ -12,7 +12,8 @@ import argparse
 import json
 import sys
 import time
-from typing import Callable
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 from ..telemetry import runtime as _telemetry
 from ..telemetry.manifest import append_manifest, build_manifest
@@ -259,22 +260,18 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name:10s} {desc}")
         return 0
 
-    if args.telemetry:
-        _telemetry.enable()
-    if args.profile:
-        from ..cudasim import profiler as _profiler
+    from ..cudasim import profiler as _profiler
+    from ..cudasim.envflags import env_override
+    from ..cudasim.fastpath import FASTPATH_ENV
 
-        _profiler.enable()
     # With --json, stdout is reserved for the machine-readable records.
     human = sys.stderr if args.json else sys.stdout
 
     names = list(EXPERIMENTS) if args.names == ["all"] else args.names
-    status = 0
-    # --no-fastpath pins the interpreter for this command only.
-    from ..cudasim.envflags import env_override
-    from ..cudasim.fastpath import FASTPATH_ENV
-
-    with env_override(FASTPATH_ENV, "0" if args.no_fastpath else None):
+    # --telemetry, --profile and --no-fastpath hold for this command only.
+    with _switched_on(_telemetry, args.telemetry), _switched_on(
+        _profiler, args.profile
+    ), env_override(FASTPATH_ENV, "0" if args.no_fastpath else None):
         for name in names:
             t0 = time.perf_counter()
             try:
@@ -299,20 +296,33 @@ def main(argv: list[str] | None = None) -> int:
                     f"{args.json}",
                     file=human,
                 )
-    if args.telemetry:
-        from ..cudasim.kernel_cache import default_cache
+        if args.telemetry:
+            from ..cudasim.kernel_cache import default_cache
 
-        cs = default_cache().stats
-        print(
-            f"kernel cache: {cs.hits} hits / {cs.misses} misses of "
-            f"compiled kernels ({100 * cs.hit_rate:.0f}% hit rate)",
-            file=human,
-        )
-    if args.profile:
-        from ..cudasim import profiler as _profiler
+            cs = default_cache().stats
+            print(
+                f"kernel cache: {cs.hits} hits / {cs.misses} misses of "
+                f"compiled kernels ({100 * cs.hit_rate:.0f}% hit rate)",
+                file=human,
+            )
+        if args.profile:
+            _print_profile_summary(_profiler.profiles(), file=human)
+    return 0
 
-        _print_profile_summary(_profiler.profiles(), file=human)
-    return status
+
+@contextmanager
+def _switched_on(switch, on: bool) -> Iterator[None]:
+    """Enable ``switch`` (the telemetry or profiler runtime) for the
+    ``with`` body when ``on``, then disable it again unless it was
+    enabled before, so a command's flags end with the command."""
+    was = switch.enabled()
+    if on:
+        switch.enable()
+    try:
+        yield
+    finally:
+        if on and not was:
+            switch.disable()
 
 
 def _print_profile_summary(profiles, file) -> None:

@@ -367,12 +367,14 @@ def _walk_plans(lk):
     """Every replay plan memoized on ``lk``'s programs (``_vreplay``
     results, ``None`` left out), each checked against a reference walk
     of its prefix: items are runs and validated loads and branches
-    only, every validated event's state is what walking the plan up to
+    only, each row's events follow its pc trajectory (a run's static
+    branches go the way they record, a validated branch the assumed
+    way), every validated event's state is what walking the plan up to
     it gives, and at the end each row's run groups and validated events
     add up to its issue count."""
     plans = []
     for program in lk.exec_plan.programs.values():
-        for (pcs, _, dkey), meta in program.vmeta.items():
+        for (pcs, _, dkey, _), meta in program.vmeta.items():
             if meta is None:
                 continue
             plan, state = meta[0], meta[-1]
@@ -383,18 +385,28 @@ def _walk_plans(lk):
                 assert e[0] in (1, 2, 3), e[0]
                 if e[0] == 2:
                     # Every group covers every row of the range, so the
-                    # last one is each row's last event of the run.
+                    # run's steps are each row's next events in order.
                     run = e[1]
                     a, b = run.rows
-                    q = run.pcs[-1]
-                    c = (program.costs[q] if run.loads[-1] is None
-                         else program.mem[q][0])
+                    assert all(pr[m] == run.pcs[0] for m in range(a, b))
+                    nxt = run.pcs[0]
+                    for arg, q in zip(run.args, run.pcs):
+                        assert q == nxt, (q, nxt)
+                        nxt = q + 1
+                        c = program.costs[q]
+                        if isinstance(arg, int):  # static branch
+                            tgt, pi, _, _, c = program.bra[q]
+                            assert arg == tgt or (pi >= 0 and arg == q + 1)
+                            nxt = arg
+                        elif arg is not None:  # static load
+                            c = program.mem[q][0]
                     for m in range(a, b):
                         kr[m] += len(run.pcs)
                         lr[m] = run.issue[-1][m - a] + c
-                        pr[m] = q + 1
+                        pr[m] = nxt
                     continue
                 m, q = e[1], e[2]
+                assert pr[m] == q, (m, pr[m], q)
                 kr[m] += 1
                 lr[m] = e[3] + e[4]
                 if e[0] == 3:
@@ -774,7 +786,7 @@ class TestStaticLoads:
         assert any(
             e[0] == 2
             and e[1].rows[1] - e[1].rows[0] == 1
-            and any(reads is not None for reads in e[1].loads)
+            and any(isinstance(arg, tuple) for arg in e[1].args)
             for meta in _replay_plans(kernel, 1, TILE, 17 * TILE)
             for e in meta[0]
         ), "no one-row run holds a static load"
@@ -1083,13 +1095,17 @@ def _gang_forces(kind, unroll, grid, mode, props=GANG_PROPS):
 
 def _gang_modes(
     kernel, grid, out_words, params=None, toolchain=Toolchain.CUDA_1_0,
-    props=G8800GTX, per_sm=None,
+    props=G8800GTX, per_sm=None, plans=None,
 ):
     """Launch ``kernel`` on ``props`` (default: the G80's 16 SMs) in both
-    modes; assert the per-SM observables match and return the compiled
-    run's vec counters.  ``params(dev)`` adds launch values besides
-    ``dst``; a ``per_sm`` list receives the per-SM stats dicts."""
+    modes; assert the per-SM observables match, and the profiles when
+    the profiler is on, walk the compiled run's replay plans
+    (:func:`_walk_plans`) and return its vec counters.
+    ``params(dev)`` adds launch values besides ``dst``; a ``per_sm``
+    list receives the per-SM stats dicts, and a ``plans`` list the
+    ``(key, plan)`` items the compiled run memoized."""
     outs = []
+    profiles = []
     for mode in MODES:
         reset_vec_counters()
         dev = Device(
@@ -1101,12 +1117,19 @@ def _gang_modes(
         )
         dst = dev.malloc(4 * out_words)
         values = {"dst": dst, **(params(dev) if params else {})}
-        result = dev.launch(
-            compile_kernel(kernel), grid=grid, block=GANG_BLOCK,
-            params=values,
-        )
+        lk = compile_kernel(kernel)
+        result = dev.launch(lk, grid=grid, block=GANG_BLOCK, params=values)
         outs.append(_gang_observables(dev, result, dst, out_words))
+        if result.profile is not None:
+            profiles.append(result.profile.as_dict())
     _assert_per_sm_identical(outs)
+    assert len(profiles) in (0, len(MODES))
+    for prof in profiles[1:]:
+        assert prof == profiles[0], "kernel profiles differ"
+    _walk_plans(lk)
+    if plans is not None:
+        for program in lk.exec_plan.programs.values():
+            plans.extend(program.vmeta.items())
     if per_sm is not None:
         per_sm.extend(outs[1][4])
     return vec_counters()
@@ -2202,3 +2225,297 @@ class TestReplayPlans:
         )
         backend.calibrate((1, 2))
         assert _walk_plans(backend.compile())
+
+
+# -- counted loops ---------------------------------------------------------
+#
+# The replay decides a counted loop's branches when the loop counter is a
+# known constant: set by a ``mov`` in the window or read at dispatch entry
+# (an *entry constant*), then advanced by ``iadd``.  Generated loops and
+# the named cases below pin interpreter ≡ compiled path per SM, profiled
+# or not, and walk every replay plan.
+
+
+def _loop_bound(start, trips, step, cmp):
+    """The bound a do-while loop's ``setp.<cmp> p, j, bound`` needs to
+    run ``trips`` times from ``j = start`` in steps of ``step``."""
+    if cmp in ("le", "ge"):
+        return start + (trips - 1) * step
+    return start + trips * step
+
+
+def _emit_loop(b, head, body, j, step, cond):
+    """A do-while loop at label ``head``: ``body()``, ``iadd j, j, step``,
+    then ``cond(p)`` sets the predicate ``p`` that branches back."""
+    b.emit(Instr(Op.LABEL, target=head))
+    body()
+    b.iadd(j, j, step)
+    p = b.pred()
+    cond(p)
+    b.emit(Instr(Op.BRA, target=head, pred=p))
+
+
+def _loop_prologue(name, params=("dst", "src")):
+    """Builder, ``%i`` and accumulator of a counted-loop kernel whose
+    ``GANG_BLOCK`` threads first fill a four-word-per-thread shared tile
+    and meet at a barrier."""
+    b = KernelBuilder(name, params=params)
+    tid = b.sreg("tid")
+    i = b.imad("i", b.sreg("ctaid"), b.sreg("ntid"), tid)
+    v = b.i2f(b.reg("v"), i)
+    w = b.mad(b.reg("w"), v, 0.25, 3.0)
+    b.st_shared(b.shl("sa", tid, 4), (v, w, w, v))
+    b.bar_sync()
+    return b, i, b.mov(b.reg("acc"), 0.5)
+
+
+def _loop_epilogue(b, i, acc):
+    b.st_global(b.imad("o", i, 4, b.param("dst")), acc)
+    return b.build(shared_words=4 * GANG_BLOCK)
+
+
+@st.composite
+def _counted_loop_kernels(draw):
+    """``(kernel, props, grid, n)``: one counted loop, or two nested,
+    launched at a grid that forms a gang (two warps per block).
+
+    Each loop draws an immediate trip count (1 to 200 alone, at most 50
+    nested inside another), an ``lt``/``le``/``gt``/``ge``/``ne``
+    condition with a positive or negative step, and maybe a shared-load
+    cursor that ``iadd`` walks up or down the tile.  A ``bar.sync`` or
+    a global load may separate the counter's and cursor's ``mov`` from
+    the loop, so windows enter it mid-way; the outer loop may instead
+    be bounded by the kernel parameter ``n``.  A ``%tid``-dependent
+    branch may put the loops under a partial mask (no barrier there)."""
+    props, grid = draw(st.sampled_from(
+        ((G8800GTX, 2), (G8800GTX, 4), (GANG_PROPS, 3), (GANG_PROPS, 6))
+    ))
+    b, i, acc = _loop_prologue("k_counted", ("dst", "src", "n"))
+    nest = draw(st.sampled_from((1, 2)))
+    guard = draw(st.sampled_from((None, 20, 40)))
+    n = 0
+
+    def loop(d):
+        nonlocal n
+        inner = d + 1 == nest
+        trips = draw(st.integers(1, 200 if nest == 1 else 50 if inner else 4))
+        cmp = draw(st.sampled_from(("lt", "le", "gt", "ge", "ne")))
+        step = draw(st.sampled_from((1, 2, 3)))
+        if cmp in ("gt", "ge") or (cmp == "ne" and draw(st.booleans())):
+            step = -step
+        start = draw(st.integers(-8, 8))
+        bound = _loop_bound(start, trips, step, cmp)
+        if not inner and draw(st.booleans()):
+            n, bound = bound, b.param("n")
+        j = b.mov(b.reg(f"j{d}"), start)
+        cursor = None
+        if draw(st.booleans()):
+            words = 1 if trips > 128 else draw(st.sampled_from((1, 2)))
+            up = draw(st.booleans())
+            cursor = b.mov(b.reg(f"c{d}"), 0 if up else 4 * words * (trips - 1))
+            width = draw(st.sampled_from((1, 2)))
+            advance = 4 * words if up else -4 * words
+        sep = draw(st.sampled_from(
+            (None, "global") if guard else (None, "bar", "global")
+        ))
+        late = None
+        if sep == "bar":
+            b.bar_sync()
+        elif sep == "global":
+            stride = draw(st.sampled_from((1, 5)))
+            late = b.ld_global(
+                b.reg(f"g{d}"), b.imad(f"ga{d}", i, 4 * stride, b.param("src"))
+            )
+
+        def body():
+            if cursor is not None:
+                xs = tuple(b.reg(f"x{d}_{k}") for k in range(width))
+                b.ld_shared(xs if width > 1 else xs[0], cursor)
+                for x in xs:
+                    b.add(acc, acc, x)
+                b.iadd(cursor, cursor, advance)
+            b.mad(acc, acc, 0.5, b.i2f(b.reg(f"t{d}"), j))
+            if not inner:
+                loop(d + 1)
+
+        _emit_loop(
+            b, f"head{d}", body, j, step, lambda p: b.setp(cmp, p, j, bound)
+        )
+        if late is not None:
+            b.add(acc, acc, late)
+
+    if guard is None:
+        loop(0)
+    else:
+        q = b.pred()
+        b.setp("lt", q, b.sreg("tid"), guard)
+        with b.if_(q):
+            loop(0)
+    return _loop_epilogue(b, i, acc), props, grid, n
+
+
+def _back_edges(lk):
+    """The pcs of ``lk``'s backward branches."""
+    return {
+        pc for pc, ins in enumerate(lk.instructions)
+        if ins.op is Op.BRA and lk.targets[ins.target] <= pc
+    }
+
+
+def _branch_kinds(plans, pcs):
+    """``(static, validated)``: whether some plan runs a branch of
+    ``pcs`` as a static step of a run, and whether some plan validates
+    one."""
+    static = validated = False
+    for _, meta in plans:
+        for e in meta[0] if meta is not None else ():
+            if e[0] == 2:
+                static |= any(
+                    isinstance(arg, int) and q in pcs
+                    for arg, q in zip(e[1].args, e[1].pcs)
+                )
+            elif e[0] == 3:
+                validated |= e[2] in pcs
+    return static, validated
+
+
+class TestCountedLoops:
+    """Counted-loop branches are static when their counter is a known
+    constant, at the loop's real trip count; every other branch stays
+    validated."""
+
+    def test_generated_counted_loops(self):
+        """Generated counted loops agree per SM with the interpreter,
+        ganged or profiled; across the derandomized draws the replay
+        decides static branches, reads entry constants, and still
+        aborts validated branches."""
+        reached = dict.fromkeys(
+            ("static_branches", "entry_constants", "abort_branch"), 0
+        )
+
+        @settings(
+            max_examples=25,
+            derandomize=True,
+            deadline=None,
+            database=None,
+            suppress_health_check=[HealthCheck.too_slow],
+        )
+        @given(case=_counted_loop_kernels(), profiled=st.booleans())
+        def agree(case, profiled):
+            kernel, props, grid, n = case
+            if profiled:
+                profiler.enable()
+            plans = []
+            try:
+                got = _gang_modes(
+                    kernel, grid, grid * GANG_BLOCK, props=props,
+                    params=lambda dev: {**_gen_src(dev), "n": n},
+                    plans=plans,
+                )
+            finally:
+                profiler.disable()
+            reached["abort_branch"] += got["abort_branch"]
+            lk = compile_kernel(kernel)
+            static, _ = _branch_kinds(plans, set(range(len(lk.instructions))))
+            reached["static_branches"] += static
+            reached["entry_constants"] += sum(
+                key[3] is not None for key, meta in plans if meta is not None
+            )
+
+        agree()
+        assert all(reached.values()), reached
+
+    @staticmethod
+    def _loop_kernel(variant):
+        """A 40-trip loop after a barrier.  Under ``plain`` and
+        ``lane_counter`` the counter ``j`` is set before the barrier, so
+        the loop's windows take it at dispatch entry; under the other
+        variants the window sets it.  ``variant`` changes how the loop's
+        condition is computed.  Under ``lane_counter`` half the lanes
+        count from 1 instead of 0, in steps of 2 to a bound of 80, so
+        they still leave together; under ``rejoin`` they count from 1
+        in steps of 1 and leave one iteration early, and rejoin the
+        others at the loop's head."""
+        b, i, acc = _loop_prologue(f"k_loop_{variant}")
+        tid = b.sreg("tid")
+        j = b.reg("j")
+        bound, step = 40, 1
+        on = None
+
+        def lanes_ahead():
+            q = b.pred()
+            b.setp("lt", q, b.sreg("laneid"), 16)
+            with b.if_(q):
+                b.iadd(j, j, 1)
+
+        if variant in ("plain", "lane_counter"):
+            b.mov(j, 0)
+        if variant == "lane_counter":
+            bound, step = 80, 2
+            lanes_ahead()
+        elif variant == "loaded_bound":
+            bound = b.ld_global(b.reg("nb"), b.param("src"), offset=4 * 40)
+        elif variant == "predicated_setp":
+            on = b.pred()
+            b.setp("lt", on, tid, 1000)
+        b.bar_sync()
+        if variant not in ("plain", "lane_counter"):
+            b.mov(j, 0)
+        if variant == "rejoin":
+            lanes_ahead()
+
+        def cond(p):
+            if on is not None:
+                b.emit(Instr(
+                    Op.SETP, dsts=(p,), srcs=(j, Imm(bound)), cmp="lt",
+                    pred=on,
+                ))
+                return
+            b.setp("lt", p, j, bound)
+            if variant == "rewritten":
+                b.add(acc, acc, b.selp(b.reg("s"), 1.0, 0.0, p))
+                b.setp("lt", p, b.mov(b.reg("jc"), j), bound)
+
+        _emit_loop(
+            b, "head",
+            lambda: b.mad(acc, acc, 0.5, b.i2f(b.reg("t"), j)),
+            j, step, cond,
+        )
+        return _loop_epilogue(b, i, acc)
+
+    def test_counter_known_at_entry_is_static(self):
+        """The plain loop: every window after the barrier knows ``j``
+        from dispatch entry, so its back-edge is static and no window
+        aborts at the loop's exit."""
+        kernel = self._loop_kernel("plain")
+        plans = []
+        got = _gang_modes(
+            kernel, 4, 4 * GANG_BLOCK, params=_gen_src, plans=plans
+        )
+        edges = _back_edges(compile_kernel(kernel))
+        assert _branch_kinds(plans, edges) == (True, False)
+        assert any(key[3] is not None for key, _ in plans)
+        assert got["abort_branch"] == 0
+
+    @pytest.mark.parametrize(
+        "variant",
+        ("predicated_setp", "loaded_bound", "lane_counter", "rewritten"),
+    )
+    def test_branches_that_stay_validated(self, variant):
+        """A predicated ``setp``, a ``setp`` against a register loaded
+        from memory, a counter that differs across lanes at entry, and a
+        predicate rewritten between its ``setp`` and the branch leave
+        the back-edge validated."""
+        kernel = self._loop_kernel(variant)
+        plans = []
+        _gang_modes(kernel, 4, 4 * GANG_BLOCK, params=_gen_src, plans=plans)
+        edges = _back_edges(compile_kernel(kernel))
+        assert _branch_kinds(plans, edges) == (False, True)
+
+    def test_lanes_rejoining_at_entry(self):
+        """Lanes that diverged over the counter rejoin at the loop's
+        head: a window entering there runs them under the wider mask,
+        so it cannot take the counter from the lanes active before."""
+        _gang_modes(
+            self._loop_kernel("rejoin"), 4, 4 * GANG_BLOCK, params=_gen_src
+        )

@@ -179,6 +179,44 @@ class TestCli:
         assert os.environ.get(FASTPATH_ENV) == before
         assert fastpath_enabled() is enabled
 
+    @pytest.mark.parametrize("before", (False, True), ids=("off", "on"))
+    def test_telemetry_and_profile_are_scoped_to_the_command(
+        self, monkeypatch, before
+    ):
+        """``--telemetry`` and ``--profile`` are on while the command
+        runs, then left as the command found them: off stays off (a
+        leaked profiler would also run every later launch's SMs one at a
+        time), and sessions that were on stay the same sessions."""
+        from repro import telemetry
+        from repro.cudasim import profiler
+        from repro.experiments import registry
+
+        class Result:
+            def summary(self):
+                return ""
+
+        seen = []
+
+        def run_experiment(name, quick=False):
+            seen.append((telemetry.enabled(), profiler.enabled()))
+            return Result()
+
+        monkeypatch.setattr(registry, "run_experiment", run_experiment)
+        telemetry.disable()
+        profiler.disable()
+        try:
+            if before:
+                telemetry.enable()
+                profiler.enable()
+            sessions = (telemetry.get(), profiler.get())
+            assert main(["run", "occupancy", "--telemetry", "--profile"]) == 0
+            assert seen == [(True, True)]
+            assert (telemetry.enabled(), profiler.enabled()) == (before,) * 2
+            assert (telemetry.get(), profiler.get()) == sessions
+        finally:
+            telemetry.disable()
+            profiler.disable()
+
 
 class TestModelVsSim:
     @pytest.fixture(scope="class")

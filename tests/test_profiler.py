@@ -355,6 +355,31 @@ class TestCli:
         assert fastpath_enabled() is enabled
         assert "produced no profile" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("before", (False, True), ids=("off", "on"))
+    def test_profiler_session_is_scoped_to_the_command(
+        self, monkeypatch, before
+    ):
+        """``run`` profiles in a fresh session of its own, then leaves the
+        profiler and telemetry as it found them: off stays off, and a
+        session that was on is the active one again."""
+        from repro.cudasim.profiler import cli
+
+        if before:
+            telemetry.enable()
+            profiler.enable()
+        sessions = (telemetry.get(), profiler.get())
+        seen = []
+
+        def run_force(*args):
+            seen.append(profiler.get())
+            return {}, None  # no profile: the command reports an error
+
+        monkeypatch.setattr(cli, "run_force", run_force)
+        assert cli.main(["run", "--kernel", "force"]) == 1
+        assert seen[0] is not None and seen[0] is not sessions[1]
+        assert (telemetry.enabled(), profiler.enabled()) == (before,) * 2
+        assert (telemetry.get(), profiler.get()) == sessions
+
 
 class TestTelemetryIntegration:
     def test_stall_counter_track_in_chrome_trace(self, tmp_path):
